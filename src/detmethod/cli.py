@@ -232,6 +232,7 @@ def verify_report_dict(data, ideal):
     sc = staircase(gb, delta)
     allowed = set(sc.exponents)
 
+    expected = set(expected)
     covered = set()
     for k, cert in enumerate(data["certificates"]):
         poly = parse_polynomial(cert["poly"], ih.num_vars)
@@ -248,7 +249,7 @@ def verify_report_dict(data, ideal):
                 break
         for p in cert["points"]:
             p = tuple(p)
-            if p not in set(expected):
+            if p not in expected:
                 failures.append(f"certificate {k}: point {p} not in S(X,B)")
                 continue
             if poly.evaluate(p) != 0:
@@ -257,7 +258,7 @@ def verify_report_dict(data, ideal):
         if normal_form(poly, gb).is_zero():
             failures.append(f"certificate {k}: lies in the ideal")
 
-    missing = set(expected) - covered
+    missing = expected - covered
     if missing:
         failures.append(f"coverage failure: {len(missing)} uncovered points")
     return failures

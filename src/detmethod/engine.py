@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
+from time import perf_counter
 
 from .bounds import D, choose_nu, ck_norm_bound
 from .errors import (
@@ -314,6 +315,7 @@ class PipelineReport:
     ordering_bound: object = None
     delta_report: object = None
     num_vars: int = 0
+    # opt-in stage timings; enumeration: points_s, points_fibres, points_found
     timings: dict = field(default_factory=dict)
 
     def to_dict(self, include_timings=False):
@@ -528,8 +530,11 @@ def cover_and_construct(
     if mu == 0:
         raise InputError(f"staircase empty at delta={delta}")
 
+    timings = {}
     if point_set is None:
-        point_set = enumerate_projective(ideal_h, box, budget=budget)
+        point_set, timings = _timed_enumeration(
+            enumerate_projective, ideal_h, box, budget=budget
+        )
     points = point_set.points
     class_counts = [0] * ideal_h.num_vars
     for p in points:
@@ -614,9 +619,21 @@ def cover_and_construct(
         max_depth=max_depth,
         vacuous=not points,
         num_vars=ideal_h.num_vars,
+        timings=timings,
     )
     _internal_verify(report, gb)
     return report
+
+
+def _timed_enumeration(enumerate_points, *args, **kwargs):
+    """(point set, enumeration stage of PipelineReport.timings)."""
+    start = perf_counter()
+    point_set = enumerate_points(*args, **kwargs)
+    return point_set, {
+        "points_s": perf_counter() - start,
+        "points_fibres": point_set.fibres,
+        "points_found": len(point_set.points),
+    }
 
 
 def _internal_verify(report, gb):
@@ -652,7 +669,9 @@ def affine_pipeline(
         raise InputError("exactly one of delta / epsilon must be set")
 
     n = affine_ideal.num_vars
-    affine_points = enumerate_affine(affine_ideal, b, budget=budget)
+    affine_points, timings = _timed_enumeration(
+        enumerate_affine, affine_ideal, b, budget=budget
+    )
     lifted = tuple((1,) + p for p in affine_points.points)
     ih = homogenize_ideal(affine_ideal)
     box = HeightBox((1,) + (b,) * n)
@@ -687,6 +706,7 @@ def affine_pipeline(
     report.affine_points = affine_points.points
     report.epsilon = epsilon
     report.delta_report = delta_report
+    report.timings = timings
 
     # independent affine re-check: g = G(1,x) vanishes on X(Z,B) and g not in I
     gb_h = groebner(ih, ordering, degree_cap=max(delta, 9))

@@ -1,17 +1,29 @@
-"""Exhaustive enumeration of integral points of bounded height.
+"""Integral points of bounded height, found exactly, fibre by fibre.
 
-Desk-scale by design: a budget guard refuses scans that would exceed the
-configured number of candidates, and everything enumerated is re-checked with
-exact arithmetic.  Affine mode enumerates X(Z,B); projective mode enumerates
-one primitive, sign-normalized representative per rational point in the box.
+Affine mode enumerates X(Z,B); projective mode enumerates one primitive,
+sign-normalized representative per rational point in the box.  Both use one
+integer-only solver.  A coordinate x_j is *solved* when some generator
+involves x_j and only earlier variables: on each fibre (x_0..x_{j-1} fixed)
+that generator is a univariate integer polynomial, whose integer roots are
+isolated exactly.  Every other coordinate is *scanned* over its range, which
+is first narrowed by each generator c*x_k + r(x_j) with c constant, since
+|r(x_j)| <= |c|*B_k.  Every candidate is re-checked against every generator
+with exact arithmetic, so the output equals that of a full box scan.
+
+The budget bounds the size of that full scan and is checked before any work:
+the number of points in the box, with one coordinate dropped in affine mode
+when a generator is linear in it with a constant coefficient.  The solver
+visits far fewer candidates than this figure.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, gcd
+from functools import partial
+from itertools import chain
+from math import floor, gcd, inf, lcm
 
 from .errors import BudgetExceededError, InputError
 
@@ -43,6 +55,7 @@ class PointSet:
     mode: str  # "affine" | "projective"
     points: tuple  # integer tuples, sorted lexicographically
     box: HeightBox
+    fibres: int = field(default=0, compare=False)  # univariate solves made
 
 
 def _check_budget(required, budget):
@@ -50,67 +63,30 @@ def _check_budget(required, budget):
         raise BudgetExceededError(required, budget)
 
 
-def _solvable_coordinate(generators, num_vars):
-    """Find (generator, var) with generator = c*x_var + r(other vars),
-    c a nonzero constant.  Used to drop one dimension from the scan; purely
-    an optimization, results are re-checked against all generators."""
-    for g in generators:
-        for j in range(num_vars):
-            coeff = None
-            rest_ok = True
-            for e, c in g.terms.items():
-                if e[j] == 0:
-                    continue
-                if e[j] == 1 and all(e[i] == 0 for i in range(num_vars) if i != j):
-                    if coeff is not None:
-                        rest_ok = False
-                        break
-                    coeff = c
-                else:
-                    rest_ok = False
-                    break
-            if rest_ok and coeff is not None:
-                return g, j, coeff
+def _unit_coefficient(terms, k):
+    """c when x_k occurs in the (exponent, coefficient) terms only as c*x_k,
+    else None."""
+    in_k = [(e, c) for e, c in terms if e[k]]
+    if len(in_k) == 1 and sum(in_k[0][0]) == 1:
+        return in_k[0][1]
     return None
 
 
-def enumerate_affine(ideal, b, budget=DEFAULT_BUDGET, use_solver=True):
+def enumerate_affine(ideal, b, budget=DEFAULT_BUDGET):
     """All integer points of the variety with |x_i| <= b, sorted."""
     b = Fraction(b)
     if b <= 0:
         raise InputError("height bound must be positive")
     n = ideal.num_vars
     limit = int(floor(b))
-    width = 2 * limit + 1
-
-    solver = _solvable_coordinate(ideal.generators, n) if use_solver else None
-    scan_dims = n - 1 if solver else n
-    _check_budget(width**scan_dims, budget)
-
-    pts = []
-    rng = range(-limit, limit + 1)
-    if solver:
-        g, j, coeff = solver
-        others = [i for i in range(n) if i != j]
-        for combo in itertools.product(rng, repeat=n - 1):
-            point = [0] * n
-            for i, v in zip(others, combo):
-                point[i] = v
-            point[j] = 0
-            residual = g.evaluate(point)
-            val = -residual / coeff
-            if val.denominator != 1 or abs(val) > b:
-                continue
-            point[j] = int(val)
-            if all(h.evaluate(point) == 0 for h in ideal.generators):
-                pts.append(tuple(point))
-    else:
-        for point in itertools.product(rng, repeat=n):
-            if all(h.evaluate(point) == 0 for h in ideal.generators):
-                pts.append(point)
-
-    pts.sort()
-    return PointSet("affine", tuple(pts), HeightBox.uniform(b, n))
+    linear = any(
+        _unit_coefficient(g.terms.items(), k) is not None
+        for g in ideal.generators
+        for k in range(n)
+    )
+    _check_budget((2 * limit + 1) ** (n - 1 if linear else n), budget)
+    pts, fibres = _solve(ideal, [limit] * n, projective=False)
+    return PointSet("affine", pts, HeightBox.uniform(b, n), fibres)
 
 
 def enumerate_projective(ideal, box, budget=DEFAULT_BUDGET):
@@ -126,22 +102,184 @@ def enumerate_projective(ideal, box, budget=DEFAULT_BUDGET):
     for lim in limits:
         required *= 2 * lim + 1
     _check_budget(required, budget)
+    pts, fibres = _solve(ideal, limits, projective=True)
+    return PointSet("projective", pts, box, fibres)
 
-    pts = []
-    ranges = [range(-lim, lim + 1) for lim in limits]
-    for vec in itertools.product(*ranges):
-        first = next((v for v in vec if v != 0), None)
-        if first is None or first < 0:
-            continue  # zero vector, or the mirror of a normalized vector
-        g = 0
-        for v in vec:
-            g = gcd(g, v)
-        if g != 1:
+
+# -- the fibre-wise solver ---------------------------------------------------
+
+
+def _solve(ideal, limits, projective):
+    """(sorted points, fibres solved) of the variety in the box |x_j| <= limits[j];
+    in projective mode only the primitive, sign-normalized vectors."""
+    n = ideal.num_vars
+    solvers = [[] for _ in range(n)]  # generators whose last variable is x_j
+    domains = [[(-lim, lim)] for lim in limits]
+    for terms in _integer_generators(ideal.generators):
+        used = [i for i in range(n) if any(e[i] for e, _ in terms)]
+        if not used:
+            return (), 0  # a nonzero constant: the variety is empty
+        solvers[used[-1]].append(terms)
+        for k, c, j, r in _range_constraints(terms, n):
+            bound = abs(c) * limits[k]
+            domains[j] = _where_between(r, domains[j], -bound, bound)
+
+    point = [0] * n
+    found = []
+    fibres = 0
+
+    def visit(j):
+        nonlocal fibres
+        if j == n:
+            vec = tuple(point)
+            if projective and not _is_representative(vec):
+                return
+            if all(h.evaluate(vec) == 0 for h in ideal.generators):
+                found.append(vec)
+            return
+        domain = domains[j]
+        if projective and not any(point[:j]):
+            # a representative's first nonzero coordinate is positive
+            domain = [(max(a, 0), b) for a, b in domain if b >= 0]
+        if solvers[j]:
+            fibres += 1
+            values = _solve_fibre(solvers[j], point, j, domain)
+        else:
+            values = _scan(domain)
+        for v in values:
+            point[j] = v
+            visit(j + 1)
+
+    visit(0)
+    found.sort()
+    return tuple(found), fibres
+
+
+def _integer_generators(generators):
+    """Each generator as (exponent, int) terms, its denominators cleared."""
+    out = []
+    for g in generators:
+        scale = lcm(*(c.denominator for c in g.terms.values()))
+        out.append([(e, int(c * scale)) for e, c in g.terms.items()])
+    return out
+
+
+def _range_constraints(terms, num_vars):
+    """Yield (k, c, j, r) for each way of reading the generator as
+    c*x_k + r(x_j): c a constant, r a nonconstant polynomial in one other
+    variable x_j, given as its coefficients of 1, x_j, x_j^2, ..."""
+    for k in range(num_vars):
+        c = _unit_coefficient(terms, k)
+        rest = [(e, a) for e, a in terms if not e[k]]
+        others = {i for e, _ in rest for i in range(num_vars) if e[i]}
+        if c is None or len(others) != 1:
             continue
-        if all(h.evaluate(vec) == 0 for h in ideal.generators):
-            pts.append(vec)
-    pts.sort()
-    return PointSet("projective", tuple(pts), box)
+        (j,) = others
+        r = [0] * (1 + max(e[j] for e, _ in rest))
+        for e, a in rest:
+            r[e[j]] += a
+        yield k, c, j, r
+
+
+def _is_representative(vec):
+    """Primitive, with its first nonzero coordinate positive."""
+    first = next((v for v in vec if v != 0), None)
+    return first is not None and first > 0 and gcd(*vec) == 1
+
+
+def _scan(intervals):
+    return chain.from_iterable(range(a, b + 1) for a, b in intervals)
+
+
+def _solve_fibre(generators, point, j, domain):
+    """The values of x_j in `domain` that a variety point over the fibre
+    point[:j] can take: the integer roots of the first generator that does
+    not vanish on the fibre, or all of `domain` if every generator does."""
+    for terms in generators:
+        coeffs = _restrict(terms, point, j)
+        if not coeffs:
+            continue
+        if len(coeffs) == 1:
+            return []  # a nonzero constant: no point on this fibre
+        return integer_roots(coeffs, domain)
+    return _scan(domain)
+
+
+def _restrict(terms, point, j):
+    """The generator on the fibre point[:j], as its coefficients of 1, x_j,
+    x_j^2, ... without trailing zeros."""
+    coeffs = [0] * (1 + max(e[j] for e, _ in terms))
+    for e, c in terms:
+        for i in range(j):
+            if e[i]:
+                c *= point[i] ** e[i]
+        coeffs[e[j]] += c
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+# -- exact integer root isolation ----------------------------------------------
+
+
+def integer_roots(coeffs, intervals):
+    """Sorted integer roots inside `intervals` (sorted, disjoint, inclusive
+    (lo, hi) pairs) of a nonconstant integer polynomial, given as its
+    coefficients of 1, x, x^2, ... with a nonzero leading one."""
+    if len(coeffs) == 2:
+        x, rem = divmod(-coeffs[0], coeffs[1])
+        inside = any(lo <= x <= hi for lo, hi in intervals)
+        return [x] if rem == 0 and inside else []
+    return list(_scan(_where_between(coeffs, intervals, 0, 0)))
+
+
+def _horner(coeffs, x):
+    v = 0
+    for c in reversed(coeffs):
+        v = v * x + c
+    return v
+
+
+def _where_between(coeffs, intervals, low, high):
+    """The sorted integer sub-intervals of `intervals` on which
+    low <= p(x) <= high."""
+    out = []
+    for lo, hi in intervals:
+        for a, b in _monotone_pieces(coeffs, lo, hi):
+            first, last = _level_set(coeffs, a, b, low, high)
+            if first <= last:
+                out.append((first, last))
+    return out
+
+
+def _monotone_pieces(coeffs, lo, hi):
+    """Consecutive integer intervals partitioning [lo, hi], with p monotone on
+    the real hull of each.  They cut [lo, hi] where p' changes sign, which a
+    binary search brackets to integers on each monotone piece of p', found
+    recursively."""
+    if len(coeffs) <= 2:
+        return [(lo, hi)]
+    slope = [k * c for k, c in enumerate(coeffs)][1:]
+    pieces = []
+    for a, b in _monotone_pieces(slope, lo, hi):
+        # p' is monotone and nonconstant on [a, b], so {p' >= 0} is a prefix
+        # or a suffix of it, and p is monotone on it and on the rest
+        first, last = _level_set(slope, a, b, 0, inf)
+        cuts = ((a, first - 1), (first, last), (last + 1, b))
+        pieces.extend((s, t) for s, t in cuts if s <= t)
+    return pieces
+
+
+def _level_set(coeffs, a, b, low, high):
+    """(first, last): the integers x in [a, b] with low <= p(x) <= high form
+    [first, last] (empty if first > last), for p monotone on [a, b]."""
+    key = partial(_horner, coeffs)
+    if key(a) > key(b):  # decreasing: search -p for -high <= -p(x) <= -low
+        negated = [-c for c in coeffs]
+        key = partial(_horner, negated)
+        low, high = -high, -low
+    xs = range(a, b + 1)
+    return a + bisect_left(xs, low, key=key), a + bisect_right(xs, high, key=key) - 1
 
 
 def class_index(point, box):

@@ -6,6 +6,7 @@ dual-route check keeps one side independent.
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from detmethod import monomials_of_degree
 
@@ -83,6 +84,20 @@ def naive_affine_points(ideal, b):
     rng = range(-limit, limit + 1)
     out = []
     for p in itertools.product(rng, repeat=ideal.num_vars):
+        if all(g.evaluate(p) == 0 for g in ideal.generators):
+            out.append(p)
+    return sorted(out)
+
+
+def naive_projective_points(ideal, box):
+    """Full-box scan keeping the primitive vectors whose first nonzero
+    coordinate is positive."""
+    ranges = [range(-lim, lim + 1) for lim in box.ranges()]
+    out = []
+    for p in itertools.product(*ranges):
+        first = next((v for v in p if v != 0), 0)
+        if first <= 0 or gcd(*p) != 1:
+            continue
         if all(g.evaluate(p) == 0 for g in ideal.generators):
             out.append(p)
     return sorted(out)

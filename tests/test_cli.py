@@ -100,12 +100,20 @@ def test_construct_deterministic(capsys, tmp_path):
 
 def test_construct_timings_flag(capsys, tmp_path):
     out_file = tmp_path / "t.json"
-    code, _, _ = run(
-        capsys, "construct", "--ideal", PARABOLA, "--height", "25",
-        "--delta", "2", "--timings", "--out", str(out_file),
-    )
-    assert code == 0
-    assert "timings" in json.loads(out_file.read_text())
+    for args in (
+        ("--ideal", PARABOLA, "--height", "25"),
+        ("--ideal", CONIC, "--mode", "projective", "--heights", "4,4,4"),
+    ):
+        code, _, _ = run(
+            capsys, "construct", *args, "--delta", "2", "--timings",
+            "--out", str(out_file),
+        )
+        assert code == 0
+        report = json.loads(out_file.read_text())
+        timings = report["timings"]
+        for key in ("points_s", "points_fibres", "points_found"):
+            assert timings[key] >= 0
+        assert timings["points_found"] == report["point_count"]
 
 
 # -- verify ----------------------------------------------------------------

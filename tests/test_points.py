@@ -1,24 +1,39 @@
 """point-enum: affine/projective scans, class partition, tau normalization."""
 
 from fractions import Fraction
+from math import floor, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detmethod import (
     BudgetExceededError,
     HeightBox,
+    Ideal,
     InputError,
+    Polynomial,
     class_index,
     enumerate_affine,
     enumerate_projective,
+    monomials_of_degree,
     partition_classes,
     tau_normalize,
 )
+from detmethod.cli import load_ideal
+from detmethod.points import integer_roots
 
-from conftest import make_ideal
-from oracles import naive_affine_points
+from conftest import DATA, make_ideal
+from oracles import naive_affine_points, naive_projective_points
+
+CORPUS = {path.stem: load_ideal(path) for path in sorted(DATA.glob("*.ideal"))}
+RATIONAL = [
+    make_ideal(["x1 - 1/2*x0^2 - 1/2*x0"], 2),  # triangular numbers
+    make_ideal(["1/2*x0*x2 - 1/3*x1^2"], 3),
+]
+# Largest full-box scan an oracle comparison makes, beyond the three affine
+# curves that are compared at every height: the naive scan is the slow side.
+ORACLE_CANDIDATES = 30_000
 
 
 # -- affine ----------------------------------------------------------------
@@ -54,23 +69,190 @@ def test_points_sorted(twisted_cubic_affine):
     assert list(ps.points) == sorted(ps.points)
 
 
-@pytest.mark.parametrize("b", [3, 10, 30])
+@pytest.mark.parametrize("b", [3, 10, 30, pytest.param(Fraction(7, 2), id="7/2")])
 def test_solver_matches_naive_scan(parabola, circle, twisted_cubic_affine, b):
     for ideal in (parabola, circle, twisted_cubic_affine):
         ps = enumerate_affine(ideal, b)
         assert list(ps.points) == naive_affine_points(ideal, b)
+    for ideal in [*CORPUS.values(), *RATIONAL]:
+        n = ideal.num_vars
+        if (2 * floor(b) + 1) ** n > ORACLE_CANDIDATES:
+            continue
+        ps = enumerate_affine(ideal, b)
+        assert list(ps.points) == naive_affine_points(ideal, b)
+        if ideal.homogeneous:
+            box = HeightBox.uniform(b, n)
+            ps = enumerate_projective(ideal, box)
+            assert list(ps.points) == naive_projective_points(ideal, box)
+
+
+@pytest.mark.parametrize(
+    "ideal, bounds",
+    [
+        (CORPUS["conic"], (4, Fraction(1, 2), 4)),  # the conic in a non-uniform box
+        # B_0 < 1 leaves only the fibre x0 = 0, where the conic is -x1^2 and
+        # then, at x1 = 0, vanishes identically in x2
+        (CORPUS["conic"], (Fraction(1, 2), 4, 4)),
+        (RATIONAL[1], (9, 5, Fraction(9, 2))),
+        (CORPUS["twisted_cubic"], (5, Fraction(1, 2), 4, 9)),
+        (CORPUS["twisted_cubic"], (Fraction(7, 2), 6, 6, 2)),
+    ],
+    ids=["conic", "conic-x0=0", "rational-conic", "cubic-1", "cubic-2"],
+)
+def test_solver_matches_naive_scan_in_boxes(ideal, bounds):
+    box = HeightBox(bounds)
+    ps = enumerate_projective(ideal, box)
+    assert list(ps.points) == naive_projective_points(ideal, box)
+
+
+@st.composite
+def planted_ideals(draw, homogeneous):
+    """(ideal, height bounds, a planted integer point of the variety in the
+    box): each generator is f*h(p) - h*f(p) for random f and h, with h = 1
+    in affine mode, so that it vanishes at p."""
+    n = draw(st.integers(2, 3))
+    bounds = [draw(st.integers(1, 4)) + draw(st.sampled_from([0, Fraction(1, 2)]))
+              for _ in range(n)]
+    p = tuple(draw(st.integers(-floor(b), floor(b))) for b in bounds)
+    if homogeneous:
+        assume(any(p))
+        g = gcd(*p)
+        sign = 1 if next(v for v in p if v) > 0 else -1
+        p = tuple(sign * v // g for v in p)
+    coeff = st.fractions(-3, 3, max_denominator=3).filter(bool)
+    degree = draw(st.integers(1, 3))
+
+    def poly():
+        if homogeneous:
+            exps = st.sampled_from(list(monomials_of_degree(degree, n)))
+        else:
+            exps = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+        return Polynomial(draw(st.dictionaries(exps, coeff, min_size=1, max_size=4)), n)
+
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        f = poly()
+        h = poly() if homogeneous else Polynomial.constant(1, n)
+        g = f * h.evaluate(p) - h * f.evaluate(p)
+        assume(not g.is_zero())
+        gens.append(g)
+    return Ideal(gens, n), bounds, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planted_ideals(homogeneous=False))
+def test_solver_finds_planted_affine_points(case):
+    ideal, bounds, p = case
+    b = max(bounds)
+    ps = enumerate_affine(ideal, b)
+    assert list(ps.points) == naive_affine_points(ideal, b)
+    assert p in ps.points
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=planted_ideals(homogeneous=True))
+def test_solver_finds_planted_projective_points(case):
+    ideal, bounds, p = case
+    box = HeightBox(tuple(bounds))
+    ps = enumerate_projective(ideal, box)
+    assert list(ps.points) == naive_projective_points(ideal, box)
+    assert p in ps.points
 
 
 def test_solver_toggle_equivalent(parabola):
-    a = enumerate_affine(parabola, 20, use_solver=True)
-    b = enumerate_affine(parabola, 20, use_solver=False)
-    assert a.points == b.points
+    # the fibre-wise solver against a full-box scan
+    ps = enumerate_affine(parabola, 20)
+    assert list(ps.points) == naive_affine_points(parabola, 20)
 
 
-def test_affine_budget_refusal(circle):
+def test_linear_coordinate_narrows_the_scan(parabola):
+    # |x0^2| = |x1| <= 40000 leaves 401 fibres of the 80,001 in the box
+    ps = enumerate_affine(parabola, 40000)
+    assert ps.fibres == 401
+    assert ps.points == tuple((t, t * t) for t in range(-200, 201))
+
+
+def test_twisted_cubic_affine_at_large_height(twisted_cubic_affine):
+    ps = enumerate_affine(twisted_cubic_affine, 10**4)
+    assert ps.points == tuple((t, t**2, t**3) for t in range(-21, 22))
+
+
+def test_circle_at_height_300(circle):
+    ps = enumerate_affine(circle, 300)
+    assert ps.points == ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+
+def test_affine_budget_refusal(circle, parabola):
     with pytest.raises(BudgetExceededError) as err:
-        enumerate_affine(circle, 10**6, budget=1000, use_solver=False)
+        enumerate_affine(circle, 10**6, budget=1000)
     assert err.value.required > err.value.budget
+    # the budget bounds the full box scan, less a coordinate that a generator
+    # gives linearly with a constant coefficient
+    assert err.value.required == (2 * 10**6 + 1) ** 2
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_affine(parabola, 10**6, budget=1000)
+    assert err.value.required == 2 * 10**6 + 1
+
+
+# -- integer roots -----------------------------------------------------------
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _value(coeffs, x):
+    return sum(c * x**k for k, c in enumerate(coeffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    lead=st.integers(-4, 4).filter(bool),
+    roots=st.lists(st.integers(-12, 12), max_size=4),
+    # (x - s)^2 - t with t not a square: two irrational roots for t > 0, none
+    # for t < 0
+    quadratics=st.lists(
+        st.tuples(
+            st.integers(-6, 6),
+            st.integers(-9, 12).filter(lambda t: t not in (0, 1, 4, 9)),
+        ),
+        max_size=2,
+    ),
+    width=st.integers(0, 30),
+)
+def test_integer_roots_match_brute_force(data, lead, roots, quadratics, width):
+    coeffs = [lead]
+    for r in roots:
+        coeffs = _times(coeffs, [-r, 1])
+    for s, t in quadratics:
+        coeffs = _times(coeffs, [s * s - t, -2 * s, 1])
+    assume(len(coeffs) >= 2)
+    # an interval end on a root half of the time
+    lo = data.draw(st.sampled_from(roots) if roots and data.draw(st.booleans())
+                   else st.integers(-15, 15))
+    hi = lo + width
+    if data.draw(st.booleans()):
+        lo, hi = lo - width, lo
+    brute = [x for x in range(lo, hi + 1) if _value(coeffs, x) == 0]
+    assert integer_roots(coeffs, [(lo, hi)]) == brute
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    coeffs=st.lists(st.integers(-20, 20), min_size=2, max_size=6).filter(
+        lambda c: c[-1] != 0
+    ),
+    lo=st.integers(-25, 25),
+    width=st.integers(0, 40),
+)
+def test_integer_roots_of_arbitrary_polynomials(coeffs, lo, width):
+    brute = [x for x in range(lo, lo + width + 1) if _value(coeffs, x) == 0]
+    assert integer_roots(coeffs, [(lo, lo + width)]) == brute
 
 
 def test_affine_rejects_nonpositive_height(parabola):
