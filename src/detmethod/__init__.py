@@ -15,8 +15,6 @@ from .bounds import (
     ck_norm_bound,
     determinant_bound,
     determinant_bound_exact,
-    product_norm_bound,
-    product_norm_bound_exact,
 )
 from .engine import (
     AuxiliaryCertificate,
@@ -30,7 +28,6 @@ from .engine import (
     choose_delta,
     cover_and_construct,
     exact_kernel,
-    matrix_rank,
     parabola_chart,
     theoretical_rho,
     verify_certificate,
@@ -46,6 +43,7 @@ from .ideals import (
     GroebnerBasis,
     Ideal,
     Staircase,
+    Variety,
     a_estimates,
     affine_ordering_bound,
     all_sigmas,
@@ -55,7 +53,6 @@ from .ideals import (
     homogenize_ideal,
     monomials_of_degree,
     normal_form,
-    sigma,
     staircase,
 )
 from .points import (

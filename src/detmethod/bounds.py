@@ -21,10 +21,6 @@ def _up(x):
     return math.nextafter(x, math.inf)
 
 
-def _down(x):
-    return math.nextafter(x, -math.inf)
-
-
 def L(m, k):
     """Number of m-variate multi-indices of total degree exactly k."""
     if m < 1 or k < 0:
@@ -111,34 +107,6 @@ def _multi_indices(m, order):
     from .ideals import monomials_of_degree
 
     return monomials_of_degree(order, m)
-
-
-def product_norm_bound(norms, k):
-    """Upper bound ell^k * prod(norms) for the C^k norm of a product of ell
-    functions, computed in log space with outward rounding.  Exact inputs give
-    an exact result via product_norm_bound_exact."""
-    norms = list(norms)
-    if not norms:
-        raise InputError("need at least one norm")
-    if any(n < 0 for n in norms):
-        raise InputError("norms must be nonnegative")
-    if any(n == 0 for n in norms):
-        return 0.0
-    ell = len(norms)
-    log_total = _up(k * _up(math.log(ell))) if ell > 1 else 0.0
-    for n in norms:
-        log_total = _up(log_total + _up(math.log(n)))
-    return _up(math.exp(log_total))
-
-
-def product_norm_bound_exact(norms, k):
-    norms = [Fraction(n) for n in norms]
-    if any(n < 0 for n in norms):
-        raise InputError("norms must be nonnegative")
-    total = Fraction(len(norms)) ** k
-    for n in norms:
-        total *= n
-    return total
 
 
 @dataclass(frozen=True)

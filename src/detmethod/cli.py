@@ -3,7 +3,9 @@
 Subcommands: hilbert, points, construct, verify, sweep, bound.
 Exit codes: 0 ok, 1 verification failure, 2 input error, 3 budget exceeded.
 JSON output is the machine contract (stable, sorted keys); text output is for
-humans and carries no stability promise.
+humans and carries no stability promise.  `verify` parses a stored report,
+rejecting a malformed one as an input error, checks that each listed point
+lies in S(X,B), and leaves every other check to the engine's verifier.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from fractions import Fraction
 
 from .bounds import DetBoundInput, choose_nu, determinant_bound, determinant_bound_exact
 from .engine import (
+    AuxiliaryCertificate,
     affine_pipeline,
-    choose_delta,
+    coverage_failure,
     cover_and_construct,
-    _variety_data,
+    verify_certificate,
 )
 from .errors import (
     BudgetExceededError,
@@ -27,14 +30,13 @@ from .errors import (
     TheoreticalFalsificationError,
 )
 from .ideals import (
+    FIT_DEGREE,
     Ideal,
+    Variety,
     a_estimates,
     all_sigmas,
-    groebner,
     hilbert_function,
     homogenize_ideal,
-    normal_form,
-    staircase,
 )
 from .points import (
     DEFAULT_BUDGET,
@@ -42,7 +44,7 @@ from .points import (
     enumerate_affine,
     enumerate_projective,
 )
-from .polynomials import Ordering, Polynomial, format_polynomial, parse_polynomial
+from .polynomials import Ordering, parse_polynomial
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -75,10 +77,6 @@ def load_ideal(path):
     return Ideal(gens, num_vars)
 
 
-def _ordering(name):
-    return Ordering(name)
-
-
 def _parse_heights(args, num_vars, mode):
     if mode == "affine":
         if args.height is None:
@@ -109,10 +107,10 @@ def report_json(report, include_timings=False):
 
 def cmd_hilbert(args):
     ideal = load_ideal(args.ideal)
-    ordering = _ordering(args.ordering)
+    ordering = Ordering(args.ordering)
     if args.mode == "affine" or not ideal.homogeneous:
         ideal = homogenize_ideal(ideal)
-    gb = groebner(ideal, ordering, degree_cap=args.s_max)
+    gb = Variety(ideal, ordering).basis(args.s_max)
     rows = []
     for s in range(args.s_min, args.s_max + 1):
         hf = hilbert_function(gb, s)
@@ -162,7 +160,7 @@ def cmd_points(args):
 
 def cmd_construct(args):
     ideal = load_ideal(args.ideal)
-    ordering = _ordering(args.ordering)
+    ordering = Ordering(args.ordering)
     if args.delta is None and args.epsilon is None:
         raise InputError("exactly one of --delta / --epsilon is required")
     if args.delta is not None and args.epsilon is not None:
@@ -184,16 +182,10 @@ def cmd_construct(args):
         if not ideal.homogeneous:
             raise InputError("projective mode needs a homogeneous ideal")
         box = _parse_heights(args, ideal.num_vars, "projective")
-        delta = args.delta
-        if delta is None:
-            _, dd = _variety_data(ideal, ordering, None)
-            delta, _rep = choose_delta(
-                ideal, args.epsilon, dd.degree, dd.dimension, ordering
-            )
         report = cover_and_construct(
             ideal,
             box,
-            delta,
+            args.delta,
             ordering=ordering,
             strategy=args.strategy,
             norm_bound=args.norm_bound,
@@ -209,15 +201,48 @@ def cmd_construct(args):
     return EXIT_OK
 
 
-def verify_report_dict(data, ideal):
-    """Re-verify a stored report against the ideal file, trusting nothing."""
-    failures = []
-    params = data["params"]
-    ordering = Ordering(params["ordering"])
-    delta = params["delta"]
-    mode = params["mode"]
-    heights = [Fraction(str(h)) for h in params["heights"]]
+def _field(obj, key, kind):
+    """obj[key] of a stored report, which must be a `kind`."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise InputError(f"malformed report: {key!r} must be a {kind.__name__}")
+    return value
 
+
+def _report_params(data, num_vars):
+    """(mode, ordering, delta, heights) of a stored report."""
+    params = _field(data, "params", dict)
+    mode = _field(params, "mode", str)
+    if mode not in ("affine", "projective"):
+        raise InputError(f"malformed report: unknown mode {mode!r}")
+    try:
+        ordering = Ordering(_field(params, "ordering", str))
+        heights = [Fraction(str(h)) for h in _field(params, "heights", list)]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed report: {exc}") from exc
+    if len(heights) != num_vars + (mode == "affine"):
+        raise InputError(f"malformed report: {len(heights)} heights in {mode} mode")
+    return mode, ordering, _field(params, "delta", int), heights
+
+
+def _report_points(cert, num_vars):
+    points = _field(cert, "points", list)
+    if not all(
+        isinstance(p, list) and len(p) == num_vars and all(type(x) is int for x in p)
+        for p in points
+    ):
+        raise InputError(f"malformed report: points must be {num_vars} integers")
+    return [tuple(p) for p in points]
+
+
+def verify_report_dict(data, ideal):
+    """Re-verify a stored report against the ideal file, trusting nothing.
+
+    This parses the report and checks that each listed point lies in S(X,B);
+    engine.verify_certificate and engine.coverage_failure do the rest, as
+    they do for the engine's own output."""
+    mode, ordering, delta, heights = _report_params(data, ideal.num_vars)
+    certificates = _field(data, "certificates", list)
     if mode == "affine":
         ih = homogenize_ideal(ideal)
         expected = tuple(
@@ -227,40 +252,24 @@ def verify_report_dict(data, ideal):
     else:
         ih = ideal
         expected = enumerate_projective(ideal, HeightBox(tuple(heights))).points
+    gb = Variety(ih, ordering).basis(max(delta, FIT_DEGREE))
+    index = {p: i for i, p in enumerate(expected)}
 
-    gb = groebner(ih, ordering, degree_cap=max(delta, 9))
-    sc = staircase(gb, delta)
-    allowed = set(sc.exponents)
-
-    expected = set(expected)
-    covered = set()
-    for k, cert in enumerate(data["certificates"]):
-        poly = parse_polynomial(cert["poly"], ih.num_vars)
-        if poly.is_zero():
-            failures.append(f"certificate {k}: zero polynomial")
-            continue
-        if not poly.integer_coefficients():
-            failures.append(f"certificate {k}: non-integer coefficients")
-        for e in poly.support():
-            if e not in allowed:
-                failures.append(
-                    f"certificate {k}: support monomial {e} lies in LT(I)"
-                )
-                break
-        for p in cert["points"]:
-            p = tuple(p)
-            if p not in expected:
-                failures.append(f"certificate {k}: point {p} not in S(X,B)")
-                continue
-            if poly.evaluate(p) != 0:
-                failures.append(f"certificate {k}: does not vanish at {p}")
-            covered.add(p)
-        if normal_form(poly, gb).is_zero():
-            failures.append(f"certificate {k}: lies in the ideal")
-
-    missing = expected - covered
-    if missing:
-        failures.append(f"coverage failure: {len(missing)} uncovered points")
+    failures = []
+    certs = []
+    for k, entry in enumerate(certificates):
+        poly = parse_polynomial(_field(entry, "poly", str), ih.num_vars)
+        points = _report_points(entry, ih.num_vars)
+        cert = AuxiliaryCertificate(
+            poly, delta, tuple(index[p] for p in points if p in index), ()
+        )
+        certs.append(cert)
+        messages = [f"point {p} not in S(X,B)" for p in points if p not in index]
+        messages += verify_certificate(cert, expected, gb).failures
+        failures += [f"certificate {k}: {msg}" for msg in messages]
+    uncovered = coverage_failure(certs, len(expected))
+    if uncovered:
+        failures.append(uncovered)
     return failures
 
 
@@ -282,7 +291,7 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     ideal = load_ideal(args.ideal)
-    ordering = _ordering(args.ordering)
+    ordering = Ordering(args.ordering)
     heights = [Fraction(h) for h in args.height_list.split(",")]
     print("B,N,certificates,k_actual,k_bound")
     for b in heights:
@@ -342,8 +351,6 @@ def _add_common(p):
         default=Ordering.GRLEX_LEFT.value,
     )
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--jobs", type=int, default=1, help="worker cap (advisory)")
-    p.add_argument("--seed", type=int, default=0, help="seed for property suites")
     p.add_argument("--output", choices=["json", "csv", "text"], default="json")
 
 

@@ -8,6 +8,10 @@ mu-1 integer points always certifies.  The theoretical strategy lays down a
 grid of side rho on the chart domain [-1,1]^m, with rho derived from the
 determinant estimate; a full-rank occupied cube there is a falsification,
 reported as an error and never silently repaired.
+
+A run reads staircases, mu, sigma_i, m and d from one ideals.Variety.  Every
+certificate passes verify_certificate, and the set coverage_failure, before a
+report leaves the engine; `detmethod verify` runs the same two checks.
 """
 
 from __future__ import annotations
@@ -18,34 +22,44 @@ from fractions import Fraction
 from math import isqrt
 from time import perf_counter
 
-from .bounds import D, choose_nu, ck_norm_bound
+from .bounds import (
+    D,
+    DetBoundInput,
+    asymptotic_exponents,
+    choose_nu,
+    ck_norm_bound,
+    determinant_bound,
+)
 from .errors import (
     DegenerateIdealError,
     InputError,
     TheoreticalFalsificationError,
 )
 from .ideals import (
-    Ideal,
-    affine_ordering_bound,
+    Variety,
+    a_estimates,
     all_sigmas,
-    dimension_and_degree,
-    groebner,
     homogenize_ideal,
     normal_form,
+    ordering_bound,
     staircase,
 )
 from .points import (
+    DEFAULT_BUDGET,
     HeightBox,
     PointSet,
     class_index,
     enumerate_affine,
     enumerate_projective,
+    partition_classes,
+    tau_normalize,
 )
-from .points import DEFAULT_BUDGET
 from .polynomials import Ordering, Polynomial, format_polynomial
 
 DELTA_MAX_DEFAULT = 12
 PROBE_DEGREE_DEFAULT = 24
+# the degree s at which affine_pipeline checks the ordering inequality
+ORDERING_BOUND_S = 10
 
 
 # -- matrices and kernels --------------------------------------------------
@@ -141,10 +155,6 @@ def _primitive_vector(vec):
     return tuple(ints)
 
 
-def matrix_rank(mat):
-    return len(mat.exponents) - len(exact_kernel(mat))
-
-
 # -- certificates ----------------------------------------------------------
 
 
@@ -154,7 +164,6 @@ class AuxiliaryCertificate:
     support_delta: int
     points_covered: tuple  # indices into the run's enumerated point list
     box: tuple  # ((lo, hi), ...) descriptor of the covered sub-box
-    nonmembership_ok: bool
 
 
 def auxiliary_for_box(points, indices, sc, gb, box_desc):
@@ -166,14 +175,11 @@ def auxiliary_for_box(points, indices, sc, gb, box_desc):
         return None
     coeffs = kernel[0]  # first free column under the ordering; deterministic
     terms = {e: c for e, c in zip(mat.exponents, coeffs) if c != 0}
-    poly = Polynomial(terms, gb.num_vars)
-    nf = normal_form(poly, gb)
     return AuxiliaryCertificate(
-        poly=poly,
+        poly=Polynomial(terms, gb.num_vars),
         support_delta=sc.delta,
         points_covered=tuple(indices),
         box=tuple(box_desc),
-        nonmembership_ok=not nf.is_zero(),
     )
 
 
@@ -188,29 +194,42 @@ class VerificationResult:
 
 
 def verify_certificate(cert, points, gb):
-    """Independent re-check: exact vanishing at every covered point, support
-    inside M(delta), nonzero normal form.  Trusts nothing from the
-    constructor."""
+    """The one per-certificate check, for the engine and `detmethod verify`
+    alike; trusts nothing from the constructor.  The polynomial is nonzero,
+    has integer coefficients and support inside M(delta), vanishes exactly at
+    each covered point points[i], and has a nonzero normal form, i.e. lies
+    outside the ideal.  Every failure is listed; a zero polynomial fails
+    alone."""
     res = VerificationResult(ok=True)
-    if cert.poly.is_zero():
-        res.fail("certificate polynomial is zero")
+    poly = cert.poly
+    if poly.is_zero():
+        res.fail("zero polynomial")
         return res
-    if not cert.poly.integer_coefficients():
-        res.fail("certificate coefficients are not integers")
-    sc = staircase(gb, cert.support_delta)
-    allowed = set(sc.exponents)
-    for e in cert.poly.support():
+    if not poly.integer_coefficients():
+        res.fail("non-integer coefficients")
+    allowed = set(staircase(gb, cert.support_delta).exponents)
+    for e in poly.support():
         if e not in allowed:
             res.fail(f"support monomial {e} lies in LT(I)")
             break
     for idx in cert.points_covered:
-        p = points[idx]
-        if cert.poly.evaluate(p) != 0:
-            res.fail(f"does not vanish at covered point {p}")
-            break
-    if normal_form(cert.poly, gb).is_zero():
-        res.fail("normal form vanishes: polynomial lies in the ideal")
+        if poly.evaluate(points[idx]) != 0:
+            res.fail(f"does not vanish at {points[idx]}")
+    if normal_form(poly, gb).is_zero():
+        res.fail("lies in the ideal")
     return res
+
+
+def coverage_failure(certificates, point_count):
+    """The coverage check shared by the engine and `detmethod verify`: a
+    failure message if some of the points 0..point_count-1 lie in no nonzero
+    certificate's points_covered, else None."""
+    covered = set()
+    for cert in certificates:
+        if not cert.poly.is_zero():
+            covered.update(cert.points_covered)
+    missing = point_count - len(covered)
+    return f"coverage failure: {missing} uncovered points" if missing else None
 
 
 # -- theoretical covering --------------------------------------------------
@@ -254,29 +273,32 @@ def chart_norm_bound(chart, sc, nu):
     return best
 
 
-def theoretical_rho(box, sigma, f, mu, nu, m, norm_bound):
+def theoretical_rho(box, sigma, mu, m, norm_bound):
     """Largest safe cube side rho with
     mu! D_m(nu)^mu norm_bound^mu prod(B_i^sigma_i) rho^f < 1, capped at 1/2,
-    with the number of covering cubes ceil(2/rho)^m."""
+    with the number of covering cubes ceil(2/rho)^m; nu and f come from
+    choose_nu(mu, m).  The left side is bounds.determinant_bound times the
+    heights' product, both rounded outward in log space."""
+    budget = choose_nu(mu, m)
+    nu, f = budget.nu, budget.e
     if f <= 0:
         raise DegenerateIdealError("f = 0: determinant exponent budget is empty")
     nb = float(norm_bound)
     if nb <= 0:
         raise InputError("norm bound must be positive")
-
-    def log_lhs(rho):
-        up = lambda x: math.nextafter(x, math.inf)
-        total = up(math.lgamma(mu + 1))
-        total = up(total + up(mu * up(math.log(D(m, nu)))))
-        total = up(total + up(mu * up(math.log(nb))))
-        for s_i, b_i in zip(sigma, box.bounds):
-            if s_i:
-                total = up(total + up(s_i * up(math.log(float(b_i)))))
-        return up(total + f * math.log(rho))
-
+    up = lambda x: math.nextafter(x, math.inf)
+    # const, unrounded, gives the starting guess just inside the bound
     const = math.lgamma(mu + 1) + mu * math.log(D(m, nu)) + mu * math.log(nb)
+    log_heights = 0.0
     for s_i, b_i in zip(sigma, box.bounds):
         const += s_i * math.log(float(b_i))
+        if s_i:
+            log_heights = up(log_heights + up(s_i * up(math.log(float(b_i)))))
+
+    def log_lhs(rho):
+        inp = DetBoundInput(mu=mu, m=m, norms=(nb,) * mu, r=Fraction(rho))
+        return up(determinant_bound(inp) + log_heights)
+
     rho = min(0.5, math.exp(-const / f) * 0.99)
     while log_lhs(rho) >= 0:
         rho /= 2
@@ -418,8 +440,8 @@ def _adaptive_cover(points, sc, gb):
     return certs, max_depth
 
 
-def _theoretical_cover(points, sc, gb, box, sigma, f, mu, nu, m, norm_bound, param):
-    rho, cube_count = theoretical_rho(box, sigma, f, mu, nu, m, norm_bound)
+def _theoretical_cover(points, sc, gb, box, sigma, mu, m, norm_bound, param):
+    rho, cube_count = theoretical_rho(box, sigma, mu, m, norm_bound)
     rho_frac = Fraction(rho)
     groups = {}
     for i, p in enumerate(points):
@@ -443,49 +465,38 @@ def _theoretical_cover(points, sc, gb, box, sigma, f, mu, nu, m, norm_bound, par
     return certs, rho, cube_count
 
 
-def _variety_data(ideal_h, ordering, delta):
-    """Shared setup: capped GB, dimension/degree, staircase data."""
-    cap = max(delta if delta is not None else 0, 9)
-    gb = groebner(ideal_h, ordering, degree_cap=cap)
-    dd = dimension_and_degree(gb, range(cap - 5, cap + 1))
-    return gb, dd
-
-
 def choose_delta(
-    ideal_h,
+    variety,
     epsilon,
-    d,
-    m,
-    ordering=Ordering.GRLEX_LEFT,
     delta_max=DELTA_MAX_DEFAULT,
     probe_degree=PROBE_DEGREE_DEFAULT,
 ):
     """Smallest delta <= delta_max whose measured exponents m*sigma_i/f stay
     within epsilon of the limit exponents (m+1)a_i/d^(1/m), the a_i being
-    measured at the probe degree.  The reported (finite-delta) exponents are
-    what the k-bound uses; no asymptotic constants are assumed."""
+    measured at the probe degree and m, d read from the Variety.  The
+    reported (finite-delta) exponents are what the k-bound uses; no
+    asymptotic constants are assumed."""
+    # grown to the probe degree first, so that one Buchberger run serves all
+    gb = variety.basis(probe_degree)
+    dd = variety.dimension_and_degree()
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
+    m, d = dd.dimension, dd.degree
     if m < 1:
         raise DegenerateIdealError("dimension < 1: the method does not apply")
-    gb = groebner(ideal_h, ordering, degree_cap=probe_degree)
-    from .ideals import a_estimates, hilbert_function
-
     a = a_estimates(gb, probe_degree)
-    root = d ** (1.0 / m)
-    limits = [(m + 1) * float(ai) / root for ai in a]
 
     best = None
     for delta in range(1, delta_max + 1):
-        sc = staircase(gb, delta)
-        mu = len(sc.exponents)
+        mu = len(staircase(gb, delta).exponents)
         if mu < 2:
             continue
         budget = choose_nu(mu, m)
         if budget.e == 0:
             continue
-        sigma = tuple(sum(e[i] for e in sc.exponents) for i in range(gb.num_vars))
-        ratios = [m * s / budget.e for s in sigma]
+        exps = asymptotic_exponents(all_sigmas(gb, delta), budget.e, d, m, a)
+        ratios = [float(r) for r in exps.finite]
+        limits = list(exps.limit)
         overshoot = max(r - (li + epsilon) for r, li in zip(ratios, limits))
         report = {
             "delta": delta,
@@ -507,7 +518,7 @@ def choose_delta(
 def cover_and_construct(
     ideal_h,
     box,
-    delta,
+    delta=None,
     ordering=Ordering.GRLEX_LEFT,
     strategy="adaptive",
     norm_bound=None,
@@ -516,15 +527,22 @@ def cover_and_construct(
     point_set=None,
     epsilon=None,
 ):
-    """Run the covering construction over S(X, B) for a homogeneous ideal.
+    """Run the covering construction over S(X, B) for a homogeneous ideal
+    under `ordering`, or for a Variety, whose own ordering then applies.  The
+    support degree is delta, or choose_delta's degree when only epsilon is
+    set.
 
     Every enumerated point ends up covered by at least one certificate, or the
     run raises (degeneracy / falsification); nothing is silently skipped.
     """
-    if not ideal_h.homogeneous:
-        raise ValueError("cover_and_construct needs a homogeneous ideal")
-    gb, dd = _variety_data(ideal_h, ordering, delta)
+    variety = ideal_h if isinstance(ideal_h, Variety) else Variety(ideal_h, ordering)
+    if delta is None:
+        if epsilon is None:
+            raise InputError("one of delta / epsilon must be set")
+        delta, _ = choose_delta(variety, epsilon)
+    dd = variety.dimension_and_degree(delta)
     m, d = dd.dimension, dd.degree
+    gb = variety.basis(delta)
     sc = staircase(gb, delta)
     mu = len(sc.exponents)
     if mu == 0:
@@ -533,14 +551,12 @@ def cover_and_construct(
     timings = {}
     if point_set is None:
         point_set, timings = _timed_enumeration(
-            enumerate_projective, ideal_h, box, budget=budget
+            enumerate_projective, variety.ideal, box, budget=budget
         )
     points = point_set.points
-    class_counts = [0] * ideal_h.num_vars
-    for p in points:
-        class_counts[class_index(p, box)] += 1
+    class_counts = tuple(len(c.points) for c in partition_classes(point_set, box))
 
-    sigma = tuple(sum(e[i] for e in sc.exponents) for i in range(ideal_h.num_vars))
+    sigma = all_sigmas(gb, delta)
     if m < 1:
         if points:
             raise DegenerateIdealError(
@@ -578,9 +594,9 @@ def cover_and_construct(
                         "supply a chart for higher dimension"
                     )
                 nb = norm_bound
-                param = lambda p: (Fraction(p[1]) / box.bounds[1],)
+                param = lambda p: tau_normalize(p, box)[1:2]
             certs, rho, cube_count = _theoretical_cover(
-                points, sc, gb, box, sigma, f, mu, nu, m, nb, param
+                points, sc, gb, box, sigma, mu, m, nb, param
             )
         else:
             raise InputError(f"unknown strategy {strategy!r}")
@@ -594,12 +610,20 @@ def cover_and_construct(
         exps = tuple(0.0 for _ in sigma)
         k_val = 0.0
 
-    report = PipelineReport(
+    # constructor output is never trusted: re-verify before it leaves
+    failures = [
+        msg for c in certs for msg in verify_certificate(c, points, gb).failures
+    ]
+    uncovered = coverage_failure(certs, len(points))
+    if failures or uncovered:
+        raise AssertionError(f"internal verification failed: {failures or uncovered}")
+
+    return PipelineReport(
         mode="projective",
         heights=box.bounds,
         delta=delta,
         epsilon=epsilon,
-        ordering=ordering,
+        ordering=variety.ordering,
         strategy=strategy,
         dimension=m,
         degree=d,
@@ -609,7 +633,7 @@ def cover_and_construct(
         sigma=sigma,
         points=points,
         affine_points=(),
-        class_counts=tuple(class_counts),
+        class_counts=class_counts,
         certificates=certs,
         k_actual=delta * len(certs),
         k_bound_exponents=exps,
@@ -618,11 +642,9 @@ def cover_and_construct(
         cube_count=cube_count,
         max_depth=max_depth,
         vacuous=not points,
-        num_vars=ideal_h.num_vars,
+        num_vars=variety.ideal.num_vars,
         timings=timings,
     )
-    _internal_verify(report, gb)
-    return report
 
 
 def _timed_enumeration(enumerate_points, *args, **kwargs):
@@ -636,19 +658,6 @@ def _timed_enumeration(enumerate_points, *args, **kwargs):
     }
 
 
-def _internal_verify(report, gb):
-    """Constructor output is never trusted: re-verify every certificate and
-    the coverage invariant before the report leaves the engine."""
-    covered = set()
-    for cert in report.certificates:
-        res = verify_certificate(cert, report.points, gb)
-        if not res.ok:
-            raise AssertionError(f"internal verification failed: {res.failures}")
-        covered.update(cert.points_covered)
-    if covered != set(range(len(report.points))):
-        raise AssertionError("coverage invariant violated: uncovered points")
-
-
 def affine_pipeline(
     affine_ideal,
     b,
@@ -659,13 +668,14 @@ def affine_pipeline(
     norm_bound=None,
     chart=None,
     budget=DEFAULT_BUDGET,
-    ordering_bound_s=10,
 ):
-    """Affine flavor: homogenize, lift X(Z,B) into S(X-bar, (1,B,...,B)),
-    run the cover, and re-verify the dehomogenized certificates."""
-    if delta is None and epsilon is None:
-        raise InputError("exactly one of delta / epsilon must be set")
-    if delta is not None and epsilon is not None:
+    """Affine flavor: homogenize, lift X(Z,B) into S(X-bar, (1,B,...,B)), run
+    the cover, and check the ordering inequality at ORDERING_BOUND_S.
+
+    A certificate G is checked at the lifted points (1,x), so the affine
+    polynomial g = G(1,x) vanishes on X(Z,B); G is homogeneous and nonzero
+    (its support lies in M(delta)), so g is nonzero too."""
+    if (delta is None) == (epsilon is None):
         raise InputError("exactly one of delta / epsilon must be set")
 
     n = affine_ideal.num_vars
@@ -673,7 +683,6 @@ def affine_pipeline(
         enumerate_affine, affine_ideal, b, budget=budget
     )
     lifted = tuple((1,) + p for p in affine_points.points)
-    ih = homogenize_ideal(affine_ideal)
     box = HeightBox((1,) + (b,) * n)
 
     # x0 = 1 with B_0 = 1 forces class 0; checked, not assumed
@@ -681,45 +690,29 @@ def affine_pipeline(
         if class_index(p, box) != 0:
             raise AssertionError(f"lifted point {p} escaped class S_0")
 
+    # under the left-graded ordering the ordering bound reads this basis too
+    variety = Variety(
+        homogenize_ideal(affine_ideal), ordering, min_degree=ORDERING_BOUND_S
+    )
+    delta_report = None
     if delta is None:
-        gb_dims, dd = _variety_data(ih, ordering, None)
-        delta, delta_report = choose_delta(
-            ih, epsilon, dd.degree, dd.dimension, ordering
-        )
-    else:
-        delta_report = None
+        delta, delta_report = choose_delta(variety, epsilon)
 
-    ps = PointSet("projective", lifted, box)
     report = cover_and_construct(
-        ih,
+        variety,
         box,
         delta,
-        ordering=ordering,
         strategy=strategy,
         norm_bound=norm_bound,
         chart=chart,
-        budget=budget,
-        point_set=ps,
+        point_set=PointSet("projective", lifted, box),
         epsilon=epsilon,
     )
     report.mode = "affine"
     report.affine_points = affine_points.points
-    report.epsilon = epsilon
     report.delta_report = delta_report
     report.timings = timings
-
-    # independent affine re-check: g = G(1,x) vanishes on X(Z,B) and g not in I
-    gb_h = groebner(ih, ordering, degree_cap=max(delta, 9))
-    for cert in report.certificates:
-        g = cert.poly.dehomogenize(0)
-        if g.is_zero():
-            raise AssertionError("dehomogenized certificate is zero")
-        for idx in cert.points_covered:
-            if g.evaluate(affine_points.points[idx]) != 0:
-                raise AssertionError("dehomogenized certificate fails to vanish")
-        if normal_form(cert.poly, gb_h).is_zero():
-            raise AssertionError("certificate lies in the homogenized ideal")
-
-    if ordering_bound_s:
-        report.ordering_bound = affine_ordering_bound(affine_ideal, ordering_bound_s)
+    if ordering is not Ordering.GRLEX_LEFT:
+        variety = Variety(variety.ideal, Ordering.GRLEX_LEFT)
+    report.ordering_bound = ordering_bound(variety, ORDERING_BOUND_S)
     return report

@@ -17,6 +17,10 @@ from math import factorial
 from .errors import DegenerateIdealError, InputError
 from .polynomials import Ordering, Polynomial, divides
 
+# Variety fits the Hilbert polynomial on HF at degrees cap-5..cap, where cap is
+# the larger of this and the support degree delta.
+FIT_DEGREE = 9
+
 
 class Ideal:
     """A finitely generated ideal, given by nonzero generators."""
@@ -219,14 +223,8 @@ def hilbert_function(gb, s):
     return len(staircase(gb, s).exponents)
 
 
-def sigma(gb, i, s):
-    """Sum of the i-th exponent entries over the degree-s staircase."""
-    if i < 0 or i >= gb.num_vars:
-        raise InputError("variable index out of range")
-    return sum(e[i] for e in staircase(gb, s).exponents)
-
-
 def all_sigmas(gb, s):
+    """(sigma_0, ..., sigma_n): per-coordinate exponent sums over M(s)."""
     exps = staircase(gb, s).exponents
     return tuple(sum(e[i] for e in exps) for i in range(gb.num_vars))
 
@@ -334,6 +332,44 @@ def homogenize_ideal(affine_ideal, gb_ordering=Ordering.GREVLEX):
     return Ideal(gens, affine_ideal.num_vars + 1)
 
 
+class Variety:
+    """A homogeneous ideal under one ordering, and what the determinant
+    method reads from its Groebner basis: the staircases M(delta), the counts
+    mu and sigma_i, and the dimension m and degree d.
+
+    One degree-truncated basis is kept.  It is recomputed only when a caller
+    needs a degree above its cap, and the staircases found so far carry over:
+    for a homogeneous ideal a basis truncated at c already gives LT(I) in
+    every degree <= c.  A caller that knows a later need passes it as
+    ``min_degree``, so that the first Buchberger run covers it too.
+    """
+
+    def __init__(self, ideal, ordering, min_degree=0):
+        if not ideal.homogeneous:
+            raise ValueError("a Variety needs a homogeneous ideal")
+        self.ideal = ideal
+        self.ordering = ordering
+        self.min_degree = min_degree
+        self._gb = None
+
+    def basis(self, degree):
+        """The Groebner basis, truncated at `degree` or above."""
+        old = self._gb
+        if old is None or old.truncation_degree < degree:
+            self._gb = groebner(
+                self.ideal, self.ordering, degree_cap=max(degree, self.min_degree)
+            )
+            if old is not None:
+                self._gb._staircases = old._staircases
+        return self._gb
+
+    def dimension_and_degree(self, delta=None):
+        """m and d, fitted on HF at degrees cap-5..cap with
+        cap = max(delta, FIT_DEGREE)."""
+        cap = max(delta or 0, FIT_DEGREE)
+        return dimension_and_degree(self.basis(cap), range(cap - 5, cap + 1))
+
+
 @dataclass(frozen=True)
 class OrderingBoundReport:
     s: int
@@ -352,8 +388,17 @@ def affine_ordering_bound(affine_ideal, s, window=None):
     intermediate bound uses J = I^h + (x0).  The inequality lhs <= intermediate
     is exact at every finite s.
     """
-    ih = homogenize_ideal(affine_ideal)
-    gb = groebner(ih, Ordering.GRLEX_LEFT, degree_cap=s)
+    variety = Variety(homogenize_ideal(affine_ideal), Ordering.GRLEX_LEFT)
+    return ordering_bound(variety, s, window)
+
+
+def ordering_bound(variety, s, window=None):
+    """affine_ordering_bound, read from the Variety of the homogenized ideal
+    under the left-graded ordering."""
+    if variety.ordering is not Ordering.GRLEX_LEFT:
+        raise ValueError("the ordering bound needs the left-graded ordering")
+    ih = variety.ideal
+    gb = variety.basis(s)
     hf = hilbert_function(gb, s)
     if hf == 0:
         raise DegenerateIdealError(f"HF of homogenization vanishes at s={s}")
@@ -368,10 +413,8 @@ def affine_ordering_bound(affine_ideal, s, window=None):
     )
 
     if window is None:
-        hi = s
-        window = range(max(1, hi - 5), hi + 1)
-    dd = dimension_and_degree(gb, window)
-    m = dd.dimension
+        window = range(max(1, s - 5), s + 1)
+    m = dimension_and_degree(gb, window).dimension
     limit = Fraction(m, m + 1) if m >= 0 else Fraction(0)
     return OrderingBoundReport(
         s=s,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
-from math import gcd
 
 from .errors import InputError, ParseError
 
@@ -291,26 +290,6 @@ class Polynomial:
     def monic(self, ordering):
         _, lc = self.leading_term(ordering)
         return self * (1 / lc)
-
-    def primitive_integer(self, ordering=None):
-        """Scale to coprime integer coefficients; optionally sign-fix so the
-        leading coefficient under `ordering` is positive."""
-        if not self.terms:
-            return self
-        denom_lcm = 1
-        for c in self.terms.values():
-            denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-        ints = {e: c * denom_lcm for e, c in self.terms.items()}
-        g = 0
-        for c in ints.values():
-            g = gcd(g, int(c))
-        scaled = {e: Fraction(int(c) // g) for e, c in ints.items()}
-        p = Polynomial(scaled, self.num_vars)
-        if ordering is not None:
-            _, lc = p.leading_term(ordering)
-            if lc < 0:
-                p = -p
-        return p
 
     def integer_coefficients(self):
         """True if every coefficient is an integer."""

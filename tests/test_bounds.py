@@ -19,8 +19,6 @@ from detmethod import (
     determinant_bound,
     determinant_bound_exact,
     parse_polynomial,
-    product_norm_bound,
-    product_norm_bound_exact,
 )
 
 from oracles import exact_determinant, grid_derivative_max
@@ -122,26 +120,6 @@ def test_ck_norm_rejects_bad_box():
         ck_norm_bound(phi, 1, [(1, 0)])
     with pytest.raises(InputError):
         ck_norm_bound(phi, 1, [(0, 1), (0, 1)])
-
-
-# -- product norms ---------------------------------------------------------
-
-
-def test_product_norm_exact_two_factors():
-    assert product_norm_bound_exact([2, 3], 2) == 24  # 2^2 * 6
-
-
-def test_product_norm_single_factor():
-    assert product_norm_bound_exact([Fraction(5, 2)], 7) == Fraction(5, 2)
-
-
-def test_product_norm_float_dominates_exact():
-    norms = [Fraction(3, 2), Fraction(7, 3), Fraction(1, 5)]
-    assert product_norm_bound(norms, 3) >= product_norm_bound_exact(norms, 3)
-
-
-def test_product_norm_zero():
-    assert product_norm_bound([2, 0, 5], 4) == 0.0
 
 
 # -- determinant bound -----------------------------------------------------

@@ -240,3 +240,50 @@ def test_degenerate_ideal_exit_code(capsys):
         "--height", "10", "--delta", "2",
     )
     assert code == 2
+
+
+MALFORMED_REPORTS = {
+    "no-params": lambda d: {k: v for k, v in d.items() if k != "params"},
+    "string-delta": lambda d: {**d, "params": {**d["params"], "delta": "2"}},
+    "short-heights": lambda d: {**d, "params": {**d["params"], "heights": [1]}},
+    "top-level-list": lambda d: [d],
+    "no-points": lambda d: {
+        **d, "certificates": [{"poly": c["poly"]} for c in d["certificates"]]
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REPORTS))
+def test_verify_malformed_report_is_input_error(capsys, parabola_report, case):
+    data = MALFORMED_REPORTS[case](json.loads(parabola_report.read_text()))
+    parabola_report.write_text(json.dumps(data))
+    code, _, err = run(
+        capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
+    )
+    assert code == 2
+    assert "error" in err
+    assert "Traceback" not in err
+
+
+def test_verify_reports_outside_points_before_certificate_checks(
+    capsys, parabola_report
+):
+    data = json.loads(parabola_report.read_text())
+    first, second = data["certificates"][:2]
+    first["poly"] += " + 1"
+    first["points"][1] = [1, 2, 3]
+    second["poly"] = "0"
+    second["points"][0] = [1, 5, 5]
+    parabola_report.write_text(json.dumps(data))
+    code, out, _ = run(
+        capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "FAIL: certificate 0: point (1, 2, 3) not in S(X,B)"
+    assert sum("certificate 0: does not vanish" in line for line in lines) == 2
+    assert lines[-3:] == [
+        "FAIL: certificate 1: point (1, 5, 5) not in S(X,B)",
+        "FAIL: certificate 1: zero polynomial",
+        "FAIL: coverage failure: 3 uncovered points",
+    ]

@@ -14,6 +14,7 @@ from detmethod import (
     Ordering,
     Polynomial,
     TheoreticalFalsificationError,
+    Variety,
     affine_pipeline,
     auxiliary_for_box,
     build_matrix,
@@ -24,7 +25,6 @@ from detmethod import (
     exact_kernel,
     groebner,
     homogenize_ideal,
-    matrix_rank,
     parabola_chart,
     staircase,
     theoretical_rho,
@@ -72,7 +72,7 @@ def test_matrix_rank_vs_oracle():
             if p not in pts:
                 pts.append(p)
         mat = build_matrix(pts, sc)
-        assert matrix_rank(mat) == rational_rank(
+        assert len(mat.exponents) - len(exact_kernel(mat)) == rational_rank(
             [[mat.entries[i][j] for j in range(len(pts))] for i in range(5)]
         )
 
@@ -123,7 +123,7 @@ def test_auxiliary_small_point_set_always_certifies():
     pts = [(1, 1, 1), (4, 2, 1), (9, 3, 1), (4, -2, 1)]  # q = 4 <= mu - 1
     cert = auxiliary_for_box(pts, range(4), sc, gb, [(0, 9)] * 3)
     assert cert is not None
-    assert cert.nonmembership_ok
+    assert verify_certificate(cert, pts, gb).ok
     for p in pts:
         assert cert.poly.evaluate(p) == 0
 
@@ -154,7 +154,7 @@ def test_verify_rejects_perturbed_coefficient():
     )
     res = verify_certificate(
         AuxiliaryCertificate(bad, cert.support_delta, cert.points_covered,
-                             cert.box, True),
+                             cert.box),
         pts,
         gb,
     )
@@ -169,7 +169,7 @@ def test_verify_rejects_support_in_lt():
     # move mass onto x1^2, the excluded leading monomial
     bad = cert.poly + Polynomial({(0, 2, 0): Fraction(1)}, 3)
     res = verify_certificate(
-        AuxiliaryCertificate(bad, 2, cert.points_covered, cert.box, True), pts, gb
+        AuxiliaryCertificate(bad, 2, cert.points_covered, cert.box), pts, gb
     )
     assert not res.ok
     assert any("LT" in msg for msg in res.failures)
@@ -179,7 +179,7 @@ def test_verify_rejects_ideal_member():
     gb, sc = _conic_setup()
     member = Polynomial({(1, 0, 1): Fraction(1), (0, 2, 0): Fraction(-1)}, 3)
     res = verify_certificate(
-        AuxiliaryCertificate(member, 2, (), ((0, 1),) * 3, True), [], gb
+        AuxiliaryCertificate(member, 2, (), ((0, 1),) * 3), [], gb
     )
     assert not res.ok
     assert any("ideal" in msg for msg in res.failures)
@@ -212,16 +212,18 @@ def test_integer_minor_dichotomy():
 def test_theoretical_rho_vandermonde_scale():
     # mu=3, m=1, nu=2, f=3, unit norms, unit box: rho ~ (1/(3! * 3^3))^(1/3)
     box = HeightBox((1, 1))
-    rho, cubes = theoretical_rho(box, (0, 0), 3, 3, 2, 1, 1)
+    rho, cubes = theoretical_rho(box, (0, 0), 3, 1, 1)
     assert 0 < rho <= (1 / 162) ** (1 / 3)
     assert cubes == math.ceil(2 / rho)
 
 
 def test_theoretical_rho_certifies_strictly():
+    # mu=5, m=1: nu=4, f=10, D_1(4)=5
     box = HeightBox((1, 100, 10000))
-    rho, _ = theoretical_rho(box, (2, 4, 4), 8, 5, 2, 1, Fraction(3))
+    rho, _ = theoretical_rho(box, (2, 4, 4), 5, 1, Fraction(3))
     lhs = (
-        math.factorial(5) * 3**5 * 3.0**5 * (100.0**4) * (10000.0**4) * rho**8
+        Fraction(math.factorial(5) * 5**5 * 3**5 * 100**4 * 10000**4)
+        * Fraction(rho) ** 10
     )
     assert lhs < 1
 
@@ -229,45 +231,47 @@ def test_theoretical_rho_certifies_strictly():
 def test_theoretical_rho_monotone_in_height():
     small = HeightBox((1, 10, 100))
     large = HeightBox((1, 100, 10000))
-    r1, _ = theoretical_rho(small, (2, 4, 4), 8, 5, 2, 1, 1)
-    r2, _ = theoretical_rho(large, (2, 4, 4), 8, 5, 2, 1, 1)
+    r1, _ = theoretical_rho(small, (2, 4, 4), 5, 1, 1)
+    r2, _ = theoretical_rho(large, (2, 4, 4), 5, 1, 1)
     assert r2 < r1 <= 0.5
 
 
 def test_theoretical_rho_rejects_f_zero():
     with pytest.raises(DegenerateIdealError):
-        theoretical_rho(HeightBox((1, 1)), (0, 0), 0, 1, 0, 1, 1)
+        theoretical_rho(HeightBox((1, 1)), (0, 0), 1, 1, 1)  # mu=1: f=0
 
 
 # -- choose_delta -------------------------------------------------------------
 
 
+def _conic_variety():
+    return Variety(make_ideal(["x0*x2 - x1^2"], 3), GRLEX)
+
+
 def test_choose_delta_conic():
-    ih = make_ideal(["x0*x2 - x1^2"], 3)
-    delta, report = choose_delta(ih, 0.25, d=2, m=1)
+    delta, report = choose_delta(_conic_variety(), 0.25)
     assert delta == 2
     assert report["delta"] == 2
     assert max(r - l for r, l in zip(report["ratios"], report["limits"])) <= 0.25
 
 
 def test_choose_delta_huge_epsilon_picks_smallest_usable():
-    ih = make_ideal(["x0*x2 - x1^2"], 3)
-    delta, _ = choose_delta(ih, 100.0, d=2, m=1)
+    delta, _ = choose_delta(_conic_variety(), 100.0)
     assert delta == 1
 
 
 def test_choose_delta_impossible_epsilon():
-    ih = make_ideal(["x0*x2 - x1^2"], 3)
     with pytest.raises(InputError):
-        choose_delta(ih, 1e-9, d=2, m=1, delta_max=4)
+        choose_delta(_conic_variety(), 1e-9, delta_max=4)
 
 
 def test_choose_delta_rejects_bad_inputs():
-    ih = make_ideal(["x0*x2 - x1^2"], 3)
     with pytest.raises(InputError):
-        choose_delta(ih, -1.0, d=2, m=1)
+        choose_delta(_conic_variety(), -1.0)
+    # the homogenized single point (2, 3) has dimension m = 0
+    point = homogenize_ideal(make_ideal(["x0 - 2", "x1 - 3"], 2))
     with pytest.raises(DegenerateIdealError):
-        choose_delta(ih, 0.5, d=2, m=0)
+        choose_delta(Variety(point, GRLEX), 0.5)
 
 
 # -- covering / pipeline -------------------------------------------------------

@@ -18,7 +18,6 @@ from detmethod import (
     homogenize_ideal,
     normal_form,
     parse_polynomial,
-    sigma,
     staircase,
 )
 
@@ -172,7 +171,7 @@ def test_hf_ordering_invariant(conic, twisted_cubic):
 def test_sigma_free_ring():
     gb = groebner(make_ideal(["x0^20"], 2), GRLEX, degree_cap=12)
     for s in range(1, 12):
-        assert sigma(gb, 0, s) == s * (s + 1) // 2
+        assert all_sigmas(gb, s)[0] == s * (s + 1) // 2
 
 
 def test_sigma_sum_identity(conic, twisted_cubic):
