@@ -55,7 +55,8 @@ def choose_nu(mu, m):
     nu = 0
     while D(m, nu) < mu:
         nu += 1
-    assert D(m, nu - 1) <= mu <= D(m, nu)
+    if not D(m, nu - 1) <= mu <= D(m, nu):
+        raise AssertionError(f"choose_nu: no nu brackets mu={mu} for m={m}")
     e = sum(i * L(m, i) for i in range(nu)) + nu * (mu - D(m, nu - 1))
     return ExponentBudget(mu=mu, m=m, nu=nu, e=e)
 

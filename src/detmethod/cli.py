@@ -77,16 +77,24 @@ def load_ideal(path):
     return Ideal(gens, num_vars)
 
 
+def _rational(text, flag):
+    """A rational command-line value; a zero denominator is an input error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise InputError(f"{flag}: zero denominator in {text!r}") from exc
+
+
 def _parse_heights(args, num_vars, mode):
     if mode == "affine":
         if args.height is None:
             raise InputError("affine mode needs --height B")
-        return Fraction(args.height)
+        return _rational(args.height, "--height")
     if args.heights is None:
         if args.height is not None:
-            return HeightBox.uniform(Fraction(args.height), num_vars)
+            return HeightBox.uniform(_rational(args.height, "--height"), num_vars)
         raise InputError("projective mode needs --heights B0,...,Bn")
-    parts = [Fraction(p) for p in args.heights.split(",")]
+    parts = [_rational(p, "--heights") for p in args.heights.split(",")]
     if len(parts) != num_vars:
         raise InputError(
             f"--heights needs {num_vars} entries, got {len(parts)}"
@@ -292,7 +300,7 @@ def cmd_verify(args):
 def cmd_sweep(args):
     ideal = load_ideal(args.ideal)
     ordering = Ordering(args.ordering)
-    heights = [Fraction(h) for h in args.height_list.split(",")]
+    heights = [_rational(h, "--height-list") for h in args.height_list.split(",")]
     print("B,N,certificates,k_actual,k_bound")
     for b in heights:
         report = affine_pipeline(
@@ -313,8 +321,9 @@ def cmd_sweep(args):
 
 
 def cmd_bound(args):
-    norms = tuple(Fraction(x) for x in args.norms.split(","))
-    inp = DetBoundInput(mu=args.mu, m=args.m, norms=norms, r=Fraction(args.r))
+    norms = tuple(_rational(x, "--norms") for x in args.norms.split(","))
+    r = _rational(args.r, "--r")
+    inp = DetBoundInput(mu=args.mu, m=args.m, norms=norms, r=r)
     budget = choose_nu(args.mu, args.m)
     log_bound = determinant_bound(inp)
     out = {

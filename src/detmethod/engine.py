@@ -60,6 +60,8 @@ DELTA_MAX_DEFAULT = 12
 PROBE_DEGREE_DEFAULT = 24
 # the degree s at which affine_pipeline checks the ordering inequality
 ORDERING_BOUND_S = 10
+# the prime of exact_kernel's rank screen (a Mersenne prime, 2^61 - 1)
+KERNEL_PRIME = 2**61 - 1
 
 
 # -- matrices and kernels --------------------------------------------------
@@ -100,59 +102,107 @@ def exact_kernel(mat):
     """Primitive integer basis of the coefficient-space kernel, i.e. vectors c
     with sum_e c_e * (x^(j))^e = 0 for every point j.
 
-    Gaussian elimination over exact rationals on the transpose; each basis
-    vector is scaled to coprime integers with positive leading entry (the
+    The basis is the one read off the reduced echelon form of the q x mu
+    transpose (one equation per point): one vector per free column, in column
+    order, each scaled to coprime integers with positive leading entry (the
     entry of the ordering-largest monomial in its support).
+
+    All arithmetic is on integers, in three steps.  A rank screen adds the
+    equations one at a time to an echelon form modulo KERNEL_PRIME and stops
+    at mu independent ones: a mu x mu minor nonzero mod P is nonzero, so the
+    kernel is empty.  Otherwise the r < mu equations independent mod P go
+    through fraction-free elimination (_bareiss_kernel).  Each vector found is
+    then checked against every equation with exact dot products.  If all
+    vanish, the r equations span the row space of all q and the basis is the
+    full matrix's; if one does not, P was a bad prime for this matrix and the
+    same elimination runs again on all q equations.
     """
     mu = len(mat.exponents)
-    q = len(mat.points)
-    # rows = equations (one per point), columns = monomials in matrix order
-    rows = [[Fraction(mat.entries[i][j]) for i in range(mu)] for j in range(q)]
+    rows = list(zip(*mat.entries))  # rows = equations (one per point)
+    independent = _independent_mod_p(rows, mu)
+    if len(independent) == mu:
+        return []
+    basis = _bareiss_kernel([rows[j] for j in independent], mu)
+    if any(sum(a * b for a, b in zip(vec, row)) for vec in basis for row in rows):
+        basis = _bareiss_kernel(rows, mu)
+    return basis
 
-    pivots = []
-    r = 0
-    for c in range(mu):
-        pivot = next((i for i in range(r, q) if rows[i][c] != 0), None)
-        if pivot is None:
+
+def _independent_mod_p(rows, mu):
+    """Indices of the rows that stay independent modulo KERNEL_PRIME when
+    added one at a time to an echelon form, stopping at mu of them."""
+    p = KERNEL_PRIME
+    echelon = []  # (pivot column, reduced row with 1 at the pivot)
+    chosen = []
+    for j, row in enumerate(rows):
+        v = [x % p for x in row]
+        for c, e in echelon:
+            f = v[c]
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, e)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
-        for i in range(q):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == q:
+        inv = pow(v[c], -1, p)
+        echelon.append((c, [x * inv % p for x in v]))
+        chosen.append(j)
+        if len(chosen) == mu:
             break
+    return chosen
+
+
+def _bareiss_kernel(rows, mu):
+    """Kernel basis of an integer matrix with mu columns, as exact_kernel
+    orders and normalises it.
+
+    Bareiss forward elimination (Math. Comp. 22, 1968) leaves an echelon form
+    whose entries are minors of the matrix, so each division by the previous
+    pivot is exact; the last pivot d is, up to sign, the minor on the pivot
+    columns.  Back-substitution with d at the free column then gives integers
+    (Cramer's rule), so every division there is exact too.
+    """
+    m = [list(row) for row in rows]
+    pivots = []
+    d = 1
+    for c in range(mu):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        pv = top[c]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[c]
+            row[c] = 0
+            for j in range(c + 1, mu):
+                row[j] = (pv * row[j] - f * top[j]) // d
+        d = pv
+        pivots.append(c)
 
     pivot_set = set(pivots)
     basis = []
     for free in range(mu):
         if free in pivot_set:
             continue
-        vec = [Fraction(0)] * mu
-        vec[free] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -rows[row_idx][free]
-        basis.append(_primitive_vector(vec))
+        x = [0] * mu
+        x[free] = d
+        for k in range(len(pivots) - 1, -1, -1):
+            c = pivots[k]
+            row = m[k]
+            x[c] = -sum(row[j] * x[j] for j in range(c + 1, mu)) // row[c]
+        basis.append(_primitive_vector(x))
     return basis
 
 
 def _primitive_vector(vec):
-    lcm = 1
-    for v in vec:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    g = math.gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
 
 
 # -- certificates ----------------------------------------------------------
@@ -207,8 +257,12 @@ def verify_certificate(cert, points, gb):
         return res
     if not poly.integer_coefficients():
         res.fail("non-integer coefficients")
-    allowed = set(staircase(gb, cert.support_delta).exponents)
+    delta = cert.support_delta
+    allowed = set(staircase(gb, delta).exponents)
     for e in poly.support():
+        if sum(e) != delta:
+            res.fail(f"support monomial {e} has degree {sum(e)}, not delta = {delta}")
+            break
         if e not in allowed:
             res.fail(f"support monomial {e} lies in LT(I)")
             break

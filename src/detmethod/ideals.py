@@ -317,7 +317,8 @@ def a_estimates(gb, s):
         raise DegenerateIdealError(f"Hilbert function vanishes at s={s}")
     sig = all_sigmas(gb, s)
     ests = tuple(Fraction(x, s * hf) for x in sig)
-    assert sum(ests) == 1
+    if sum(ests) != 1:
+        raise AssertionError(f"a_estimates at s={s} sum to {sum(ests)}, not 1")
     return ests
 
 

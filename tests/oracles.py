@@ -6,16 +6,16 @@ dual-route check keeps one side independent.
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from detmethod import monomials_of_degree
 
 
-def rational_rank(rows):
-    """Row-reduction rank over exact rationals."""
+def _rational_rref(rows):
+    """Reduced row echelon form over exact rationals: (rows, pivot columns)."""
     mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
     ncols = len(mat[0]) if mat else 0
+    pivots = []
     r = 0
     for c in range(ncols):
         piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
@@ -28,11 +28,40 @@ def rational_rank(rows):
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
         r += 1
-        rank += 1
         if r == len(mat):
             break
-    return rank
+    return mat, pivots
+
+
+def rational_rank(rows):
+    """Row-reduction rank over exact rationals."""
+    return len(_rational_rref(rows)[1])
+
+
+def rational_kernel(mat):
+    """exact_kernel by Gauss-Jordan over Fractions on the q x mu transpose:
+    one vector per free column of the reduced form, scaled to coprime
+    integers with positive leading entry."""
+    mu = len(mat.exponents)
+    rows = [[mat.entries[i][j] for i in range(mu)] for j in range(len(mat.points))]
+    reduced, pivots = _rational_rref(rows)
+    basis = []
+    for free in range(mu):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * mu
+        vec[free] = Fraction(1)
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -reduced[row_idx][free]
+        scale = lcm(*(v.denominator for v in vec))
+        ints = [int(v * scale) for v in vec]
+        g = gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        basis.append(tuple(v // g for v in ints))
+    return basis
 
 
 def hilbert_oracle(ideal, s):

@@ -1,13 +1,18 @@
 """cli: subcommand behaviour, exit codes, reproducible JSON reports."""
 
+import ast
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from detmethod.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(__file__).parent.parent / "src"
 PARABOLA = str(DATA / "parabola.ideal")
 CONIC = str(DATA / "conic.ideal")
 
@@ -173,6 +178,26 @@ def test_verify_catches_support_violation(capsys, parabola_report):
     assert "LT" in out or "vanish" in out
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (" + 1", "support monomial (0, 0, 0) has degree 0, not delta = 2"),
+        (" + x1^2", "support monomial (0, 2, 0) lies in LT(I)"),
+    ],
+)
+def test_verify_names_the_failed_support_check(
+    capsys, parabola_report, extra, message
+):
+    data = json.loads(parabola_report.read_text())
+    data["certificates"][0]["poly"] += extra
+    parabola_report.write_text(json.dumps(data))
+    code, out, _ = run(
+        capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
+    )
+    assert code == 1
+    assert out.splitlines()[0] == f"FAIL: certificate 0: {message}"
+
+
 def test_verify_missing_report(capsys):
     code, _, err = run(
         capsys, "verify", "--report", "/nonexistent.json", "--ideal", PARABOLA
@@ -223,6 +248,23 @@ def test_missing_vars_header(capsys, tmp_path):
     bad.write_text("x0 + 1\n")
     code, _, _ = run(capsys, "points", "--ideal", str(bad), "--height", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("points", "--mode", "projective", "--heights", "1/0,2,2", "--ideal", CONIC),
+        ("construct", "--mode", "affine", "--height", "1/0", "--ideal", PARABOLA,
+         "--delta", "2"),
+        ("sweep", "--ideal", PARABOLA, "--height-list", "25,1/0", "--delta", "2"),
+        ("bound", "--mu", "3", "--m", "1", "--norms", "1,1/0,1", "--r", "1/8"),
+        ("bound", "--mu", "3", "--m", "1", "--norms", "1,1,1", "--r", "1/0"),
+    ],
+)
+def test_zero_denominator_is_input_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "zero denominator in '1/0'" in err
 
 
 def test_budget_exit_code(capsys):
@@ -287,3 +329,32 @@ def test_verify_reports_outside_points_before_certificate_checks(
         "FAIL: certificate 1: zero polynomial",
         "FAIL: coverage failure: 3 uncovered points",
     ]
+
+
+# -- python -O ---------------------------------------------------------------
+
+
+def test_source_has_no_assert_statements():
+    """Invariants are explicit raises: `python -O` strips assert statements."""
+    for path in sorted((SRC / "detmethod").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def test_construct_and_verify_under_optimize_flag(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    cli = [sys.executable, "-O", "-m", "detmethod.cli"]
+    report = tmp_path / "report.json"
+    construct = subprocess.run(
+        cli + ["construct", "--ideal", PARABOLA, "--height", "100", "--epsilon", "0.25"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert construct.returncode == 0, construct.stderr
+    report.write_text(construct.stdout)
+    verify = subprocess.run(
+        cli + ["verify", "--report", str(report), "--ideal", PARABOLA],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert verify.returncode == 0, verify.stdout
+    assert verify.stdout.startswith("PASS")

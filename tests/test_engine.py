@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from detmethod import engine
 from detmethod import (
     AuxiliaryCertificate,
     DegenerateIdealError,
@@ -32,7 +33,7 @@ from detmethod import (
 )
 
 from conftest import make_ideal
-from oracles import exact_determinant, rational_rank
+from oracles import exact_determinant, rational_kernel, rational_rank
 
 GRLEX = Ordering.GRLEX_LEFT
 
@@ -113,6 +114,78 @@ def test_kernel_annihilates_columns():
     for vec in exact_kernel(mat):
         for j in range(len(pts)):
             assert sum(vec[i] * mat.entries[i][j] for i in range(5)) == 0
+
+
+def _matrix(rows):
+    """A MonomialMatrix with the given q x mu equations (one row per point)."""
+    mu = len(rows[0])
+    return engine.MonomialMatrix(
+        exponents=tuple(range(mu)),
+        points=tuple(range(len(rows))),
+        entries=tuple(zip(*rows)),
+    )
+
+
+def _random_rows(rng):
+    """Full-rank, rank-deficient and repeated-row shapes, entries up to 10^40."""
+    mu, q = rng.randint(1, 9), rng.randint(1, 12)
+    size = rng.choice([2, 1000, 10**40])
+    rank = rng.randint(0, min(mu, q))
+    if rng.random() < 0.5:
+        rows = [[rng.randint(-size, size) for _ in range(mu)] for _ in range(q)]
+    else:  # rank at most `rank`: random combinations of `rank` rows
+        basis = [[rng.randint(-size, size) for _ in range(mu)] for _ in range(rank)]
+        rows = [
+            [sum(rng.randint(-3, 3) * b[j] for b in basis) for j in range(mu)]
+            for _ in range(q)
+        ]
+    if rng.random() < 0.3:
+        rows.insert(rng.randint(0, q), list(rng.choice(rows)))
+    return rows
+
+
+def test_kernel_matches_rational_oracle():
+    rng = random.Random(20)
+    for _ in range(400):
+        mat = _matrix(_random_rows(rng))
+        assert exact_kernel(mat) == rational_kernel(mat)
+
+
+def test_kernel_matches_rational_oracle_on_conic_points():
+    ideal = make_ideal(["x0*x2 - x1^2"], 3)
+    gb = groebner(ideal, GRLEX, degree_cap=10)
+    sc = staircase(gb, 10)  # mu = 21, entries up to about 10^40
+    rng = random.Random(5)
+    for q in (8, 20, 21, 30):
+        pts = set()
+        while len(pts) < q:
+            a, b = rng.randint(1, 10**4), rng.randint(-(10**4), 10**4)
+            if math.gcd(a, b) == 1:
+                pts.add((a * a, a * b, b * b))
+        mat = build_matrix(sorted(pts), sc)
+        assert exact_kernel(mat) == rational_kernel(mat)
+
+
+@pytest.mark.parametrize(
+    "rows, kernel",
+    [
+        # rank 1 mod P, rank 2 over Q: the screen keeps only the first row
+        ([(1, engine.KERNEL_PRIME), (1, 2 * engine.KERNEL_PRIME)], []),
+        ([(1, engine.KERNEL_PRIME, 0), (1, 2 * engine.KERNEL_PRIME, 0)], [(0, 0, 1)]),
+    ],
+)
+def test_kernel_falls_back_when_prime_divides_a_minor(monkeypatch, rows, kernel):
+    eliminated = []
+    bareiss = engine._bareiss_kernel
+
+    def spy(rows, mu):
+        eliminated.append(len(rows))
+        return bareiss(rows, mu)
+
+    monkeypatch.setattr(engine, "_bareiss_kernel", spy)
+    mat = _matrix(rows)
+    assert exact_kernel(mat) == kernel == rational_kernel(mat)
+    assert eliminated == [1, 2]
 
 
 # -- auxiliary polynomials ---------------------------------------------------

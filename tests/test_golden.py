@@ -104,7 +104,7 @@ def _mutants(pristine):
     mutant("dropped-point", lambda c: c[0]["points"].pop())
 
     def several(c):
-        c[0]["poly"] += " + 1"  # fails to vanish at every covered point
+        c[0]["poly"] += " + 1"  # degree 0 in the support; vanishes nowhere
         c[1]["poly"] += " + x1^2"  # support in LT(I)
         c[2]["points"].pop()  # leaves a point uncovered
         c[3]["points"][0] = [1, 2, 3]  # not in S(X,B)
