@@ -216,11 +216,16 @@ class AuxiliaryCertificate:
     box: tuple  # ((lo, hi), ...) descriptor of the covered sub-box
 
 
-def auxiliary_for_box(points, indices, sc, gb, box_desc):
+def auxiliary_for_box(points, indices, sc, gb, box_desc, timings=None):
     """Certificate for the points of one sub-box, or None if the monomial
-    matrix has full rank mu (triggering subdivision in adaptive mode)."""
+    matrix has full rank mu (triggering subdivision in adaptive mode).  The
+    kernel stage is added to `timings` (kernel_s, kernel_calls) if given."""
     mat = build_matrix(points, sc)
+    start = perf_counter()
     kernel = exact_kernel(mat)
+    if timings is not None:
+        timings["kernel_s"] += perf_counter() - start
+        timings["kernel_calls"] += 1
     if not kernel:
         return None
     coeffs = kernel[0]  # first free column under the ordering; deterministic
@@ -391,7 +396,8 @@ class PipelineReport:
     ordering_bound: object = None
     delta_report: object = None
     num_vars: int = 0
-    # opt-in stage timings; enumeration: points_s, points_fibres, points_found
+    # opt-in stage timings; enumeration: points_s, points_fibres,
+    # points_found; kernel: kernel_s, kernel_calls
     timings: dict = field(default_factory=dict)
 
     def to_dict(self, include_timings=False):
@@ -459,7 +465,7 @@ class PipelineReport:
         return out
 
 
-def _adaptive_cover(points, sc, gb):
+def _adaptive_cover(points, sc, gb, timings):
     """Bisection covering; returns (certificates, max_depth)."""
     n = gb.num_vars
     certs = []
@@ -474,7 +480,7 @@ def _adaptive_cover(points, sc, gb):
         bbox = [
             (min(p[a] for p in pts), max(p[a] for p in pts)) for a in range(n)
         ]
-        cert = auxiliary_for_box(pts, idxs, sc, gb, bbox)
+        cert = auxiliary_for_box(pts, idxs, sc, gb, bbox, timings)
         if cert is not None:
             certs.append(cert)
             continue
@@ -494,7 +500,9 @@ def _adaptive_cover(points, sc, gb):
     return certs, max_depth
 
 
-def _theoretical_cover(points, sc, gb, box, sigma, mu, m, norm_bound, param):
+def _theoretical_cover(
+    points, sc, gb, box, sigma, mu, m, norm_bound, param, timings
+):
     rho, cube_count = theoretical_rho(box, sigma, mu, m, norm_bound)
     rho_frac = Fraction(rho)
     groups = {}
@@ -509,7 +517,7 @@ def _theoretical_cover(points, sc, gb, box, sigma, mu, m, norm_bound, param):
         desc = tuple(
             (k * rho_frac - 1, (k + 1) * rho_frac - 1) for k in key
         )
-        cert = auxiliary_for_box(pts, idxs, sc, gb, desc)
+        cert = auxiliary_for_box(pts, idxs, sc, gb, desc, timings)
         if cert is None:
             raise TheoreticalFalsificationError(
                 f"occupied rho-cube {key} has a full-rank matrix; this "
@@ -584,16 +592,17 @@ def cover_and_construct(
     """Run the covering construction over S(X, B) for a homogeneous ideal
     under `ordering`, or for a Variety, whose own ordering then applies.  The
     support degree is delta, or choose_delta's degree when only epsilon is
-    set.
+    set; the report then carries choose_delta's report as delta_report.
 
     Every enumerated point ends up covered by at least one certificate, or the
     run raises (degeneracy / falsification); nothing is silently skipped.
     """
     variety = ideal_h if isinstance(ideal_h, Variety) else Variety(ideal_h, ordering)
+    delta_report = None
     if delta is None:
         if epsilon is None:
             raise InputError("one of delta / epsilon must be set")
-        delta, _ = choose_delta(variety, epsilon)
+        delta, delta_report = choose_delta(variety, epsilon)
     dd = variety.dimension_and_degree(delta)
     m, d = dd.dimension, dd.degree
     gb = variety.basis(delta)
@@ -609,6 +618,7 @@ def cover_and_construct(
         )
     points = point_set.points
     class_counts = tuple(len(c.points) for c in partition_classes(point_set, box))
+    timings.update(kernel_s=0.0, kernel_calls=0)
 
     sigma = all_sigmas(gb, delta)
     if m < 1:
@@ -632,7 +642,7 @@ def cover_and_construct(
                 "nontrivial vanishing polynomial"
             )
         if strategy == "adaptive":
-            certs, max_depth = _adaptive_cover(points, sc, gb)
+            certs, max_depth = _adaptive_cover(points, sc, gb, timings)
         elif strategy == "theoretical":
             if chart is not None:
                 nb = chart_norm_bound(chart, sc, nu)
@@ -650,7 +660,7 @@ def cover_and_construct(
                 nb = norm_bound
                 param = lambda p: tau_normalize(p, box)[1:2]
             certs, rho, cube_count = _theoretical_cover(
-                points, sc, gb, box, sigma, mu, m, nb, param
+                points, sc, gb, box, sigma, mu, m, nb, param, timings
             )
         else:
             raise InputError(f"unknown strategy {strategy!r}")
@@ -696,6 +706,7 @@ def cover_and_construct(
         cube_count=cube_count,
         max_depth=max_depth,
         vacuous=not points,
+        delta_report=delta_report,
         num_vars=variety.ideal.num_vars,
         timings=timings,
     )
@@ -748,10 +759,6 @@ def affine_pipeline(
     variety = Variety(
         homogenize_ideal(affine_ideal), ordering, min_degree=ORDERING_BOUND_S
     )
-    delta_report = None
-    if delta is None:
-        delta, delta_report = choose_delta(variety, epsilon)
-
     report = cover_and_construct(
         variety,
         box,
@@ -764,8 +771,7 @@ def affine_pipeline(
     )
     report.mode = "affine"
     report.affine_points = affine_points.points
-    report.delta_report = delta_report
-    report.timings = timings
+    report.timings = {**timings, **report.timings}
     if ordering is not Ordering.GRLEX_LEFT:
         variety = Variety(variety.ideal, Ordering.GRLEX_LEFT)
     report.ordering_bound = ordering_bound(variety, ORDERING_BOUND_S)

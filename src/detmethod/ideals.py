@@ -49,6 +49,13 @@ class GroebnerBasis:
         self.basis = basis
         self.truncation_degree = truncation_degree
         self.leading_monomials = [g.leading_monomial(ordering) for g in basis]
+        # the leading monomials with lm[i] = a > 0, keyed by (i, a): the only
+        # ones that can divide x_i*e for a standard e (see _grow)
+        self._lms_by_entry = {}
+        for lm in self.leading_monomials:
+            for i, a in enumerate(lm):
+                if a:
+                    self._lms_by_entry.setdefault((i, a), []).append(lm)
         self._staircases = {}
 
     @property
@@ -65,7 +72,9 @@ class GroebnerBasis:
 
 @dataclass(frozen=True)
 class Staircase:
-    """Degree-delta monomials outside LT(I), sorted descending by ordering."""
+    """M(delta): the degree-delta monomials outside LT(I), sorted descending
+    by the ordering.  Built by staircase() from M(delta-1), never by listing
+    all monomials of degree delta."""
 
     delta: int
     exponents: tuple
@@ -200,23 +209,51 @@ def monomials_of_degree(total, nvars):
 
 
 def staircase(gb, delta):
-    """M(delta): degree-delta monomials outside LT(I)."""
+    """M(delta): degree-delta monomials outside LT(I), sorted descending by
+    the ordering, and cached on gb.
+
+    The monomials outside a monomial ideal form an order ideal: every divisor
+    of a standard monomial is standard.  So for t >= 1 each f in M(t) is x_i*e
+    with e = f/x_i in M(t-1), and M(t) is grown from M(t-1), starting at the
+    highest cached degree below delta, or at M(0) = {1} (empty when some
+    leading monomial is 1).  The walk is exact: it reaches every standard
+    monomial of degree t, and tests each candidate against LT(I) as the
+    filter over all C(delta+n, n) monomials of degree delta would.  Every
+    degree it passes is cached.
+    """
     if delta < 0:
         raise InputError("degree must be nonnegative")
     gb._check_cap(delta, "staircase")
-    cached = gb._staircases.get(delta)
-    if cached is not None:
-        return cached
-    lms = gb.leading_monomials
-    exps = [
-        e
-        for e in monomials_of_degree(delta, gb.num_vars)
-        if not any(divides(lm, e) for lm in lms)
-    ]
-    exps.sort(key=gb.ordering.key, reverse=True)
-    sc = Staircase(delta, tuple(exps))
-    gb._staircases[delta] = sc
-    return sc
+    cache = gb._staircases
+    if delta not in cache:
+        start = max((t for t in cache if t < delta), default=None)
+        if start is None:
+            start, one = 0, (0,) * gb.num_vars
+            cache[0] = Staircase(0, () if one in gb.leading_monomials else (one,))
+        exps = cache[start].exponents
+        for t in range(start + 1, delta + 1):
+            exps = sorted(_grow(gb, exps), key=gb.ordering.key, reverse=True)
+            cache[t] = Staircase(t, tuple(exps))
+    return cache[delta]
+
+
+def _grow(gb, below):
+    """The standard monomials one degree above the staircase `below`.
+
+    f = x_i*e is formed only for i up to the first nonzero index of e, so each
+    f arises once: from its own first nonzero index i and e = f/x_i.  As no
+    leading monomial divides e, one that divides f has lm[i] = f[i]; only
+    those are tested.
+    """
+    by_entry = gb._lms_by_entry
+    out = []
+    for e in below:
+        first = next((i for i, a in enumerate(e) if a), len(e) - 1)
+        for i in range(first + 1):
+            f = e[:i] + (e[i] + 1,) + e[i + 1 :]
+            if not any(divides(lm, f) for lm in by_entry.get((i, f[i]), ())):
+                out.append(f)
+    return out
 
 
 def hilbert_function(gb, s):

@@ -86,6 +86,18 @@ def hilbert_oracle(ideal, s):
     return len(cols) - rational_rank(rows)
 
 
+def naive_staircase(gb, delta):
+    """M(delta) by filtering every monomial of degree delta against every
+    leading monomial, sorted descending by the ordering."""
+    exps = [
+        e
+        for e in monomials_of_degree(delta, gb.num_vars)
+        if not any(all(a <= b for a, b in zip(lm, e)) for lm in gb.leading_monomials)
+    ]
+    exps.sort(key=gb.ordering.key, reverse=True)
+    return tuple(exps)
+
+
 def exact_determinant(rows):
     """Fraction-exact determinant via elimination (small matrices)."""
     mat = [[Fraction(v) for v in row] for row in rows]

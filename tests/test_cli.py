@@ -116,9 +116,28 @@ def test_construct_timings_flag(capsys, tmp_path):
         assert code == 0
         report = json.loads(out_file.read_text())
         timings = report["timings"]
-        for key in ("points_s", "points_fibres", "points_found"):
+        keys = ("points_s", "points_fibres", "points_found", "kernel_s", "kernel_calls")
+        for key in keys:
             assert timings[key] >= 0
         assert timings["points_found"] == report["point_count"]
+        assert timings["kernel_calls"] >= report["certificate_count"] > 0
+
+
+def test_epsilon_reports_carry_delta_report(capsys, tmp_path):
+    blocks = []
+    for args in (
+        ("--ideal", PARABOLA, "--height", "25"),
+        ("--ideal", CONIC, "--mode", "projective", "--heights", "4,4,4"),
+    ):
+        out_file = tmp_path / "e.json"
+        code, _, _ = run(
+            capsys, "construct", *args, "--epsilon", "0.25", "--out", str(out_file)
+        )
+        assert code == 0
+        report = json.loads(out_file.read_text())
+        assert report["delta_report"]["delta"] == report["params"]["delta"]
+        blocks.append(report["delta_report"])
+    assert sorted(blocks[0]) == sorted(blocks[1])
 
 
 # -- verify ----------------------------------------------------------------

@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from detmethod import (
     DegenerateIdealError,
     Ideal,
     Ordering,
     Polynomial,
+    Variety,
     a_estimates,
     affine_ordering_bound,
     all_sigmas,
@@ -21,8 +24,10 @@ from detmethod import (
     staircase,
 )
 
-from conftest import make_ideal
-from oracles import hilbert_oracle
+from detmethod.cli import load_ideal
+
+from conftest import DATA, make_ideal
+from oracles import hilbert_oracle, naive_staircase
 
 GRLEX = Ordering.GRLEX_LEFT
 GREVLEX = Ordering.GREVLEX
@@ -126,6 +131,78 @@ def test_staircase_size_matches_hf(twisted_cubic):
     gb = groebner(twisted_cubic, GRLEX, degree_cap=6)
     for s in range(7):
         assert len(staircase(gb, s).exponents) == hilbert_function(gb, s)
+
+
+def _data_ideals():
+    """Every tests/data ideal, homogenized as an affine ideal, and as it
+    stands when homogeneous (projective)."""
+    for path in sorted(DATA.glob("*.ideal")):
+        ideal = load_ideal(path)
+        yield f"{path.stem}-affine", homogenize_ideal(ideal)
+        if ideal.homogeneous:
+            yield f"{path.stem}-projective", ideal
+
+
+@pytest.mark.parametrize("ordering", [GRLEX, GREVLEX])
+def test_staircase_matches_naive_filter_on_data_ideals(ordering):
+    for name, ideal in _data_ideals():
+        gb = groebner(ideal, ordering, degree_cap=12)
+        for delta in range(13):
+            assert staircase(gb, delta).exponents == naive_staircase(gb, delta), (
+                name,
+                delta,
+            )
+
+
+@st.composite
+def monomial_ideals(draw):
+    n = draw(st.integers(2, 5))
+    gens = draw(
+        st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=5)
+    )
+    return n, gens
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=monomial_ideals(), ordering=st.sampled_from([GRLEX, GREVLEX]))
+@example(case=(3, [(1, 2, 0), (0, 0, 0)]), ordering=GRLEX)  # contains 1
+@example(case=(4, [(0, 3, 0, 0), (1, 0, 1, 1)]), ordering=GREVLEX)  # x1^3
+def test_staircase_matches_naive_filter_on_monomial_ideals(case, ordering):
+    n, gens = case
+    ideal = Ideal([Polynomial.monomial(e, n, 1) for e in gens], n)
+    gb = groebner(ideal, ordering, degree_cap=8)
+    for delta in range(9):
+        assert staircase(gb, delta).exponents == naive_staircase(gb, delta)
+    if (0,) * n in gens:
+        assert all(staircase(gb, delta).exponents == () for delta in range(9))
+
+
+def test_staircase_independent_of_call_order(twisted_cubic):
+    down = groebner(twisted_cubic, GRLEX, degree_cap=9)
+    high_first = staircase(down, 9), staircase(down, 3)
+    up = groebner(twisted_cubic, GRLEX, degree_cap=9)
+    low_first = staircase(up, 3), staircase(up, 9)
+    assert high_first == low_first[::-1]
+    assert [staircase(down, t) for t in range(10)] == [
+        staircase(up, t) for t in range(10)
+    ]
+    assert staircase(down, 9).exponents == naive_staircase(down, 9)
+
+
+@pytest.mark.parametrize("ordering", [GRLEX, GREVLEX])
+def test_staircases_carried_over_by_variety_basis(
+    twisted_cubic, twisted_cubic_affine, ordering
+):
+    for ideal in (twisted_cubic, homogenize_ideal(twisted_cubic_affine)):
+        variety = Variety(ideal, ordering)
+        low = variety.basis(5)
+        for delta in range(6):
+            staircase(low, delta)
+        high = variety.basis(12)
+        assert high is not low and high.truncation_degree == 12
+        fresh = groebner(ideal, ordering, degree_cap=12)
+        for delta in range(13):
+            assert staircase(high, delta) == staircase(fresh, delta)
 
 
 # -- hilbert function ------------------------------------------------------
