@@ -43,7 +43,6 @@ from .ideals import (
     GroebnerBasis,
     Ideal,
     Staircase,
-    Variety,
     a_estimates,
     affine_ordering_bound,
     all_sigmas,

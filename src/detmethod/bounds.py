@@ -21,6 +21,12 @@ def _up(x):
     return math.nextafter(x, math.inf)
 
 
+def float_up(x):
+    """The least double >= the rational x (an int, Fraction or float)."""
+    f = float(x)
+    return _up(f) if f < x else f
+
+
 def L(m, k):
     """Number of m-variate multi-indices of total degree exactly k."""
     if m < 1 or k < 0:
@@ -138,10 +144,10 @@ def determinant_bound(inp):
     log_total = _up(math.lgamma(inp.mu + 1))
     log_total = _up(log_total + _up(inp.mu * _up(math.log(D(inp.m, budget.nu)))))
     for n in inp.norms:
-        log_total = _up(log_total + _up(math.log(float(n))))
+        log_total = _up(log_total + _up(math.log(float_up(n))))
     # r < 1, so log r < 0: rounding the log toward 0 keeps the bound an
     # overestimate after multiplying by e
-    log_r = _up(math.log(float(Fraction(inp.r))))
+    log_r = _up(math.log(float_up(inp.r)))
     log_total = _up(log_total + budget.e * log_r)
     return log_total
 

@@ -30,11 +30,10 @@ from .errors import (
     TheoreticalFalsificationError,
 )
 from .ideals import (
-    FIT_DEGREE,
     Ideal,
-    Variety,
     a_estimates,
     all_sigmas,
+    groebner,
     hilbert_function,
     homogenize_ideal,
 )
@@ -118,7 +117,7 @@ def cmd_hilbert(args):
     ordering = Ordering(args.ordering)
     if args.mode == "affine" or not ideal.homogeneous:
         ideal = homogenize_ideal(ideal)
-    gb = Variety(ideal, ordering).basis(args.s_max)
+    gb = groebner(ideal, ordering)
     rows = []
     for s in range(args.s_min, args.s_max + 1):
         hf = hilbert_function(gb, s)
@@ -260,7 +259,7 @@ def verify_report_dict(data, ideal):
     else:
         ih = ideal
         expected = enumerate_projective(ideal, HeightBox(tuple(heights))).points
-    gb = Variety(ih, ordering).basis(max(delta, FIT_DEGREE))
+    gb = groebner(ih, ordering)
     index = {p: i for i, p in enumerate(expected)}
 
     failures = []

@@ -9,9 +9,10 @@ grid of side rho on the chart domain [-1,1]^m, with rho derived from the
 determinant estimate; a full-rank occupied cube there is a falsification,
 reported as an error and never silently repaired.
 
-A run reads staircases, mu, sigma_i, m and d from one ideals.Variety.  Every
-certificate passes verify_certificate, and the set coverage_failure, before a
-report leaves the engine; `detmethod verify` runs the same two checks.
+A run reads staircases, mu and sigma_i from one full Groebner basis per ideal
+and ordering, and m and d from its Hilbert series.  Every certificate passes
+verify_certificate, and the set coverage_failure, before a report leaves the
+engine; `detmethod verify` runs the same two checks.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .bounds import (
     choose_nu,
     ck_norm_bound,
     determinant_bound,
+    float_up,
 )
 from .errors import (
     DegenerateIdealError,
@@ -36,9 +38,11 @@ from .errors import (
     TheoreticalFalsificationError,
 )
 from .ideals import (
-    Variety,
+    GroebnerBasis,
     a_estimates,
     all_sigmas,
+    dimension_and_degree,
+    groebner,
     homogenize_ideal,
     normal_form,
     ordering_bound,
@@ -352,10 +356,11 @@ def theoretical_rho(box, sigma, mu, m, norm_bound):
     for s_i, b_i in zip(sigma, box.bounds):
         const += s_i * math.log(float(b_i))
         if s_i:
-            log_heights = up(log_heights + up(s_i * up(math.log(float(b_i)))))
+            log_heights = up(log_heights + up(s_i * up(math.log(float_up(b_i)))))
+    norms = (float_up(norm_bound),) * mu
 
     def log_lhs(rho):
-        inp = DetBoundInput(mu=mu, m=m, norms=(nb,) * mu, r=Fraction(rho))
+        inp = DetBoundInput(mu=mu, m=m, norms=norms, r=Fraction(rho))
         return up(determinant_bound(inp) + log_heights)
 
     rho = min(0.5, math.exp(-const / f) * 0.99)
@@ -528,21 +533,19 @@ def _theoretical_cover(
 
 
 def choose_delta(
-    variety,
+    gb,
     epsilon,
     delta_max=DELTA_MAX_DEFAULT,
     probe_degree=PROBE_DEGREE_DEFAULT,
 ):
     """Smallest delta <= delta_max whose measured exponents m*sigma_i/f stay
     within epsilon of the limit exponents (m+1)a_i/d^(1/m), the a_i being
-    measured at the probe degree and m, d read from the Variety.  The
+    measured at the probe degree and m, d read from the full basis gb.  The
     reported (finite-delta) exponents are what the k-bound uses; no
     asymptotic constants are assumed."""
-    # grown to the probe degree first, so that one Buchberger run serves all
-    gb = variety.basis(probe_degree)
-    dd = variety.dimension_and_degree()
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
+    dd = dimension_and_degree(gb)
     m, d = dd.dimension, dd.degree
     if m < 1:
         raise DegenerateIdealError("dimension < 1: the method does not apply")
@@ -590,22 +593,24 @@ def cover_and_construct(
     epsilon=None,
 ):
     """Run the covering construction over S(X, B) for a homogeneous ideal
-    under `ordering`, or for a Variety, whose own ordering then applies.  The
-    support degree is delta, or choose_delta's degree when only epsilon is
-    set; the report then carries choose_delta's report as delta_report.
+    under `ordering`, or for the full GroebnerBasis of one, whose own
+    ordering then applies.  The support degree is delta, or choose_delta's
+    degree when only epsilon is set; the report then carries choose_delta's
+    report as delta_report.
 
     Every enumerated point ends up covered by at least one certificate, or the
     run raises (degeneracy / falsification); nothing is silently skipped.
     """
-    variety = ideal_h if isinstance(ideal_h, Variety) else Variety(ideal_h, ordering)
+    gb = ideal_h if isinstance(ideal_h, GroebnerBasis) else groebner(ideal_h, ordering)
+    if not gb.ideal.homogeneous:
+        raise ValueError("the covering construction needs a homogeneous ideal")
     delta_report = None
     if delta is None:
         if epsilon is None:
             raise InputError("one of delta / epsilon must be set")
-        delta, delta_report = choose_delta(variety, epsilon)
-    dd = variety.dimension_and_degree(delta)
+        delta, delta_report = choose_delta(gb, epsilon)
+    dd = dimension_and_degree(gb)
     m, d = dd.dimension, dd.degree
-    gb = variety.basis(delta)
     sc = staircase(gb, delta)
     mu = len(sc.exponents)
     if mu == 0:
@@ -614,7 +619,7 @@ def cover_and_construct(
     timings = {}
     if point_set is None:
         point_set, timings = _timed_enumeration(
-            enumerate_projective, variety.ideal, box, budget=budget
+            enumerate_projective, gb.ideal, box, budget=budget
         )
     points = point_set.points
     class_counts = tuple(len(c.points) for c in partition_classes(point_set, box))
@@ -687,7 +692,7 @@ def cover_and_construct(
         heights=box.bounds,
         delta=delta,
         epsilon=epsilon,
-        ordering=variety.ordering,
+        ordering=gb.ordering,
         strategy=strategy,
         dimension=m,
         degree=d,
@@ -707,7 +712,7 @@ def cover_and_construct(
         max_depth=max_depth,
         vacuous=not points,
         delta_report=delta_report,
-        num_vars=variety.ideal.num_vars,
+        num_vars=gb.num_vars,
         timings=timings,
     )
 
@@ -756,11 +761,9 @@ def affine_pipeline(
             raise AssertionError(f"lifted point {p} escaped class S_0")
 
     # under the left-graded ordering the ordering bound reads this basis too
-    variety = Variety(
-        homogenize_ideal(affine_ideal), ordering, min_degree=ORDERING_BOUND_S
-    )
+    gb = groebner(homogenize_ideal(affine_ideal), ordering)
     report = cover_and_construct(
-        variety,
+        gb,
         box,
         delta,
         strategy=strategy,
@@ -773,6 +776,6 @@ def affine_pipeline(
     report.affine_points = affine_points.points
     report.timings = {**timings, **report.timings}
     if ordering is not Ordering.GRLEX_LEFT:
-        variety = Variety(variety.ideal, Ordering.GRLEX_LEFT)
-    report.ordering_bound = ordering_bound(variety, ORDERING_BOUND_S)
+        gb = groebner(gb.ideal, Ordering.GRLEX_LEFT)
+    report.ordering_bound = ordering_bound(gb, ORDERING_BOUND_S)
     return report

@@ -1,10 +1,12 @@
 """Leading-term ideals, staircases and Hilbert-function machinery.
 
-Groebner bases are computed with a degree-truncated Buchberger algorithm
-(normal selection strategy, final interreduction, deterministic ordering of
-generators and output).  Truncation is only allowed for homogeneous ideals,
-where discarding S-pairs above the cap is sound because homogeneous
-S-polynomials never drop in degree.
+Groebner bases are computed with Buchberger's algorithm (normal selection
+strategy, final interreduction, deterministic ordering of generators and
+output).  The pipelines build one full reduced basis per ideal and ordering,
+and read the dimension m and degree d exactly from the Hilbert series of
+S/LT(I).  An optional degree cap truncates the basis; it is only allowed for
+homogeneous ideals, where discarding S-pairs above the cap is sound because
+homogeneous S-polynomials never drop in degree, and no pipeline uses it.
 """
 
 from __future__ import annotations
@@ -12,14 +14,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
 
 from .errors import DegenerateIdealError, InputError
 from .polynomials import Ordering, Polynomial, divides
-
-# Variety fits the Hilbert polynomial on HF at degrees cap-5..cap, where cap is
-# the larger of this and the support degree delta.
-FIT_DEGREE = 9
 
 
 class Ideal:
@@ -232,7 +230,7 @@ def staircase(gb, delta):
             cache[0] = Staircase(0, () if one in gb.leading_monomials else (one,))
         exps = cache[start].exponents
         for t in range(start + 1, delta + 1):
-            exps = sorted(_grow(gb, exps), key=gb.ordering.key, reverse=True)
+            exps = _descending(_grow(gb, exps), gb.ordering)
             cache[t] = Staircase(t, tuple(exps))
     return cache[delta]
 
@@ -256,6 +254,15 @@ def _grow(gb, below):
     return out
 
 
+def _descending(exps, ordering):
+    """Monomials of one degree, sorted descending by the ordering: that is
+    ascending tuple order under grlex-left, and ascending order of the
+    reversed tuples under grevlex."""
+    if ordering is Ordering.GRLEX_LEFT:
+        return sorted(exps)
+    return sorted(exps, key=lambda e: e[::-1])
+
+
 def hilbert_function(gb, s):
     return len(staircase(gb, s).exponents)
 
@@ -270,75 +277,64 @@ def all_sigmas(gb, s):
 class DimensionDegree:
     dimension: int
     degree: int
-    hilbert_polynomial: Polynomial  # univariate, exact rational coefficients
-    s_stable: int
 
 
-class WindowTooSmallError(ValueError):
-    def __init__(self, message, consistent_prefix):
-        super().__init__(message)
-        self.consistent_prefix = consistent_prefix
+def _hilbert_numerator(monomials):
+    """Coefficients of K(t), the numerator of the Hilbert series
+    K(t)/(1-t)^n of S/(monomials), by the colon recursion
+    K(M + (m)) = K(M) - t^|m| K(M : m) (Bayer-Stillman, J. Symb. Comp. 1992;
+    Cox-Little-O'Shea, IVA ch. 9 sec. 2).  Pairwise coprime generators end
+    it: their K(t) is the product of the factors 1 - t^|m|."""
+    gens = []  # the minimal generators, by degree
+    for m in sorted(set(monomials), key=lambda m: (sum(m), m)):
+        if not any(divides(g, m) for g in gens):
+            gens.append(m)
+    if all(
+        not any(a and b for a, b in zip(g, h))
+        for i, g in enumerate(gens)
+        for h in gens[i + 1 :]
+    ):
+        k = [1]
+        for g in gens:
+            k = _minus_shifted(k, k, sum(g))
+        return k
+    *rest, pivot = gens
+    colon = [tuple(max(a - b, 0) for a, b in zip(g, pivot)) for g in rest]
+    return _minus_shifted(
+        _hilbert_numerator(rest), _hilbert_numerator(colon), sum(pivot)
+    )
 
 
-def dimension_and_degree(gb, s_window):
-    """Fit the Hilbert polynomial on a window of consecutive degrees.
+def _minus_shifted(a, b, shift):
+    """a(t) - t^shift * b(t), on coefficient lists."""
+    out = a + [0] * max(0, len(b) + shift - len(a))
+    for i, c in enumerate(b):
+        out[i + shift] -= c
+    return out
 
-    The fit uses forward differences; it must be confirmed by at least two
-    window values beyond those needed to determine the polynomial.
-    """
-    points = list(s_window)
-    if len(points) < 4:
-        raise InputError("window must contain at least 4 degrees")
-    if any(b - a != 1 for a, b in zip(points, points[1:])):
-        raise InputError("window degrees must be consecutive")
-    values = [Fraction(hilbert_function(gb, s)) for s in points]
 
-    row = values
-    order = 0
-    while order < len(points) - 1 and any(v != 0 for v in row):
-        row = [b - a for a, b in zip(row, row[1:])]
-        order += 1
-    if any(v != 0 for v in row):
-        # report the longest prefix on which low-order differences do vanish
-        raise WindowTooSmallError(
-            "no consistent Hilbert polynomial on the window; grow the window",
-            consistent_prefix=points[: len(points) - 1],
+def dimension_and_degree(gb):
+    """The dimension m and degree d of the projective variety of a
+    homogeneous ideal, read from the Hilbert series K(t)/(1-t)^n of
+    S/LT(I): (1-t) is divided out of K while K(1) = 0, and then m is the
+    remaining power minus 1 and d = K(1).  An empty variety (the Hilbert
+    polynomial is 0) gives (-1, 0).
+
+    The basis must be full: one truncated at a cap does not fix LT(I) above
+    the cap."""
+    if gb.truncation_degree is not None:
+        raise ValueError(
+            "dimension and degree need a full basis, not one truncated at "
+            f"degree {gb.truncation_degree}"
         )
-    deg = order - 1  # all values zero => deg = -1 (empty variety)
-    if deg >= 0 and len(points) < deg + 3:
-        raise WindowTooSmallError(
-            "window determines the polynomial but leaves <2 confirmations",
-            consistent_prefix=points,
-        )
-
-    s0 = points[0]
-    t = Polynomial.variable(0, 1)
-    poly = Polynomial.zero(1)
-    # Newton forward form around s0
-    diffs = [values]
-    for _ in range(max(deg, 0)):
-        prev = diffs[-1]
-        diffs.append([b - a for a, b in zip(prev, prev[1:])])
-    for i in range(deg + 1):
-        term = Polynomial.constant(diffs[i][0] / factorial(i), 1)
-        for j in range(i):
-            term = term * (t - (s0 + j))
-        poly = poly + term
-    # confirm against every window value
-    for s, v in zip(points, values):
-        if poly.evaluate((s,)) != v:
-            raise WindowTooSmallError(
-                "fitted polynomial fails to predict later window values",
-                consistent_prefix=points[: deg + 2],
-            )
-
-    if deg < 0:
-        return DimensionDegree(-1, 0, poly, s0)
-    lead = poly.coefficient((deg,))
-    degree = factorial(deg) * lead
-    if degree.denominator != 1:
-        raise ValueError(f"non-integral degree {degree} from Hilbert polynomial")
-    return DimensionDegree(deg, int(degree), poly, s0)
+    k = _hilbert_numerator(gb.leading_monomials)
+    power = gb.num_vars
+    while power and any(k) and sum(k) == 0:
+        k = list(accumulate(k))[:-1]  # K(t) / (1-t)
+        power -= 1
+    if power == 0 or not any(k):
+        return DimensionDegree(-1, 0)
+    return DimensionDegree(power - 1, sum(k))
 
 
 def a_estimates(gb, s):
@@ -365,47 +361,9 @@ def homogenize_ideal(affine_ideal, gb_ordering=Ordering.GREVLEX):
     Homogenizing a Groebner basis w.r.t. a graded ordering (not the raw
     generators) is what actually generates the homogenized ideal.
     """
-    gb = groebner(affine_ideal, gb_ordering, degree_cap=None)
+    gb = groebner(affine_ideal, gb_ordering)
     gens = [g.homogenize(0) for g in gb.basis]
     return Ideal(gens, affine_ideal.num_vars + 1)
-
-
-class Variety:
-    """A homogeneous ideal under one ordering, and what the determinant
-    method reads from its Groebner basis: the staircases M(delta), the counts
-    mu and sigma_i, and the dimension m and degree d.
-
-    One degree-truncated basis is kept.  It is recomputed only when a caller
-    needs a degree above its cap, and the staircases found so far carry over:
-    for a homogeneous ideal a basis truncated at c already gives LT(I) in
-    every degree <= c.  A caller that knows a later need passes it as
-    ``min_degree``, so that the first Buchberger run covers it too.
-    """
-
-    def __init__(self, ideal, ordering, min_degree=0):
-        if not ideal.homogeneous:
-            raise ValueError("a Variety needs a homogeneous ideal")
-        self.ideal = ideal
-        self.ordering = ordering
-        self.min_degree = min_degree
-        self._gb = None
-
-    def basis(self, degree):
-        """The Groebner basis, truncated at `degree` or above."""
-        old = self._gb
-        if old is None or old.truncation_degree < degree:
-            self._gb = groebner(
-                self.ideal, self.ordering, degree_cap=max(degree, self.min_degree)
-            )
-            if old is not None:
-                self._gb._staircases = old._staircases
-        return self._gb
-
-    def dimension_and_degree(self, delta=None):
-        """m and d, fitted on HF at degrees cap-5..cap with
-        cap = max(delta, FIT_DEGREE)."""
-        cap = max(delta or 0, FIT_DEGREE)
-        return dimension_and_degree(self.basis(cap), range(cap - 5, cap + 1))
 
 
 @dataclass(frozen=True)
@@ -418,7 +376,7 @@ class OrderingBoundReport:
     holds: bool
 
 
-def affine_ordering_bound(affine_ideal, s, window=None):
+def affine_ordering_bound(affine_ideal, s):
     """Check, at finite s, the exact inequality behind the bound
     a_1 + ... + a_n <= m/(m+1) under the left-graded ordering.
 
@@ -426,17 +384,17 @@ def affine_ordering_bound(affine_ideal, s, window=None):
     intermediate bound uses J = I^h + (x0).  The inequality lhs <= intermediate
     is exact at every finite s.
     """
-    variety = Variety(homogenize_ideal(affine_ideal), Ordering.GRLEX_LEFT)
-    return ordering_bound(variety, s, window)
+    return ordering_bound(
+        groebner(homogenize_ideal(affine_ideal), Ordering.GRLEX_LEFT), s
+    )
 
 
-def ordering_bound(variety, s, window=None):
-    """affine_ordering_bound, read from the Variety of the homogenized ideal
-    under the left-graded ordering."""
-    if variety.ordering is not Ordering.GRLEX_LEFT:
+def ordering_bound(gb, s):
+    """affine_ordering_bound, read from the full basis of the homogenized
+    ideal under the left-graded ordering."""
+    if gb.ordering is not Ordering.GRLEX_LEFT:
         raise ValueError("the ordering bound needs the left-graded ordering")
-    ih = variety.ideal
-    gb = variety.basis(s)
+    ih = gb.ideal
     hf = hilbert_function(gb, s)
     if hf == 0:
         raise DegenerateIdealError(f"HF of homogenization vanishes at s={s}")
@@ -444,15 +402,12 @@ def ordering_bound(variety, s, window=None):
     lhs = Fraction(sum(sig[1:]), s * hf)
 
     x0 = Polynomial.variable(0, ih.num_vars)
-    j_ideal = Ideal(list(ih.generators) + [x0], ih.num_vars)
-    gb_j = groebner(j_ideal, Ordering.GRLEX_LEFT, degree_cap=s)
+    gb_j = groebner(Ideal(list(ih.generators) + [x0], ih.num_vars), gb.ordering)
     inter = Fraction(
         sum(t * hilbert_function(gb_j, t) for t in range(1, s + 1)), s * hf
     )
 
-    if window is None:
-        window = range(max(1, s - 5), s + 1)
-    m = dimension_and_degree(gb, window).dimension
+    m = dimension_and_degree(gb).dimension
     limit = Fraction(m, m + 1) if m >= 0 else Fraction(0)
     return OrderingBoundReport(
         s=s,

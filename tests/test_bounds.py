@@ -21,6 +21,7 @@ from detmethod import (
     parse_polynomial,
 )
 
+from detmethod.bounds import float_up
 from oracles import exact_determinant, grid_derivative_max
 
 
@@ -147,6 +148,29 @@ def test_detbound_float_never_understates():
         r = Fraction(rng.randint(1, 99), 100)
         inp = DetBoundInput(mu=mu, m=rng.randint(1, 3), norms=norms, r=r)
         assert determinant_bound(inp) >= math.log(float(determinant_bound_exact(inp)))
+
+
+def test_float_up_is_least_double_not_below():
+    up = math.nextafter(1.5, math.inf)
+    assert float_up(Fraction(3, 2) + Fraction(1, 10**30)) == up
+    assert float_up(Fraction(3, 2)) == 1.5
+    assert float_up(1.5) == 1.5 and float_up(7) == 7.0
+    third = float_up(Fraction(1, 3))
+    assert math.nextafter(third, -math.inf) < Fraction(1, 3) <= third
+
+
+def test_detbound_rounds_norms_and_r_outward():
+    # a norm or r just above a double counts as the next double up; with
+    # mu = 1 the bound is the norm alone, so one ulp of it shows
+    tiny = Fraction(1, 10**30)
+    next_up = lambda x: math.nextafter(x, math.inf)
+    r = Fraction(3, 10)
+    above = DetBoundInput(mu=1, m=1, norms=(Fraction(3, 2) + tiny,), r=r)
+    at_next = DetBoundInput(mu=1, m=1, norms=(next_up(1.5),), r=r)
+    assert determinant_bound(above) == determinant_bound(at_next)
+    above = DetBoundInput(mu=2, m=1, norms=(1, 1), r=Fraction(1, 2) + tiny)
+    at_next = DetBoundInput(mu=2, m=1, norms=(1, 1), r=next_up(0.5))
+    assert determinant_bound(above) == determinant_bound(at_next)
 
 
 def test_detbound_zero_norm():

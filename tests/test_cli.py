@@ -162,6 +162,30 @@ def test_verify_passes_on_genuine_report(capsys, parabola_report):
     assert out.startswith("PASS")
 
 
+@pytest.mark.parametrize(
+    "generator,height,delta,degree",
+    [("x1 - x0^7", "1e7", "2", 7), ("x1^2 - x0^9", "1e4", "3", 9)],
+)
+def test_construct_and_verify_curves_of_late_regularity(
+    capsys, tmp_path, generator, height, delta, degree
+):
+    # their Hilbert functions meet the Hilbert polynomial only from s = 5
+    # and s = 7 on; m and d come from the Hilbert series, exact in any case
+    ideal = tmp_path / "curve.ideal"
+    ideal.write_text(f"vars: 2\n{generator}\n")
+    report = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "construct", "--ideal", str(ideal), "--height", height,
+        "--delta", delta, "--out", str(report),
+    )
+    assert code == 0, err
+    data = json.loads(report.read_text())
+    assert (data["dimension"], data["degree"]) == (1, degree)
+    code, out, _ = run(capsys, "verify", "--report", str(report), "--ideal", str(ideal))
+    assert code == 0
+    assert out.startswith("PASS")
+
+
 def test_verify_catches_tampered_coefficient(capsys, parabola_report):
     data = json.loads(parabola_report.read_text())
     poly = data["certificates"][0]["poly"]

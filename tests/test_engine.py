@@ -15,7 +15,6 @@ from detmethod import (
     Ordering,
     Polynomial,
     TheoreticalFalsificationError,
-    Variety,
     affine_pipeline,
     auxiliary_for_box,
     build_matrix,
@@ -317,34 +316,34 @@ def test_theoretical_rho_rejects_f_zero():
 # -- choose_delta -------------------------------------------------------------
 
 
-def _conic_variety():
-    return Variety(make_ideal(["x0*x2 - x1^2"], 3), GRLEX)
+def _conic_basis():
+    return groebner(make_ideal(["x0*x2 - x1^2"], 3), GRLEX)
 
 
 def test_choose_delta_conic():
-    delta, report = choose_delta(_conic_variety(), 0.25)
+    delta, report = choose_delta(_conic_basis(), 0.25)
     assert delta == 2
     assert report["delta"] == 2
     assert max(r - l for r, l in zip(report["ratios"], report["limits"])) <= 0.25
 
 
 def test_choose_delta_huge_epsilon_picks_smallest_usable():
-    delta, _ = choose_delta(_conic_variety(), 100.0)
+    delta, _ = choose_delta(_conic_basis(), 100.0)
     assert delta == 1
 
 
 def test_choose_delta_impossible_epsilon():
     with pytest.raises(InputError):
-        choose_delta(_conic_variety(), 1e-9, delta_max=4)
+        choose_delta(_conic_basis(), 1e-9, delta_max=4)
 
 
 def test_choose_delta_rejects_bad_inputs():
     with pytest.raises(InputError):
-        choose_delta(_conic_variety(), -1.0)
+        choose_delta(_conic_basis(), -1.0)
     # the homogenized single point (2, 3) has dimension m = 0
     point = homogenize_ideal(make_ideal(["x0 - 2", "x1 - 3"], 2))
     with pytest.raises(DegenerateIdealError):
-        choose_delta(Variety(point, GRLEX), 0.5)
+        choose_delta(groebner(point, GRLEX), 0.5)
 
 
 # -- covering / pipeline -------------------------------------------------------
@@ -438,8 +437,10 @@ def test_theoretical_norm_bound_too_small_is_falsified():
 
 
 def test_cover_requires_homogeneous():
-    with pytest.raises(ValueError):
-        cover_and_construct(make_ideal(["x1 - x0^2"], 2), HeightBox((4, 4)), 2)
+    parabola = make_ideal(["x1 - x0^2"], 2)
+    for ideal_h in (parabola, groebner(parabola, GRLEX)):
+        with pytest.raises(ValueError):
+            cover_and_construct(ideal_h, HeightBox((4, 4)), 2)
 
 
 def test_report_roundtrip_is_json_serializable():

@@ -11,7 +11,6 @@ from detmethod import (
     Ideal,
     Ordering,
     Polynomial,
-    Variety,
     a_estimates,
     affine_ordering_bound,
     all_sigmas,
@@ -189,22 +188,6 @@ def test_staircase_independent_of_call_order(twisted_cubic):
     assert staircase(down, 9).exponents == naive_staircase(down, 9)
 
 
-@pytest.mark.parametrize("ordering", [GRLEX, GREVLEX])
-def test_staircases_carried_over_by_variety_basis(
-    twisted_cubic, twisted_cubic_affine, ordering
-):
-    for ideal in (twisted_cubic, homogenize_ideal(twisted_cubic_affine)):
-        variety = Variety(ideal, ordering)
-        low = variety.basis(5)
-        for delta in range(6):
-            staircase(low, delta)
-        high = variety.basis(12)
-        assert high is not low and high.truncation_degree == 12
-        fresh = groebner(ideal, ordering, degree_cap=12)
-        for delta in range(13):
-            assert staircase(high, delta) == staircase(fresh, delta)
-
-
 # -- hilbert function ------------------------------------------------------
 
 
@@ -267,29 +250,106 @@ def test_sigma_conic_total(conic):
 
 
 def test_dim_deg_free_ring():
-    gb = groebner(make_ideal(["x0^30"], 2), GRLEX, degree_cap=12)
-    dd = dimension_and_degree(gb, range(4, 10))
-    assert (dd.dimension, dd.degree) == (1, 1)
-    assert dd.hilbert_polynomial.evaluate((7,)) == 8
+    # below degree 30 the quotient looks like the free ring of P^1, but the
+    # full basis shows a 30-fold point
+    gb = groebner(make_ideal(["x0^30"], 2), GRLEX)
+    assert hilbert_function(gb, 7) == 8
+    dd = dimension_and_degree(gb)
+    assert (dd.dimension, dd.degree) == (0, 30)
 
 
 def test_dim_deg_conic(conic):
-    gb = groebner(conic, GRLEX, degree_cap=10)
-    dd = dimension_and_degree(gb, range(4, 10))
+    dd = dimension_and_degree(groebner(conic, GRLEX))
     assert (dd.dimension, dd.degree) == (1, 2)
 
 
 def test_dim_deg_twisted_cubic(twisted_cubic):
-    gb = groebner(twisted_cubic, GRLEX, degree_cap=10)
-    dd = dimension_and_degree(gb, range(4, 10))
+    dd = dimension_and_degree(groebner(twisted_cubic, GRLEX))
     assert (dd.dimension, dd.degree) == (1, 3)
 
 
 def test_dim_deg_point(single_point):
-    ih = homogenize_ideal(single_point)
-    gb = groebner(ih, GRLEX, degree_cap=10)
-    dd = dimension_and_degree(gb, range(4, 10))
+    dd = dimension_and_degree(groebner(homogenize_ideal(single_point), GRLEX))
     assert (dd.dimension, dd.degree) == (0, 1)
+
+
+@pytest.mark.parametrize("gens", [["x0", "x1"], ["x0^2", "x0*x1", "x1^3"], ["1"]])
+def test_dim_deg_empty_variety(gens):
+    gb = groebner(make_ideal(gens, 2), GRLEX)
+    dd = dimension_and_degree(gb)
+    assert (dd.dimension, dd.degree) == (-1, 0)
+
+
+def test_dim_deg_rejects_truncated_basis(conic):
+    with pytest.raises(ValueError):
+        dimension_and_degree(groebner(conic, GRLEX, degree_cap=10))
+
+
+def _affine(gens, n):
+    return homogenize_ideal(make_ideal(gens, n))
+
+
+# (m, d) of every tests/data ideal, as an affine ideal homogenized and, when
+# homogeneous, as a projective one; then surfaces and the curves of high
+# regularity x1 = x0^7 and x1^2 = x0^9
+DIM_DEG_TABLE = [
+    ("circle-affine", lambda: _affine(["x0^2 + x1^2 - 1"], 2), (1, 2)),
+    ("conic-affine", lambda: _affine(["x0*x2 - x1^2"], 3), (2, 2)),
+    ("conic-projective", lambda: make_ideal(["x0*x2 - x1^2"], 3), (1, 2)),
+    ("empty-affine", lambda: _affine(["x0^2 + 1"], 2), (1, 2)),
+    ("line-affine", lambda: _affine(["x1 - x0"], 2), (1, 1)),
+    ("line-projective", lambda: make_ideal(["x1 - x0"], 2), (0, 1)),
+    ("parabola-affine", lambda: _affine(["x1 - x0^2"], 2), (1, 2)),
+    ("single_point-affine", lambda: _affine(["x0 - 2", "x1 - 3"], 2), (0, 1)),
+    (
+        "twisted_cubic-affine",
+        lambda: _affine(["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"], 4),
+        (2, 3),
+    ),
+    (
+        "twisted_cubic-projective",
+        lambda: make_ideal(["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"], 4),
+        (1, 3),
+    ),
+    (
+        "twisted_cubic_affine-affine",
+        lambda: _affine(["x1 - x0^2", "x2 - x0^3"], 3),
+        (1, 3),
+    ),
+    ("saddle-affine", lambda: _affine(["x2 - x0*x1"], 3), (2, 2)),
+    ("segre-projective", lambda: make_ideal(["x0*x3 - x1*x2"], 4), (2, 2)),
+    (
+        "quadric-projective",
+        lambda: make_ideal(["x0^2 + x1^2 - x2^2 - x3^2"], 4),
+        (2, 2),
+    ),
+    ("cubic-surface-affine", lambda: _affine(["x0^3 + x1^3 + x2^3 - 1"], 3), (2, 3)),
+    ("x1=x0^7-affine", lambda: _affine(["x1 - x0^7"], 2), (1, 7)),
+    ("x1^2=x0^9-affine", lambda: _affine(["x1^2 - x0^9"], 2), (1, 9)),
+]
+
+
+def test_dim_deg_table_covers_every_data_ideal():
+    names = {name for name, _ in _data_ideals()}
+    assert names <= {name for name, _, _ in DIM_DEG_TABLE}
+
+
+@pytest.mark.parametrize("ordering", [GRLEX, GREVLEX])
+@pytest.mark.parametrize(
+    "name,make,expected", DIM_DEG_TABLE, ids=[c[0] for c in DIM_DEG_TABLE]
+)
+def test_dim_deg_table(name, make, expected, ordering):
+    gb = groebner(make(), ordering)
+    dd = dimension_and_degree(gb)
+    assert (dd.dimension, dd.degree) == expected
+    # independently, from the staircases: the m-th difference of HF is d and
+    # the next one vanishes at s = 20..25
+    m, d = expected
+    row = [hilbert_function(gb, s) for s in range(20, 26 + m + 1)]
+    for _ in range(m):
+        row = [b - a for a, b in zip(row, row[1:])]
+    assert row[:6] == [d] * 6
+    assert [b - a for a, b in zip(row, row[1:])][:6] == [0] * 6
 
 
 # -- a estimates -----------------------------------------------------------
@@ -338,6 +398,15 @@ def test_ordering_bound_parabola(parabola):
 def test_ordering_bound_linear():
     rep = affine_ordering_bound(make_ideal(["x1"], 2), 12)
     assert rep.holds
+
+
+def test_ordering_bound_saddle_surface():
+    saddle = make_ideal(["x2 - x0*x1"], 3)
+    for s in range(4, 31):
+        rep = affine_ordering_bound(saddle, s)
+        assert rep.holds, s
+        assert rep.dimension == 2
+        assert rep.limit == Fraction(2, 3)
 
 
 def test_ordering_bound_sum_with_a0(parabola):
