@@ -50,6 +50,7 @@ from .ideals import (
     groebner,
     hilbert_function,
     homogenize_ideal,
+    homogenized_basis,
     monomials_of_degree,
     normal_form,
     staircase,

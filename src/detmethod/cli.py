@@ -35,7 +35,7 @@ from .ideals import (
     all_sigmas,
     groebner,
     hilbert_function,
-    homogenize_ideal,
+    homogenized_basis,
 )
 from .points import (
     DEFAULT_BUDGET,
@@ -116,8 +116,9 @@ def cmd_hilbert(args):
     ideal = load_ideal(args.ideal)
     ordering = Ordering(args.ordering)
     if args.mode == "affine" or not ideal.homogeneous:
-        ideal = homogenize_ideal(ideal)
-    gb = groebner(ideal, ordering)
+        gb = homogenized_basis(ideal, ordering)
+    else:
+        gb = groebner(ideal, ordering)
     rows = []
     for s in range(args.s_min, args.s_max + 1):
         hf = hilbert_function(gb, s)
@@ -125,12 +126,12 @@ def cmd_hilbert(args):
         if s >= 1 and hf > 0:
             a = [str(x) for x in a_estimates(gb, s)]
         else:
-            a = [None] * ideal.num_vars
+            a = [None] * gb.num_vars
         rows.append({"s": s, "hf": hf, "sigma": list(sig), "a": a})
     if args.output == "json":
         print(json.dumps(rows, sort_keys=True, indent=2))
     elif args.output == "csv":
-        n = ideal.num_vars
+        n = gb.num_vars
         header = ["s", "hf"] + [f"sigma{i}" for i in range(n)] + [
             f"a{i}" for i in range(n)
         ]
@@ -251,22 +252,21 @@ def verify_report_dict(data, ideal):
     mode, ordering, delta, heights = _report_params(data, ideal.num_vars)
     certificates = _field(data, "certificates", list)
     if mode == "affine":
-        ih = homogenize_ideal(ideal)
+        gb = homogenized_basis(ideal, ordering)
         expected = tuple(
             (1,) + p
             for p in enumerate_affine(ideal, heights[1]).points
         )
     else:
-        ih = ideal
+        gb = groebner(ideal, ordering)
         expected = enumerate_projective(ideal, HeightBox(tuple(heights))).points
-    gb = groebner(ih, ordering)
     index = {p: i for i, p in enumerate(expected)}
 
     failures = []
     certs = []
     for k, entry in enumerate(certificates):
-        poly = parse_polynomial(_field(entry, "poly", str), ih.num_vars)
-        points = _report_points(entry, ih.num_vars)
+        poly = parse_polynomial(_field(entry, "poly", str), gb.num_vars)
+        points = _report_points(entry, gb.num_vars)
         cert = AuxiliaryCertificate(
             poly, delta, tuple(index[p] for p in points if p in index), ()
         )

@@ -43,7 +43,7 @@ from .ideals import (
     all_sigmas,
     dimension_and_degree,
     groebner,
-    homogenize_ideal,
+    homogenized_basis,
     normal_form,
     ordering_bound,
     staircase,
@@ -760,10 +760,9 @@ def affine_pipeline(
         if class_index(p, box) != 0:
             raise AssertionError(f"lifted point {p} escaped class S_0")
 
-    # under the left-graded ordering the ordering bound reads this basis too
-    gb = groebner(homogenize_ideal(affine_ideal), ordering)
+    # the bases are kept on affine_ideal, so a sweep over heights shares them
     report = cover_and_construct(
-        gb,
+        homogenized_basis(affine_ideal, ordering),
         box,
         delta,
         strategy=strategy,
@@ -775,7 +774,7 @@ def affine_pipeline(
     report.mode = "affine"
     report.affine_points = affine_points.points
     report.timings = {**timings, **report.timings}
-    if ordering is not Ordering.GRLEX_LEFT:
-        gb = groebner(gb.ideal, Ordering.GRLEX_LEFT)
-    report.ordering_bound = ordering_bound(gb, ORDERING_BOUND_S)
+    report.ordering_bound = ordering_bound(
+        homogenized_basis(affine_ideal, Ordering.GRLEX_LEFT), ORDERING_BOUND_S
+    )
     return report

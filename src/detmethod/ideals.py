@@ -4,7 +4,14 @@ Groebner bases are computed with Buchberger's algorithm (normal selection
 strategy, final interreduction, deterministic ordering of generators and
 output).  The pipelines build one full reduced basis per ideal and ordering,
 and read the dimension m and degree d exactly from the Hilbert series of
-S/LT(I).  An optional degree cap truncates the basis; it is only allowed for
+S/LT(I).  An affine ideal keeps its homogenization I^h and one basis of I^h
+per ordering (homogenized_basis), and that basis keeps the basis of the
+section J = I^h + (x0) that ordering_bound reads, so repeated calls on one
+ideal object reuse both, and every staircase cached on them.  No kept basis
+refers back to the object that keeps it, so dropping the ideal frees them
+at once, without the cycle collector.
+
+An optional degree cap truncates the basis; it is only allowed for
 homogeneous ideals, where discarding S-pairs above the cap is sound because
 homogeneous S-polynomials never drop in degree, and no pipeline uses it.
 """
@@ -21,7 +28,9 @@ from .polynomials import Ordering, Polynomial, divides
 
 
 class Ideal:
-    """A finitely generated ideal, given by nonzero generators."""
+    """A finitely generated ideal, given by nonzero generators.  It is not
+    changed after construction: the generators are a tuple, so the bases
+    homogenized_basis keeps on it cannot go stale."""
 
     def __init__(self, generators, num_vars):
         generators = list(generators)
@@ -32,9 +41,11 @@ class Ideal:
                 raise InputError("generators must be polynomials in num_vars variables")
             if g.is_zero():
                 raise InputError("zero polynomial is not allowed as a generator")
-        self.generators = generators
+        self.generators = tuple(generators)
         self.num_vars = num_vars
         self.homogeneous = all(g.is_homogeneous() for g in generators)
+        # homogenized_basis: ordering -> full basis of I^h, whose .ideal is I^h
+        self._homogenized_bases = {}
 
     def __repr__(self):
         return f"Ideal({len(self.generators)} gens, {self.num_vars} vars)"
@@ -55,6 +66,7 @@ class GroebnerBasis:
                 if a:
                     self._lms_by_entry.setdefault((i, a), []).append(lm)
         self._staircases = {}
+        self._section = None  # ordering_bound's basis of I + (x0)
 
     @property
     def num_vars(self):
@@ -366,6 +378,22 @@ def homogenize_ideal(affine_ideal, gb_ordering=Ordering.GREVLEX):
     return Ideal(gens, affine_ideal.num_vars + 1)
 
 
+def homogenized_basis(affine_ideal, ordering):
+    """The full basis of I^h = homogenize_ideal(affine_ideal) under
+    `ordering`, built once per affine ideal object and ordering and kept on
+    it; I^h itself is built once and shared by the orderings.  Neither I^h
+    nor its bases refer to the affine ideal, so the cache forms no cycle."""
+    bases = affine_ideal._homogenized_bases
+    if ordering not in bases:
+        ih = (
+            next(iter(bases.values())).ideal
+            if bases
+            else homogenize_ideal(affine_ideal)
+        )
+        bases[ordering] = groebner(ih, ordering)
+    return bases[ordering]
+
+
 @dataclass(frozen=True)
 class OrderingBoundReport:
     s: int
@@ -382,29 +410,32 @@ def affine_ordering_bound(affine_ideal, s):
 
     lhs is computed from the staircase of the homogenized ideal; the
     intermediate bound uses J = I^h + (x0).  The inequality lhs <= intermediate
-    is exact at every finite s.
+    is exact at every finite s.  A sweep over s on one ideal object runs
+    Buchberger three times in all (the affine basis, I^h and J): the bases
+    are kept by homogenized_basis and ordering_bound.
     """
-    return ordering_bound(
-        groebner(homogenize_ideal(affine_ideal), Ordering.GRLEX_LEFT), s
-    )
+    return ordering_bound(homogenized_basis(affine_ideal, Ordering.GRLEX_LEFT), s)
 
 
 def ordering_bound(gb, s):
     """affine_ordering_bound, read from the full basis of the homogenized
-    ideal under the left-graded ordering."""
+    ideal under the left-graded ordering.  J's basis is built on the first
+    call and kept on gb, like gb's staircases, so a later s only walks the
+    staircases of I^h and J up to s."""
     if gb.ordering is not Ordering.GRLEX_LEFT:
         raise ValueError("the ordering bound needs the left-graded ordering")
-    ih = gb.ideal
     hf = hilbert_function(gb, s)
     if hf == 0:
         raise DegenerateIdealError(f"HF of homogenization vanishes at s={s}")
     sig = all_sigmas(gb, s)
     lhs = Fraction(sum(sig[1:]), s * hf)
 
-    x0 = Polynomial.variable(0, ih.num_vars)
-    gb_j = groebner(Ideal(list(ih.generators) + [x0], ih.num_vars), gb.ordering)
+    if gb._section is None:
+        n = gb.num_vars
+        x0 = Polynomial.variable(0, n)
+        gb._section = groebner(Ideal(gb.ideal.generators + (x0,), n), gb.ordering)
     inter = Fraction(
-        sum(t * hilbert_function(gb_j, t) for t in range(1, s + 1)), s * hf
+        sum(t * hilbert_function(gb._section, t) for t in range(1, s + 1)), s * hf
     )
 
     m = dimension_and_degree(gb).dimension

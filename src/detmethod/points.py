@@ -233,50 +233,75 @@ def integer_roots(coeffs, intervals):
     return list(_scan(_where_between(coeffs, intervals, 0, 0)))
 
 
-def _horner(coeffs, x):
-    v = 0
-    for c in reversed(coeffs):
-        v = v * x + c
-    return v
-
-
 def _where_between(coeffs, intervals, low, high):
     """The sorted integer sub-intervals of `intervals` on which
     low <= p(x) <= high."""
+    p, below = [], 0  # p in the (c, g) form of _evaluate
+    for e, c in enumerate(coeffs):
+        if c:
+            p.append((c, e - below))
+            below = e
+    p.reverse()
     out = []
     for lo, hi in intervals:
-        for a, b in _monotone_pieces(coeffs, lo, hi):
-            first, last = _level_set(coeffs, a, b, low, high)
+        for a, b in _monotone_pieces(p, lo, hi):
+            first, last = _level_set(p, a, b, low, high)
             if first <= last:
                 out.append((first, last))
     return out
 
 
-def _monotone_pieces(coeffs, lo, hi):
+def _monotone_pieces(p, lo, hi):
     """Consecutive integer intervals partitioning [lo, hi], with p monotone on
     the real hull of each.  They cut [lo, hi] where p' changes sign, which a
-    binary search brackets to integers on each monotone piece of p', found
-    recursively."""
-    if len(coeffs) <= 2:
-        return [(lo, hi)]
-    slope = [k * c for k, c in enumerate(coeffs)][1:]
-    pieces = []
-    for a, b in _monotone_pieces(slope, lo, hi):
-        # p' is monotone and nonconstant on [a, b], so {p' >= 0} is a prefix
-        # or a suffix of it, and p is monotone on it and on the rest
-        first, last = _level_set(slope, a, b, 0, inf)
-        cuts = ((a, first - 1), (first, last), (last + 1, b))
-        pieces.extend((s, t) for s, t in cuts if s <= t)
+    binary search brackets to integers on each monotone piece of p'.  The
+    pieces are found from the deepest nonconstant derivative up, so no degree
+    deepens the stack, and a sparse p has a sparse derivative chain."""
+    chain = [p]  # p, p', p'', ... down to degree 1; the degree is the sum of gaps
+    for _ in range(sum(g for _, g in p) - 1):
+        chain.append(_derivative(chain[-1]))
+    pieces = [(lo, hi)]
+    for slope in reversed(chain[1:]):
+        finer = []
+        for a, b in pieces:
+            # p' is monotone and nonconstant on [a, b], so {p' >= 0} is a
+            # prefix or a suffix of it, and p is monotone on it and on the rest
+            first, last = _level_set(slope, a, b, 0, inf)
+            cuts = ((a, first - 1), (first, last), (last + 1, b))
+            finer.extend((s, t) for s, t in cuts if s <= t)
+        pieces = finer
     return pieces
 
 
-def _level_set(coeffs, a, b, low, high):
+def _derivative(p):
+    """p' in the (c, g) form of _evaluate.  Each c*x^e becomes e*c*x^(e-1),
+    so every gap stays, except that of the new lowest term, which drops by
+    one; a constant term drops out."""
+    out, e = [], 0
+    for c, g in reversed(p):
+        e += g
+        if e:
+            out.append((e * c, g if out else g - 1))
+    out.reverse()
+    return out
+
+
+def _evaluate(p, x):
+    """p(x) by Horner's rule, for p given as its nonzero terms c*x^e, highest
+    power first, each as (c, g) with g = e minus the next lower exponent (e
+    itself for the last term): one power of x per run of zero coefficients."""
+    v = 0
+    for c, g in p:
+        v = (v + c) * x**g if g else v + c
+    return v
+
+
+def _level_set(p, a, b, low, high):
     """(first, last): the integers x in [a, b] with low <= p(x) <= high form
     [first, last] (empty if first > last), for p monotone on [a, b]."""
-    key = partial(_horner, coeffs)
+    key = partial(_evaluate, p)
     if key(a) > key(b):  # decreasing: search -p for -high <= -p(x) <= -low
-        negated = [-c for c in coeffs]
-        key = partial(_horner, negated)
+        key = partial(_evaluate, [(-c, g) for c, g in p])
         low, high = -high, -low
     xs = range(a, b + 1)
     return a + bisect_left(xs, low, key=key), a + bisect_right(xs, high, key=key) - 1

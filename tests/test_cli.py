@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
-from detmethod.cli import main
+from detmethod.cli import load_ideal, main
+
+from oracles import naive_affine_points
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
@@ -66,6 +68,20 @@ def test_points_projective(capsys):
     )
     assert code == 0
     assert len(json.loads(out)) == 8
+
+
+@pytest.mark.parametrize("degree", [1500, 2000])
+def test_points_on_a_curve_of_high_degree(capsys, tmp_path, degree):
+    # the root isolator walks one derivative per degree of x0^degree
+    path = tmp_path / "curve.ideal"
+    path.write_text(f"vars: 2\nx1 - x0^{degree}\n")
+    code, out, err = run(
+        capsys, "points", "--ideal", str(path), "--mode", "affine", "--height", "10"
+    )
+    assert code == 0, err
+    points = sorted(tuple(p) for p in json.loads(out))
+    assert set(points) == {(0, 0), (1, 1), (-1, 1)}
+    assert points == naive_affine_points(load_ideal(path), 10)
 
 
 # -- construct -------------------------------------------------------------
