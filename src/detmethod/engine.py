@@ -258,7 +258,12 @@ def verify_certificate(cert, points, gb):
     has integer coefficients and support inside M(delta), vanishes exactly at
     each covered point points[i], and has a nonzero normal form, i.e. lies
     outside the ideal.  Every failure is listed; a zero polynomial fails
-    alone."""
+    alone.
+
+    Every check runs on every certificate, the normal form too, though a
+    support inside M(delta) already keeps a nonzero polynomial out of the
+    ideal.  The checks stay in integers where the data are: evaluate sums
+    integer terms at the integer points, and normal_form reduces in place."""
     res = VerificationResult(ok=True)
     poly = cert.poly
     if poly.is_zero():
@@ -497,9 +502,8 @@ def _adaptive_cover(points, sc, gb, timings):
         extents = [hi - lo for lo, hi in bbox]
         axis = max(range(n), key=lambda a: (extents[a], -a))
         lo, hi = bbox[axis]
-        mid = Fraction(lo + hi, 2)
-        low = tuple(i for i in idxs if points[i][axis] <= mid)
-        high = tuple(i for i in idxs if points[i][axis] > mid)
+        low = tuple(i for i in idxs if 2 * points[i][axis] <= lo + hi)
+        high = tuple(i for i in idxs if 2 * points[i][axis] > lo + hi)
         stack.append((high, depth + 1))
         stack.append((low, depth + 1))
     return certs, max_depth

@@ -66,7 +66,10 @@ class GroebnerBasis:
                 if a:
                     self._lms_by_entry.setdefault((i, a), []).append(lm)
         self._staircases = {}
+        self._dimension_degree = None  # kept by dimension_and_degree
         self._section = None  # ordering_bound's basis of I + (x0)
+        # sums of t*HF(t) over t = 1..s at index s, for ordering_bound's J
+        self._weighted_hf_sums = [0]
 
     @property
     def num_vars(self):
@@ -105,23 +108,32 @@ def _s_polynomial(f, g, ordering):
 
 
 def _reduce(f, basis, lms, ordering):
-    """Full normal form of f against (basis, lms)."""
+    """Full normal form of f against (basis, lms), by the division algorithm
+    in place: the work polynomial is a dict; its leading term is popped and
+    either q*g is subtracted from it term by term (g the first element whose
+    leading monomial divides it) or the term moves to the remainder.  Only
+    the remainder becomes a Polynomial."""
+    key = ordering.key
+    work = dict(f.terms)
     remainder = {}
-    work = f
-    while not work.is_zero():
-        lm, lc = work.leading_term(ordering)
+    while work:
+        lm = max(work, key=key)
+        lc = work.pop(lm)
         for g, lmg in zip(basis, lms):
             if divides(lmg, lm):
-                quot = Polynomial.monomial(
-                    tuple(a - b for a, b in zip(lm, lmg)),
-                    f.num_vars,
-                    lc / g.terms[lmg],
-                )
-                work = work - quot * g
+                q = lc / g.terms[lmg]
+                shift = tuple(a - b for a, b in zip(lm, lmg))
+                for e, c in g.terms.items():
+                    if e != lmg:
+                        e = tuple(a + b for a, b in zip(e, shift))
+                        c = work.get(e, 0) - q * c
+                        if c:
+                            work[e] = c
+                        else:
+                            del work[e]
                 break
         else:
             remainder[lm] = lc
-            work = work - Polynomial.monomial(lm, f.num_vars, lc)
     return Polynomial(remainder, f.num_vars)
 
 
@@ -200,7 +212,8 @@ def groebner(ideal, ordering, degree_cap=None):
 
 def normal_form(f, gb):
     """Remainder of f on division by gb; zero iff f lies in the ideal
-    (up to the truncation cap)."""
+    (up to the truncation cap).  _reduce works in place on a dict of f's
+    terms, as Buchberger's reductions do."""
     if f.num_vars != gb.num_vars:
         raise InputError("variable count mismatch")
     if not f.is_zero():
@@ -333,20 +346,23 @@ def dimension_and_degree(gb):
     polynomial is 0) gives (-1, 0).
 
     The basis must be full: one truncated at a cap does not fix LT(I) above
-    the cap."""
+    the cap.  The result is computed once per basis and kept on it."""
     if gb.truncation_degree is not None:
         raise ValueError(
             "dimension and degree need a full basis, not one truncated at "
             f"degree {gb.truncation_degree}"
         )
-    k = _hilbert_numerator(gb.leading_monomials)
-    power = gb.num_vars
-    while power and any(k) and sum(k) == 0:
-        k = list(accumulate(k))[:-1]  # K(t) / (1-t)
-        power -= 1
-    if power == 0 or not any(k):
-        return DimensionDegree(-1, 0)
-    return DimensionDegree(power - 1, sum(k))
+    if gb._dimension_degree is None:
+        k = _hilbert_numerator(gb.leading_monomials)
+        power = gb.num_vars
+        while power and any(k) and sum(k) == 0:
+            k = list(accumulate(k))[:-1]  # K(t) / (1-t)
+            power -= 1
+        if power == 0 or not any(k):
+            gb._dimension_degree = DimensionDegree(-1, 0)
+        else:
+            gb._dimension_degree = DimensionDegree(power - 1, sum(k))
+    return gb._dimension_degree
 
 
 def a_estimates(gb, s):
@@ -420,8 +436,9 @@ def affine_ordering_bound(affine_ideal, s):
 def ordering_bound(gb, s):
     """affine_ordering_bound, read from the full basis of the homogenized
     ideal under the left-graded ordering.  J's basis is built on the first
-    call and kept on gb, like gb's staircases, so a later s only walks the
-    staircases of I^h and J up to s."""
+    call and kept on gb, like gb's staircases and its dimension; J's basis
+    keeps the running sums of t*HF_J(t), so a sweep over s reads each
+    staircase of J once, not every t <= s at every s."""
     if gb.ordering is not Ordering.GRLEX_LEFT:
         raise ValueError("the ordering bound needs the left-graded ordering")
     hf = hilbert_function(gb, s)
@@ -434,9 +451,7 @@ def ordering_bound(gb, s):
         n = gb.num_vars
         x0 = Polynomial.variable(0, n)
         gb._section = groebner(Ideal(gb.ideal.generators + (x0,), n), gb.ordering)
-    inter = Fraction(
-        sum(t * hilbert_function(gb._section, t) for t in range(1, s + 1)), s * hf
-    )
+    inter = Fraction(_weighted_hf_sum(gb._section, s), s * hf)
 
     m = dimension_and_degree(gb).dimension
     limit = Fraction(m, m + 1) if m >= 0 else Fraction(0)
@@ -448,3 +463,12 @@ def ordering_bound(gb, s):
         dimension=m,
         holds=lhs <= inter,
     )
+
+
+def _weighted_hf_sum(gb, s):
+    """The sum of t*HF(t) over t = 1..s, from the running sums kept on gb:
+    a new s reads only the staircases above the largest s seen so far."""
+    sums = gb._weighted_hf_sums
+    for t in range(len(sums), s + 1):
+        sums.append(sums[-1] + t * hilbert_function(gb, t))
+    return sums[s]

@@ -308,10 +308,15 @@ def _level_set(p, a, b, low, high):
 
 
 def class_index(point, box):
-    """Smallest i attaining max_j |x_j|/B_j (exact rational comparison)."""
-    ratios = [Fraction(abs(x)) / b for x, b in zip(point, box.bounds)]
-    best = max(ratios)
-    return ratios.index(best)
+    """Smallest i attaining max_j |x_j|/B_j, compared exactly and without a
+    Fraction: with B_j = p_j/q_j, |x_i|/B_i > |x_j|/B_j iff
+    |x_i|*q_i*p_j > |x_j|*q_j*p_i."""
+    best, best_num, best_den = 0, -1, 1
+    for i, (x, b) in enumerate(zip(point, box.bounds)):
+        num, den = abs(x) * b.denominator, b.numerator
+        if num * best_den > best_num * den:
+            best, best_num, best_den = i, num, den
+    return best
 
 
 def partition_classes(ps, box=None):

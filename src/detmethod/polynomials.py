@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError, ParseError
 
@@ -158,12 +159,7 @@ class Polynomial:
                 {e: c * other for e, c in self.terms.items()}, self.num_vars
             )
         other = self._promote(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(out, self.num_vars)
+        return Polynomial(_times(self.terms, other.terms), self.num_vars)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -174,15 +170,7 @@ class Polynomial:
     def __pow__(self, k):
         if k < 0:
             raise InputError("negative power")
-        out = Polynomial.constant(1, self.num_vars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return Polynomial(_power(self.terms, k, self.num_vars), self.num_vars)
 
     def _promote(self, other):
         if isinstance(other, Polynomial):
@@ -206,19 +194,26 @@ class Polynomial:
     # -- calculus / substitution ------------------------------------------
 
     def evaluate(self, point):
-        """Exact evaluation at a vector of rationals (or ints)."""
+        """Exact value at a point of ints or rationals.
+
+        The coefficients are scaled to integers by their common denominator
+        D, the sum of c*D * prod x_i^k_i is formed, and D divides it once at
+        the end.  At an integer point every step stays in int; rational
+        coordinates go through the same lines, as int and Fraction
+        arithmetic promote by themselves."""
         if len(point) != self.num_vars:
             raise InputError(
                 f"point has {len(point)} coordinates, expected {self.num_vars}"
             )
-        total = Fraction(0)
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        total = 0
         for e, c in self.terms.items():
-            v = c
+            v = c.numerator * (den // c.denominator)
             for x, k in zip(point, e):
                 if k:
-                    v *= Fraction(x) ** k
+                    v *= x**k
             total += v
-        return total
+        return Fraction(total, den)
 
     def partial_derivative(self, alpha):
         """Iterated formal derivative d^alpha; may return zero."""
@@ -338,14 +333,45 @@ class _Tokenizer:
 def parse_polynomial(text, num_vars):
     """Parse the text grammar: vars x0..x{num_vars-1}, integer or rational
     literals p/q, operators + - * ^, parentheses; implicit multiplication is
-    a syntax error."""
+    a syntax error.
+
+    Each subexpression is a dict from exponent to coefficient: the terms of a
+    sum gather in one dict, a single-term base is raised to its power
+    directly, and one Polynomial, which drops the zero terms, is built at the
+    end."""
     tz = _Tokenizer(text)
     if tz.peek() is None:
         tz.error("empty polynomial")
-    p = _parse_expr(tz, num_vars)
+    terms = _parse_expr(tz, num_vars)
     if tz.peek() is not None:
         tz.error(f"unexpected token {tz.peek()!r}")
-    return p
+    return Polynomial(terms, num_vars)
+
+
+def _times(p, q):
+    """Product of two term dicts (exponent -> coefficient)."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _power(p, k, num_vars):
+    """p^k for a term dict: a single term directly, else by repeated
+    squaring."""
+    if len(p) == 1:
+        ((e, c),) = p.items()
+        return {tuple(a * k for a in e): c**k}
+    out = {(0,) * num_vars: 1}
+    while k:
+        if k & 1:
+            out = _times(out, p)
+        k >>= 1
+        if k:
+            p = _times(p, p)
+    return out
 
 
 def _parse_expr(tz, num_vars):
@@ -353,19 +379,21 @@ def _parse_expr(tz, num_vars):
     if tz.peek() in ("+", "-"):
         tok, _, _ = tz.next()
         sign = -1 if tok == "-" else 1
-    total = _parse_term(tz, num_vars) * sign
-    while tz.peek() in ("+", "-"):
+    total = {}
+    while True:
+        for e, c in _parse_term(tz, num_vars).items():
+            total[e] = total.get(e, 0) + sign * c
+        if tz.peek() not in ("+", "-"):
+            return total
         tok, _, _ = tz.next()
-        term = _parse_term(tz, num_vars)
-        total = total + term if tok == "+" else total - term
-    return total
+        sign = -1 if tok == "-" else 1
 
 
 def _parse_term(tz, num_vars):
     p = _parse_power(tz, num_vars)
     while tz.peek() == "*":
         tz.next()
-        p = p * _parse_power(tz, num_vars)
+        p = _times(p, _parse_power(tz, num_vars))
     return p
 
 
@@ -379,7 +407,7 @@ def _parse_power(tz, num_vars):
         if tok is None or not tok.isdigit():
             tz.error("expected a nonnegative integer exponent")
         tz.next()
-        base = base ** int(tok)
+        base = _power(base, int(tok), num_vars)
     return base
 
 
@@ -396,21 +424,24 @@ def _parse_atom(tz, num_vars):
         return p
     if tok == "-":
         tz.next()
-        return -_parse_power(tz, num_vars)
+        return {e: -c for e, c in _parse_power(tz, num_vars).items()}
+    one = (0,) * num_vars
     if tok[0].isdigit():
         tz.next()
         if "/" in tok:
             num, den = tok.split("/")
             if int(den) == 0:
                 tz.error("zero denominator")
-            return Polynomial.constant(Fraction(int(num), int(den)), num_vars)
-        return Polynomial.constant(int(tok), num_vars)
+            c = Fraction(int(num), int(den))
+        else:
+            c = int(tok)
+        return {one: c}
     if re.fullmatch(r"x\d+", tok):
         idx = int(tok[1:])
         if idx >= num_vars:
             tz.error(f"unknown variable {tok!r} (have x0..x{num_vars - 1})")
         tz.next()
-        return Polynomial.variable(idx, num_vars)
+        return {one[:idx] + (1,) + one[idx + 1 :]: 1}
     tz.error(f"unexpected token {tok!r}")
 
 

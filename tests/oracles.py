@@ -8,7 +8,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from detmethod import monomials_of_degree
+from detmethod import Polynomial, divides, monomials_of_degree
 
 
 def _rational_rref(rows):
@@ -169,3 +169,40 @@ def grid_derivative_max(poly, k, box, step=Fraction(1, 100)):
                 if v > best:
                     best = v
     return best
+
+
+def fraction_evaluate(poly, point):
+    """Polynomial.evaluate with one Fraction per multiply: each coordinate
+    becomes a Fraction and is raised to its power."""
+    total = Fraction(0)
+    for e, c in poly.terms.items():
+        v = c
+        for x, k in zip(point, e):
+            if k:
+                v *= Fraction(x) ** k
+        total += v
+    return total
+
+
+def naive_normal_form(f, gb):
+    """normal_form by the division algorithm on whole Polynomials: each step
+    subtracts the Polynomial q*g, or moves the leading term to the remainder
+    by subtracting it as a Polynomial."""
+    ordering = gb.ordering
+    remainder = {}
+    work = f
+    while not work.is_zero():
+        lm, lc = work.leading_term(ordering)
+        for g, lmg in zip(gb.basis, gb.leading_monomials):
+            if divides(lmg, lm):
+                quot = Polynomial.monomial(
+                    tuple(a - b for a, b in zip(lm, lmg)),
+                    f.num_vars,
+                    lc / g.terms[lmg],
+                )
+                work = work - quot * g
+                break
+        else:
+            remainder[lm] = lc
+            work = work - Polynomial.monomial(lm, f.num_vars, lc)
+    return Polynomial(remainder, f.num_vars)

@@ -72,6 +72,39 @@ def test_sweep_runs_buchberger_three_times(groebner_calls):
     assert j.generators == ih.generators + (Polynomial.variable(0, 3),)
 
 
+def test_sweep_reads_each_staircase_of_j_once(groebner_calls, monkeypatch):
+    reads = []
+    real = ideals.staircase
+
+    def counting(gb, delta):
+        reads.append((gb, delta))
+        return real(gb, delta)
+
+    monkeypatch.setattr(ideals, "staircase", counting)
+    parabola = make_ideal(["x1 - x0^2"], 2)
+    for s in SWEEP:
+        affine_ordering_bound(parabola, s)
+    section = groebner_calls[-1][2]()
+    # J's running sums read each new degree once; I^h's HF and sigmas, once each per s
+    assert [t for gb, t in reads if gb is section] == list(range(1, SWEEP[-1] + 1))
+    assert len(reads) == SWEEP[-1] + 2 * len(SWEEP)
+
+
+def test_sweep_computes_dimension_once(monkeypatch):
+    counts = []
+    real = ideals._hilbert_numerator
+
+    def counting(monomials):
+        counts.append(monomials)
+        return real(monomials)
+
+    monkeypatch.setattr(ideals, "_hilbert_numerator", counting)
+    parabola = make_ideal(["x1 - x0^2"], 2)
+    rows = [affine_ordering_bound(parabola, s) for s in SWEEP]
+    top = [m for m in counts if m is homogenized_basis(parabola, GRLEX).leading_monomials]
+    assert len(top) == 1 and {r.dimension for r in rows} == {1}
+
+
 @pytest.mark.parametrize(
     "ordering,bases", [(GRLEX, 2), (GREVLEX, 3)], ids=["grlex", "grevlex"]
 )
