@@ -67,7 +67,6 @@ from .points import (
 from .polynomials import (
     Ordering,
     Polynomial,
-    compare,
     divides,
     format_polynomial,
     parse_polynomial,

@@ -1,4 +1,4 @@
-"""Combinatorial counts, C^k norms of polynomial maps, and the determinant
+"""Combinatorial counts, C^k norms of polynomials, and the determinant
 estimate that drives the method.
 
 Float arithmetic here is only ever used for *bounds*, always rounded outward
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
+from .ideals import monomials_of_degree
 from .polynomials import Polynomial
 
 
@@ -67,20 +68,15 @@ def choose_nu(mu, m):
     return ExponentBudget(mu=mu, m=m, nu=nu, e=e)
 
 
-def ck_norm_bound(components, k, box):
+def ck_norm_bound(phi, k, box):
     """Upper bound for max over |alpha| <= k of sup |d^alpha phi| on the box.
 
-    `components` is a polynomial or a list of them (a polynomial map);
     `box` is a list of (lo, hi) rational pairs, assumed inside [-1,1]^m.
     The bound is the coefficient-absolute-value sum of each derivative after
     affinely rescaling the box onto [-1,1]^m; it dominates the true sup.
     Returned exactly, as a Fraction.
     """
-    if isinstance(components, Polynomial):
-        components = [components]
-    if not components:
-        raise InputError("empty polynomial map")
-    m = components[0].num_vars
+    m = phi.num_vars
     if len(box) != m:
         raise InputError("box dimension mismatch")
     subs = []
@@ -97,23 +93,14 @@ def ck_norm_bound(components, k, box):
         for i, (c, h) in enumerate(subs)
     ]
     best = Fraction(0)
-    for phi in components:
-        for order in range(k + 1):
-            for alpha in _multi_indices(m, order):
-                d = phi.partial_derivative(alpha)
-                if d.is_zero():
-                    continue
-                rescaled = d.substitute(unit)
-                total = sum(abs(c) for c in rescaled.terms.values())
-                if total > best:
-                    best = total
+    for order in range(k + 1):
+        for alpha in monomials_of_degree(order, m):
+            d = phi.partial_derivative(alpha)
+            if d.is_zero():
+                continue
+            rescaled = d.substitute(unit)
+            best = max(best, sum(abs(c) for c in rescaled.terms.values()))
     return best
-
-
-def _multi_indices(m, order):
-    from .ideals import monomials_of_degree
-
-    return monomials_of_degree(order, m)
 
 
 @dataclass(frozen=True)
@@ -166,7 +153,6 @@ def determinant_bound_exact(inp):
 class ExponentComparison:
     finite: tuple  # m*sigma_i/f at the given delta, exact Fractions
     limit: tuple  # (m+1) a_i / d^(1/m), floats
-    slack: tuple  # finite - limit, floats
 
 
 def asymptotic_exponents(sigma, f, d, m, a):
@@ -181,5 +167,4 @@ def asymptotic_exponents(sigma, f, d, m, a):
     finite = tuple(Fraction(m * s, f) for s in sigma)
     root = d ** (1.0 / m)
     limit = tuple((m + 1) * float(x) / root for x in a)
-    slack = tuple(float(fi) - li for fi, li in zip(finite, limit))
-    return ExponentComparison(finite=finite, limit=limit, slack=slack)
+    return ExponentComparison(finite=finite, limit=limit)

@@ -11,6 +11,7 @@ lies in S(X,B), and leaves every other check to the engine's verifier.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -84,8 +85,8 @@ def _rational(text, flag):
         raise InputError(f"{flag}: zero denominator in {text!r}") from exc
 
 
-def _parse_heights(args, num_vars, mode):
-    if mode == "affine":
+def _parse_heights(args, num_vars):
+    if args.mode == "affine":
         if args.height is None:
             raise InputError("affine mode needs --height B")
         return _rational(args.height, "--height")
@@ -152,12 +153,11 @@ def cmd_hilbert(args):
 
 def cmd_points(args):
     ideal = load_ideal(args.ideal)
-    if args.mode == "affine":
-        b = _parse_heights(args, ideal.num_vars, "affine")
-        ps = enumerate_affine(ideal, b, budget=args.budget)
-    else:
-        box = _parse_heights(args, ideal.num_vars, "projective")
-        ps = enumerate_projective(ideal, box, budget=args.budget)
+    heights = _parse_heights(args, ideal.num_vars)
+    enumerate_points = (
+        enumerate_affine if args.mode == "affine" else enumerate_projective
+    )
+    ps = enumerate_points(ideal, heights, budget=args.budget)
     if args.output == "json":
         print(json.dumps([list(p) for p in ps.points]))
     else:
@@ -167,15 +167,11 @@ def cmd_points(args):
 
 
 def cmd_construct(args):
+    """The engine refuses all but exactly one of --delta / --epsilon."""
     ideal = load_ideal(args.ideal)
     ordering = Ordering(args.ordering)
-    if args.delta is None and args.epsilon is None:
-        raise InputError("exactly one of --delta / --epsilon is required")
-    if args.delta is not None and args.epsilon is not None:
-        raise InputError("set only one of --delta / --epsilon")
-
     if args.mode == "affine":
-        b = _parse_heights(args, ideal.num_vars, "affine")
+        b = _parse_heights(args, ideal.num_vars)
         report = affine_pipeline(
             ideal,
             b,
@@ -189,7 +185,7 @@ def cmd_construct(args):
     else:
         if not ideal.homogeneous:
             raise InputError("projective mode needs a homogeneous ideal")
-        box = _parse_heights(args, ideal.num_vars, "projective")
+        box = _parse_heights(args, ideal.num_vars)
         report = cover_and_construct(
             ideal,
             box,
@@ -230,6 +226,8 @@ def _report_params(data, num_vars):
         raise InputError(f"malformed report: {exc}") from exc
     if len(heights) != num_vars + (mode == "affine"):
         raise InputError(f"malformed report: {len(heights)} heights in {mode} mode")
+    if mode == "affine" and heights != [1] + [heights[1]] * num_vars:
+        raise InputError("malformed report: affine heights must be (1, B, ..., B)")
     return mode, ordering, _field(params, "delta", int), heights
 
 
@@ -308,7 +306,6 @@ def cmd_sweep(args):
             delta=args.delta,
             epsilon=args.epsilon if args.delta is None else None,
             ordering=ordering,
-            strategy=args.strategy,
             budget=args.budget,
         )
         n_pts = len(report.affine_points)
@@ -348,40 +345,56 @@ def cmd_bound(args):
 # -- argument parsing ------------------------------------------------------
 
 
-def _add_common(p):
+def _add_ideal_and_mode(p):
     p.add_argument("--ideal", required=True, help="ideal file")
     p.add_argument("--mode", choices=["affine", "projective"], default="affine")
+
+
+def _add_heights(p):
     p.add_argument("--height", help="uniform height bound B")
     p.add_argument("--heights", help="comma-separated B0,...,Bn")
+
+
+def _add_ordering(p):
     p.add_argument(
         "--ordering",
         choices=[o.value for o in Ordering],
         default=Ordering.GRLEX_LEFT.value,
     )
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--output", choices=["json", "csv", "text"], default="json")
 
 
 def build_parser():
+    """Each subcommand takes only the options its cmd_* function reads."""
     parser = argparse.ArgumentParser(
         prog="detmethod",
         description="Auxiliary polynomials for integral/rational points of "
         "bounded height, with verifiable certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # full option names only, so that no option that a subcommand lacks
+    # parses as a prefix of one it has (sweep --height as --height-list)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("hilbert", help="Hilbert function / sigma / a_i table")
-    _add_common(p)
+    p = add("hilbert", help="Hilbert function / sigma / a_i table")
+    _add_ideal_and_mode(p)
+    _add_ordering(p)
+    p.add_argument("--output", choices=["json", "csv", "text"], default="json")
     p.add_argument("--s-min", type=int, default=1)
     p.add_argument("--s-max", type=int, default=8)
     p.set_defaults(func=cmd_hilbert)
 
-    p = sub.add_parser("points", help="enumerate points of bounded height")
-    _add_common(p)
+    p = add("points", help="enumerate points of bounded height")
+    _add_ideal_and_mode(p)
+    _add_heights(p)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--output", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_points)
 
-    p = sub.add_parser("construct", help="build certified auxiliary polynomials")
-    _add_common(p)
+    p = add("construct", help="build certified auxiliary polynomials")
+    _add_ideal_and_mode(p)
+    _add_heights(p)
+    _add_ordering(p)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--delta", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument(
@@ -396,22 +409,23 @@ def build_parser():
     )
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="re-verify a stored report")
+    p = add("verify", help="re-verify a stored report")
     p.add_argument("--report", required=True)
     p.add_argument("--ideal", required=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", help="height sweep, CSV summary")
-    _add_common(p)
+    p = add(
+        "sweep", help="affine height sweep with adaptive covers, CSV summary"
+    )
+    p.add_argument("--ideal", required=True, help="ideal file")
+    _add_ordering(p)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--height-list", required=True, help="comma-separated Bs")
     p.add_argument("--delta", type=int)
     p.add_argument("--epsilon", type=float, default=0.25)
-    p.add_argument(
-        "--strategy", choices=["adaptive", "theoretical"], default="adaptive"
-    )
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("bound", help="determinant bound calculator")
+    p = add("bound", help="determinant bound calculator")
     p.add_argument("--mu", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--norms", required=True, help="comma-separated norms")

@@ -424,7 +424,7 @@ class PipelineReport:
             }
             if self.mode == "affine":
                 entry["affine_poly"] = format_polynomial(
-                    c.poly.dehomogenize(0), self.ordering
+                    c.poly.dehomogenize(), self.ordering
                 )
             certs.append(entry)
         out = {
@@ -536,27 +536,22 @@ def _theoretical_cover(
     return certs, rho, cube_count
 
 
-def choose_delta(
-    gb,
-    epsilon,
-    delta_max=DELTA_MAX_DEFAULT,
-    probe_degree=PROBE_DEGREE_DEFAULT,
-):
-    """Smallest delta <= delta_max whose measured exponents m*sigma_i/f stay
-    within epsilon of the limit exponents (m+1)a_i/d^(1/m), the a_i being
-    measured at the probe degree and m, d read from the full basis gb.  The
-    reported (finite-delta) exponents are what the k-bound uses; no
-    asymptotic constants are assumed."""
+def choose_delta(gb, epsilon):
+    """Smallest delta <= DELTA_MAX_DEFAULT whose measured exponents
+    m*sigma_i/f stay within epsilon of the limit exponents (m+1)a_i/d^(1/m),
+    the a_i being measured at PROBE_DEGREE_DEFAULT and m, d read from the
+    full basis gb.  The reported (finite-delta) exponents are what the
+    k-bound uses; no asymptotic constants are assumed."""
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
     dd = dimension_and_degree(gb)
     m, d = dd.dimension, dd.degree
     if m < 1:
         raise DegenerateIdealError("dimension < 1: the method does not apply")
-    a = a_estimates(gb, probe_degree)
+    a = a_estimates(gb, PROBE_DEGREE_DEFAULT)
 
     best = None
-    for delta in range(1, delta_max + 1):
+    for delta in range(1, DELTA_MAX_DEFAULT + 1):
         mu = len(staircase(gb, delta).exponents)
         if mu < 2:
             continue
@@ -572,7 +567,7 @@ def choose_delta(
             "ratios": ratios,
             "limits": limits,
             "epsilon": epsilon,
-            "probe_degree": probe_degree,
+            "probe_degree": PROBE_DEGREE_DEFAULT,
         }
         if overshoot <= 0:
             return delta, report
@@ -580,7 +575,7 @@ def choose_delta(
             best = (overshoot, report)
     detail = f"; best achieved: {best[1]}" if best else ""
     raise InputError(
-        f"no delta <= {delta_max} achieves slack epsilon={epsilon}{detail}"
+        f"no delta <= {DELTA_MAX_DEFAULT} keeps within epsilon={epsilon}{detail}"
     )
 
 
@@ -598,20 +593,19 @@ def cover_and_construct(
 ):
     """Run the covering construction over S(X, B) for a homogeneous ideal
     under `ordering`, or for the full GroebnerBasis of one, whose own
-    ordering then applies.  The support degree is delta, or choose_delta's
-    degree when only epsilon is set; the report then carries choose_delta's
-    report as delta_report.
+    ordering then applies.  Exactly one of delta and epsilon is set: the
+    support degree is delta, or else choose_delta's degree, and the report
+    then carries choose_delta's report as delta_report.
 
     Every enumerated point ends up covered by at least one certificate, or the
     run raises (degeneracy / falsification); nothing is silently skipped.
     """
+    _require_delta_xor_epsilon(delta, epsilon)
     gb = ideal_h if isinstance(ideal_h, GroebnerBasis) else groebner(ideal_h, ordering)
     if not gb.ideal.homogeneous:
         raise ValueError("the covering construction needs a homogeneous ideal")
     delta_report = None
     if delta is None:
-        if epsilon is None:
-            raise InputError("one of delta / epsilon must be set")
         delta, delta_report = choose_delta(gb, epsilon)
     dd = dimension_and_degree(gb)
     m, d = dd.dimension, dd.degree
@@ -626,7 +620,7 @@ def cover_and_construct(
             enumerate_projective, gb.ideal, box, budget=budget
         )
     points = point_set.points
-    class_counts = tuple(len(c.points) for c in partition_classes(point_set, box))
+    class_counts = tuple(len(c.points) for c in partition_classes(point_set))
     timings.update(kernel_s=0.0, kernel_calls=0)
 
     sigma = all_sigmas(gb, delta)
@@ -721,6 +715,11 @@ def cover_and_construct(
     )
 
 
+def _require_delta_xor_epsilon(delta, epsilon):
+    if (delta is None) == (epsilon is None):
+        raise InputError("exactly one of delta / epsilon must be set")
+
+
 def _timed_enumeration(enumerate_points, *args, **kwargs):
     """(point set, enumeration stage of PipelineReport.timings)."""
     start = perf_counter()
@@ -749,9 +748,7 @@ def affine_pipeline(
     A certificate G is checked at the lifted points (1,x), so the affine
     polynomial g = G(1,x) vanishes on X(Z,B); G is homogeneous and nonzero
     (its support lies in M(delta)), so g is nonzero too."""
-    if (delta is None) == (epsilon is None):
-        raise InputError("exactly one of delta / epsilon must be set")
-
+    _require_delta_xor_epsilon(delta, epsilon)
     n = affine_ideal.num_vars
     affine_points, timings = _timed_enumeration(
         enumerate_affine, affine_ideal, b, budget=budget

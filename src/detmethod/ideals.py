@@ -180,7 +180,10 @@ def groebner(ideal, ordering, degree_cap=None):
             push_pairs(len(basis) - 1)
 
     # interreduce: drop elements whose LM is divisible by another LM, then
-    # fully reduce each survivor against the rest
+    # fully reduce each survivor against the rest.  No kept LM divides
+    # another, so a reduction leaves each LM (and its coefficient 1) in place
+    # and one pass gives the reduced basis: a remainder's other terms are
+    # divisible by no LM, and the LMs never change.
     keep = []
     for idx, lm in enumerate(lms):
         if any(
@@ -190,21 +193,12 @@ def groebner(ideal, ordering, degree_cap=None):
             continue
         keep.append(idx)
     reduced = [basis[k] for k in keep]
-    changed = True
-    while changed:
-        changed = False
-        for idx in range(len(reduced)):
-            others = reduced[:idx] + reduced[idx + 1 :]
-            olms = [g.leading_monomial(ordering) for g in others]
-            r = _reduce(reduced[idx], others, olms, ordering)
-            if r.is_zero():
-                reduced.pop(idx)
-                changed = True
-                break
-            r = r.monic(ordering)
-            if r != reduced[idx]:
-                reduced[idx] = r
-                changed = True
+    klms = [lms[k] for k in keep]
+    for idx in range(len(reduced)):
+        others = reduced[:idx] + reduced[idx + 1 :]
+        reduced[idx] = _reduce(
+            reduced[idx], others, klms[:idx] + klms[idx + 1 :], ordering
+        )
 
     reduced.sort(key=_sort_key(ordering))
     return GroebnerBasis(ideal, ordering, reduced, degree_cap)
@@ -383,14 +377,14 @@ def a_estimates(gb, s):
     return ests
 
 
-def homogenize_ideal(affine_ideal, gb_ordering=Ordering.GREVLEX):
+def homogenize_ideal(affine_ideal):
     """Homogenization of an affine ideal, with the new variable in front.
 
-    Homogenizing a Groebner basis w.r.t. a graded ordering (not the raw
-    generators) is what actually generates the homogenized ideal.
+    Homogenizing a Groebner basis w.r.t. a graded ordering, here grevlex (not
+    the raw generators), is what actually generates the homogenized ideal.
     """
-    gb = groebner(affine_ideal, gb_ordering)
-    gens = [g.homogenize(0) for g in gb.basis]
+    gb = groebner(affine_ideal, Ordering.GREVLEX)
+    gens = [g.homogenize() for g in gb.basis]
     return Ideal(gens, affine_ideal.num_vars + 1)
 
 

@@ -319,12 +319,13 @@ def class_index(point, box):
     return best
 
 
-def partition_classes(ps, box=None):
-    """Partition a projective point set into the n+1 classes S_i, assigning
-    each point to the smallest index attaining the maximal scaled coordinate."""
+def partition_classes(ps):
+    """Partition a projective point set into the n+1 classes S_i of its box,
+    assigning each point to the smallest index attaining the maximal scaled
+    coordinate."""
     if ps.mode != "projective":
         raise ValueError("partitioning applies to projective point sets")
-    box = box or ps.box
+    box = ps.box
     buckets = [[] for _ in box.bounds]
     for p in ps.points:
         buckets[class_index(p, box)].append(p)

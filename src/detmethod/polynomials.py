@@ -37,18 +37,6 @@ class Ordering(enum.Enum):
         return (sum(alpha), tuple(-a for a in reversed(alpha)))
 
 
-def compare(a, b, ordering):
-    """Compare exponent vectors; returns -1 (a < b), 0 or 1."""
-    if len(a) != len(b):
-        raise InputError(f"exponent length mismatch: {len(a)} vs {len(b)}")
-    ka, kb = ordering.key(a), ordering.key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 def divides(a, b):
     """True if monomial x^a divides x^b."""
     return all(x <= y for x, y in zip(a, b))
@@ -120,9 +108,6 @@ class Polynomial:
         """Recomputed on every call, never cached or trusted."""
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
-
-    def coefficient(self, exp):
-        return self.terms.get(tuple(exp), Fraction(0))
 
     def support(self):
         return set(self.terms)
@@ -237,49 +222,32 @@ class Polynomial:
         return Polynomial(out, self.num_vars)
 
     def substitute(self, values):
-        """Compose: substitute a Polynomial (or scalar) for each variable."""
+        """Compose: substitute a Polynomial for each variable."""
         if len(values) != self.num_vars:
             raise InputError("substitution length mismatch")
-        nv = None
-        for v in values:
-            if isinstance(v, Polynomial):
-                nv = v.num_vars
-                break
-        if nv is None:
-            return self.evaluate(values)
-        vals = [
-            v if isinstance(v, Polynomial) else Polynomial.constant(v, nv)
-            for v in values
-        ]
+        nv = values[0].num_vars
         total = Polynomial.zero(nv)
         for e, c in self.terms.items():
             term = Polynomial.constant(c, nv)
-            for v, k in zip(vals, e):
+            for v, k in zip(values, e):
                 if k:
                     term = term * (v**k)
             total = total + term
         return total
 
-    def homogenize(self, position=0):
-        """Insert a homogenizing variable at `position`."""
+    def homogenize(self):
+        """Insert a homogenizing variable x0 in front."""
         if not self.terms:
             raise ValueError("cannot homogenize the zero polynomial")
         d = self.degree()
-        out = {}
-        for e, c in self.terms.items():
-            pad = d - sum(e)
-            new = e[:position] + (pad,) + e[position:]
-            out[new] = c
+        out = {(d - sum(e),) + e: c for e, c in self.terms.items()}
         return Polynomial(out, self.num_vars + 1)
 
-    def dehomogenize(self, position=0):
-        """Substitute 1 at `position`, dropping that variable."""
-        if position < 0 or position >= self.num_vars:
-            raise InputError("variable position out of range")
+    def dehomogenize(self):
+        """Substitute 1 for x0, dropping that variable."""
         out = {}
         for e, c in self.terms.items():
-            new = e[:position] + e[position + 1 :]
-            out[new] = out.get(new, Fraction(0)) + c
+            out[e[1:]] = out.get(e[1:], Fraction(0)) + c
         return Polynomial(out, self.num_vars - 1)
 
     def monic(self, ordering):

@@ -215,7 +215,7 @@ def test_asymptotic_exponents_parabola_setup():
     )
     assert cmp.finite == (Fraction(1, 2), Fraction(1, 2))
     assert cmp.limit == pytest.approx((0.5, 0.5))
-    assert cmp.slack == pytest.approx((0.0, 0.0))
+    assert [float(x) for x in cmp.finite] == pytest.approx(cmp.limit)
 
 
 def test_asymptotic_exponents_rejects_f_zero():

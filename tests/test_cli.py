@@ -1,20 +1,27 @@
 """cli: subcommand behaviour, exit codes, reproducible JSON reports."""
 
+import argparse
 import ast
+import inspect
 import json
 import os
 import pathlib
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 
 import pytest
 
-from detmethod.cli import load_ideal, main
+from detmethod import cli
+from detmethod.cli import build_parser, load_ideal, main
 
 from oracles import naive_affine_points
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(__file__).parent.parent / "src"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 PARABOLA = str(DATA / "parabola.ideal")
 CONIC = str(DATA / "conic.ideal")
 
@@ -351,6 +358,9 @@ MALFORMED_REPORTS = {
     "no-points": lambda d: {
         **d, "certificates": [{"poly": c["poly"]} for c in d["certificates"]]
     },
+    "uneven-affine-heights": lambda d: {
+        **d, "params": {**d["params"], "heights": [7, 100, 3]}
+    },
 }
 
 
@@ -388,6 +398,101 @@ def test_verify_reports_outside_points_before_certificate_checks(
         "FAIL: certificate 1: zero polynomial",
         "FAIL: coverage failure: 3 uncovered points",
     ]
+
+
+# -- options ----------------------------------------------------------------
+
+
+def _subcommands():
+    (action,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def _args_read(func):
+    """Names read as args.<name> in func, or in a cli function that func
+    passes `args` to."""
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(func))):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        ):
+            names.add(node.attr)
+        elif isinstance(node, ast.Call) and any(
+            isinstance(arg, ast.Name) and arg.id == "args" for arg in node.args
+        ):
+            names |= _args_read(getattr(cli, node.func.id))
+    return names
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_every_option_is_read(command):
+    parser = _subcommands()[command]
+    dests = {
+        a.dest
+        for a in parser._actions
+        if a.option_strings and not isinstance(a, argparse._HelpAction)
+    }
+    assert dests <= _args_read(parser.get_default("func"))
+
+
+# a valid command line of each subcommand, and options it no longer takes
+VALID = {
+    "hilbert": ("--ideal", CONIC),
+    "points": ("--ideal", PARABOLA, "--height", "5"),
+    "construct": ("--ideal", PARABOLA, "--height", "5", "--delta", "2"),
+    "sweep": ("--ideal", CONIC, "--height-list", "5", "--delta", "2"),
+}
+REMOVED_OPTIONS = [
+    ("hilbert", "--height", "5"),
+    ("hilbert", "--heights", "5,5,5"),
+    ("hilbert", "--budget", "100"),
+    ("points", "--ordering", "grevlex"),
+    ("points", "--output", "csv"),
+    ("construct", "--output", "json"),
+    ("sweep", "--mode", "projective"),
+    ("sweep", "--height", "5"),
+    ("sweep", "--heights", "5,5,5"),
+    ("sweep", "--output", "csv"),
+    ("sweep", "--strategy", "adaptive"),
+]
+
+
+@pytest.mark.parametrize("command,option,value", REMOVED_OPTIONS)
+def test_removed_option_is_a_usage_error(capsys, command, option, value):
+    build_parser().parse_args([command, *VALID[command]])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *VALID[command], option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+def _readme_commands():
+    """The `detmethod ...` lines of the README's CLI section, continuation
+    lines joined."""
+    section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    text = re.sub(r"\\\n\s*", "", section)
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in text.splitlines()
+        if line.startswith("detmethod ")
+    ]
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    shutil.copytree(DATA, tmp_path / "tests" / "data")
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "hilbert", "points", "construct", "verify", "sweep", "bound"
+    ]
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 # -- python -O ---------------------------------------------------------------

@@ -334,7 +334,7 @@ def test_choose_delta_huge_epsilon_picks_smallest_usable():
 
 def test_choose_delta_impossible_epsilon():
     with pytest.raises(InputError):
-        choose_delta(_conic_basis(), 1e-9, delta_max=4)
+        choose_delta(_conic_basis(), 1e-9)
 
 
 def test_choose_delta_rejects_bad_inputs():
@@ -360,6 +360,15 @@ def test_cover_conic_projective():
     for c in report.certificates:
         covered.update(c.points_covered)
     assert covered == set(range(8))
+
+
+def test_cover_delta_xor_epsilon():
+    conic = make_ideal(["x0*x2 - x1^2"], 3)
+    box = HeightBox((4, 4, 4))
+    with pytest.raises(InputError, match="exactly one of delta / epsilon"):
+        cover_and_construct(conic, box)
+    with pytest.raises(InputError, match="exactly one of delta / epsilon"):
+        cover_and_construct(conic, box, delta=2, epsilon=0.25)
 
 
 def test_affine_pipeline_parabola():
