@@ -116,10 +116,12 @@ def report_json(report, include_timings=False):
 def cmd_hilbert(args):
     ideal = load_ideal(args.ideal)
     ordering = Ordering(args.ordering)
-    if args.mode == "affine" or not ideal.homogeneous:
+    if args.mode == "affine":
         gb = homogenized_basis(ideal, ordering)
-    else:
+    elif ideal.homogeneous:
         gb = groebner(ideal, ordering)
+    else:
+        raise InputError("projective mode requires a homogeneous ideal")
     rows = []
     for s in range(args.s_min, args.s_max + 1):
         hf = hilbert_function(gb, s)
@@ -138,12 +140,8 @@ def cmd_hilbert(args):
         ]
         print(",".join(header))
         for r in rows:
-            print(
-                ",".join(
-                    str(v)
-                    for v in [r["s"], r["hf"], *r["sigma"], *(r["a"] or [])]
-                )
-            )
+            cells = [r["s"], r["hf"], *r["sigma"], *r["a"]]
+            print(",".join("" if v is None else str(v) for v in cells))
     else:
         for r in rows:
             a = " ".join(x or "-" for x in r["a"])

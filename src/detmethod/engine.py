@@ -1,6 +1,11 @@
 """The construction pipeline: staircase matrices at integer points, exact
 kernels, box covering, and certified auxiliary polynomials.
 
+Each cover builds one monomial matrix, one row per enumerated point, and a
+box's matrix is its restriction to the box's points.  A box is certified by
+one kernel vector, the first-free-column vector that exact_kernel returns in
+exact integers, or subdivided if its matrix has full rank.
+
 Two covering strategies exist.  The default, adaptive bisection, starts from
 the whole height box and bisects the longest axis of any sub-box whose
 monomial matrix has full rank; it terminates because a box holding at most
@@ -20,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
 from time import perf_counter
 
@@ -73,133 +79,148 @@ KERNEL_PRIME = 2**61 - 1
 
 @dataclass(frozen=True)
 class MonomialMatrix:
-    """Rows: staircase exponents in ordering; columns: points; exact ints."""
+    """The staircase monomials at the points, in exact ints: one row per
+    point, that point's equation, with rows[j][i] = points[j] ** exponents[i].
+    residues[j] is rows[j] modulo KERNEL_PRIME, for exact_kernel's screen."""
 
     exponents: tuple
     points: tuple
-    entries: tuple  # entries[i][j] = points[j] ** exponents[i]
+    rows: tuple
+    residues: tuple
+
+    def restrict(self, indices):
+        """The matrix at points[j] for j in indices, in that order."""
+        return MonomialMatrix(
+            exponents=self.exponents,
+            points=tuple(self.points[j] for j in indices),
+            rows=tuple(self.rows[j] for j in indices),
+            residues=tuple(self.residues[j] for j in indices),
+        )
 
 
 def build_matrix(points, sc):
+    """The monomial matrix at the points.  A cover builds it once and hands
+    each box its restrict(), so each power and residue is computed once per
+    cover."""
     if not points:
         raise InputError("need at least one point")
-    n = len(sc.exponents[0]) if sc.exponents else None
+    exponents = tuple(sc.exponents)
+    n = len(exponents[0]) if exponents else None
+    top = max(map(max, exponents), default=0)
+    rows = []
     for p in points:
         if n is not None and len(p) != n:
             raise InputError("point dimension does not match the staircase")
-    entries = []
-    for e in sc.exponents:
-        row = []
-        for p in points:
-            v = 1
-            for x, k in zip(p, e):
-                if k:
-                    v *= x**k
-            row.append(v)
-        entries.append(tuple(row))
+        powers = [[x**k for k in range(top + 1)] for x in p]
+        rows.append(
+            tuple(math.prod(map(list.__getitem__, powers, e)) for e in exponents)
+        )
     return MonomialMatrix(
-        exponents=tuple(sc.exponents), points=tuple(points), entries=tuple(entries)
+        exponents=exponents,
+        points=tuple(points),
+        rows=tuple(rows),
+        residues=tuple(tuple(x % KERNEL_PRIME for x in row) for row in rows),
     )
 
 
 def exact_kernel(mat):
-    """Primitive integer basis of the coefficient-space kernel, i.e. vectors c
-    with sum_e c_e * (x^(j))^e = 0 for every point j.
+    """The first kernel vector of the matrix, or None at full rank.
 
-    The basis is the one read off the reduced echelon form of the q x mu
-    transpose (one equation per point): one vector per free column, in column
-    order, each scaled to coprime integers with positive leading entry (the
-    entry of the ordering-largest monomial in its support).
+    The vector is the primitive integer c, positive at its leading entry (the
+    entry of the ordering-largest monomial in its support), with
+    sum_e c_e * (x^(j))^e = 0 at every point j and support ending at the first
+    free column f of the rows' echelon form: the first vector of the basis
+    read off the reduced echelon form, and the one a certificate uses.
 
-    All arithmetic is on integers, in three steps.  A rank screen adds the
-    equations one at a time to an echelon form modulo KERNEL_PRIME and stops
-    at mu independent ones: a mu x mu minor nonzero mod P is nonzero, so the
-    kernel is empty.  Otherwise the r < mu equations independent mod P go
-    through fraction-free elimination (_bareiss_kernel).  Each vector found is
-    then checked against every equation with exact dot products.  If all
-    vanish, the r equations span the row space of all q and the basis is the
-    full matrix's; if one does not, P was a bad prime for this matrix and the
-    same elimination runs again on all q equations.
+    All arithmetic is on integers.  A box with fewer than mu points goes
+    straight to fraction-free elimination of all its rows.  A larger box
+    first runs a rank screen: mu rows independent modulo KERNEL_PRIME have a
+    mu x mu minor nonzero mod P, hence nonzero, so there is no kernel.
+    Otherwise the r < mu rows independent mod P are eliminated, and the
+    vector is checked against every row with exact dot products.  The pivot
+    columns of any subset of the rows lie among those of all rows, so a
+    vector on columns 0..f, nonzero at f, that vanishes on every row is the
+    full matrix's.  If the check fails, P was a bad prime for this matrix and
+    the elimination runs again on all rows.
     """
     mu = len(mat.exponents)
-    rows = list(zip(*mat.entries))  # rows = equations (one per point)
-    independent = _independent_mod_p(rows, mu)
-    if len(independent) == mu:
-        return []
-    basis = _bareiss_kernel([rows[j] for j in independent], mu)
-    if any(sum(a * b for a, b in zip(vec, row)) for vec in basis for row in rows):
-        basis = _bareiss_kernel(rows, mu)
-    return basis
+    rows = mat.rows
+    if len(rows) < mu:
+        return _first_kernel_vector(rows, mu)
+    chosen = _independent_mod_p(mat.residues, mu)
+    if len(chosen) == mu:
+        return None
+    vec = _first_kernel_vector([rows[j] for j in chosen], mu)
+    if any(sum(a * b for a, b in zip(vec, row)) for row in rows):
+        vec = _first_kernel_vector(rows, mu)
+    return vec
 
 
-def _independent_mod_p(rows, mu):
-    """Indices of the rows that stay independent modulo KERNEL_PRIME when
-    added one at a time to an echelon form, stopping at mu of them."""
+def _independent_mod_p(residues, mu):
+    """Indices of the residue rows that stay independent modulo KERNEL_PRIME
+    when added one at a time to an echelon form, stopping at mu of them.
+
+    A row is reduced by each echelon row from that row's pivot on (its
+    entries before the pivot are zero), and taken mod P once at the end: each
+    step adds less than P^2 to an entry, so only the pivot entry read for
+    the next step needs reducing on the way."""
     p = KERNEL_PRIME
-    echelon = []  # (pivot column, reduced row with 1 at the pivot)
+    echelon = []  # (pivot column, reduced row from the pivot on, 1 there)
     chosen = []
-    for j, row in enumerate(rows):
-        v = [x % p for x in row]
-        for c, e in echelon:
-            f = v[c]
+    for j, row in enumerate(residues):
+        v = list(row)
+        for c, tail in echelon:
+            f = v[c] % p
             if f:
-                v = [(a - f * b) % p for a, b in zip(v, e)]
+                v[c:] = [a - f * b for a, b in zip(islice(v, c, None), tail)]
+        v = [x % p for x in v]
         c = next((c for c, x in enumerate(v) if x), None)
         if c is None:
             continue
         inv = pow(v[c], -1, p)
-        echelon.append((c, [x * inv % p for x in v]))
+        echelon.append((c, [x * inv % p for x in islice(v, c, None)]))
         chosen.append(j)
         if len(chosen) == mu:
             break
     return chosen
 
 
-def _bareiss_kernel(rows, mu):
-    """Kernel basis of an integer matrix with mu columns, as exact_kernel
-    orders and normalises it.
+def _first_kernel_vector(rows, mu):
+    """exact_kernel's vector for the given integer rows of length mu, or None
+    if they have rank mu.
 
-    Bareiss forward elimination (Math. Comp. 22, 1968) leaves an echelon form
-    whose entries are minors of the matrix, so each division by the previous
-    pivot is exact; the last pivot d is, up to sign, the minor on the pivot
-    columns.  Back-substitution with d at the free column then gives integers
-    (Cramer's rule), so every division there is exact too.
+    Bareiss forward elimination (Math. Comp. 22, 1968) runs column by column
+    and stops at the first column f without a pivot.  Columns 0..f-1 then
+    hold the pivots, and with r rows f is at most r, so only the first r+1
+    columns are touched.  The eliminated entries are minors of the matrix, so
+    each division by the previous pivot is exact, and the last pivot d is, up
+    to sign, the minor on columns 0..f-1.  Back-substitution of column f
+    alone, with d there, then gives integers (Cramer's rule), so every
+    division there is exact too.
     """
-    m = [list(row) for row in rows]
-    pivots = []
+    width = min(mu, len(rows) + 1)
+    m = [list(row[:width]) for row in rows]
     d = 1
-    for c in range(mu):
-        r = len(pivots)
-        if r == len(m):
-            break
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+    for f in range(width):
+        piv = next((i for i in range(f, len(m)) if m[i][f]), None)
         if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
-        pv = top[c]
-        for i in range(r + 1, len(m)):
-            row = m[i]
-            f = row[c]
-            row[c] = 0
-            for j in range(c + 1, mu):
-                row[j] = (pv * row[j] - f * top[j]) // d
+            break
+        m[f], m[piv] = m[piv], m[f]
+        top = m[f]
+        pv = top[f]
+        for row in m[f + 1 :]:
+            g = row[f]
+            for j in range(f + 1, width):
+                row[j] = (pv * row[j] - g * top[j]) // d
         d = pv
-        pivots.append(c)
-
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(mu):
-        if free in pivot_set:
-            continue
-        x = [0] * mu
-        x[free] = d
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            row = m[k]
-            x[c] = -sum(row[j] * x[j] for j in range(c + 1, mu)) // row[c]
-        basis.append(_primitive_vector(x))
-    return basis
+    else:
+        return None  # a pivot in each of the mu columns
+    x = [0] * mu
+    x[f] = d
+    for k in range(f - 1, -1, -1):
+        row = m[k]
+        x[k] = -sum(row[j] * x[j] for j in range(k + 1, f + 1)) // row[k]
+    return _primitive_vector(x)
 
 
 def _primitive_vector(vec):
@@ -220,19 +241,18 @@ class AuxiliaryCertificate:
     box: tuple  # ((lo, hi), ...) descriptor of the covered sub-box
 
 
-def auxiliary_for_box(points, indices, sc, gb, box_desc, timings=None):
-    """Certificate for the points of one sub-box, or None if the monomial
-    matrix has full rank mu (triggering subdivision in adaptive mode).  The
-    kernel stage is added to `timings` (kernel_s, kernel_calls) if given."""
-    mat = build_matrix(points, sc)
+def auxiliary_for_box(mat, indices, sc, gb, box_desc, timings):
+    """Certificate for the points mat.points[i], i in indices, of one sub-box,
+    or None if their monomial matrix has full rank mu (triggering subdivision
+    in adaptive mode).  mat is the cover's matrix; the kernel stage is added
+    to `timings` (kernel_s, kernel_calls)."""
+    box_mat = mat.restrict(indices)
     start = perf_counter()
-    kernel = exact_kernel(mat)
-    if timings is not None:
-        timings["kernel_s"] += perf_counter() - start
-        timings["kernel_calls"] += 1
-    if not kernel:
+    coeffs = exact_kernel(box_mat)
+    timings["kernel_s"] += perf_counter() - start
+    timings["kernel_calls"] += 1
+    if coeffs is None:
         return None
-    coeffs = kernel[0]  # first free column under the ordering; deterministic
     terms = {e: c for e, c in zip(mat.exponents, coeffs) if c != 0}
     return AuxiliaryCertificate(
         poly=Polynomial(terms, gb.num_vars),
@@ -478,6 +498,7 @@ class PipelineReport:
 def _adaptive_cover(points, sc, gb, timings):
     """Bisection covering; returns (certificates, max_depth)."""
     n = gb.num_vars
+    mat = build_matrix(points, sc)
     certs = []
     max_depth = 0
     all_idx = tuple(range(len(points)))
@@ -490,7 +511,7 @@ def _adaptive_cover(points, sc, gb, timings):
         bbox = [
             (min(p[a] for p in pts), max(p[a] for p in pts)) for a in range(n)
         ]
-        cert = auxiliary_for_box(pts, idxs, sc, gb, bbox, timings)
+        cert = auxiliary_for_box(mat, idxs, sc, gb, bbox, timings)
         if cert is not None:
             certs.append(cert)
             continue
@@ -519,14 +540,14 @@ def _theoretical_cover(
         t = param(p)
         key = tuple(int((Fraction(ti) + 1) / rho_frac) for ti in t)
         groups.setdefault(key, []).append(i)
+    mat = build_matrix(points, sc)
     certs = []
     for key in sorted(groups):
         idxs = tuple(groups[key])
-        pts = [points[i] for i in idxs]
         desc = tuple(
             (k * rho_frac - 1, (k + 1) * rho_frac - 1) for k in key
         )
-        cert = auxiliary_for_box(pts, idxs, sc, gb, desc, timings)
+        cert = auxiliary_for_box(mat, idxs, sc, gb, desc, timings)
         if cert is None:
             raise TheoreticalFalsificationError(
                 f"occupied rho-cube {key} has a full-rank matrix; this "

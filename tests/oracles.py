@@ -41,12 +41,12 @@ def rational_rank(rows):
 
 
 def rational_kernel(mat):
-    """exact_kernel by Gauss-Jordan over Fractions on the q x mu transpose:
-    one vector per free column of the reduced form, scaled to coprime
-    integers with positive leading entry."""
+    """Kernel basis by Gauss-Jordan over Fractions on the q x mu rows (one
+    equation per point): one vector per free column of the reduced form,
+    scaled to coprime integers with positive leading entry.  exact_kernel
+    returns the first of them, or None if there is none."""
     mu = len(mat.exponents)
-    rows = [[mat.entries[i][j] for i in range(mu)] for j in range(len(mat.points))]
-    reduced, pivots = _rational_rref(rows)
+    reduced, pivots = _rational_rref(mat.rows)
     basis = []
     for free in range(mu):
         if free in pivots:

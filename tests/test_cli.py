@@ -56,6 +56,27 @@ def test_hilbert_csv(capsys):
     assert lines[1].split(",")[:2] == ["1", "3"]
 
 
+def test_hilbert_csv_leaves_undefined_estimates_empty(capsys):
+    code, out, _ = run(
+        capsys, "hilbert", "--ideal", PARABOLA, "--output", "csv",
+        "--s-min", "0", "--s-max", "1",
+    )
+    assert code == 0
+    header, s0, s1 = out.strip().splitlines()
+    assert header == "s,hf,sigma0,sigma1,sigma2,a0,a1,a2"
+    assert s0 == "0,1,0,0,0,,,"  # a_i are undefined at s = 0
+    assert "None" not in out and "" not in s1.split(",")
+
+
+def test_hilbert_projective_needs_a_homogeneous_ideal(capsys):
+    code, out, err = run(
+        capsys, "hilbert", "--ideal", PARABOLA, "--mode", "projective"
+    )
+    assert code == 2
+    assert out == ""
+    assert "projective mode requires a homogeneous ideal" in err
+
+
 # -- points ----------------------------------------------------------------
 
 

@@ -49,10 +49,26 @@ def _conic_setup(delta=2):
 def test_build_matrix_entries():
     gb, sc = _conic_setup()
     mat = build_matrix([(4, 2, 1), (1, 1, 1)], sc)
-    assert len(mat.entries) == 5
-    row = dict(zip(mat.exponents, mat.entries))
-    assert row[(2, 0, 0)] == (16, 1)  # x0^2 at both points
-    assert row[(0, 0, 2)] == (1, 1)  # x2^2
+    assert len(mat.rows) == 2  # one row per point
+    assert all(len(row) == 5 for row in mat.rows)  # one entry per monomial
+    col = dict(zip(mat.exponents, zip(*mat.rows)))
+    assert col[(2, 0, 0)] == (16, 1)  # x0^2 at both points
+    assert col[(0, 0, 2)] == (1, 1)  # x2^2
+
+
+def test_build_matrix_residues_and_restrict():
+    ideal = make_ideal(["x0*x2 - x1^2"], 3)
+    sc = staircase(groebner(ideal, GRLEX, degree_cap=10), 10)
+    pts = [(1, 10**4, 10**8), (10**8, 10**4, 1), (1, 1, 1)]
+    mat = build_matrix(pts, sc)
+    for row, res in zip(mat.rows, mat.residues):
+        assert res == tuple(x % engine.KERNEL_PRIME for x in row)
+    assert max(map(max, mat.rows)) > engine.KERNEL_PRIME
+    sub = mat.restrict((2, 0))
+    assert sub.points == (pts[2], pts[0])
+    assert sub.rows == (mat.rows[2], mat.rows[0])
+    assert sub.residues == (mat.residues[2], mat.residues[0])
+    assert sub.exponents == mat.exponents
 
 
 def test_build_matrix_dimension_mismatch():
@@ -61,7 +77,14 @@ def test_build_matrix_dimension_mismatch():
         build_matrix([(1, 2)], sc)
 
 
+def _annihilates(vec, mat):
+    return all(sum(c * x for c, x in zip(vec, row)) == 0 for row in mat.rows)
+
+
 def test_matrix_rank_vs_oracle():
+    """The kernel vector is None exactly at full rank; otherwise its last
+    nonzero entry sits at the first column that depends on the earlier ones,
+    and it vanishes on every row."""
     gb, sc = _conic_setup()
     rng = random.Random(3)
     for _ in range(15):
@@ -72,9 +95,14 @@ def test_matrix_rank_vs_oracle():
             if p not in pts:
                 pts.append(p)
         mat = build_matrix(pts, sc)
-        assert len(mat.exponents) - len(exact_kernel(mat)) == rational_rank(
-            [[mat.entries[i][j] for j in range(len(pts))] for i in range(5)]
-        )
+        vec = exact_kernel(mat)
+        if rational_rank(mat.rows) == len(mat.exponents):
+            assert vec is None
+            continue
+        f = max(i for i, c in enumerate(vec) if c)
+        assert rational_rank([row[:f] for row in mat.rows]) == f
+        assert rational_rank([row[: f + 1] for row in mat.rows]) == f
+        assert _annihilates(vec, mat)
 
 
 # -- kernels ---------------------------------------------------------------
@@ -83,45 +111,45 @@ def test_matrix_rank_vs_oracle():
 def test_kernel_empty_for_full_rank():
     gb, sc = _conic_setup(1)  # staircase {x0, x1, x2}, mu = 3
     mat = build_matrix([(1, 0, 0), (0, 1, 0), (0, 0, 1)], sc)
-    assert exact_kernel(mat) == []
+    assert exact_kernel(mat) is None
 
 
 def test_kernel_repeated_point():
     gb, sc = _conic_setup(1)
     mat = build_matrix([(1, 1, 1), (1, 1, 1)], sc)
-    kernel = exact_kernel(mat)
-    assert len(kernel) == 2
-    for vec in kernel:
-        assert sum(c * v for c, v in zip(vec, (1, 1, 1))) == 0
+    assert len(rational_kernel(mat)) == 2
+    assert exact_kernel(mat) == rational_kernel(mat)[0] == (1, -1, 0)
+    assert _annihilates(exact_kernel(mat), mat)
 
 
 def test_kernel_vectors_primitive_and_sign_fixed():
     gb, sc = _conic_setup()
     pts = [(1, 1, 1), (4, 2, 1), (9, 3, 1)]
-    for vec in exact_kernel(build_matrix(pts, sc)):
-        g = 0
-        for v in vec:
-            g = math.gcd(g, v)
-        assert g == 1
-        assert next(v for v in vec if v != 0) > 0
+    vec = exact_kernel(build_matrix(pts, sc))
+    g = 0
+    for v in vec:
+        g = math.gcd(g, v)
+    assert g == 1
+    assert next(v for v in vec if v != 0) > 0
 
 
 def test_kernel_annihilates_columns():
     gb, sc = _conic_setup()
     pts = [(1, 1, 1), (4, 2, 1), (1, -1, 1), (0, 0, 1)]
     mat = build_matrix(pts, sc)
-    for vec in exact_kernel(mat):
-        for j in range(len(pts)):
-            assert sum(vec[i] * mat.entries[i][j] for i in range(5)) == 0
+    vec = exact_kernel(mat)
+    assert any(vec)
+    assert _annihilates(vec, mat)
 
 
 def _matrix(rows):
     """A MonomialMatrix with the given q x mu equations (one row per point)."""
-    mu = len(rows[0])
+    rows = tuple(map(tuple, rows))
     return engine.MonomialMatrix(
-        exponents=tuple(range(mu)),
+        exponents=tuple(range(len(rows[0]))),
         points=tuple(range(len(rows))),
-        entries=tuple(zip(*rows)),
+        rows=rows,
+        residues=tuple(tuple(x % engine.KERNEL_PRIME for x in r) for r in rows),
     )
 
 
@@ -143,11 +171,35 @@ def _random_rows(rng):
     return rows
 
 
+def _spy(monkeypatch, name, record):
+    """Replace engine.<name> by a wrapper that appends record(*args) to the
+    returned list before each call."""
+    calls = []
+    original = getattr(engine, name)
+
+    def spy(*args):
+        calls.append(record(*args))
+        return original(*args)
+
+    monkeypatch.setattr(engine, name, spy)
+    return calls
+
+
+def _first_oracle_vector(mat):
+    return (rational_kernel(mat) or [None])[0]
+
+
 def test_kernel_matches_rational_oracle():
     rng = random.Random(20)
+    seen = set()
     for _ in range(400):
-        mat = _matrix(_random_rows(rng))
-        assert exact_kernel(mat) == rational_kernel(mat)
+        rows = _random_rows(rng)
+        mat = _matrix(rows)
+        vec = exact_kernel(mat)
+        assert vec == _first_oracle_vector(mat)
+        seen.add((len(rows) < len(rows[0]), vec is None))
+    # fewer and at least mu rows, with and without a kernel vector
+    assert seen == {(True, False), (False, False), (False, True)}
 
 
 def test_kernel_matches_rational_oracle_on_conic_points():
@@ -162,7 +214,7 @@ def test_kernel_matches_rational_oracle_on_conic_points():
             if math.gcd(a, b) == 1:
                 pts.add((a * a, a * b, b * b))
         mat = build_matrix(sorted(pts), sc)
-        assert exact_kernel(mat) == rational_kernel(mat)
+        assert exact_kernel(mat) == _first_oracle_vector(mat)
 
 
 @pytest.mark.parametrize(
@@ -170,31 +222,67 @@ def test_kernel_matches_rational_oracle_on_conic_points():
     [
         # rank 1 mod P, rank 2 over Q: the screen keeps only the first row
         ([(1, engine.KERNEL_PRIME), (1, 2 * engine.KERNEL_PRIME)], []),
-        ([(1, engine.KERNEL_PRIME, 0), (1, 2 * engine.KERNEL_PRIME, 0)], [(0, 0, 1)]),
+        (
+            [
+                (1, engine.KERNEL_PRIME, 0),
+                (1, 2 * engine.KERNEL_PRIME, 0),
+                (1, 3 * engine.KERNEL_PRIME, 0),
+            ],
+            [(0, 0, 1)],
+        ),
     ],
 )
 def test_kernel_falls_back_when_prime_divides_a_minor(monkeypatch, rows, kernel):
-    eliminated = []
-    bareiss = engine._bareiss_kernel
-
-    def spy(rows, mu):
-        eliminated.append(len(rows))
-        return bareiss(rows, mu)
-
-    monkeypatch.setattr(engine, "_bareiss_kernel", spy)
+    eliminated = _spy(monkeypatch, "_first_kernel_vector", lambda rows, mu: len(rows))
     mat = _matrix(rows)
-    assert exact_kernel(mat) == kernel == rational_kernel(mat)
-    assert eliminated == [1, 2]
+    assert rational_kernel(mat) == kernel
+    assert exact_kernel(mat) == (kernel or [None])[0]
+    assert eliminated == [1, len(rows)]
+
+
+def test_kernel_skips_the_screen_below_mu_rows(monkeypatch):
+    # the rows of the fallback case above, with mu = 3 > 2 rows
+    eliminated = _spy(monkeypatch, "_first_kernel_vector", lambda rows, mu: len(rows))
+    screened = _spy(monkeypatch, "_independent_mod_p", lambda res, mu: len(res))
+    mat = _matrix([(1, engine.KERNEL_PRIME, 0), (1, 2 * engine.KERNEL_PRIME, 0)])
+    assert exact_kernel(mat) == (0, 0, 1) == _first_oracle_vector(mat)
+    assert (eliminated, screened) == ([2], [])
+
+
+@pytest.mark.parametrize("strategy", ["adaptive", "theoretical"])
+def test_build_matrix_once_per_cover(monkeypatch, strategy):
+    builds = _spy(monkeypatch, "build_matrix", lambda points, sc: len(points))
+    chart = parabola_chart(100) if strategy == "theoretical" else None
+    report = affine_pipeline(
+        make_ideal(["x1 - x0^2"], 2), 100, delta=2, strategy=strategy, chart=chart
+    )
+    assert builds == [21]
+    assert report.timings["kernel_calls"] > 1
+
+
+def test_screen_skips_boxes_with_fewer_than_mu_points(monkeypatch):
+    boxes = _spy(monkeypatch, "exact_kernel", lambda mat: len(mat.points))
+    screened = _spy(monkeypatch, "_independent_mod_p", lambda res, mu: len(res))
+    report = affine_pipeline(make_ideal(["x1 - x0^2"], 2), 100, delta=2)
+    mu = report.mu
+    assert min(boxes) < mu <= max(boxes)
+    assert screened == [q for q in boxes if q >= mu]
 
 
 # -- auxiliary polynomials ---------------------------------------------------
 
 
+def _kernel_timings():
+    return {"kernel_s": 0.0, "kernel_calls": 0}
+
+
 def test_auxiliary_small_point_set_always_certifies():
     gb, sc = _conic_setup()  # mu = 5
     pts = [(1, 1, 1), (4, 2, 1), (9, 3, 1), (4, -2, 1)]  # q = 4 <= mu - 1
-    cert = auxiliary_for_box(pts, range(4), sc, gb, [(0, 9)] * 3)
+    mat, timings = build_matrix(pts, sc), _kernel_timings()
+    cert = auxiliary_for_box(mat, range(4), sc, gb, [(0, 9)] * 3, timings)
     assert cert is not None
+    assert timings["kernel_calls"] == 1
     assert verify_certificate(cert, pts, gb).ok
     for p in pts:
         assert cert.poly.evaluate(p) == 0
@@ -206,20 +294,26 @@ def test_auxiliary_full_rank_returns_none():
     ts = [Fraction(t) for t in (-2, -1, 0, 1, 2)]
     pts = [(1, t, t * t) for t in ts]
     pts = [tuple(int(v) for v in p) for p in pts]
-    assert auxiliary_for_box(pts, range(5), sc, gb, [(-2, 4)] * 3) is None
+    mat = build_matrix(pts, sc)
+    box = [(-2, 4)] * 3
+    assert auxiliary_for_box(mat, range(5), sc, gb, box, _kernel_timings()) is None
 
 
 def test_verify_accepts_constructor_output():
     gb, sc = _conic_setup()
     pts = [(1, 1, 1), (4, 2, 1)]
-    cert = auxiliary_for_box(pts, (0, 1), sc, gb, [(1, 4)] * 3)
+    cert = auxiliary_for_box(
+        build_matrix(pts, sc), (0, 1), sc, gb, [(1, 4)] * 3, _kernel_timings()
+    )
     assert verify_certificate(cert, pts, gb).ok
 
 
 def test_verify_rejects_perturbed_coefficient():
     gb, sc = _conic_setup()
     pts = [(1, 1, 1), (4, 2, 1)]
-    cert = auxiliary_for_box(pts, (0, 1), sc, gb, [(1, 4)] * 3)
+    cert = auxiliary_for_box(
+        build_matrix(pts, sc), (0, 1), sc, gb, [(1, 4)] * 3, _kernel_timings()
+    )
     e0 = sorted(cert.poly.support())[0]
     bad = Polynomial(
         {**cert.poly.terms, e0: cert.poly.terms[e0] + 1}, cert.poly.num_vars
@@ -237,7 +331,9 @@ def test_verify_rejects_perturbed_coefficient():
 def test_verify_rejects_support_in_lt():
     gb, sc = _conic_setup()
     pts = [(1, 1, 1), (4, 2, 1)]
-    cert = auxiliary_for_box(pts, (0, 1), sc, gb, [(1, 4)] * 3)
+    cert = auxiliary_for_box(
+        build_matrix(pts, sc), (0, 1), sc, gb, [(1, 4)] * 3, _kernel_timings()
+    )
     # move mass onto x1^2, the excluded leading monomial
     bad = cert.poly + Polynomial({(0, 2, 0): Fraction(1)}, 3)
     res = verify_certificate(
@@ -273,7 +369,7 @@ def test_integer_minor_dichotomy():
             if p not in pts:
                 pts.append(p)
         mat = build_matrix(pts, sc)
-        det = exact_determinant([[mat.entries[i][j] for j in range(5)] for i in range(5)])
+        det = exact_determinant([list(row) for row in mat.rows])
         assert det.denominator == 1
         assert det == 0 or abs(det) >= 1
 
