@@ -28,6 +28,15 @@ def float_up(x):
     return _up(f) if f < x else f
 
 
+def finite_double(x):
+    """Whether float_up(x) is a finite double: x is a number, not NaN, no
+    larger than the largest double."""
+    try:
+        return math.isfinite(float_up(x))
+    except OverflowError:  # an int or Fraction beyond the doubles
+        return False
+
+
 def L(m, k):
     """Number of m-variate multi-indices of total degree exactly k."""
     if m < 1 or k < 0:
@@ -115,6 +124,8 @@ class DetBoundInput:
             raise InputError("mu and m must be >= 1")
         if len(self.norms) != self.mu:
             raise InputError("need exactly mu norms")
+        if not all(map(finite_double, self.norms)):
+            raise InputError("norms must be finite doubles")
         if any(Fraction(n) < 0 for n in self.norms):
             raise InputError("norms must be nonnegative")
         if not (0 < Fraction(self.r) < 1):

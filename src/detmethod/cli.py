@@ -2,17 +2,20 @@
 
 Subcommands: hilbert, points, construct, verify, sweep, bound.
 Exit codes: 0 ok, 1 verification failure, 2 input error, 3 budget exceeded.
-JSON output is the machine contract (stable, sorted keys); text output is for
-humans and carries no stability promise.  `verify` parses a stored report,
-rejecting a malformed one as an input error, checks that each listed point
-lies in S(X,B), and leaves every other check to the engine's verifier.
+JSON output is the machine contract (stable, sorted keys, standard JSON with
+no NaN or Infinity); text output is for humans and carries no stability
+promise.  `verify` parses a stored report, rejecting a malformed one as an
+input error, checks that each listed point lies in S(X,B), and leaves every
+other check to the engine's verifier.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -107,6 +110,7 @@ def report_json(report, include_timings=False):
         report.to_dict(include_timings=include_timings),
         sort_keys=True,
         indent=2,
+        allow_nan=False,
     )
 
 
@@ -132,7 +136,7 @@ def cmd_hilbert(args):
             a = [None] * gb.num_vars
         rows.append({"s": s, "hf": hf, "sigma": list(sig), "a": a})
     if args.output == "json":
-        print(json.dumps(rows, sort_keys=True, indent=2))
+        print(json.dumps(rows, sort_keys=True, indent=2, allow_nan=False))
     elif args.output == "csv":
         n = gb.num_vars
         header = ["s", "hf"] + [f"sigma{i}" for i in range(n)] + [
@@ -157,7 +161,7 @@ def cmd_points(args):
     )
     ps = enumerate_points(ideal, heights, budget=args.budget)
     if args.output == "json":
-        print(json.dumps([list(p) for p in ps.points]))
+        print(json.dumps([list(p) for p in ps.points], allow_nan=False))
     else:
         for p in ps.points:
             print(" ".join(str(x) for x in p))
@@ -166,6 +170,9 @@ def cmd_points(args):
 
 def cmd_construct(args):
     """The engine refuses all but exactly one of --delta / --epsilon."""
+    norm_bound = args.norm_bound
+    if norm_bound is not None:
+        norm_bound = _rational(norm_bound, "--norm-bound")
     ideal = load_ideal(args.ideal)
     ordering = Ordering(args.ordering)
     if args.mode == "affine":
@@ -177,7 +184,7 @@ def cmd_construct(args):
             epsilon=args.epsilon,
             ordering=ordering,
             strategy=args.strategy,
-            norm_bound=args.norm_bound,
+            norm_bound=norm_bound,
             budget=args.budget,
         )
     else:
@@ -185,12 +192,11 @@ def cmd_construct(args):
             raise InputError("projective mode needs a homogeneous ideal")
         box = _parse_heights(args, ideal.num_vars)
         report = cover_and_construct(
-            ideal,
+            groebner(ideal, ordering),
             box,
             args.delta,
-            ordering=ordering,
             strategy=args.strategy,
-            norm_bound=args.norm_bound,
+            norm_bound=norm_bound,
             budget=args.budget,
             epsilon=args.epsilon,
         )
@@ -226,7 +232,10 @@ def _report_params(data, num_vars):
         raise InputError(f"malformed report: {len(heights)} heights in {mode} mode")
     if mode == "affine" and heights != [1] + [heights[1]] * num_vars:
         raise InputError("malformed report: affine heights must be (1, B, ..., B)")
-    return mode, ordering, _field(params, "delta", int), heights
+    delta = _field(params, "delta", int)
+    if delta < 0:
+        raise InputError("malformed report: delta must be nonnegative")
+    return mode, ordering, delta, heights
 
 
 def _report_points(cert, num_vars):
@@ -268,7 +277,7 @@ def verify_report_dict(data, ideal):
         )
         certs.append(cert)
         messages = [f"point {p} not in S(X,B)" for p in points if p not in index]
-        messages += verify_certificate(cert, expected, gb).failures
+        messages += verify_certificate(cert, expected, gb)
         failures += [f"certificate {k}: {msg}" for msg in messages]
     uncovered = coverage_failure(certs, len(expected))
     if uncovered:
@@ -320,22 +329,24 @@ def cmd_bound(args):
     inp = DetBoundInput(mu=args.mu, m=args.m, norms=norms, r=r)
     budget = choose_nu(args.mu, args.m)
     log_bound = determinant_bound(inp)
+    bound = None  # with a zero norm, or beyond the largest double
+    if log_bound != -math.inf:
+        with contextlib.suppress(OverflowError):
+            bound = float(determinant_bound_exact(inp))
     out = {
         "mu": args.mu,
         "m": args.m,
         "nu": budget.nu,
         "e": budget.e,
-        "log_bound": log_bound,
-        "bound": None if log_bound == float("-inf") else float(
-            determinant_bound_exact(inp)
-        ),
+        "log_bound": None if log_bound == -math.inf else log_bound,
+        "bound": bound,
     }
     if args.output == "json":
-        print(json.dumps(out, sort_keys=True, indent=2))
+        print(json.dumps(out, sort_keys=True, indent=2, allow_nan=False))
     else:
         print(
             f"mu={out['mu']} m={out['m']} nu={out['nu']} e={out['e']} "
-            f"bound={out['bound']} (log {out['log_bound']:.6g})"
+            f"bound={bound} (log {log_bound:.6g})"
         )
     return EXIT_OK
 
@@ -398,7 +409,7 @@ def build_parser():
     p.add_argument(
         "--strategy", choices=["adaptive", "theoretical"], default="adaptive"
     )
-    p.add_argument("--norm-bound", type=float)
+    p.add_argument("--norm-bound", help="rational C^nu norm bound (theoretical)")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument(
         "--timings",

@@ -36,6 +36,7 @@ from .bounds import (
     choose_nu,
     ck_norm_bound,
     determinant_bound,
+    finite_double,
     float_up,
 )
 from .errors import (
@@ -44,11 +45,9 @@ from .errors import (
     TheoreticalFalsificationError,
 )
 from .ideals import (
-    GroebnerBasis,
     a_estimates,
     all_sigmas,
     dimension_and_degree,
-    groebner,
     homogenized_basis,
     normal_form,
     ordering_bound,
@@ -262,50 +261,46 @@ def auxiliary_for_box(mat, indices, sc, gb, box_desc, timings):
     )
 
 
-@dataclass
-class VerificationResult:
-    ok: bool
-    failures: list = field(default_factory=list)
-
-    def fail(self, message):
-        self.ok = False
-        self.failures.append(message)
-
-
 def verify_certificate(cert, points, gb):
     """The one per-certificate check, for the engine and `detmethod verify`
     alike; trusts nothing from the constructor.  The polynomial is nonzero,
     has integer coefficients and support inside M(delta), vanishes exactly at
     each covered point points[i], and has a nonzero normal form, i.e. lies
-    outside the ideal.  Every failure is listed; a zero polynomial fails
-    alone.
+    outside the ideal.  Returns the list of failure messages, empty on a
+    pass; a zero polynomial fails alone.
 
     Every check runs on every certificate, the normal form too, though a
     support inside M(delta) already keeps a nonzero polynomial out of the
-    ideal.  The checks stay in integers where the data are: evaluate sums
-    integer terms at the integer points, and normal_form reduces in place."""
-    res = VerificationResult(ok=True)
+    ideal.  M(delta) is built only once a support monomial of degree delta
+    needs it, so a report with a wrong delta fails without walking the
+    staircase up to it.  The checks stay in integers where the data are:
+    evaluate sums integer terms at the integer points, and normal_form
+    reduces in place."""
     poly = cert.poly
     if poly.is_zero():
-        res.fail("zero polynomial")
-        return res
+        return ["zero polynomial"]
+    failures = []
     if not poly.integer_coefficients():
-        res.fail("non-integer coefficients")
+        failures.append("non-integer coefficients")
     delta = cert.support_delta
-    allowed = set(staircase(gb, delta).exponents)
+    allowed = None
     for e in poly.support():
         if sum(e) != delta:
-            res.fail(f"support monomial {e} has degree {sum(e)}, not delta = {delta}")
+            failures.append(
+                f"support monomial {e} has degree {sum(e)}, not delta = {delta}"
+            )
             break
+        if allowed is None:
+            allowed = set(staircase(gb, delta).exponents)
         if e not in allowed:
-            res.fail(f"support monomial {e} lies in LT(I)")
+            failures.append(f"support monomial {e} lies in LT(I)")
             break
     for idx in cert.points_covered:
         if poly.evaluate(points[idx]) != 0:
-            res.fail(f"does not vanish at {points[idx]}")
+            failures.append(f"does not vanish at {points[idx]}")
     if normal_form(poly, gb).is_zero():
-        res.fail("lies in the ideal")
-    return res
+        failures.append("lies in the ideal")
+    return failures
 
 
 def coverage_failure(certificates, point_count):
@@ -371,9 +366,9 @@ def theoretical_rho(box, sigma, mu, m, norm_bound):
     nu, f = budget.nu, budget.e
     if f <= 0:
         raise DegenerateIdealError("f = 0: determinant exponent budget is empty")
-    nb = float(norm_bound)
-    if nb <= 0:
-        raise InputError("norm bound must be positive")
+    nb = float(norm_bound) if finite_double(norm_bound) else math.nan
+    if not nb > 0:
+        raise InputError("norm bound must be a positive finite double")
     up = lambda x: math.nextafter(x, math.inf)
     # const, unrounded, gives the starting guess just inside the bound
     const = math.lgamma(mu + 1) + mu * math.log(D(m, nu)) + mu * math.log(nb)
@@ -563,8 +558,8 @@ def choose_delta(gb, epsilon):
     the a_i being measured at PROBE_DEGREE_DEFAULT and m, d read from the
     full basis gb.  The reported (finite-delta) exponents are what the
     k-bound uses; no asymptotic constants are assumed."""
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise InputError("epsilon must be positive and finite")
     dd = dimension_and_degree(gb)
     m, d = dd.dimension, dd.degree
     if m < 1:
@@ -601,10 +596,9 @@ def choose_delta(gb, epsilon):
 
 
 def cover_and_construct(
-    ideal_h,
+    gb,
     box,
     delta=None,
-    ordering=Ordering.GRLEX_LEFT,
     strategy="adaptive",
     norm_bound=None,
     chart=None,
@@ -612,17 +606,16 @@ def cover_and_construct(
     point_set=None,
     epsilon=None,
 ):
-    """Run the covering construction over S(X, B) for a homogeneous ideal
-    under `ordering`, or for the full GroebnerBasis of one, whose own
-    ordering then applies.  Exactly one of delta and epsilon is set: the
-    support degree is delta, or else choose_delta's degree, and the report
-    then carries choose_delta's report as delta_report.
+    """Run the covering construction over S(X, B) for the full GroebnerBasis
+    gb of a homogeneous ideal, under gb's ordering.  Exactly one of delta and
+    epsilon is set: the support degree is delta, or else choose_delta's
+    degree, and the report then carries choose_delta's report as
+    delta_report.
 
     Every enumerated point ends up covered by at least one certificate, or the
     run raises (degeneracy / falsification); nothing is silently skipped.
     """
     _require_delta_xor_epsilon(delta, epsilon)
-    gb = ideal_h if isinstance(ideal_h, GroebnerBasis) else groebner(ideal_h, ordering)
     if not gb.ideal.homogeneous:
         raise ValueError("the covering construction needs a homogeneous ideal")
     delta_report = None
@@ -699,9 +692,7 @@ def cover_and_construct(
         k_val = 0.0
 
     # constructor output is never trusted: re-verify before it leaves
-    failures = [
-        msg for c in certs for msg in verify_certificate(c, points, gb).failures
-    ]
+    failures = [msg for c in certs for msg in verify_certificate(c, points, gb)]
     uncovered = coverage_failure(certs, len(points))
     if failures or uncovered:
         raise AssertionError(f"internal verification failed: {failures or uncovered}")

@@ -2,18 +2,14 @@
 
 Groebner bases are computed with Buchberger's algorithm (normal selection
 strategy, final interreduction, deterministic ordering of generators and
-output).  The pipelines build one full reduced basis per ideal and ordering,
-and read the dimension m and degree d exactly from the Hilbert series of
-S/LT(I).  An affine ideal keeps its homogenization I^h and one basis of I^h
+output).  Every basis is the full reduced one, and the pipelines build one
+per ideal and ordering and read the dimension m and degree d exactly from
+the Hilbert series of S/LT(I).  An affine ideal keeps its homogenization I^h and one basis of I^h
 per ordering (homogenized_basis), and that basis keeps the basis of the
 section J = I^h + (x0) that ordering_bound reads, so repeated calls on one
 ideal object reuse both, and every staircase cached on them.  No kept basis
 refers back to the object that keeps it, so dropping the ideal frees them
 at once, without the cycle collector.
-
-An optional degree cap truncates the basis; it is only allowed for
-homogeneous ideals, where discarding S-pairs above the cap is sound because
-homogeneous S-polynomials never drop in degree, and no pipeline uses it.
 """
 
 from __future__ import annotations
@@ -52,11 +48,10 @@ class Ideal:
 
 
 class GroebnerBasis:
-    def __init__(self, ideal, ordering, basis, truncation_degree):
+    def __init__(self, ideal, ordering, basis):
         self.ideal = ideal
         self.ordering = ordering
         self.basis = basis
-        self.truncation_degree = truncation_degree
         self.leading_monomials = [g.leading_monomial(ordering) for g in basis]
         # the leading monomials with lm[i] = a > 0, keyed by (i, a): the only
         # ones that can divide x_i*e for a standard e (see _grow)
@@ -74,13 +69,6 @@ class GroebnerBasis:
     @property
     def num_vars(self):
         return self.ideal.num_vars
-
-    def _check_cap(self, degree, what):
-        if self.truncation_degree is not None and degree > self.truncation_degree:
-            raise ValueError(
-                f"{what} degree {degree} exceeds truncation cap "
-                f"{self.truncation_degree}"
-            )
 
 
 @dataclass(frozen=True)
@@ -137,11 +125,8 @@ def _reduce(f, basis, lms, ordering):
     return Polynomial(remainder, f.num_vars)
 
 
-def groebner(ideal, ordering, degree_cap=None):
-    """Buchberger with optional degree truncation (homogeneous ideals only)."""
-    if degree_cap is not None and not ideal.homogeneous:
-        raise ValueError("degree truncation requires a homogeneous ideal")
-
+def groebner(ideal, ordering):
+    """The full reduced Groebner basis of the ideal, by Buchberger."""
     basis = sorted(
         (g.monic(ordering) for g in ideal.generators), key=_sort_key(ordering)
     )
@@ -162,8 +147,6 @@ def groebner(ideal, ordering, degree_cap=None):
             lcm = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
             if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
                 continue  # coprime leading monomials: S-pair reduces to zero
-            if degree_cap is not None and sum(lcm) > degree_cap:
-                continue
             heapq.heappush(heap, (sum(lcm), counter, i, j))
             counter += 1
 
@@ -201,17 +184,15 @@ def groebner(ideal, ordering, degree_cap=None):
         )
 
     reduced.sort(key=_sort_key(ordering))
-    return GroebnerBasis(ideal, ordering, reduced, degree_cap)
+    return GroebnerBasis(ideal, ordering, reduced)
 
 
 def normal_form(f, gb):
-    """Remainder of f on division by gb; zero iff f lies in the ideal
-    (up to the truncation cap).  _reduce works in place on a dict of f's
-    terms, as Buchberger's reductions do."""
+    """Remainder of f on division by gb; zero iff f lies in the ideal.
+    _reduce works in place on a dict of f's terms, as Buchberger's
+    reductions do."""
     if f.num_vars != gb.num_vars:
         raise InputError("variable count mismatch")
-    if not f.is_zero():
-        gb._check_cap(f.degree(), "polynomial")
     return _reduce(f, gb.basis, gb.leading_monomials, gb.ordering)
 
 
@@ -240,7 +221,6 @@ def staircase(gb, delta):
     """
     if delta < 0:
         raise InputError("degree must be nonnegative")
-    gb._check_cap(delta, "staircase")
     cache = gb._staircases
     if delta not in cache:
         start = max((t for t in cache if t < delta), default=None)
@@ -337,15 +317,8 @@ def dimension_and_degree(gb):
     homogeneous ideal, read from the Hilbert series K(t)/(1-t)^n of
     S/LT(I): (1-t) is divided out of K while K(1) = 0, and then m is the
     remaining power minus 1 and d = K(1).  An empty variety (the Hilbert
-    polynomial is 0) gives (-1, 0).
-
-    The basis must be full: one truncated at a cap does not fix LT(I) above
-    the cap.  The result is computed once per basis and kept on it."""
-    if gb.truncation_degree is not None:
-        raise ValueError(
-            "dimension and degree need a full basis, not one truncated at "
-            f"degree {gb.truncation_degree}"
-        )
+    polynomial is 0) gives (-1, 0).  The result is computed once per basis
+    and kept on it."""
     if gb._dimension_degree is None:
         k = _hilbert_numerator(gb.leading_monomials)
         power = gb.num_vars

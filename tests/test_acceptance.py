@@ -68,10 +68,12 @@ def _run_corpus_entry(name, gens, n, mode, height, delta):
         ih = homogenize_ideal(ideal)
     else:
         report = cover_and_construct(
-            ideal, HeightBox.uniform(Fraction(height), n), delta
+            groebner(ideal, Ordering.GRLEX_LEFT),
+            HeightBox.uniform(Fraction(height), n),
+            delta,
         )
         ih = ideal
-    gb = groebner(ih, Ordering.GRLEX_LEFT, degree_cap=max(delta, 9))
+    gb = groebner(ih, Ordering.GRLEX_LEFT)
     return report, gb
 
 
@@ -97,8 +99,8 @@ def test_criterion_1_soundness(corpus_runs):
             continue  # no certificates emitted; nothing to verify
         report, gb = run
         for cert in report.certificates:
-            res = verify_certificate(cert, report.points, gb)
-            assert res.ok, f"{name}: {res.failures}"
+            failures = verify_certificate(cert, report.points, gb)
+            assert not failures, f"{name}: {failures}"
             checked += 1
     assert checked > 0
     assert corpus_runs["_elapsed"] < 60.0
@@ -207,7 +209,7 @@ def test_criterion_5_hilbert_oracle():
         if mode == "affine":
             ideal = homogenize_ideal(ideal)
         for ordering in (Ordering.GRLEX_LEFT, Ordering.GREVLEX):
-            gb = groebner(ideal, ordering, degree_cap=8)
+            gb = groebner(ideal, ordering)
             for s in range(9):
                 assert hilbert_function(gb, s) == hilbert_oracle(ideal, s), (
                     name,

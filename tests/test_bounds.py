@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from detmethod import (
     parse_polynomial,
 )
 
-from detmethod.bounds import float_up
+from detmethod.bounds import finite_double, float_up
 from oracles import exact_determinant, grid_derivative_max
 
 
@@ -190,6 +191,15 @@ def test_detbound_input_validation():
         DetBoundInput(mu=2, m=1, norms=(1,), r=Fraction(1, 2))
     with pytest.raises(InputError):
         DetBoundInput(mu=2, m=1, norms=(1, 1), r=Fraction(3, 2))
+
+
+def test_detbound_rejects_norms_beyond_the_doubles():
+    largest = Fraction(sys.float_info.max)
+    assert finite_double(largest) and finite_double(-largest)
+    for norm in (largest + 1, 10**400, math.inf, math.nan):
+        assert not finite_double(norm)
+        with pytest.raises(InputError, match="finite doubles"):
+            DetBoundInput(mu=2, m=1, norms=(1, norm), r=Fraction(1, 2))
 
 
 def test_detbound_dominates_vandermonde():

@@ -11,10 +11,11 @@ import shlex
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from detmethod import cli
+from detmethod import cli, engine
 from detmethod.cli import build_parser, load_ideal, main
 
 from oracles import naive_affine_points
@@ -285,6 +286,40 @@ def test_verify_names_the_failed_support_check(
     assert out.splitlines()[0] == f"FAIL: certificate 0: {message}"
 
 
+def test_verify_with_a_wrong_delta_walks_no_staircase_up_to_it(
+    capsys, parabola_report, monkeypatch
+):
+    # every support monomial has degree 2, so the degree check fails each
+    # certificate before M(3000) would be needed
+    bases = []
+    real = cli.homogenized_basis
+
+    def spy(ideal, ordering):
+        bases.append(real(ideal, ordering))
+        return bases[-1]
+
+    monkeypatch.setattr(cli, "homogenized_basis", spy)
+    data = json.loads(parabola_report.read_text())
+    data["params"]["delta"] = 3000
+    parabola_report.write_text(json.dumps(data))
+    code, out, _ = run(
+        capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
+    )
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == data["certificate_count"]
+    assert all(
+        re.fullmatch(
+            rf"FAIL: certificate {k}: support monomial \(\d, \d, \d\) has "
+            r"degree 2, not delta = 3000",
+            line,
+        )
+        for k, line in enumerate(lines)
+    )
+    (gb,) = bases
+    assert max(gb._staircases, default=0) <= 2
+
+
 def test_verify_missing_report(capsys):
     code, _, err = run(
         capsys, "verify", "--report", "/nonexistent.json", "--ideal", PARABOLA
@@ -319,7 +354,102 @@ def test_bound_worked_example(capsys):
     assert data["bound"] == pytest.approx(162 / 512, rel=1e-12)
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN and the infinities."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_bound_with_a_zero_norm_prints_null_log_bound(capsys):
+    code, out, _ = run(
+        capsys, "bound", "--mu", "3", "--m", "1", "--norms", "0,1,1",
+        "--r", "0.3", "--output", "json",
+    )
+    assert code == 0
+    data = _strict_json(out)
+    assert data["log_bound"] is None and data["bound"] is None
+
+
+def test_bound_beyond_the_doubles_prints_null_bound(capsys):
+    code, out, _ = run(
+        capsys, "bound", "--mu", "3", "--m", "1", "--norms", "1e300,1e300,1e300",
+        "--r", "0.3", "--output", "json",
+    )
+    assert code == 0
+    data = _strict_json(out)
+    assert data["bound"] is None and data["log_bound"] > 2000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hilbert", "--ideal", PARABOLA, "--s-min", "0", "--s-max", "2"),
+        ("points", "--ideal", PARABOLA, "--height", "25"),
+        ("construct", "--ideal", PARABOLA, "--height", "25", "--epsilon", "0.25"),
+        ("construct", "--ideal", CONIC, "--mode", "projective", "--heights",
+         "4,4,4", "--delta", "2", "--timings"),
+        ("construct", "--ideal", PARABOLA, "--height", "100", "--delta", "2",
+         "--strategy", "theoretical", "--norm-bound", "20"),
+        ("bound", "--mu", "3", "--m", "1", "--norms", "1,1,1", "--r", "1/8",
+         "--output", "json"),
+    ],
+)
+def test_json_output_is_standard(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    _strict_json(out)
+
+
+def test_norm_bound_is_read_exactly(capsys, monkeypatch):
+    # "0.3" is 3/10, not the double just below it: the bound is not understated
+    norms = []
+    real = engine.determinant_bound
+
+    def spy(inp):
+        norms.extend(inp.norms)
+        return real(inp)
+
+    monkeypatch.setattr(engine, "determinant_bound", spy)
+    run(
+        capsys, "construct", "--ideal", PARABOLA, "--height", "100",
+        "--delta", "2", "--strategy", "theoretical", "--norm-bound", "0.3",
+    )
+    assert norms and all(Fraction(n) >= Fraction(3, 10) for n in norms)
+
+
 # -- exit codes ------------------------------------------------------------
+
+
+THEORETICAL = (
+    "construct", "--ideal", PARABOLA, "--height", "100", "--delta", "2",
+    "--strategy", "theoretical",
+)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((*THEORETICAL, "--norm-bound", "inf"), "Invalid literal"),
+        ((*THEORETICAL, "--norm-bound", "nan"), "Invalid literal"),
+        ((*THEORETICAL, "--norm-bound", "1e400"), "positive finite double"),
+        ((*THEORETICAL, "--norm-bound", "0"), "positive finite double"),
+        (("bound", "--mu", "3", "--m", "1", "--norms", "1e400,1,1", "--r", "0.3"),
+         "finite doubles"),
+        (("construct", "--ideal", PARABOLA, "--height", "25", "--epsilon", "inf"),
+         "epsilon must be positive and finite"),
+        (("construct", "--ideal", PARABOLA, "--height", "25", "--epsilon", "nan"),
+         "epsilon must be positive and finite"),
+        (("sweep", "--ideal", PARABOLA, "--height-list", "25", "--epsilon", "inf"),
+         "epsilon must be positive and finite"),
+    ],
+)
+def test_non_finite_number_is_input_error(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
 
 
 def test_malformed_ideal_file(capsys, tmp_path):
@@ -374,6 +504,7 @@ def test_degenerate_ideal_exit_code(capsys):
 MALFORMED_REPORTS = {
     "no-params": lambda d: {k: v for k, v in d.items() if k != "params"},
     "string-delta": lambda d: {**d, "params": {**d["params"], "delta": "2"}},
+    "negative-delta": lambda d: {**d, "params": {**d["params"], "delta": -1}},
     "short-heights": lambda d: {**d, "params": {**d["params"], "heights": [1]}},
     "top-level-list": lambda d: [d],
     "no-points": lambda d: {

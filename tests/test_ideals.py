@@ -54,14 +54,9 @@ def test_forced_s_pair_reduction():
     assert (2, 0) in lms and (0, 2) in lms
 
 
-def test_cap_requires_homogeneous(parabola):
-    with pytest.raises(ValueError):
-        groebner(parabola, GRLEX, degree_cap=5)
-
-
 def test_groebner_deterministic(twisted_cubic):
-    gb1 = groebner(twisted_cubic, GRLEX, degree_cap=6)
-    gb2 = groebner(twisted_cubic, GRLEX, degree_cap=6)
+    gb1 = groebner(twisted_cubic, GRLEX)
+    gb2 = groebner(twisted_cubic, GRLEX)
     assert gb1.basis == gb2.basis
 
 
@@ -69,18 +64,18 @@ def test_groebner_deterministic(twisted_cubic):
 
 
 def test_normal_form_of_generator_is_zero(conic):
-    gb = groebner(conic, GRLEX, degree_cap=6)
+    gb = groebner(conic, GRLEX)
     assert normal_form(conic.generators[0], gb).is_zero()
 
 
 def test_normal_form_of_one(conic):
-    gb = groebner(conic, GRLEX, degree_cap=6)
+    gb = groebner(conic, GRLEX)
     one = Polynomial.constant(1, 3)
     assert normal_form(one, gb) == one
 
 
 def test_normal_form_staircase_representative(conic):
-    gb = groebner(conic, GRLEX, degree_cap=6)
+    gb = groebner(conic, GRLEX)
     f = parse_polynomial("x1^4", 3)
     nf = normal_form(f, gb)
     assert not nf.is_zero()
@@ -91,29 +86,23 @@ def test_normal_form_staircase_representative(conic):
 
 
 def test_normal_form_idempotent(twisted_cubic):
-    gb = groebner(twisted_cubic, GRLEX, degree_cap=8)
+    gb = groebner(twisted_cubic, GRLEX)
     f = parse_polynomial("x1^3 + x0*x1*x3 - x2^3 + x0^2*x3", 4)
     nf = normal_form(f, gb)
     assert normal_form(nf, gb) == nf
-
-
-def test_normal_form_cap_enforced(conic):
-    gb = groebner(conic, GRLEX, degree_cap=4)
-    with pytest.raises(ValueError):
-        normal_form(parse_polynomial("x1^6", 3), gb)
 
 
 # -- staircase -------------------------------------------------------------
 
 
 def test_staircase_full_ring():
-    gb = groebner(make_ideal(["x0^9"], 2), GRLEX, degree_cap=8)
+    gb = groebner(make_ideal(["x0^9"], 2), GRLEX)
     sc = staircase(gb, 2)
     assert set(sc.exponents) == {(2, 0), (1, 1), (0, 2)}
 
 
 def test_staircase_conic(conic):
-    gb = groebner(conic, GRLEX, degree_cap=4)
+    gb = groebner(conic, GRLEX)
     sc = staircase(gb, 2)
     assert len(sc.exponents) == 5
     # the one excluded degree-2 monomial is the leading monomial x1^2
@@ -122,12 +111,12 @@ def test_staircase_conic(conic):
 
 
 def test_staircase_irrelevant_ideal():
-    gb = groebner(make_ideal(["x0", "x1", "x2"], 3), GRLEX, degree_cap=4)
+    gb = groebner(make_ideal(["x0", "x1", "x2"], 3), GRLEX)
     assert staircase(gb, 3).exponents == ()
 
 
 def test_staircase_size_matches_hf(twisted_cubic):
-    gb = groebner(twisted_cubic, GRLEX, degree_cap=6)
+    gb = groebner(twisted_cubic, GRLEX)
     for s in range(7):
         assert len(staircase(gb, s).exponents) == hilbert_function(gb, s)
 
@@ -145,7 +134,7 @@ def _data_ideals():
 @pytest.mark.parametrize("ordering", [GRLEX, GREVLEX])
 def test_staircase_matches_naive_filter_on_data_ideals(ordering):
     for name, ideal in _data_ideals():
-        gb = groebner(ideal, ordering, degree_cap=12)
+        gb = groebner(ideal, ordering)
         for delta in range(13):
             assert staircase(gb, delta).exponents == naive_staircase(gb, delta), (
                 name,
@@ -169,7 +158,7 @@ def monomial_ideals(draw):
 def test_staircase_matches_naive_filter_on_monomial_ideals(case, ordering):
     n, gens = case
     ideal = Ideal([Polynomial.monomial(e, n, 1) for e in gens], n)
-    gb = groebner(ideal, ordering, degree_cap=8)
+    gb = groebner(ideal, ordering)
     for delta in range(9):
         assert staircase(gb, delta).exponents == naive_staircase(gb, delta)
     if (0,) * n in gens:
@@ -177,9 +166,9 @@ def test_staircase_matches_naive_filter_on_monomial_ideals(case, ordering):
 
 
 def test_staircase_independent_of_call_order(twisted_cubic):
-    down = groebner(twisted_cubic, GRLEX, degree_cap=9)
+    down = groebner(twisted_cubic, GRLEX)
     high_first = staircase(down, 9), staircase(down, 3)
-    up = groebner(twisted_cubic, GRLEX, degree_cap=9)
+    up = groebner(twisted_cubic, GRLEX)
     low_first = staircase(up, 3), staircase(up, 9)
     assert high_first == low_first[::-1]
     assert [staircase(down, t) for t in range(10)] == [
@@ -192,19 +181,19 @@ def test_staircase_independent_of_call_order(twisted_cubic):
 
 
 def test_hf_free_ring():
-    gb = groebner(make_ideal(["x0^20"], 2), GRLEX, degree_cap=10)
+    gb = groebner(make_ideal(["x0^20"], 2), GRLEX)
     for s in range(10):
         assert hilbert_function(gb, s) == s + 1
 
 
 def test_hf_conic(conic):
-    gb = groebner(conic, GRLEX, degree_cap=8)
+    gb = groebner(conic, GRLEX)
     for s in range(1, 9):
         assert hilbert_function(gb, s) == 2 * s + 1
 
 
 def test_hf_twisted_cubic(twisted_cubic):
-    gb = groebner(twisted_cubic, GRLEX, degree_cap=8)
+    gb = groebner(twisted_cubic, GRLEX)
     for s in range(1, 9):
         assert hilbert_function(gb, s) == 3 * s + 1
 
@@ -212,15 +201,15 @@ def test_hf_twisted_cubic(twisted_cubic):
 @pytest.mark.parametrize("ordering", [GRLEX, GREVLEX])
 def test_hf_matches_linear_algebra_oracle(conic, twisted_cubic, ordering):
     for ideal in (conic, twisted_cubic):
-        gb = groebner(ideal, ordering, degree_cap=8)
+        gb = groebner(ideal, ordering)
         for s in range(9):
             assert hilbert_function(gb, s) == hilbert_oracle(ideal, s)
 
 
 def test_hf_ordering_invariant(conic, twisted_cubic):
     for ideal in (conic, twisted_cubic):
-        g1 = groebner(ideal, GRLEX, degree_cap=8)
-        g2 = groebner(ideal, GREVLEX, degree_cap=8)
+        g1 = groebner(ideal, GRLEX)
+        g2 = groebner(ideal, GREVLEX)
         for s in range(9):
             assert hilbert_function(g1, s) == hilbert_function(g2, s)
 
@@ -229,20 +218,20 @@ def test_hf_ordering_invariant(conic, twisted_cubic):
 
 
 def test_sigma_free_ring():
-    gb = groebner(make_ideal(["x0^20"], 2), GRLEX, degree_cap=12)
+    gb = groebner(make_ideal(["x0^20"], 2), GRLEX)
     for s in range(1, 12):
         assert all_sigmas(gb, s)[0] == s * (s + 1) // 2
 
 
 def test_sigma_sum_identity(conic, twisted_cubic):
     for ideal in (conic, twisted_cubic):
-        gb = groebner(ideal, GRLEX, degree_cap=8)
+        gb = groebner(ideal, GRLEX)
         for s in range(1, 9):
             assert sum(all_sigmas(gb, s)) == s * hilbert_function(gb, s)
 
 
 def test_sigma_conic_total(conic):
-    gb = groebner(conic, GRLEX, degree_cap=4)
+    gb = groebner(conic, GRLEX)
     assert sum(all_sigmas(gb, 2)) == 10
 
 
@@ -278,11 +267,6 @@ def test_dim_deg_empty_variety(gens):
     gb = groebner(make_ideal(gens, 2), GRLEX)
     dd = dimension_and_degree(gb)
     assert (dd.dimension, dd.degree) == (-1, 0)
-
-
-def test_dim_deg_rejects_truncated_basis(conic):
-    with pytest.raises(ValueError):
-        dimension_and_degree(groebner(conic, GRLEX, degree_cap=10))
 
 
 def _affine(gens, n):
@@ -356,12 +340,12 @@ def test_dim_deg_table(name, make, expected, ordering):
 
 
 def test_a_symmetric_free_ring():
-    gb = groebner(make_ideal(["x0^40"], 2), GRLEX, degree_cap=20)
+    gb = groebner(make_ideal(["x0^40"], 2), GRLEX)
     assert a_estimates(gb, 15) == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_a_conic_limit(conic):
-    gb = groebner(conic, GRLEX, degree_cap=50)
+    gb = groebner(conic, GRLEX)
     a = a_estimates(gb, 50)
     assert sum(a) == 1
     assert all(0 <= x <= 1 for x in a)
@@ -372,12 +356,12 @@ def test_a_conic_limit(conic):
 
 def test_a_point_ideal():
     ideal = make_ideal(["x1", "x2"], 3)
-    gb = groebner(ideal, GRLEX, degree_cap=10)
+    gb = groebner(ideal, GRLEX)
     assert a_estimates(gb, 6) == (1, 0, 0)
 
 
 def test_a_degenerate():
-    gb = groebner(make_ideal(["x0", "x1"], 2), GRLEX, degree_cap=10)
+    gb = groebner(make_ideal(["x0", "x1"], 2), GRLEX)
     with pytest.raises(DegenerateIdealError):
         a_estimates(gb, 3)
 
@@ -411,7 +395,7 @@ def test_ordering_bound_saddle_surface():
 
 def test_ordering_bound_sum_with_a0(parabola):
     ih = homogenize_ideal(parabola)
-    gb = groebner(ih, GRLEX, degree_cap=20)
+    gb = groebner(ih, GRLEX)
     s = 20
     a = a_estimates(gb, s)
     rep = affine_ordering_bound(parabola, s)

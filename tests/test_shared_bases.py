@@ -39,8 +39,8 @@ def groebner_calls(monkeypatch):
     calls = []
     real = ideals.groebner
 
-    def counting(ideal, ordering, degree_cap=None):
-        gb = real(ideal, ordering, degree_cap)
+    def counting(ideal, ordering):
+        gb = real(ideal, ordering)
         calls.append((ideal, ordering, weakref.ref(gb)))
         return gb
 

@@ -52,7 +52,9 @@ class Case:
             self.points = {(1,) + p for p in naive_affine_points(self.ideal, 100)}
         else:
             box = HeightBox((6, 6, 6))
-            report = cover_and_construct(self.ideal, box, delta=DELTA)
+            report = cover_and_construct(
+                groebner(self.ideal, Ordering.GRLEX_LEFT), box, delta=DELTA
+            )
             self.gb = groebner(self.ideal, Ordering.GRLEX_LEFT)
             self.points = set(naive_projective_points(self.ideal, box))
         self.data = json.loads(report_json(report))
