@@ -81,11 +81,14 @@ def load_ideal(path):
 
 
 def _rational(text, flag):
-    """A rational command-line value; a zero denominator is an input error."""
+    """A rational command-line value; text that is not a rational number,
+    or has a zero denominator, is an input error naming the flag."""
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise InputError(f"{flag}: zero denominator in {text!r}") from exc
+    except ValueError as exc:
+        raise InputError(f"{flag}: {exc}") from exc
 
 
 def _parse_heights(args, num_vars):
@@ -305,8 +308,7 @@ def cmd_sweep(args):
     ideal = load_ideal(args.ideal)
     ordering = Ordering(args.ordering)
     heights = [_rational(h, "--height-list") for h in args.height_list.split(",")]
-    print("B,N,certificates,k_actual,k_bound")
-    for b in heights:
+    for i, b in enumerate(heights):
         report = affine_pipeline(
             ideal,
             b,
@@ -316,6 +318,8 @@ def cmd_sweep(args):
             budget=args.budget,
         )
         n_pts = len(report.affine_points)
+        if i == 0:  # an error on the first height leaves stdout empty
+            print("B,N,certificates,k_actual,k_bound")
         print(
             f"{b},{n_pts},{len(report.certificates)},"
             f"{report.k_actual},{report.k_bound_value:.6g}"

@@ -14,8 +14,9 @@ grid of side rho on the chart domain [-1,1]^m, with rho derived from the
 determinant estimate; a full-rank occupied cube there is a falsification,
 reported as an error and never silently repaired.
 
-A run reads staircases, mu and sigma_i from one full Groebner basis per ideal
-and ordering, and m and d from its Hilbert series.  Every certificate passes
+A run builds one full Groebner basis per ideal and ordering, reads mu,
+sigma_i, m and d from its Hilbert series, and lists the staircase M(delta)
+only for the monomial matrix and verification.  Every certificate passes
 verify_certificate, and the set coverage_failure, before a report leaves the
 engine; `detmethod verify` runs the same two checks.
 """
@@ -48,6 +49,7 @@ from .ideals import (
     a_estimates,
     all_sigmas,
     dimension_and_degree,
+    hilbert_function,
     homogenized_basis,
     normal_form,
     ordering_bound,
@@ -568,7 +570,7 @@ def choose_delta(gb, epsilon):
 
     best = None
     for delta in range(1, DELTA_MAX_DEFAULT + 1):
-        mu = len(staircase(gb, delta).exponents)
+        mu = hilbert_function(gb, delta)
         if mu < 2:
             continue
         budget = choose_nu(mu, m)

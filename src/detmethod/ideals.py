@@ -3,11 +3,14 @@
 Groebner bases are computed with Buchberger's algorithm (normal selection
 strategy, final interreduction, deterministic ordering of generators and
 output).  Every basis is the full reduced one, and the pipelines build one
-per ideal and ordering and read the dimension m and degree d exactly from
-the Hilbert series of S/LT(I).  An affine ideal keeps its homogenization I^h and one basis of I^h
-per ordering (homogenized_basis), and that basis keeps the basis of the
-section J = I^h + (x0) that ordering_bound reads, so repeated calls on one
-ideal object reuse both, and every staircase cached on them.  No kept basis
+per ideal and ordering.  HF, sigma_i, a_i, mu, m, d and the ordering bound
+are read in closed form off one multigraded Hilbert series numerator of
+S/LT(I), kept on the basis; M(delta) is listed only for the monomial
+matrix and certificate verification.  An affine ideal keeps its
+homogenization I^h and one basis of I^h per ordering (homogenized_basis),
+and that basis keeps the basis of the section J = I^h + (x0) that
+ordering_bound reads, so repeated calls on one ideal object reuse both, and
+everything kept on them.  No kept basis
 refers back to the object that keeps it, so dropping the ideal frees them
 at once, without the cycle collector.
 """
@@ -18,6 +21,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import comb
 
 from .errors import DegenerateIdealError, InputError
 from .polynomials import Ordering, Polynomial, divides
@@ -61,10 +65,9 @@ class GroebnerBasis:
                 if a:
                     self._lms_by_entry.setdefault((i, a), []).append(lm)
         self._staircases = {}
+        self._numerator = None  # kept by _numerator
         self._dimension_degree = None  # kept by dimension_and_degree
         self._section = None  # ordering_bound's basis of I + (x0)
-        # sums of t*HF(t) over t = 1..s at index s, for ordering_bound's J
-        self._weighted_hf_sums = [0]
 
     @property
     def num_vars(self):
@@ -75,7 +78,8 @@ class GroebnerBasis:
 class Staircase:
     """M(delta): the degree-delta monomials outside LT(I), sorted descending
     by the ordering.  Built by staircase() from M(delta-1), never by listing
-    all monomials of degree delta."""
+    all monomials of degree delta, and only for the monomial matrix and
+    certificate verification: HF and sigma_i come from the Hilbert series."""
 
     delta: int
     exponents: tuple
@@ -263,13 +267,42 @@ def _descending(exps, ordering):
 
 
 def hilbert_function(gb, s):
-    return len(staircase(gb, s).exponents)
+    """HF(s) = sum_a c_a C(s-|a|+n-1, n-1), read off the numerator
+    N(u) = sum_a c_a u^a of the multigraded Hilbert series of S/LT(I)."""
+    return sum(b for _, b, _ in _series_terms(gb, s))
 
 
 def all_sigmas(gb, s):
-    """(sigma_0, ..., sigma_n): per-coordinate exponent sums over M(s)."""
-    exps = staircase(gb, s).exponents
-    return tuple(sum(e[i] for e in exps) for i in range(gb.num_vars))
+    """(sigma_0, ..., sigma_n): per-coordinate exponent sums over M(s), read
+    off N(u): u_i d/du_i of the series at u = (t, ..., t) is
+    (u_i d/du_i N)(t)/(1-t)^n + N(t) t/(1-t)^(n+1)."""
+    sig = [0] * gb.num_vars
+    for a, b, shifted in _series_terms(gb, s):
+        for i, ai in enumerate(a):
+            sig[i] += ai * b + shifted
+    return tuple(sig)
+
+
+def _series_terms(gb, s):
+    """For each term c_a u^a of N with |a| <= s: a, c_a C(s-|a|+n-1, n-1)
+    and c_a C(s-|a|+n-1, n), its shares of [t^s] N(t)/(1-t)^n and of
+    [t^(s-1)] N(t)/(1-t)^(n+1)."""
+    if s < 0:
+        raise InputError("degree must be nonnegative")
+    n = gb.num_vars
+    for a, deg, c in _numerator(gb):
+        if deg <= s:
+            k = s - deg + n - 1
+            yield a, c * comb(k, n - 1), c * comb(k, n)
+
+
+def _numerator(gb):
+    """N(u) for S/LT(I) as (a, |a|, c_a) triples, c_a != 0: built on the
+    first call and kept on gb."""
+    if gb._numerator is None:
+        terms = _hilbert_numerator(gb.leading_monomials).items()
+        gb._numerator = [(a, sum(a), c) for a, c in terms if c]
+    return gb._numerator
 
 
 @dataclass(frozen=True)
@@ -279,11 +312,11 @@ class DimensionDegree:
 
 
 def _hilbert_numerator(monomials):
-    """Coefficients of K(t), the numerator of the Hilbert series
-    K(t)/(1-t)^n of S/(monomials), by the colon recursion
-    K(M + (m)) = K(M) - t^|m| K(M : m) (Bayer-Stillman, J. Symb. Comp. 1992;
-    Cox-Little-O'Shea, IVA ch. 9 sec. 2).  Pairwise coprime generators end
-    it: their K(t) is the product of the factors 1 - t^|m|."""
+    """The numerator N(u) = sum c_a u^a of the multigraded Hilbert series
+    N(u) / prod(1 - u_i) of S/(monomials), as {a: c_a}, by the colon
+    recursion N(M + (m)) = N(M) - u^m N(M : m) (Bayer-Stillman, J. Symb.
+    Comp. 1992; Cox-Little-O'Shea, IVA ch. 9 sec. 2).  Pairwise coprime
+    generators end it: their N(u) is the product of the factors 1 - u^m."""
     gens = []  # the minimal generators, by degree
     for m in sorted(set(monomials), key=lambda m: (sum(m), m)):
         if not any(divides(g, m) for g in gens):
@@ -293,34 +326,37 @@ def _hilbert_numerator(monomials):
         for i, g in enumerate(gens)
         for h in gens[i + 1 :]
     ):
-        k = [1]
+        k = {(0,) * len(gens[0]): 1}
         for g in gens:
-            k = _minus_shifted(k, k, sum(g))
+            k = _minus_shifted(k, k, g)
         return k
     *rest, pivot = gens
     colon = [tuple(max(a - b, 0) for a, b in zip(g, pivot)) for g in rest]
     return _minus_shifted(
-        _hilbert_numerator(rest), _hilbert_numerator(colon), sum(pivot)
+        _hilbert_numerator(rest), _hilbert_numerator(colon), pivot
     )
 
 
 def _minus_shifted(a, b, shift):
-    """a(t) - t^shift * b(t), on coefficient lists."""
-    out = a + [0] * max(0, len(b) + shift - len(a))
-    for i, c in enumerate(b):
-        out[i + shift] -= c
+    """a(u) - u^shift * b(u), on {exponent: coefficient} dicts."""
+    out = dict(a)
+    for e, c in b.items():
+        e = tuple(x + y for x, y in zip(e, shift))
+        out[e] = out.get(e, 0) - c
     return out
 
 
 def dimension_and_degree(gb):
     """The dimension m and degree d of the projective variety of a
     homogeneous ideal, read from the Hilbert series K(t)/(1-t)^n of
-    S/LT(I): (1-t) is divided out of K while K(1) = 0, and then m is the
-    remaining power minus 1 and d = K(1).  An empty variety (the Hilbert
-    polynomial is 0) gives (-1, 0).  The result is computed once per basis
-    and kept on it."""
+    S/LT(I), K(t) = N(t, ..., t): (1-t) is divided out of K while K(1) = 0,
+    and then m is the remaining power minus 1 and d = K(1).  An empty
+    variety (the Hilbert polynomial is 0) gives (-1, 0).  The result is
+    computed once per basis and kept on it."""
     if gb._dimension_degree is None:
-        k = _hilbert_numerator(gb.leading_monomials)
+        k = [0] * (1 + max((deg for _, deg, _ in _numerator(gb)), default=0))
+        for _, deg, c in _numerator(gb):
+            k[deg] += c
         power = gb.num_vars
         while power and any(k) and sum(k) == 0:
             k = list(accumulate(k))[:-1]  # K(t) / (1-t)
@@ -391,9 +427,9 @@ def affine_ordering_bound(affine_ideal, s):
     """Check, at finite s, the exact inequality behind the bound
     a_1 + ... + a_n <= m/(m+1) under the left-graded ordering.
 
-    lhs is computed from the staircase of the homogenized ideal; the
-    intermediate bound uses J = I^h + (x0).  The inequality lhs <= intermediate
-    is exact at every finite s.  A sweep over s on one ideal object runs
+    lhs is read off the Hilbert series of the homogenized ideal, the
+    intermediate bound off that of J = I^h + (x0).  The inequality
+    lhs <= intermediate is exact at every finite s.  A sweep over s on one ideal object runs
     Buchberger three times in all (the affine basis, I^h and J): the bases
     are kept by homogenized_basis and ordering_bound.
     """
@@ -403,9 +439,9 @@ def affine_ordering_bound(affine_ideal, s):
 def ordering_bound(gb, s):
     """affine_ordering_bound, read from the full basis of the homogenized
     ideal under the left-graded ordering.  J's basis is built on the first
-    call and kept on gb, like gb's staircases and its dimension; J's basis
-    keeps the running sums of t*HF_J(t), so a sweep over s reads each
-    staircase of J once, not every t <= s at every s."""
+    call and kept on gb, like gb's series numerator and its dimension, so a
+    sweep over s builds each basis and each numerator once and lists no
+    staircase."""
     if gb.ordering is not Ordering.GRLEX_LEFT:
         raise ValueError("the ordering bound needs the left-graded ordering")
     hf = hilbert_function(gb, s)
@@ -433,9 +469,11 @@ def ordering_bound(gb, s):
 
 
 def _weighted_hf_sum(gb, s):
-    """The sum of t*HF(t) over t = 1..s, from the running sums kept on gb:
-    a new s reads only the staircases above the largest s seen so far."""
-    sums = gb._weighted_hf_sums
-    for t in range(len(sums), s + 1):
-        sums.append(sums[-1] + t * hilbert_function(gb, t))
-    return sums[s]
+    """The sum of t*HF(t) = sigma_0(t) + ... + sigma_n(t) over t = 1..s,
+    read off N(u) by the hockey-stick identity."""
+    n = gb.num_vars
+    return sum(
+        c * (deg * comb(s - deg + n, n) + n * comb(s - deg + n, n + 1))
+        for _, deg, c in _numerator(gb)
+        if deg <= s
+    )

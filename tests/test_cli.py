@@ -484,6 +484,36 @@ def test_zero_denominator_is_input_error(capsys, argv):
     assert "zero denominator in '1/0'" in err
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--height", ("construct", "--height", "abc", "--ideal", PARABOLA,
+                      "--delta", "2")),
+        ("--heights", ("points", "--mode", "projective", "--heights", "1,abc,1",
+                       "--ideal", CONIC)),
+        ("--height-list", ("sweep", "--ideal", PARABOLA, "--height-list", "25,abc",
+                           "--delta", "2")),
+        ("--norm-bound", (*THEORETICAL, "--norm-bound", "abc")),
+        ("--norms", ("bound", "--mu", "3", "--m", "1", "--norms", "1,abc,1",
+                     "--r", "1/8")),
+        ("--r", ("bound", "--mu", "3", "--m", "1", "--norms", "1,1,1", "--r", "abc")),
+    ],
+)
+def test_unreadable_rational_is_input_error_naming_its_flag(capsys, flag, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: {flag}: ") and "'abc'" in err
+
+
+def test_sweep_error_on_the_first_height_prints_no_header(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--ideal", PARABOLA, "--height-list", "25",
+        "--epsilon", "inf",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_budget_exit_code(capsys):
     code, _, err = run(
         capsys, "points", "--ideal", CONIC, "--mode", "projective",

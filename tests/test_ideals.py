@@ -23,7 +23,10 @@ from detmethod import (
     staircase,
 )
 
+from detmethod import ideals
 from detmethod.cli import load_ideal
+from detmethod.ideals import monomials_of_degree
+from detmethod.polynomials import divides
 
 from conftest import DATA, make_ideal
 from oracles import hilbert_oracle, naive_staircase
@@ -121,10 +124,10 @@ def test_staircase_size_matches_hf(twisted_cubic):
         assert len(staircase(gb, s).exponents) == hilbert_function(gb, s)
 
 
-def _data_ideals():
-    """Every tests/data ideal, homogenized as an affine ideal, and as it
-    stands when homogeneous (projective)."""
-    for path in sorted(DATA.glob("*.ideal")):
+def _data_ideals(paths=None):
+    """Every tests/data ideal (or each of paths), homogenized as an affine
+    ideal, and as it stands when homogeneous (projective)."""
+    for path in sorted(DATA.glob("*.ideal")) if paths is None else paths:
         ideal = load_ideal(path)
         yield f"{path.stem}-affine", homogenize_ideal(ideal)
         if ideal.homogeneous:
@@ -143,10 +146,14 @@ def test_staircase_matches_naive_filter_on_data_ideals(ordering):
 
 
 @st.composite
-def monomial_ideals(draw):
-    n = draw(st.integers(2, 5))
+def monomial_ideals(draw, max_vars=5, max_exponent=4, max_gens=5):
+    n = draw(st.integers(2, max_vars))
     gens = draw(
-        st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=5)
+        st.lists(
+            st.tuples(*[st.integers(0, max_exponent)] * n),
+            min_size=1,
+            max_size=max_gens,
+        )
     )
     return n, gens
 
@@ -212,6 +219,51 @@ def test_hf_ordering_invariant(conic, twisted_cubic):
         g2 = groebner(ideal, GREVLEX)
         for s in range(9):
             assert hilbert_function(g1, s) == hilbert_function(g2, s)
+
+
+# -- the series against the listing ----------------------------------------
+
+CORPUS = DATA.parent.parent / "bench" / "corpus"
+
+
+def _listed_tables(exps, n):
+    return len(exps), tuple(sum(e[i] for e in exps) for i in range(n))
+
+
+@pytest.mark.parametrize("ordering", [GRLEX, GREVLEX])
+def test_series_matches_staircase_listing_on_data_and_corpus_ideals(ordering):
+    # each distinct file of tests/data and the benchmark corpus once
+    files = {p.read_text(): p for d in (CORPUS, DATA) for p in d.glob("*.ideal")}
+    assert len(files) >= len(list(DATA.glob("*.ideal")))
+    for name, ideal in _data_ideals(sorted(files.values())):
+        gb = groebner(ideal, ordering)
+        weighted = 0
+        for s in range(41):
+            hf, sig = _listed_tables(staircase(gb, s).exponents, gb.num_vars)
+            series = hilbert_function(gb, s), all_sigmas(gb, s)
+            assert series == (hf, sig), (name, s)
+            weighted += s * hf
+            assert ideals._weighted_hf_sum(gb, s) == weighted, (name, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=monomial_ideals(max_vars=4, max_exponent=5, max_gens=6),
+    ordering=st.sampled_from([GRLEX, GREVLEX]),
+)
+@example(case=(2, [(0, 0)]), ordering=GRLEX)  # the unit ideal
+@example(case=(3, [(2, 0, 0), (1, 1, 0), (0, 2, 1)]), ordering=GREVLEX)
+def test_series_matches_brute_force_count_on_monomial_ideals(case, ordering):
+    n, gens = case
+    gb = groebner(Ideal([Polynomial.monomial(e, n, 1) for e in gens], n), ordering)
+    for s in range(12):
+        standard = [
+            e
+            for e in monomials_of_degree(s, n)
+            if not any(divides(g, e) for g in gens)
+        ]
+        expected = _listed_tables(standard, n)
+        assert (hilbert_function(gb, s), all_sigmas(gb, s)) == expected, s
 
 
 # -- sigma -----------------------------------------------------------------
@@ -326,8 +378,8 @@ def test_dim_deg_table(name, make, expected, ordering):
     gb = groebner(make(), ordering)
     dd = dimension_and_degree(gb)
     assert (dd.dimension, dd.degree) == expected
-    # independently, from the staircases: the m-th difference of HF is d and
-    # the next one vanishes at s = 20..25
+    # independently of the division by (1-t): the m-th difference of HF is d
+    # and the next one vanishes at s = 20..25
     m, d = expected
     row = [hilbert_function(gb, s) for s in range(20, 26 + m + 1)]
     for _ in range(m):
