@@ -35,7 +35,7 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
-    a_estimates,
+    a_ratios,
     all_sigmas,
     groebner,
     hilbert_function,
@@ -134,7 +134,7 @@ def cmd_hilbert(args):
         hf = hilbert_function(gb, s)
         sig = all_sigmas(gb, s)
         if s >= 1 and hf > 0:
-            a = [str(x) for x in a_estimates(gb, s)]
+            a = [str(x) for x in a_ratios(s, hf, sig)]
         else:
             a = [None] * gb.num_vars
         rows.append({"s": s, "hf": hf, "sigma": list(sig), "a": a})
@@ -376,8 +376,10 @@ def _add_ordering(p):
     )
 
 
+@functools.cache
 def build_parser():
-    """Each subcommand takes only the options its cmd_* function reads."""
+    """Each subcommand takes only the options its cmd_* function reads.  The
+    parser is built once per process and shared by every main() call."""
     parser = argparse.ArgumentParser(
         prog="detmethod",
         description="Auxiliary polynomials for integral/rational points of "

@@ -124,7 +124,7 @@ def build_matrix(points, sc):
     )
 
 
-def exact_kernel(mat):
+def exact_kernel(mat, low=0):
     """The first kernel vector of the matrix, or None at full rank.
 
     The vector is the primitive integer c, positive at its leading entry (the
@@ -134,15 +134,19 @@ def exact_kernel(mat):
     read off the reduced echelon form, and the one a certificate uses.
 
     All arithmetic is on integers.  A box with fewer than mu points goes
-    straight to fraction-free elimination of all its rows.  A larger box
-    first runs a rank screen: mu rows independent modulo KERNEL_PRIME have a
-    mu x mu minor nonzero mod P, hence nonzero, so there is no kernel.
-    Otherwise the r < mu rows independent mod P are eliminated, and the
-    vector is checked against every row with exact dot products.  The pivot
-    columns of any subset of the rows lie among those of all rows, so a
-    vector on columns 0..f, nonzero at f, that vanishes on every row is the
-    full matrix's.  If the check fails, P was a bad prime for this matrix and
-    the elimination runs again on all rows.
+    straight to primitive-row elimination of all its rows.  A larger box
+    first runs a rank screen over its rows in order: mu rows independent
+    modulo KERNEL_PRIME have a mu x mu minor nonzero mod P, hence nonzero, so
+    there is no kernel.  If those mu rows all lie among the first `low`
+    rows, the result is False instead of None (falsy too): the first `low`
+    rows alone have full rank, which lets the adaptive cover split a child
+    box made of them without a kernel call.  Otherwise the r < mu rows
+    independent mod P are eliminated, and the vector is checked against
+    every row with exact dot products.  The pivot columns of any subset of
+    the rows lie among those of all rows, so a vector on columns 0..f,
+    nonzero at f, that vanishes on every row is the full matrix's.  If the
+    check fails, P was a bad prime for this matrix and the elimination runs
+    again on all rows.
     """
     mu = len(mat.exponents)
     rows = mat.rows
@@ -150,7 +154,7 @@ def exact_kernel(mat):
         return _first_kernel_vector(rows, mu)
     chosen = _independent_mod_p(mat.residues, mu)
     if len(chosen) == mu:
-        return None
+        return None if chosen[-1] >= low else False
     vec = _first_kernel_vector([rows[j] for j in chosen], mu)
     if any(sum(a * b for a, b in zip(vec, row)) for row in rows):
         vec = _first_kernel_vector(rows, mu)
@@ -190,38 +194,55 @@ def _first_kernel_vector(rows, mu):
     """exact_kernel's vector for the given integer rows of length mu, or None
     if they have rank mu.
 
-    Bareiss forward elimination (Math. Comp. 22, 1968) runs column by column
-    and stops at the first column f without a pivot.  Columns 0..f-1 then
-    hold the pivots, and with r rows f is at most r, so only the first r+1
-    columns are touched.  The eliminated entries are minors of the matrix, so
-    each division by the previous pivot is exact, and the last pivot d is, up
-    to sign, the minor on columns 0..f-1.  Back-substitution of column f
-    alone, with d there, then gives integers (Cramer's rule), so every
-    division there is exact too.
+    Primitive-row elimination runs column by column and stops at the first
+    column f without a pivot.  Columns 0..f-1 then hold the pivots, and with
+    r rows f is at most r, so only the first r+1 columns are touched.  Each
+    step takes the row with the smallest nonzero entry pv in the column as
+    pivot row, replaces each other row with entry g there by
+    (pv/h)*row - (g/h)*pivot row, h = gcd(pv, g), and divides it by its
+    content; rows are kept from the current column on.  The row that
+    fraction-free (Bareiss) elimination would hold with the same pivots, its
+    entries minors of the matrix, is an integer multiple of each row here;
+    on Vandermonde-like rows most of those minors' size is a common factor,
+    which the division drops.  Back-substitution of column f stays in
+    integers: before x_k is solved from pivot d_k and the partial sum s, the
+    vector found so far is scaled by d_k/gcd(s, d_k), so
+    x_k = -s/gcd(s, d_k).  The vector on columns 0..f is unique up to scale,
+    so neither the pivot choice nor the scaling changes the primitive
+    result.
     """
     width = min(mu, len(rows) + 1)
-    m = [list(row[:width]) for row in rows]
-    d = 1
+    m = [row[:width] for row in rows]
+    pivots = []
     for f in range(width):
-        piv = next((i for i in range(f, len(m)) if m[i][f]), None)
+        piv = None
+        for i, row in enumerate(m):
+            if row[0] and (piv is None or abs(row[0]) < abs(m[piv][0])):
+                piv = i
         if piv is None:
             break
-        m[f], m[piv] = m[piv], m[f]
-        top = m[f]
-        pv = top[f]
-        for row in m[f + 1 :]:
-            g = row[f]
-            for j in range(f + 1, width):
-                row[j] = (pv * row[j] - g * top[j]) // d
-        d = pv
+        top = m.pop(piv)
+        pivots.append(top)
+        pv = top[0]
+        for i, row in enumerate(m):
+            g = row[0]
+            if g:
+                h = math.gcd(pv, g)
+                a, b = pv // h, g // h
+                row = [a * x - b * y for x, y in zip(row, top)]
+                c = math.gcd(*row)
+                if c > 1:
+                    row = [x // c for x in row]
+            m[i] = row[1:]
     else:
         return None  # a pivot in each of the mu columns
-    x = [0] * mu
-    x[f] = d
-    for k in range(f - 1, -1, -1):
-        row = m[k]
-        x[k] = -sum(row[j] * x[j] for j in range(k + 1, f + 1)) // row[k]
-    return _primitive_vector(x)
+    x = [1]  # x_k..x_f, as k falls from f
+    for row in reversed(pivots):
+        s = sum(a * b for a, b in zip(row[1:], x))
+        h = math.gcd(s, row[0])
+        t = row[0] // h
+        x = [-s // h] + [v * t for v in x]
+    return _primitive_vector(x + [0] * (mu - len(x)))
 
 
 def _primitive_vector(vec):
@@ -242,23 +263,25 @@ class AuxiliaryCertificate:
     box: tuple  # ((lo, hi), ...) descriptor of the covered sub-box
 
 
-def auxiliary_for_box(mat, indices, sc, gb, box_desc, timings):
+def auxiliary_for_box(mat, indices, sc, gb, box_desc, timings, low=0):
     """Certificate for the points mat.points[i], i in indices, of one sub-box,
-    or None if their monomial matrix has full rank mu (triggering subdivision
-    in adaptive mode).  mat is the cover's matrix; the kernel stage is added
-    to `timings` (kernel_s, kernel_calls)."""
+    or a falsy value if their monomial matrix has full rank mu (triggering
+    subdivision in adaptive mode): False when the first `low` of the indices
+    alone have full rank (see exact_kernel), else None.  mat is the cover's
+    matrix; the certificate lists the indices in ascending order, and the
+    kernel stage is added to `timings` (kernel_s, kernel_calls)."""
     box_mat = mat.restrict(indices)
     start = perf_counter()
-    coeffs = exact_kernel(box_mat)
+    coeffs = exact_kernel(box_mat, low)
     timings["kernel_s"] += perf_counter() - start
     timings["kernel_calls"] += 1
-    if coeffs is None:
-        return None
+    if not coeffs:
+        return coeffs
     terms = {e: c for e, c in zip(mat.exponents, coeffs) if c != 0}
     return AuxiliaryCertificate(
         poly=Polynomial(terms, gb.num_vars),
         support_delta=sc.delta,
-        points_covered=tuple(indices),
+        points_covered=tuple(sorted(indices)),
         box=tuple(box_desc),
     )
 
@@ -493,37 +516,46 @@ class PipelineReport:
 
 
 def _adaptive_cover(points, sc, gb, timings):
-    """Bisection covering; returns (certificates, max_depth)."""
+    """Bisection covering; returns (certificates, max_depth).
+
+    A box's split (the longest axis of its bounding box, the lowest such
+    axis on ties, at the midpoint) is fixed before its kernel call, which
+    reads the low child's rows first.  When the screen finds mu independent
+    rows among them, the low child has full rank too, and it is split
+    without a kernel call of its own."""
     n = gb.num_vars
     mat = build_matrix(points, sc)
     certs = []
     max_depth = 0
-    all_idx = tuple(range(len(points)))
-    stack = [(all_idx, 0)]
+    stack = [(tuple(range(len(points))), 0, False)]
     while stack:
-        idxs, depth = stack.pop()
+        idxs, depth, full_rank = stack.pop()
         max_depth = max(max_depth, depth)
         pts = [points[i] for i in idxs]
         # shrink to the integer bounding box of the contained points
         bbox = [
             (min(p[a] for p in pts), max(p[a] for p in pts)) for a in range(n)
         ]
-        cert = auxiliary_for_box(mat, idxs, sc, gb, bbox, timings)
-        if cert is not None:
-            certs.append(cert)
-            continue
-        if len(idxs) == 1:
-            raise DegenerateIdealError(
-                "full-rank matrix on a single point: no staircase-supported "
-                "polynomial can vanish there (zero-dimensional obstruction)"
-            )
         extents = [hi - lo for lo, hi in bbox]
         axis = max(range(n), key=lambda a: (extents[a], -a))
         lo, hi = bbox[axis]
         low = tuple(i for i in idxs if 2 * points[i][axis] <= lo + hi)
         high = tuple(i for i in idxs if 2 * points[i][axis] > lo + hi)
-        stack.append((high, depth + 1))
-        stack.append((low, depth + 1))
+        cert = None
+        if not full_rank:
+            cert = auxiliary_for_box(
+                mat, low + high, sc, gb, bbox, timings, len(low)
+            )
+            if cert:
+                certs.append(cert)
+                continue
+        if len(idxs) == 1:
+            raise DegenerateIdealError(
+                "full-rank matrix on a single point: no staircase-supported "
+                "polynomial can vanish there (zero-dimensional obstruction)"
+            )
+        stack.append((high, depth + 1, False))
+        stack.append((low, depth + 1, cert is False))
     return certs, max_depth
 
 

@@ -376,11 +376,16 @@ def a_estimates(gb, s):
     """
     if s < 1:
         raise InputError("s must be >= 1")
-    hf = hilbert_function(gb, s)
+    return a_ratios(s, hilbert_function(gb, s), all_sigmas(gb, s))
+
+
+def a_ratios(s, hf, sigma):
+    """a_estimates from HF(s) = hf and sigma_i(s) = sigma[i], for callers
+    that hold both already.  The sigma_i sum the exponents of the hf
+    standard monomials of degree s, so the a_i sum to 1."""
     if hf == 0:
         raise DegenerateIdealError(f"Hilbert function vanishes at s={s}")
-    sig = all_sigmas(gb, s)
-    ests = tuple(Fraction(x, s * hf) for x in sig)
+    ests = tuple(Fraction(x, s * hf) for x in sigma)
     if sum(ests) != 1:
         raise AssertionError(f"a_estimates at s={s} sum to {sum(ests)}, not 1")
     return ests

@@ -260,13 +260,124 @@ def test_build_matrix_once_per_cover(monkeypatch, strategy):
     assert report.timings["kernel_calls"] > 1
 
 
+def _kernel_calls(monkeypatch):
+    """Replace engine.exact_kernel by a wrapper that records each call's
+    (mat, low, result)."""
+    calls = []
+    original = engine.exact_kernel
+
+    def spy(mat, low=0):
+        result = original(mat, low)
+        calls.append((mat, low, result))
+        return result
+
+    monkeypatch.setattr(engine, "exact_kernel", spy)
+    return calls
+
+
 def test_screen_skips_boxes_with_fewer_than_mu_points(monkeypatch):
-    boxes = _spy(monkeypatch, "exact_kernel", lambda mat: len(mat.points))
+    """One screen per kernel call with at least mu rows, none below mu; and
+    a low child that its parent's screen found full rank gets no kernel
+    call, so the bisection tree's 2 * certificates - 1 boxes are the kernel
+    calls plus those children."""
+    calls = _kernel_calls(monkeypatch)
     screened = _spy(monkeypatch, "_independent_mod_p", lambda res, mu: len(res))
     report = affine_pipeline(make_ideal(["x1 - x0^2"], 2), 100, delta=2)
     mu = report.mu
-    assert min(boxes) < mu <= max(boxes)
-    assert screened == [q for q in boxes if q >= mu]
+    sizes = [len(mat.points) for mat, _, _ in calls]
+    assert min(sizes) < mu <= max(sizes)
+    assert screened == [q for q in sizes if q >= mu]
+    skipped = [set(mat.points[:low]) for mat, low, found in calls if found is False]
+    assert skipped
+    assert not any(set(mat.points) in skipped for mat, _, _ in calls)
+    assert len(calls) + len(skipped) == 2 * len(report.certificates) - 1
+
+
+@pytest.mark.parametrize("b, delta", [(1000, 2), (10**4, 4), (10**4, 10)])
+def test_boxes_split_without_a_screen_have_full_rank(monkeypatch, b, delta):
+    """A low child that the cover splits on its parent's screen alone has
+    rank mu over the rationals."""
+    calls = _kernel_calls(monkeypatch)
+    report = affine_pipeline(make_ideal(["x1 - x0^2"], 2), b, delta=delta)
+    skipped = [mat.rows[:low] for mat, low, found in calls if found is False]
+    assert skipped
+    assert all(rational_rank(rows) == report.mu for rows in skipped)
+    # the other calls still answer as exact_kernel(mat) alone does
+    for mat, low, found in calls:
+        assert found is False or found == _first_oracle_vector(mat)
+
+
+def test_kernel_reports_a_full_rank_low_prefix():
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    mat = _matrix(rows)
+    assert exact_kernel(mat, 3) is False
+    assert exact_kernel(mat, 2) is None
+    assert exact_kernel(mat) is None
+    # with a kernel vector, low changes nothing
+    dependent = _matrix([(1, 1, 0), (2, 2, 0), (0, 0, 1)])
+    assert exact_kernel(dependent, 3) == exact_kernel(dependent) == (1, -1, 0)
+
+
+def _conic_matrix_at_delta_12(points):
+    """mu = 25: the staircase of x0*x2 - x1^2 at delta = 12."""
+    return build_matrix(points, _conic_setup(12)[1])
+
+
+@pytest.mark.parametrize("q", [6, 24, 25, 26, 40])
+def test_kernel_matches_oracle_on_parabola_points_at_delta_12(q):
+    """Lifted parabola points (1, x, x^2), on the conic x0*x2 = x1^2, with
+    entries x^24 above 10^100."""
+    rng = random.Random(q)
+    xs = rng.sample(range(-(10**5), 10**5), q - 1) + [10**5]
+    mat = _conic_matrix_at_delta_12([(1, x, x * x) for x in xs])
+    assert len(mat.exponents) == 25
+    assert max(max(map(abs, row)) for row in mat.rows) > 10**100
+    vec = exact_kernel(mat)
+    assert vec == _first_oracle_vector(mat)
+    assert (vec is None) == (q >= 25)
+    assert engine._first_kernel_vector(mat.rows, 25) == vec
+
+
+@pytest.mark.parametrize("q", [10, 25, 30])
+def test_kernel_matches_oracle_on_conic_points_at_delta_12(q):
+    """Primitive conic points (a^2, ab, b^2) with a, b up to 10^5."""
+    rng = random.Random(100 + q)
+    pts = set()
+    while len(pts) < q:
+        a, b = rng.randint(1, 10**5), rng.randint(-(10**5), 10**5)
+        if math.gcd(a, b) == 1:
+            pts.add((a * a, a * b, b * b))
+    mat = _conic_matrix_at_delta_12(sorted(pts))
+    assert max(max(map(abs, row)) for row in mat.rows) > 10**100
+    vec = _first_oracle_vector(mat)
+    assert exact_kernel(mat) == vec
+    assert engine._first_kernel_vector(mat.rows, 25) == vec
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # a large common content, different on each row
+        [[2**200 * v for v in (1, 2, 3, 4)], [3**90 * v for v in (1, 3, 5, 7)],
+         [6**70 * v for v in (2, 1, 0, 5)]],
+        # pivot entries sharing a large factor with the rows below
+        [[6 * 10**30, 4, 9, 1], [10**31, 7, 2, 8], [15 * 10**30, 1, 1, 1]],
+        # zero in the pivot column, first on the top rows
+        [[0, 0, 1, 2], [0, 3, 1, 1], [5, 0, 0, 7]],
+        [[0, 1, 2, 3], [0, 2, 4, 6], [0, 1, 0, 1]],
+        # rank deficient: a zero row, a repeated row, a sum of rows
+        [[0, 0, 0, 0], [1, 2, 3, 4], [1, 2, 3, 4], [2, 4, 6, 8]],
+        [[1, 2, 3, 4], [4, 3, 2, 1], [5, 5, 5, 5], [3, 1, -1, -3]],
+        # full rank, square and with an extra row
+        [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+        [[10**40, 1, 2], [3, 10**40, 4], [5, 6, 10**40], [7, 8, 9]],
+    ],
+)
+def test_elimination_matches_oracle_on_awkward_rows(rows):
+    mat = _matrix(rows)
+    expected = _first_oracle_vector(mat)
+    assert engine._first_kernel_vector(mat.rows, len(rows[0])) == expected
+    assert exact_kernel(mat) == expected
 
 
 # -- auxiliary polynomials ---------------------------------------------------
