@@ -93,6 +93,8 @@ def _rational(text, flag):
 
 def _parse_heights(args, num_vars):
     if args.mode == "affine":
+        if args.heights is not None:
+            raise InputError("affine mode takes --height B, not --heights")
         if args.height is None:
             raise InputError("affine mode needs --height B")
         return _rational(args.height, "--height")
@@ -100,6 +102,8 @@ def _parse_heights(args, num_vars):
         if args.height is not None:
             return HeightBox.uniform(_rational(args.height, "--height"), num_vars)
         raise InputError("projective mode needs --heights B0,...,Bn")
+    if args.height is not None:
+        raise InputError("projective mode takes --height or --heights, not both")
     parts = [_rational(p, "--heights") for p in args.heights.split(",")]
     if len(parts) != num_vars:
         raise InputError(
@@ -251,7 +255,7 @@ def _report_points(cert, num_vars):
     return [tuple(p) for p in points]
 
 
-def verify_report_dict(data, ideal):
+def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET):
     """Re-verify a stored report against the ideal file, trusting nothing.
 
     This parses the report and checks that each listed point lies in S(X,B);
@@ -263,11 +267,12 @@ def verify_report_dict(data, ideal):
         gb = homogenized_basis(ideal, ordering)
         expected = tuple(
             (1,) + p
-            for p in enumerate_affine(ideal, heights[1]).points
+            for p in enumerate_affine(ideal, heights[1], budget=budget).points
         )
     else:
         gb = groebner(ideal, ordering)
-        expected = enumerate_projective(ideal, HeightBox(tuple(heights))).points
+        box = HeightBox(tuple(heights))
+        expected = enumerate_projective(ideal, box, budget=budget).points
     index = {p: i for i, p in enumerate(expected)}
 
     failures = []
@@ -295,7 +300,7 @@ def cmd_verify(args):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read report {args.report}: {exc}") from exc
-    failures = verify_report_dict(data, ideal)
+    failures = verify_report_dict(data, ideal, budget=args.budget)
     if failures:
         for f in failures:
             print(f"FAIL: {f}")
@@ -427,6 +432,7 @@ def build_parser():
     p = add("verify", help="re-verify a stored report")
     p.add_argument("--report", required=True)
     p.add_argument("--ideal", required=True)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = add(

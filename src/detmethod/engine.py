@@ -16,9 +16,9 @@ reported as an error and never silently repaired.
 
 A run builds one full Groebner basis per ideal and ordering, reads mu,
 sigma_i, m and d from its Hilbert series, and lists the staircase M(delta)
-only for the monomial matrix and verification.  Every certificate passes
-verify_certificate, and the set coverage_failure, before a report leaves the
-engine; `detmethod verify` runs the same two checks.
+once, for the monomial matrix.  Every certificate passes verify_certificate
+(LT(I) membership by divisibility), and the set coverage_failure, before a
+report leaves the engine; `detmethod verify` runs the same two checks.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .points import (
     partition_classes,
     tau_normalize,
 )
-from .polynomials import Ordering, Polynomial, format_polynomial
+from .polynomials import Ordering, Polynomial, divides, format_polynomial
 
 DELTA_MAX_DEFAULT = 12
 PROBE_DEGREE_DEFAULT = 24
@@ -296,11 +296,10 @@ def verify_certificate(cert, points, gb):
 
     Every check runs on every certificate, the normal form too, though a
     support inside M(delta) already keeps a nonzero polynomial out of the
-    ideal.  M(delta) is built only once a support monomial of degree delta
-    needs it, so a report with a wrong delta fails without walking the
-    staircase up to it.  The checks stay in integers where the data are:
-    evaluate sums integer terms at the integer points, and normal_form
-    reduces in place."""
+    ideal.  A support monomial of degree delta lies in M(delta) exactly when
+    no leading monomial divides it, so M(delta) itself is never listed.  The
+    checks stay in integers where the data are: evaluate sums integer terms
+    at the integer points, and normal_form reduces in place."""
     poly = cert.poly
     if poly.is_zero():
         return ["zero polynomial"]
@@ -308,16 +307,13 @@ def verify_certificate(cert, points, gb):
     if not poly.integer_coefficients():
         failures.append("non-integer coefficients")
     delta = cert.support_delta
-    allowed = None
     for e in poly.support():
         if sum(e) != delta:
             failures.append(
                 f"support monomial {e} has degree {sum(e)}, not delta = {delta}"
             )
             break
-        if allowed is None:
-            allowed = set(staircase(gb, delta).exponents)
-        if e not in allowed:
+        if any(divides(lm, e) for lm in gb.leading_monomials):
             failures.append(f"support monomial {e} lies in LT(I)")
             break
     for idx in cert.points_covered:

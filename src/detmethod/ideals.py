@@ -5,14 +5,14 @@ strategy, final interreduction, deterministic ordering of generators and
 output).  Every basis is the full reduced one, and the pipelines build one
 per ideal and ordering.  HF, sigma_i, a_i, mu, m, d and the ordering bound
 are read in closed form off one multigraded Hilbert series numerator of
-S/LT(I), kept on the basis; M(delta) is listed only for the monomial
-matrix and certificate verification.  An affine ideal keeps its
-homogenization I^h and one basis of I^h per ordering (homogenized_basis),
-and that basis keeps the basis of the section J = I^h + (x0) that
-ordering_bound reads, so repeated calls on one ideal object reuse both, and
-everything kept on them.  No kept basis
-refers back to the object that keeps it, so dropping the ideal frees them
-at once, without the cycle collector.
+S/LT(I), kept on the basis; M(delta), the degree-delta monomials that no
+leading monomial divides, is listed only for the monomial matrix.  An affine
+ideal keeps its homogenization I^h and one basis of I^h per ordering
+(homogenized_basis), and that basis keeps the basis of the section
+J = I^h + (x0) that ordering_bound reads, so repeated calls on one ideal
+object reuse both, and everything kept on them.  No kept basis refers back
+to the object that keeps it, so dropping the ideal frees them at once,
+without the cycle collector.
 """
 
 from __future__ import annotations
@@ -57,14 +57,6 @@ class GroebnerBasis:
         self.ordering = ordering
         self.basis = basis
         self.leading_monomials = [g.leading_monomial(ordering) for g in basis]
-        # the leading monomials with lm[i] = a > 0, keyed by (i, a): the only
-        # ones that can divide x_i*e for a standard e (see _grow)
-        self._lms_by_entry = {}
-        for lm in self.leading_monomials:
-            for i, a in enumerate(lm):
-                if a:
-                    self._lms_by_entry.setdefault((i, a), []).append(lm)
-        self._staircases = {}
         self._numerator = None  # kept by _numerator
         self._dimension_degree = None  # kept by dimension_and_degree
         self._section = None  # ordering_bound's basis of I + (x0)
@@ -77,9 +69,9 @@ class GroebnerBasis:
 @dataclass(frozen=True)
 class Staircase:
     """M(delta): the degree-delta monomials outside LT(I), sorted descending
-    by the ordering.  Built by staircase() from M(delta-1), never by listing
-    all monomials of degree delta, and only for the monomial matrix and
-    certificate verification: HF and sigma_i come from the Hilbert series."""
+    by the ordering.  Built by staircase() for the monomial matrix only: HF
+    and sigma_i come from the Hilbert series, and certificate verification
+    tests LT(I) membership by divisibility."""
 
     delta: int
     exponents: tuple
@@ -211,50 +203,18 @@ def monomials_of_degree(total, nvars):
 
 
 def staircase(gb, delta):
-    """M(delta): degree-delta monomials outside LT(I), sorted descending by
-    the ordering, and cached on gb.
-
-    The monomials outside a monomial ideal form an order ideal: every divisor
-    of a standard monomial is standard.  So for t >= 1 each f in M(t) is x_i*e
-    with e = f/x_i in M(t-1), and M(t) is grown from M(t-1), starting at the
-    highest cached degree below delta, or at M(0) = {1} (empty when some
-    leading monomial is 1).  The walk is exact: it reaches every standard
-    monomial of degree t, and tests each candidate against LT(I) as the
-    filter over all C(delta+n, n) monomials of degree delta would.  Every
-    degree it passes is cached.
-    """
+    """M(delta): the degree-delta monomials that no leading monomial divides,
+    i.e. those outside LT(I) (Cox-Little-O'Shea, IVA ch. 2 sec. 5), sorted
+    descending by the ordering."""
     if delta < 0:
         raise InputError("degree must be nonnegative")
-    cache = gb._staircases
-    if delta not in cache:
-        start = max((t for t in cache if t < delta), default=None)
-        if start is None:
-            start, one = 0, (0,) * gb.num_vars
-            cache[0] = Staircase(0, () if one in gb.leading_monomials else (one,))
-        exps = cache[start].exponents
-        for t in range(start + 1, delta + 1):
-            exps = _descending(_grow(gb, exps), gb.ordering)
-            cache[t] = Staircase(t, tuple(exps))
-    return cache[delta]
-
-
-def _grow(gb, below):
-    """The standard monomials one degree above the staircase `below`.
-
-    f = x_i*e is formed only for i up to the first nonzero index of e, so each
-    f arises once: from its own first nonzero index i and e = f/x_i.  As no
-    leading monomial divides e, one that divides f has lm[i] = f[i]; only
-    those are tested.
-    """
-    by_entry = gb._lms_by_entry
-    out = []
-    for e in below:
-        first = next((i for i, a in enumerate(e) if a), len(e) - 1)
-        for i in range(first + 1):
-            f = e[:i] + (e[i] + 1,) + e[i + 1 :]
-            if not any(divides(lm, f) for lm in by_entry.get((i, f[i]), ())):
-                out.append(f)
-    return out
+    lms = gb.leading_monomials
+    exps = [
+        e
+        for e in monomials_of_degree(delta, gb.num_vars)
+        if not any(divides(lm, e) for lm in lms)
+    ]
+    return Staircase(delta, tuple(_descending(exps, gb.ordering)))
 
 
 def _descending(exps, ordering):

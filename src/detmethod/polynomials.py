@@ -12,6 +12,7 @@ import enum
 import re
 from fractions import Fraction
 from math import lcm
+from operator import le
 
 from .errors import InputError, ParseError
 
@@ -39,7 +40,7 @@ class Ordering(enum.Enum):
 
 def divides(a, b):
     """True if monomial x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _coeff(c):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from detmethod import cli, engine
+from detmethod import cli, engine, ideals
 from detmethod.cli import build_parser, load_ideal, main
 
 from oracles import naive_affine_points
@@ -97,6 +97,27 @@ def test_points_projective(capsys):
     )
     assert code == 0
     assert len(json.loads(out)) == 8
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("--ideal", PARABOLA, "--height", "3", "--heights", "1,2,3"),
+            "affine mode takes --height B, not --heights",
+        ),
+        (
+            ("--ideal", CONIC, "--mode", "projective", "--height", "3",
+             "--heights", "1,2,3"),
+            "projective mode takes --height or --heights, not both",
+        ),
+    ],
+    ids=["affine", "projective"],
+)
+def test_points_refuses_a_height_option_it_would_ignore(capsys, argv, message):
+    code, out, err = run(capsys, "points", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("degree", [1500, 2000])
@@ -289,16 +310,17 @@ def test_verify_names_the_failed_support_check(
 def test_verify_with_a_wrong_delta_walks_no_staircase_up_to_it(
     capsys, parabola_report, monkeypatch
 ):
-    # every support monomial has degree 2, so the degree check fails each
-    # certificate before M(3000) would be needed
-    bases = []
-    real = cli.homogenized_basis
+    # verify tests LT(I) membership by divisibility and lists no M(delta),
+    # neither when the degree check fails first nor at delta = 3000
+    calls = []
+    real = engine.staircase
 
-    def spy(ideal, ordering):
-        bases.append(real(ideal, ordering))
-        return bases[-1]
+    def spy(gb, delta):
+        calls.append(delta)
+        return real(gb, delta)
 
-    monkeypatch.setattr(cli, "homogenized_basis", spy)
+    monkeypatch.setattr(ideals, "staircase", spy)
+    monkeypatch.setattr(engine, "staircase", spy)
     data = json.loads(parabola_report.read_text())
     data["params"]["delta"] = 3000
     parabola_report.write_text(json.dumps(data))
@@ -316,8 +338,44 @@ def test_verify_with_a_wrong_delta_walks_no_staircase_up_to_it(
         )
         for k, line in enumerate(lines)
     )
-    (gb,) = bases
-    assert max(gb._staircases, default=0) <= 2
+
+    # x1^3000 is a multiple of the leading monomial x1^2, and the polynomial
+    # vanishes on the parabola and lies in I^h
+    for cert in data["certificates"]:
+        cert["poly"] = "x1^3000 - x0^1500*x2^1500"
+    parabola_report.write_text(json.dumps(data))
+    code, out, _ = run(
+        capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        line
+        for k in range(data["certificate_count"])
+        for line in (
+            f"FAIL: certificate {k}: support monomial (0, 3000, 0) lies in LT(I)",
+            f"FAIL: certificate {k}: lies in the ideal",
+        )
+    ]
+    assert calls == []
+
+
+def test_verify_takes_the_budget_its_report_was_built_under(capsys, tmp_path):
+    # the affine twisted cubic at B = 10^6 scans 4.0e12 candidates
+    cubic = str(DATA / "twisted_cubic_affine.ideal")
+    budget = ("--budget", str(10**13))
+    report = tmp_path / "report.json"
+    code, _, err = run(
+        capsys, "construct", "--ideal", cubic, "--height", str(10**6),
+        "--delta", "2", *budget, "--out", str(report),
+    )
+    assert code == 0, err
+    verify = ("verify", "--report", str(report), "--ideal", cubic)
+    code, out, err = run(capsys, *verify)
+    assert code == 3 and out == ""
+    assert "raise --budget to override" in err
+    code, out, _ = run(capsys, *verify, *budget)
+    assert code == 0
+    assert out.startswith("PASS")
 
 
 def test_verify_missing_report(capsys):

@@ -25,6 +25,7 @@ from detmethod import (
 
 from detmethod import ideals
 from detmethod.cli import load_ideal
+from detmethod.engine import AuxiliaryCertificate, verify_certificate
 from detmethod.ideals import monomials_of_degree
 from detmethod.polynomials import divides
 
@@ -170,6 +171,26 @@ def test_staircase_matches_naive_filter_on_monomial_ideals(case, ordering):
         assert staircase(gb, delta).exponents == naive_staircase(gb, delta)
     if (0,) * n in gens:
         assert all(staircase(gb, delta).exponents == () for delta in range(9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=monomial_ideals(),
+    ordering=st.sampled_from([GRLEX, GREVLEX]),
+    delta=st.integers(0, 6),
+)
+@example(case=(3, [(1, 2, 0), (0, 0, 0)]), ordering=GRLEX, delta=0)  # contains 1
+@example(case=(3, [(0, 2, 0), (1, 1, 1)]), ordering=GRLEX, delta=3)
+def test_verifier_finds_lt_exactly_outside_the_staircase(case, ordering, delta):
+    n, gens = case
+    gb = groebner(Ideal([Polynomial.monomial(e, n, 1) for e in gens], n), ordering)
+    standard = set(naive_staircase(gb, delta))
+    for e in monomials_of_degree(delta, n):
+        cert = AuxiliaryCertificate(Polynomial.monomial(e, n, 1), delta, (), ())
+        in_lt = f"support monomial {e} lies in LT(I)" in verify_certificate(
+            cert, (), gb
+        )
+        assert in_lt == (e not in standard), e
 
 
 def test_staircase_independent_of_call_order(twisted_cubic):
