@@ -61,7 +61,6 @@ from .points import (
     class_index,
     enumerate_affine,
     enumerate_projective,
-    partition_classes,
     tau_normalize,
 )
 from .polynomials import (

@@ -25,22 +25,18 @@ from .engine import (
     affine_pipeline,
     coverage_failure,
     cover_and_construct,
+    lifted_points,
+    run_basis,
     verify_certificate,
 )
 from .errors import (
     BudgetExceededError,
     DegenerateIdealError,
     InputError,
+    ParseError,
     TheoreticalFalsificationError,
 )
-from .ideals import (
-    Ideal,
-    a_ratios,
-    all_sigmas,
-    groebner,
-    hilbert_function,
-    homogenized_basis,
-)
+from .ideals import Ideal, a_ratios, all_sigmas, hilbert_function
 from .points import (
     DEFAULT_BUDGET,
     HeightBox,
@@ -57,24 +53,33 @@ EXIT_BUDGET = 3
 
 def load_ideal(path):
     """Ideal file: header `vars: k`, then one generator per line; `#` starts
-    a comment."""
+    a comment.  A parse error names the file, and the line and column in
+    it."""
     try:
         with open(path) as fh:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read ideal file {path}: {exc}") from exc
-    lines = []
-    for line in raw.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if body:
-            lines.append(body)
-    if not lines or not lines[0].lower().startswith("vars:"):
+    lines = []  # (line number, text before any '#'), for the nonblank lines
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        body = line.split("#", 1)[0]
+        if body.strip():
+            lines.append((lineno, body))
+    header = lines[0][1].strip() if lines else ""
+    if not header.lower().startswith("vars:"):
         raise InputError(f"{path}: first line must be 'vars: <count>'")
     try:
-        num_vars = int(lines[0].split(":", 1)[1])
+        num_vars = int(header.split(":", 1)[1])
     except ValueError:
-        raise InputError(f"{path}: malformed vars header {lines[0]!r}")
-    gens = [parse_polynomial(text, num_vars) for text in lines[1:]]
+        raise InputError(f"{path}: malformed vars header {header!r}")
+    gens = []
+    for lineno, body in lines[1:]:
+        try:
+            gens.append(parse_polynomial(body, num_vars))
+        except ParseError as exc:
+            raise InputError(
+                f"{path}: line {lineno}, column {exc.column}: {exc.message}"
+            ) from exc
     if not gens:
         raise InputError(f"{path}: no generators")
     return Ideal(gens, num_vars)
@@ -126,13 +131,7 @@ def report_json(report, include_timings=False):
 
 def cmd_hilbert(args):
     ideal = load_ideal(args.ideal)
-    ordering = Ordering(args.ordering)
-    if args.mode == "affine":
-        gb = homogenized_basis(ideal, ordering)
-    elif ideal.homogeneous:
-        gb = groebner(ideal, ordering)
-    else:
-        raise InputError("projective mode requires a homogeneous ideal")
+    gb = run_basis(ideal, args.mode, Ordering(args.ordering))
     rows = []
     for s in range(args.s_min, args.s_max + 1):
         hf = hilbert_function(gb, s)
@@ -182,35 +181,26 @@ def cmd_construct(args):
         norm_bound = _rational(norm_bound, "--norm-bound")
     ideal = load_ideal(args.ideal)
     ordering = Ordering(args.ordering)
+    gb = run_basis(ideal, args.mode, ordering)
+    heights = _parse_heights(args, ideal.num_vars)
+    options = dict(
+        delta=args.delta,
+        epsilon=args.epsilon,
+        strategy=args.strategy,
+        norm_bound=norm_bound,
+        budget=args.budget,
+    )
     if args.mode == "affine":
-        b = _parse_heights(args, ideal.num_vars)
-        report = affine_pipeline(
-            ideal,
-            b,
-            delta=args.delta,
-            epsilon=args.epsilon,
-            ordering=ordering,
-            strategy=args.strategy,
-            norm_bound=norm_bound,
-            budget=args.budget,
-        )
+        report = affine_pipeline(ideal, heights, ordering=ordering, **options)
     else:
-        if not ideal.homogeneous:
-            raise InputError("projective mode needs a homogeneous ideal")
-        box = _parse_heights(args, ideal.num_vars)
-        report = cover_and_construct(
-            groebner(ideal, ordering),
-            box,
-            args.delta,
-            strategy=args.strategy,
-            norm_bound=norm_bound,
-            budget=args.budget,
-            epsilon=args.epsilon,
-        )
+        report = cover_and_construct(gb, heights, **options)
     text = report_json(report, include_timings=args.timings)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write report {args.out}: {exc}") from exc
     else:
         print(text)
     return EXIT_OK
@@ -263,14 +253,10 @@ def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET):
     they do for the engine's own output."""
     mode, ordering, delta, heights = _report_params(data, ideal.num_vars)
     certificates = _field(data, "certificates", list)
+    gb = run_basis(ideal, mode, ordering)
     if mode == "affine":
-        gb = homogenized_basis(ideal, ordering)
-        expected = tuple(
-            (1,) + p
-            for p in enumerate_affine(ideal, heights[1], budget=budget).points
-        )
+        expected = lifted_points(ideal, heights[1], budget).points
     else:
-        gb = groebner(ideal, ordering)
         box = HeightBox(tuple(heights))
         expected = enumerate_projective(ideal, box, budget=budget).points
     index = {p: i for i, p in enumerate(expected)}

@@ -19,11 +19,16 @@ sigma_i, m and d from its Hilbert series, and lists the staircase M(delta)
 once, for the monomial matrix.  Every certificate passes verify_certificate
 (LT(I) membership by divisibility), and the set coverage_failure, before a
 report leaves the engine; `detmethod verify` runs the same two checks.
+
+run_basis (the basis of each mode) and lifted_points (an affine run's points
+(1, x)) decide what a run covers, for the engine and `detmethod verify`
+alike.  A run tallies its points' classes S_i with class_index.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
@@ -49,6 +54,7 @@ from .ideals import (
     a_estimates,
     all_sigmas,
     dimension_and_degree,
+    groebner,
     hilbert_function,
     homogenized_basis,
     normal_form,
@@ -62,7 +68,7 @@ from .points import (
     class_index,
     enumerate_affine,
     enumerate_projective,
-    partition_classes,
+    require_homogeneous,
     tau_normalize,
 )
 from .polynomials import Ordering, Polynomial, divides, format_polynomial
@@ -646,8 +652,7 @@ def cover_and_construct(
     run raises (degeneracy / falsification); nothing is silently skipped.
     """
     _require_delta_xor_epsilon(delta, epsilon)
-    if not gb.ideal.homogeneous:
-        raise ValueError("the covering construction needs a homogeneous ideal")
+    require_homogeneous(gb.ideal)
     delta_report = None
     if delta is None:
         delta, delta_report = choose_delta(gb, epsilon)
@@ -658,14 +663,18 @@ def cover_and_construct(
     if mu == 0:
         raise InputError(f"staircase empty at delta={delta}")
 
-    timings = {}
     if point_set is None:
-        point_set, timings = _timed_enumeration(
-            enumerate_projective, gb.ideal, box, budget=budget
-        )
+        point_set = enumerate_projective(gb.ideal, box, budget=budget)
     points = point_set.points
-    class_counts = tuple(len(c.points) for c in partition_classes(point_set))
-    timings.update(kernel_s=0.0, kernel_calls=0)
+    tally = Counter(class_index(p, point_set.box) for p in points)
+    class_counts = tuple(tally[i] for i in range(len(point_set.box.bounds)))
+    timings = {
+        "points_s": point_set.seconds,
+        "points_fibres": point_set.fibres,
+        "points_found": len(points),
+        "kernel_s": 0.0,
+        "kernel_calls": 0,
+    }
 
     sigma = all_sigmas(gb, delta)
     if m < 1:
@@ -762,15 +771,23 @@ def _require_delta_xor_epsilon(delta, epsilon):
         raise InputError("exactly one of delta / epsilon must be set")
 
 
-def _timed_enumeration(enumerate_points, *args, **kwargs):
-    """(point set, enumeration stage of PipelineReport.timings)."""
-    start = perf_counter()
-    point_set = enumerate_points(*args, **kwargs)
-    return point_set, {
-        "points_s": perf_counter() - start,
-        "points_fibres": point_set.fibres,
-        "points_found": len(point_set.points),
-    }
+def run_basis(ideal, mode, ordering):
+    """The full basis a run in `mode` ("affine" or "projective") covers
+    with: that of the homogenized ideal I^h in affine mode, of the ideal
+    itself, which must be homogeneous, in projective mode."""
+    if mode == "affine":
+        return homogenized_basis(ideal, ordering)
+    require_homogeneous(ideal)
+    return groebner(ideal, ordering)
+
+
+def lifted_points(affine_ideal, b, budget):
+    """The points S(X-bar, (1,B,...,B)) an affine run covers: each x of
+    X(Z,B) lifted to (1, x), with the enumeration's fibres and time."""
+    affine = enumerate_affine(affine_ideal, b, budget=budget)
+    points = tuple((1,) + x for x in affine.points)
+    box = HeightBox((1,) + affine.box.bounds)
+    return PointSet(points, box, affine.fibres, affine.seconds)
 
 
 def affine_pipeline(
@@ -791,32 +808,23 @@ def affine_pipeline(
     polynomial g = G(1,x) vanishes on X(Z,B); G is homogeneous and nonzero
     (its support lies in M(delta)), so g is nonzero too."""
     _require_delta_xor_epsilon(delta, epsilon)
-    n = affine_ideal.num_vars
-    affine_points, timings = _timed_enumeration(
-        enumerate_affine, affine_ideal, b, budget=budget
-    )
-    lifted = tuple((1,) + p for p in affine_points.points)
-    box = HeightBox((1,) + (b,) * n)
-
-    # x0 = 1 with B_0 = 1 forces class 0; checked, not assumed
-    for p in lifted:
-        if class_index(p, box) != 0:
-            raise AssertionError(f"lifted point {p} escaped class S_0")
-
+    lifted = lifted_points(affine_ideal, b, budget)
     # the bases are kept on affine_ideal, so a sweep over heights shares them
     report = cover_and_construct(
         homogenized_basis(affine_ideal, ordering),
-        box,
+        lifted.box,
         delta,
         strategy=strategy,
         norm_bound=norm_bound,
         chart=chart,
-        point_set=PointSet("projective", lifted, box),
+        point_set=lifted,
         epsilon=epsilon,
     )
+    # x0 = 1 with B_0 = 1 forces class 0; checked, not assumed
+    if any(report.class_counts[1:]):
+        raise AssertionError(f"lifted points escaped S_0: {report.class_counts}")
     report.mode = "affine"
-    report.affine_points = affine_points.points
-    report.timings = {**timings, **report.timings}
+    report.affine_points = tuple(p[1:] for p in lifted.points)
     report.ordering_bound = ordering_bound(
         homogenized_basis(affine_ideal, Ordering.GRLEX_LEFT), ORDERING_BOUND_S
     )

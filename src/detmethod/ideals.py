@@ -214,16 +214,8 @@ def staircase(gb, delta):
         for e in monomials_of_degree(delta, gb.num_vars)
         if not any(divides(lm, e) for lm in lms)
     ]
-    return Staircase(delta, tuple(_descending(exps, gb.ordering)))
-
-
-def _descending(exps, ordering):
-    """Monomials of one degree, sorted descending by the ordering: that is
-    ascending tuple order under grlex-left, and ascending order of the
-    reversed tuples under grevlex."""
-    if ordering is Ordering.GRLEX_LEFT:
-        return sorted(exps)
-    return sorted(exps, key=lambda e: e[::-1])
+    exps.sort(key=gb.ordering.key, reverse=True)
+    return Staircase(delta, tuple(exps))
 
 
 def hilbert_function(gb, s):

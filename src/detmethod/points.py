@@ -14,6 +14,9 @@ The budget bounds the size of that full scan and is checked before any work:
 the number of points in the box, with one coordinate dropped in affine mode
 when a generator is linear in it with a constant coefficient.  The solver
 visits far fewer candidates than this figure.
+
+A PointSet carries the fibres solved and the seconds its enumeration took;
+class_index names the class S_i of the box that a point lies in.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import floor, gcd, inf, lcm
+from time import perf_counter
 
 from .errors import BudgetExceededError, InputError
 
@@ -52,10 +56,16 @@ class HeightBox:
 
 @dataclass(frozen=True)
 class PointSet:
-    mode: str  # "affine" | "projective"
     points: tuple  # integer tuples, sorted lexicographically
     box: HeightBox
     fibres: int = field(default=0, compare=False)  # univariate solves made
+    seconds: float = field(default=0.0, compare=False)  # enumeration time
+
+
+def require_homogeneous(ideal):
+    """Projective mode runs only on a homogeneous ideal."""
+    if not ideal.homogeneous:
+        raise InputError("projective mode requires a homogeneous ideal")
 
 
 def _check_budget(required, budget):
@@ -74,6 +84,7 @@ def _unit_coefficient(terms, k):
 
 def enumerate_affine(ideal, b, budget=DEFAULT_BUDGET):
     """All integer points of the variety with |x_i| <= b, sorted."""
+    start = perf_counter()
     b = Fraction(b)
     if b <= 0:
         raise InputError("height bound must be positive")
@@ -86,14 +97,15 @@ def enumerate_affine(ideal, b, budget=DEFAULT_BUDGET):
     )
     _check_budget((2 * limit + 1) ** (n - 1 if linear else n), budget)
     pts, fibres = _solve(ideal, [limit] * n, projective=False)
-    return PointSet("affine", pts, HeightBox.uniform(b, n), fibres)
+    box = HeightBox.uniform(b, n)
+    return PointSet(pts, box, fibres, perf_counter() - start)
 
 
 def enumerate_projective(ideal, box, budget=DEFAULT_BUDGET):
     """Primitive, sign-normalized integer representatives of rational points
     on the projective variety within the box."""
-    if not ideal.homogeneous:
-        raise ValueError("projective enumeration requires a homogeneous ideal")
+    start = perf_counter()
+    require_homogeneous(ideal)
     n = ideal.num_vars
     if len(box.bounds) != n:
         raise InputError("box dimension must match the ambient variable count")
@@ -103,7 +115,7 @@ def enumerate_projective(ideal, box, budget=DEFAULT_BUDGET):
         required *= 2 * lim + 1
     _check_budget(required, budget)
     pts, fibres = _solve(ideal, limits, projective=True)
-    return PointSet("projective", pts, box, fibres)
+    return PointSet(pts, box, fibres, perf_counter() - start)
 
 
 # -- the fibre-wise solver ---------------------------------------------------
@@ -317,19 +329,6 @@ def class_index(point, box):
         if num * best_den > best_num * den:
             best, best_num, best_den = i, num, den
     return best
-
-
-def partition_classes(ps):
-    """Partition a projective point set into the n+1 classes S_i of its box,
-    assigning each point to the smallest index attaining the maximal scaled
-    coordinate."""
-    if ps.mode != "projective":
-        raise ValueError("partitioning applies to projective point sets")
-    box = ps.box
-    buckets = [[] for _ in box.bounds]
-    for p in ps.points:
-        buckets[class_index(p, box)].append(p)
-    return [PointSet("projective", tuple(b), box) for b in buckets]
 
 
 def tau_normalize(point, box):

@@ -12,7 +12,7 @@ import enum
 import re
 from fractions import Fraction
 from math import lcm
-from operator import le
+from operator import le, neg
 
 from .errors import InputError, ParseError
 
@@ -34,8 +34,8 @@ class Ordering(enum.Enum):
     def key(self, alpha):
         """Sort key: monomials compare like their keys (larger key = larger)."""
         if self is Ordering.GRLEX_LEFT:
-            return (sum(alpha), tuple(-a for a in alpha))
-        return (sum(alpha), tuple(-a for a in reversed(alpha)))
+            return (sum(alpha), tuple(map(neg, alpha)))
+        return (sum(alpha), tuple(map(neg, reversed(alpha))))
 
 
 def divides(a, b):

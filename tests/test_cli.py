@@ -17,6 +17,7 @@ import pytest
 
 from detmethod import cli, engine, ideals
 from detmethod.cli import build_parser, load_ideal, main
+from detmethod.points import HeightBox, enumerate_affine, enumerate_projective
 
 from oracles import naive_affine_points
 
@@ -25,6 +26,7 @@ SRC = pathlib.Path(__file__).parent.parent / "src"
 README = pathlib.Path(__file__).parent.parent / "README.md"
 PARABOLA = str(DATA / "parabola.ideal")
 CONIC = str(DATA / "conic.ideal")
+CUBIC_AFFINE = str(DATA / "twisted_cubic_affine.ideal")
 
 
 def run(capsys, *argv):
@@ -76,6 +78,26 @@ def test_hilbert_projective_needs_a_homogeneous_ideal(capsys):
     assert code == 2
     assert out == ""
     assert "projective mode requires a homogeneous ideal" in err
+
+
+@pytest.mark.parametrize("command", ["hilbert", "points", "construct", "verify"])
+def test_projective_mode_refuses_a_non_homogeneous_ideal(capsys, tmp_path, command):
+    heights = ("--heights", "4,4,4")
+    if command == "verify":
+        report = tmp_path / "conic.json"
+        code, _, _ = run(
+            capsys, "construct", "--ideal", CONIC, "--mode", "projective",
+            *heights, "--delta", "2", "--out", str(report),
+        )
+        assert code == 0
+        argv = ("--report", str(report), "--ideal", CUBIC_AFFINE)
+    else:
+        argv = ("--ideal", CUBIC_AFFINE, "--mode", "projective")
+        argv += () if command == "hilbert" else heights
+        argv += ("--delta", "2") if command == "construct" else ()
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: projective mode requires a homogeneous ideal\n"
 
 
 # -- points ----------------------------------------------------------------
@@ -171,9 +193,15 @@ def test_construct_deterministic(capsys, tmp_path):
 
 def test_construct_timings_flag(capsys, tmp_path):
     out_file = tmp_path / "t.json"
-    for args in (
-        ("--ideal", PARABOLA, "--height", "25"),
-        ("--ideal", CONIC, "--mode", "projective", "--heights", "4,4,4"),
+    for args, fibres in (
+        (
+            ("--ideal", PARABOLA, "--height", "25"),
+            enumerate_affine(load_ideal(PARABOLA), 25).fibres,
+        ),
+        (
+            ("--ideal", CONIC, "--mode", "projective", "--heights", "4,4,4"),
+            enumerate_projective(load_ideal(CONIC), HeightBox((4, 4, 4))).fibres,
+        ),
     ):
         code, _, _ = run(
             capsys, "construct", *args, "--delta", "2", "--timings",
@@ -187,6 +215,7 @@ def test_construct_timings_flag(capsys, tmp_path):
             assert timings[key] >= 0
         assert timings["points_found"] == report["point_count"]
         assert timings["kernel_calls"] >= report["certificate_count"] > 0
+        assert timings["points_fibres"] == fibres
 
 
 def test_epsilon_reports_carry_delta_report(capsys, tmp_path):
@@ -204,6 +233,44 @@ def test_epsilon_reports_carry_delta_report(capsys, tmp_path):
         assert report["delta_report"]["delta"] == report["params"]["delta"]
         blocks.append(report["delta_report"])
     assert sorted(blocks[0]) == sorted(blocks[1])
+
+
+def test_construct_out_to_an_unwritable_path_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "construct", "--ideal", PARABOLA, "--height", "10",
+        "--delta", "2", "--out", str(path),
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write report {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# -- ideal files -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "vars: 2\n# comment\nx1 - x0^2\nx0 + @\n",
+            "line 4, column 6: unexpected token '@'",
+        ),
+        (
+            "# header\nvars: 2\n\nx1 - x0^2  # parabola\n  x0 + (x1\n",
+            "line 5, column 10: expected ')'",
+        ),
+    ],
+    ids=["comment-above", "indented"],
+)
+def test_ideal_parse_error_names_the_file_line_and_column(
+    capsys, tmp_path, text, message
+):
+    path = tmp_path / "bad.ideal"
+    path.write_text(text)
+    code, out, err = run(capsys, "points", "--ideal", str(path), "--height", "3")
+    assert code == 2 and out == ""
+    assert err == f"error: {path}: {message}\n"
 
 
 # -- verify ----------------------------------------------------------------

@@ -20,6 +20,7 @@ from detmethod import (
     build_matrix,
     chart_norm_bound,
     choose_delta,
+    class_index,
     cover_and_construct,
     enumerate_projective,
     exact_kernel,
@@ -659,8 +660,41 @@ def test_theoretical_norm_bound_too_small_is_falsified():
 
 def test_cover_requires_homogeneous():
     parabola = make_ideal(["x1 - x0^2"], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^projective mode requires a homogeneous"):
         cover_and_construct(groebner(parabola, GRLEX), HeightBox((4, 4)), 2)
+
+
+TWISTED_CUBIC = ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"]
+
+
+@pytest.mark.parametrize(
+    "mode, texts, num_vars, heights, counts",
+    [
+        ("affine", ["x1 - x0^2"], 2, 25, None),
+        ("affine", ["x0^2 + x1^2 - 1"], 2, 5, None),
+        ("affine", ["x1 - x0^2", "x2 - x0^3"], 3, 30, None),
+        ("projective", ["x0*x2 - x1^2"], 3, (4, 4, 4), (5, 0, 3)),
+        ("projective", TWISTED_CUBIC, 4, (3, 3, 3, 3), None),
+    ],
+    ids=["parabola", "circle", "twisted-cubic-affine", "conic", "twisted-cubic"],
+)
+def test_class_counts_tally_the_points(mode, texts, num_vars, heights, counts):
+    ideal = make_ideal(texts, num_vars)
+    if mode == "affine":
+        report = affine_pipeline(ideal, heights, delta=2)
+    else:
+        report = cover_and_construct(groebner(ideal, GRLEX), HeightBox(heights), 2)
+    data = report.to_dict()
+    assert sum(data["class_counts"]) == data["point_count"] > 0
+    box = HeightBox(report.heights)
+    tally = [0] * len(box.bounds)
+    for p in report.points:
+        tally[class_index(p, box)] += 1
+    assert data["class_counts"] == tally
+    if mode == "affine":
+        assert tally == [data["point_count"]] + [0] * num_vars
+    if counts is not None:
+        assert tuple(tally) == counts
 
 
 def test_report_roundtrip_is_json_serializable():

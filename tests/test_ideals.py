@@ -193,18 +193,6 @@ def test_verifier_finds_lt_exactly_outside_the_staircase(case, ordering, delta):
         assert in_lt == (e not in standard), e
 
 
-def test_staircase_independent_of_call_order(twisted_cubic):
-    down = groebner(twisted_cubic, GRLEX)
-    high_first = staircase(down, 9), staircase(down, 3)
-    up = groebner(twisted_cubic, GRLEX)
-    low_first = staircase(up, 3), staircase(up, 9)
-    assert high_first == low_first[::-1]
-    assert [staircase(down, t) for t in range(10)] == [
-        staircase(up, t) for t in range(10)
-    ]
-    assert staircase(down, 9).exponents == naive_staircase(down, 9)
-
-
 # -- hilbert function ------------------------------------------------------
 
 

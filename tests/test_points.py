@@ -1,4 +1,4 @@
-"""point-enum: affine/projective scans, class partition, tau normalization."""
+"""point-enum: affine/projective scans, class index, tau normalization."""
 
 from fractions import Fraction
 from math import floor, gcd
@@ -17,7 +17,6 @@ from detmethod import (
     enumerate_affine,
     enumerate_projective,
     monomials_of_degree,
-    partition_classes,
     tau_normalize,
 )
 from detmethod.cli import load_ideal
@@ -307,7 +306,7 @@ def test_projective_small_coordinate_box():
 
 
 def test_projective_requires_homogeneous(parabola):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^projective mode requires a homogeneous"):
         enumerate_projective(parabola, HeightBox.uniform(3, 2))
 
 
@@ -349,25 +348,6 @@ def test_class_index_tie_breaks_low():
 def test_class_index_scaled():
     box = HeightBox((10, 1, 10))
     assert class_index((5, 1, 2), box) == 1  # 1/1 beats 5/10
-
-
-def test_partition_covers_and_is_disjoint(conic):
-    box = HeightBox((4, 4, 4))
-    ps = enumerate_projective(conic, box)
-    parts = partition_classes(ps)
-    assert sum(len(p.points) for p in parts) == len(ps.points)
-    seen = set()
-    for part in parts:
-        for p in part.points:
-            assert p not in seen
-            seen.add(p)
-    assert [len(p.points) for p in parts] == [5, 0, 3]
-
-
-def test_partition_requires_projective(parabola):
-    ps = enumerate_affine(parabola, 5)
-    with pytest.raises(ValueError):
-        partition_classes(ps)
 
 
 def test_tau_normalize_example():
