@@ -264,7 +264,10 @@ def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET):
     failures = []
     certs = []
     for k, entry in enumerate(certificates):
-        poly = parse_polynomial(_field(entry, "poly", str), gb.num_vars)
+        try:
+            poly = parse_polynomial(_field(entry, "poly", str), gb.num_vars)
+        except ParseError as exc:
+            raise InputError(f"malformed report: certificate {k}: poly: {exc}") from exc
         points = _report_points(entry, gb.num_vars)
         cert = AuxiliaryCertificate(
             poly, delta, tuple(index[p] for p in points if p in index), ()
@@ -296,6 +299,11 @@ def cmd_verify(args):
 
 
 def cmd_sweep(args):
+    """--epsilon 0.25 unless --delta or --epsilon is given; the engine
+    refuses both."""
+    epsilon = args.epsilon
+    if args.delta is None and epsilon is None:
+        epsilon = 0.25
     ideal = load_ideal(args.ideal)
     ordering = Ordering(args.ordering)
     heights = [_rational(h, "--height-list") for h in args.height_list.split(",")]
@@ -304,7 +312,7 @@ def cmd_sweep(args):
             ideal,
             b,
             delta=args.delta,
-            epsilon=args.epsilon if args.delta is None else None,
+            epsilon=epsilon,
             ordering=ordering,
             budget=args.budget,
         )
@@ -429,7 +437,7 @@ def build_parser():
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--height-list", required=True, help="comma-separated Bs")
     p.add_argument("--delta", type=int)
-    p.add_argument("--epsilon", type=float, default=0.25)
+    p.add_argument("--epsilon", type=float, help="default 0.25 without --delta")
     p.set_defaults(func=cmd_sweep)
 
     p = add("bound", help="determinant bound calculator")

@@ -648,10 +648,13 @@ def cover_and_construct(
     degree, and the report then carries choose_delta's report as
     delta_report.
 
+    A chart or a norm bound is read by the theoretical strategy only, and
+    the adaptive strategy refuses them.
+
     Every enumerated point ends up covered by at least one certificate, or the
     run raises (degeneracy / falsification); nothing is silently skipped.
     """
-    _require_delta_xor_epsilon(delta, epsilon)
+    _require_options(delta, epsilon, strategy, norm_bound, chart)
     require_homogeneous(gb.ideal)
     delta_report = None
     if delta is None:
@@ -766,9 +769,11 @@ def cover_and_construct(
     )
 
 
-def _require_delta_xor_epsilon(delta, epsilon):
+def _require_options(delta, epsilon, strategy, norm_bound, chart):
     if (delta is None) == (epsilon is None):
         raise InputError("exactly one of delta / epsilon must be set")
+    if strategy == "adaptive" and (chart is not None or norm_bound is not None):
+        raise InputError("a chart or a norm bound needs the theoretical strategy")
 
 
 def run_basis(ideal, mode, ordering):
@@ -807,7 +812,7 @@ def affine_pipeline(
     A certificate G is checked at the lifted points (1,x), so the affine
     polynomial g = G(1,x) vanishes on X(Z,B); G is homogeneous and nonzero
     (its support lies in M(delta)), so g is nonzero too."""
-    _require_delta_xor_epsilon(delta, epsilon)
+    _require_options(delta, epsilon, strategy, norm_bound, chart)
     lifted = lifted_points(affine_ideal, b, budget)
     # the bases are kept on affine_ideal, so a sweep over heights shares them
     report = cover_and_construct(

@@ -4,15 +4,14 @@ Groebner bases are computed with Buchberger's algorithm (normal selection
 strategy, final interreduction, deterministic ordering of generators and
 output).  Every basis is the full reduced one, and the pipelines build one
 per ideal and ordering.  HF, sigma_i, a_i, mu, m, d and the ordering bound
-are read in closed form off one multigraded Hilbert series numerator of
-S/LT(I), kept on the basis; M(delta), the degree-delta monomials that no
-leading monomial divides, is listed only for the monomial matrix.  An affine
-ideal keeps its homogenization I^h and one basis of I^h per ordering
-(homogenized_basis), and that basis keeps the basis of the section
-J = I^h + (x0) that ordering_bound reads, so repeated calls on one ideal
-object reuse both, and everything kept on them.  No kept basis refers back
-to the object that keeps it, so dropping the ideal frees them at once,
-without the cycle collector.
+are read in closed form off multigraded Hilbert series numerators kept on
+the basis; M(delta), the degree-delta monomials that no leading monomial
+divides, is listed only for the monomial matrix.  An affine ideal keeps one
+basis of I^h per ordering (homogenized_basis); the grlex-left one is its
+affine grlex-left basis homogenized, and ordering_bound reads the section
+J = I^h + (x0) off LT(I^h) + (x0), so an affine ideal needs one Buchberger
+run under grlex-left.  No kept basis refers back to the object that keeps
+it, so dropping the ideal frees them at once, without the cycle collector.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ class Ideal:
         self.generators = tuple(generators)
         self.num_vars = num_vars
         self.homogeneous = all(g.is_homogeneous() for g in generators)
-        # homogenized_basis: ordering -> full basis of I^h, whose .ideal is I^h
+        # homogenized_basis: ordering -> full basis of I^h
         self._homogenized_bases = {}
 
     def __repr__(self):
@@ -59,7 +58,7 @@ class GroebnerBasis:
         self.leading_monomials = [g.leading_monomial(ordering) for g in basis]
         self._numerator = None  # kept by _numerator
         self._dimension_degree = None  # kept by dimension_and_degree
-        self._section = None  # ordering_bound's basis of I + (x0)
+        self._section = None  # ordering_bound's numerator of LT(I) + (x0)
 
     @property
     def num_vars(self):
@@ -344,29 +343,28 @@ def a_ratios(s, hf, sigma):
 
 
 def homogenize_ideal(affine_ideal):
-    """Homogenization of an affine ideal, with the new variable in front.
-
-    Homogenizing a Groebner basis w.r.t. a graded ordering, here grevlex (not
-    the raw generators), is what actually generates the homogenized ideal.
-    """
-    gb = groebner(affine_ideal, Ordering.GREVLEX)
-    gens = [g.homogenize() for g in gb.basis]
-    return Ideal(gens, affine_ideal.num_vars + 1)
+    """Homogenization I^h of an affine ideal, with the new variable in front.
+    Homogenizing a Groebner basis for a graded ordering, here grlex-left
+    (not the raw generators), is what generates I^h (Cox-Little-O'Shea, IVA
+    ch. 8 sec. 4, Thm. 4)."""
+    return homogenized_basis(affine_ideal, Ordering.GRLEX_LEFT).ideal
 
 
 def homogenized_basis(affine_ideal, ordering):
-    """The full basis of I^h = homogenize_ideal(affine_ideal) under
-    `ordering`, built once per affine ideal object and ordering and kept on
-    it; I^h itself is built once and shared by the orderings.  Neither I^h
-    nor its bases refer to the affine ideal, so the cache forms no cycle."""
+    """The full basis of I^h under `ordering`, kept on the affine ideal.  On
+    forms, grlex-left is the homogenized order of grlex-left on x1..xn, so
+    its basis is the affine grlex-left basis homogenized (IVA ch. 8 sec. 4,
+    Thm. 4), still reduced, monic and in groebner's order: the leading
+    monomials only gain x0^0.  Other orderings run groebner on it.  No basis
+    refers to the affine ideal, so the cache forms no cycle."""
     bases = affine_ideal._homogenized_bases
+    if not bases:
+        affine = groebner(affine_ideal, Ordering.GRLEX_LEFT).basis
+        gens = [g.homogenize() for g in affine]
+        ih = Ideal(gens, affine_ideal.num_vars + 1)
+        bases[Ordering.GRLEX_LEFT] = GroebnerBasis(ih, Ordering.GRLEX_LEFT, gens)
     if ordering not in bases:
-        ih = (
-            next(iter(bases.values())).ideal
-            if bases
-            else homogenize_ideal(affine_ideal)
-        )
-        bases[ordering] = groebner(ih, ordering)
+        bases[ordering] = groebner(bases[Ordering.GRLEX_LEFT].ideal, ordering)
     return bases[ordering]
 
 
@@ -386,19 +384,19 @@ def affine_ordering_bound(affine_ideal, s):
 
     lhs is read off the Hilbert series of the homogenized ideal, the
     intermediate bound off that of J = I^h + (x0).  The inequality
-    lhs <= intermediate is exact at every finite s.  A sweep over s on one ideal object runs
-    Buchberger three times in all (the affine basis, I^h and J): the bases
-    are kept by homogenized_basis and ordering_bound.
+    lhs <= intermediate is exact at every finite s.  A sweep over s on one
+    ideal object runs Buchberger once in all, for the affine grlex-left
+    basis, and builds each series numerator once.
     """
     return ordering_bound(homogenized_basis(affine_ideal, Ordering.GRLEX_LEFT), s)
 
 
 def ordering_bound(gb, s):
-    """affine_ordering_bound, read from the full basis of the homogenized
-    ideal under the left-graded ordering.  J's basis is built on the first
-    call and kept on gb, like gb's series numerator and its dimension, so a
-    sweep over s builds each basis and each numerator once and lists no
-    staircase."""
+    """affine_ordering_bound, read from gb, the full grlex-left basis of a
+    homogeneous ideal I.  grlex-left is reverse lexicographic with x0
+    smallest, so LT(I + (x0)) = LT(I) + (x0) (Bayer-Stillman, Invent. Math.
+    87, 1987): J's series is that of LT(I) + (x0), whose numerator is kept
+    on gb like gb's own and its dimension.  No basis of J is built."""
     if gb.ordering is not Ordering.GRLEX_LEFT:
         raise ValueError("the ordering bound needs the left-graded ordering")
     hf = hilbert_function(gb, s)
@@ -408,9 +406,8 @@ def ordering_bound(gb, s):
     lhs = Fraction(sum(sig[1:]), s * hf)
 
     if gb._section is None:
-        n = gb.num_vars
-        x0 = Polynomial.variable(0, n)
-        gb._section = groebner(Ideal(gb.ideal.generators + (x0,), n), gb.ordering)
+        x0 = (1,) + (0,) * (gb.num_vars - 1)
+        gb._section = _hilbert_numerator(gb.leading_monomials + [x0])
     inter = Fraction(_weighted_hf_sum(gb._section, s), s * hf)
 
     m = dimension_and_degree(gb).dimension
@@ -425,12 +422,12 @@ def ordering_bound(gb, s):
     )
 
 
-def _weighted_hf_sum(gb, s):
+def _weighted_hf_sum(numerator, s):
     """The sum of t*HF(t) = sigma_0(t) + ... + sigma_n(t) over t = 1..s,
-    read off N(u) by the hockey-stick identity."""
-    n = gb.num_vars
-    return sum(
-        c * (deg * comb(s - deg + n, n) + n * comb(s - deg + n, n + 1))
-        for _, deg, c in _numerator(gb)
-        if deg <= s
-    )
+    read off a series numerator {a: c_a} by the hockey-stick identity."""
+    total = 0
+    for a, c in numerator.items():
+        n, deg = len(a), sum(a)
+        if deg <= s:
+            total += c * (deg * comb(s - deg + n, n) + n * comb(s - deg + n, n + 1))
+    return total

@@ -8,7 +8,18 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from detmethod import Polynomial, divides, monomials_of_degree
+from detmethod import (
+    Ideal,
+    Ordering,
+    Polynomial,
+    all_sigmas,
+    dimension_and_degree,
+    divides,
+    groebner,
+    hilbert_function,
+    monomials_of_degree,
+)
+from detmethod.ideals import OrderingBoundReport
 
 
 def _rational_rref(rows):
@@ -206,3 +217,49 @@ def naive_normal_form(f, gb):
             remainder[lm] = lc
             work = work - Polynomial.monomial(lm, f.num_vars, lc)
     return Polynomial(remainder, f.num_vars)
+
+
+def homogenized_basis_by_buchberger(affine_ideal, ordering):
+    """The full basis of I^h by Buchberger alone: I^h generated by the
+    homogenized grevlex basis of the affine ideal, then groebner of I^h
+    under `ordering`."""
+    affine = groebner(affine_ideal, Ordering.GREVLEX)
+    ih = Ideal([g.homogenize() for g in affine.basis], affine_ideal.num_vars + 1)
+    return groebner(ih, ordering)
+
+
+def section_basis_by_buchberger(gb):
+    """The full basis of J = I + (x0) under gb's ordering, by groebner of
+    gb's generators and x0."""
+    n = gb.num_vars
+    x0 = Polynomial.variable(0, n)
+    return groebner(Ideal(gb.ideal.generators + (x0,), n), gb.ordering)
+
+
+def ordering_bounds_by_buchberger(affine_ideal, s_values):
+    """affine_ordering_bound at each s of s_values, or None where HF of I^h
+    vanishes at s: I^h's and J's bases by Buchberger, and the sum of
+    t*HF_J(t) over t = 1..s term by term."""
+    gb = homogenized_basis_by_buchberger(affine_ideal, Ordering.GRLEX_LEFT)
+    section = section_basis_by_buchberger(gb)
+    m = dimension_and_degree(gb).dimension
+    reports = []
+    for s in s_values:
+        hf = hilbert_function(gb, s)
+        if hf == 0:
+            reports.append(None)
+            continue
+        lhs = Fraction(sum(all_sigmas(gb, s)[1:]), s * hf)
+        weighted = sum(t * hilbert_function(section, t) for t in range(1, s + 1))
+        inter = Fraction(weighted, s * hf)
+        reports.append(
+            OrderingBoundReport(
+                s=s,
+                lhs=lhs,
+                intermediate_bound=inter,
+                limit=Fraction(m, m + 1) if m >= 0 else Fraction(0),
+                dimension=m,
+                holds=lhs <= inter,
+            )
+        )
+    return reports

@@ -630,6 +630,31 @@ def test_unreadable_rational_is_input_error_naming_its_flag(capsys, flag, argv):
     assert err.startswith(f"error: {flag}: ") and "'abc'" in err
 
 
+def test_sweep_refuses_delta_and_epsilon_together(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--ideal", PARABOLA, "--height-list", "100",
+        "--delta", "2", "--epsilon", "0.01",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: exactly one of delta / epsilon must be set\n"
+
+
+def test_sweep_without_delta_or_epsilon_takes_epsilon_one_quarter(capsys):
+    sweep = ("sweep", "--ideal", PARABOLA, "--height-list", "100,400")
+    code, out, _ = run(capsys, *sweep)
+    assert code == 0
+    assert run(capsys, *sweep, "--epsilon", "0.25") == (0, out, "")
+
+
+def test_construct_refuses_a_norm_bound_under_the_adaptive_strategy(capsys):
+    code, out, err = run(
+        capsys, "construct", "--ideal", PARABOLA, "--height", "100",
+        "--delta", "2", "--norm-bound", "20",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: a chart or a norm bound needs the theoretical strategy\n"
+
+
 def test_sweep_error_on_the_first_height_prints_no_header(capsys):
     code, out, err = run(
         capsys, "sweep", "--ideal", PARABOLA, "--height-list", "25",
@@ -681,6 +706,23 @@ def test_verify_malformed_report_is_input_error(capsys, parabola_report, case):
     assert code == 2
     assert "error" in err
     assert "Traceback" not in err
+
+
+def test_verify_names_the_certificate_whose_poly_does_not_parse(capsys, tmp_path):
+    report = tmp_path / "report.json"
+    run(
+        capsys, "construct", "--ideal", PARABOLA, "--height", "10", "--delta", "2",
+        "--out", str(report),
+    )
+    data = json.loads(report.read_text())
+    data["certificates"][1]["poly"] = "x0 + @"
+    report.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", "--report", str(report), "--ideal", PARABOLA)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: malformed report: certificate 1: poly: "
+        "line 1, column 6: unexpected token '@'\n"
+    )
 
 
 def test_verify_reports_outside_points_before_certificate_checks(

@@ -658,6 +658,18 @@ def test_theoretical_norm_bound_too_small_is_falsified():
         )
 
 
+@pytest.mark.parametrize("option", ["norm_bound", "chart"])
+def test_adaptive_strategy_refuses_a_chart_or_a_norm_bound(option):
+    # the adaptive cover reads neither, so neither is silently dropped
+    given = {"norm_bound": Fraction(20), "chart": parabola_chart(100)}
+    kw = {option: given[option]}
+    conic = groebner(make_ideal(["x0*x2 - x1^2"], 3), GRLEX)
+    with pytest.raises(InputError, match="needs the theoretical strategy"):
+        cover_and_construct(conic, HeightBox((4, 4, 4)), 2, **kw)
+    with pytest.raises(InputError, match="needs the theoretical strategy"):
+        affine_pipeline(make_ideal(["x1 - x0^2"], 2), 100, delta=2, **kw)
+
+
 def test_cover_requires_homogeneous():
     parabola = make_ideal(["x1 - x0^2"], 2)
     with pytest.raises(InputError, match="^projective mode requires a homogeneous"):

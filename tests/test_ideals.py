@@ -18,6 +18,7 @@ from detmethod import (
     groebner,
     hilbert_function,
     homogenize_ideal,
+    homogenized_basis,
     normal_form,
     parse_polynomial,
     staircase,
@@ -30,7 +31,12 @@ from detmethod.ideals import monomials_of_degree
 from detmethod.polynomials import divides
 
 from conftest import DATA, make_ideal
-from oracles import hilbert_oracle, naive_staircase
+from oracles import (
+    hilbert_oracle,
+    homogenized_basis_by_buchberger,
+    naive_staircase,
+    ordering_bounds_by_buchberger,
+)
 
 GRLEX = Ordering.GRLEX_LEFT
 GREVLEX = Ordering.GREVLEX
@@ -246,13 +252,14 @@ def test_series_matches_staircase_listing_on_data_and_corpus_ideals(ordering):
     assert len(files) >= len(list(DATA.glob("*.ideal")))
     for name, ideal in _data_ideals(sorted(files.values())):
         gb = groebner(ideal, ordering)
+        numerator = ideals._hilbert_numerator(gb.leading_monomials)
         weighted = 0
         for s in range(41):
             hf, sig = _listed_tables(staircase(gb, s).exponents, gb.num_vars)
             series = hilbert_function(gb, s), all_sigmas(gb, s)
             assert series == (hf, sig), (name, s)
             weighted += s * hf
-            assert ideals._weighted_hf_sum(gb, s) == weighted, (name, s)
+            assert ideals._weighted_hf_sum(numerator, s) == weighted, (name, s)
 
 
 @settings(max_examples=100, deadline=None)
@@ -461,3 +468,62 @@ def test_ordering_bound_sum_with_a0(parabola):
     a = a_estimates(gb, s)
     rep = affine_ordering_bound(parabola, s)
     assert rep.lhs + a[0] == 1
+
+
+# -- homogenized bases and the section J against Buchberger ------------------
+
+SWEEP = range(4, 41)
+
+
+def _ordering_bounds(affine_ideal):
+    """affine_ordering_bound over SWEEP, None where HF of I^h vanishes."""
+    reports = []
+    for s in SWEEP:
+        try:
+            reports.append(affine_ordering_bound(affine_ideal, s))
+        except DegenerateIdealError:
+            reports.append(None)
+    return reports
+
+
+def _distinct_data_and_corpus_ideals():
+    files = {p.read_text(): p for d in (CORPUS, DATA) for p in d.glob("*.ideal")}
+    return [(p.stem, load_ideal(p)) for p in sorted(files.values())]
+
+
+def _assert_matches_buchberger(name, ideal):
+    # I^h's basis: homogenized under grlex-left, by groebner under grevlex
+    for ordering in (GRLEX, GREVLEX):
+        expected = homogenized_basis_by_buchberger(ideal, ordering).basis
+        assert homogenized_basis(ideal, ordering).basis == expected, (name, ordering)
+    # J = I^h + (x0) read off LT(I^h) + (x0), against J's own basis
+    expected = ordering_bounds_by_buchberger(ideal, SWEEP)
+    assert _ordering_bounds(ideal) == expected, name
+
+
+def test_homogenized_bases_and_ordering_bounds_match_buchberger_on_data_ideals():
+    for name, ideal in _distinct_data_and_corpus_ideals():
+        _assert_matches_buchberger(name, ideal)
+
+
+@st.composite
+def affine_ideals(draw, max_vars=3, max_degree=2, max_gens=3):
+    """Small affine ideals with integer coefficients; a generator may be a
+    nonzero constant, which makes the ideal the unit ideal."""
+    n = draw(st.integers(1, max_vars))
+    monos = [e for d in range(max_degree + 1) for e in monomials_of_degree(d, n)]
+    coefficients = st.sampled_from([-3, -2, -1, 1, 2, 3])
+    terms = st.dictionaries(st.sampled_from(monos), coefficients, min_size=1, max_size=3)
+    gens = draw(st.lists(terms, min_size=1, max_size=max_gens))
+    return Ideal([Polynomial(t, n) for t in gens], n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ideal=affine_ideals())
+@example(ideal=make_ideal(["x1 - x0^2", "2"], 2))  # a constant generator
+@example(ideal=make_ideal(["x0^2 + x1^2 + 1"], 2))  # no rational points
+@example(ideal=make_ideal(["x0^2 + x1^2 - 1"], 2))  # grlex-left LT is x1^2
+def test_homogenized_bases_and_ordering_bounds_match_buchberger_on_random_ideals(
+    ideal,
+):
+    _assert_matches_buchberger(repr(ideal), ideal)

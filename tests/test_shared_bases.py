@@ -1,6 +1,7 @@
-"""Shared bases: an affine ideal keeps its homogenized bases, and a basis of
-I^h keeps the basis of J = I^h + (x0), so sweeps over s or over heights run
-Buchberger once per basis and report exactly what fresh objects report."""
+"""Shared bases: an affine ideal keeps its homogenized bases, the grlex-left
+one homogenized from its affine grlex-left basis, and that basis keeps the
+series numerator of J = I^h + (x0), so sweeps over s or over heights run
+Buchberger once per ordering and report exactly what fresh objects report."""
 
 import gc
 import weakref
@@ -10,9 +11,9 @@ import pytest
 
 from detmethod import (
     Ordering,
-    Polynomial,
     affine_ordering_bound,
     affine_pipeline,
+    groebner,
     homogenized_basis,
     ideals,
 )
@@ -54,22 +55,24 @@ def test_sweep_on_one_ideal_matches_fresh_ideals(name):
     fresh = [asdict(affine_ordering_bound(make_ideal(gens, n), s)) for s in SWEEP]
     ideal = make_ideal(gens, n)
     assert [asdict(affine_ordering_bound(ideal, s)) for s in SWEEP] == fresh
-    # the kept staircases do not depend on the order of the calls
+    # the kept numerators do not depend on the order of the calls
     ideal = make_ideal(gens, n)
     backwards = [asdict(affine_ordering_bound(ideal, s)) for s in reversed(SWEEP)]
     assert backwards[::-1] == fresh
     assert all(row["holds"] for row in fresh)
 
 
-def test_sweep_runs_buchberger_three_times(groebner_calls):
+def test_sweep_runs_buchberger_once(groebner_calls):
     parabola = make_ideal(["x1 - x0^2"], 2)
     for s in SWEEP:
         affine_ordering_bound(parabola, s)
-    (affine, o1, _), (ih, o2, _), (j, o3, _) = groebner_calls
-    assert (affine, o1) == (parabola, GREVLEX)
-    assert o2 is o3 is GRLEX
-    assert ih.homogeneous and ih.num_vars == 3
-    assert j.generators == ih.generators + (Polynomial.variable(0, 3),)
+    # one run, for the affine grlex-left basis: I^h's basis is that basis
+    # homogenized, and J = I^h + (x0) gets no basis
+    [(affine, ordering, _)] = groebner_calls
+    assert (affine, ordering) == (parabola, GRLEX)
+    gb = homogenized_basis(parabola, GRLEX)
+    assert gb.ideal.homogeneous and gb.ideal.num_vars == 3
+    assert gb.basis == [g.homogenize() for g in groebner(parabola, GRLEX).basis]
 
 
 def test_sweep_reads_no_staircase_and_builds_each_numerator_once(
@@ -93,10 +96,10 @@ def test_sweep_reads_no_staircase_and_builds_each_numerator_once(
         affine_ordering_bound(parabola, s)
     # HF, sigma_i and the sums of t*HF_J(t) all come from the series
     assert reads == []
-    ih, section = (ref() for _, _, ref in groebner_calls[1:])
-    # the top-level recursion runs once for I^h's basis and once for J's
-    for gb in (ih, section):
-        assert sum(m is gb.leading_monomials for m in built) == 1
+    lms = homogenized_basis(parabola, GRLEX).leading_monomials
+    # the top-level recursion runs once for LT(I^h) and once for LT(I^h) + (x0)
+    assert sum(m is lms for m in built) == 1
+    assert sum(m == lms + [(1, 0, 0)] for m in built) == 1
 
 
 def test_sweep_computes_dimension_once(monkeypatch):
@@ -115,23 +118,23 @@ def test_sweep_computes_dimension_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ordering,bases", [(GRLEX, 2), (GREVLEX, 3)], ids=["grlex", "grevlex"]
+    "ordering,runs", [(GRLEX, 1), (GREVLEX, 2)], ids=["grlex", "grevlex"]
 )
-def test_pipeline_twice_on_one_ideal_matches_fresh(groebner_calls, ordering, bases):
-    # under grevlex the ordering bound needs a second, left-graded basis of I^h
-    runs = [dict(b=100, delta=2), dict(b=400, epsilon=0.25)]
+def test_pipeline_twice_on_one_ideal_matches_fresh(groebner_calls, ordering, runs):
+    # under grevlex, I^h's basis needs a Buchberger run of its own
+    calls = [dict(b=100, delta=2), dict(b=400, epsilon=0.25)]
     fresh = [
         report_json(affine_pipeline(make_ideal(["x1 - x0^2"], 2), **kw, ordering=ordering))
-        for kw in runs
+        for kw in calls
     ]
     del groebner_calls[:]
     parabola = make_ideal(["x1 - x0^2"], 2)
     shared = [
-        report_json(affine_pipeline(parabola, **kw, ordering=ordering)) for kw in runs
+        report_json(affine_pipeline(parabola, **kw, ordering=ordering)) for kw in calls
     ]
     assert shared == fresh
-    # one affine basis, one basis of I^h per ordering, one of J: all kept
-    assert len(groebner_calls) == bases + 1
+    # the affine grlex-left basis, and under grevlex I^h's basis: both kept
+    assert [o for _, o, _ in groebner_calls] == [GRLEX, GREVLEX][:runs]
 
 
 def test_kept_bases_die_with_their_ideal_without_the_cycle_collector(
@@ -142,11 +145,14 @@ def test_kept_bases_die_with_their_ideal_without_the_cycle_collector(
         ideal = make_ideal(["x1 - x0^2", "x2 - x0^3"], 3)
         for s in SWEEP:
             affine_ordering_bound(ideal, s)
-        refs = [weakref.ref(ideal)] + [ref for _, _, ref in groebner_calls]
-        assert len(refs) == 4 and all(ref() is not None for ref in refs[2:])
-        del groebner_calls[:]
+        bases = [homogenized_basis(ideal, o) for o in (GRLEX, GREVLEX)]
+        refs = [weakref.ref(x) for x in (ideal, bases[0].ideal, *bases)]
+        # the affine basis is dropped once homogenized; I^h's bases are kept
+        assert [ref() for _, _, ref in groebner_calls] == [None, bases[1]]
+        del groebner_calls[:], bases
+        assert all(ref() is not None for ref in refs)
         del ideal
-        # reference counting alone frees the ideal, I^h's basis and J's basis
+        # reference counting alone frees the ideal, I^h and I^h's bases
         assert [ref() for ref in refs] == [None] * 4
     finally:
         gc.enable()
