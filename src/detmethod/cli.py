@@ -245,8 +245,9 @@ def _report_points(cert, num_vars):
     return [tuple(p) for p in points]
 
 
-def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET):
-    """Re-verify a stored report against the ideal file, trusting nothing.
+def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET, path=None):
+    """Re-verify a stored report against the ideal file, trusting nothing;
+    a certificate whose poly does not parse is named with the report's path.
 
     This parses the report and checks that each listed point lies in S(X,B);
     engine.verify_certificate and engine.coverage_failure do the rest, as
@@ -267,7 +268,10 @@ def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET):
         try:
             poly = parse_polynomial(_field(entry, "poly", str), gb.num_vars)
         except ParseError as exc:
-            raise InputError(f"malformed report: certificate {k}: poly: {exc}") from exc
+            where = f"{path}: " if path else ""
+            raise InputError(
+                f"malformed report: {where}certificate {k}: poly: {exc}"
+            ) from exc
         points = _report_points(entry, gb.num_vars)
         cert = AuxiliaryCertificate(
             poly, delta, tuple(index[p] for p in points if p in index), ()
@@ -289,7 +293,7 @@ def cmd_verify(args):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read report {args.report}: {exc}") from exc
-    failures = verify_report_dict(data, ideal, budget=args.budget)
+    failures = verify_report_dict(data, ideal, budget=args.budget, path=args.report)
     if failures:
         for f in failures:
             print(f"FAIL: {f}")

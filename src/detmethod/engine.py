@@ -702,7 +702,7 @@ def cover_and_construct(
             )
         if strategy == "adaptive":
             certs, max_depth = _adaptive_cover(points, sc, gb, timings)
-        elif strategy == "theoretical":
+        else:
             if chart is not None:
                 nb = chart_norm_bound(chart, sc, nu)
                 param = chart.param
@@ -721,8 +721,6 @@ def cover_and_construct(
             certs, rho, cube_count = _theoretical_cover(
                 points, sc, gb, box, sigma, mu, m, nb, param, timings
             )
-        else:
-            raise InputError(f"unknown strategy {strategy!r}")
 
     if f:
         exps = tuple(m * s / f for s in sigma)
@@ -772,6 +770,8 @@ def cover_and_construct(
 def _require_options(delta, epsilon, strategy, norm_bound, chart):
     if (delta is None) == (epsilon is None):
         raise InputError("exactly one of delta / epsilon must be set")
+    if strategy not in ("adaptive", "theoretical"):
+        raise InputError(f"unknown strategy {strategy!r}")
     if strategy == "adaptive" and (chart is not None or norm_bound is not None):
         raise InputError("a chart or a norm bound needs the theoretical strategy")
 

@@ -5,10 +5,13 @@ sign-normalized representative per rational point in the box.  Both use one
 integer-only solver.  A coordinate x_j is *solved* when some generator
 involves x_j and only earlier variables: on each fibre (x_0..x_{j-1} fixed)
 that generator is a univariate integer polynomial, whose integer roots are
-isolated exactly.  Every other coordinate is *scanned* over its range, which
-is first narrowed by each generator c*x_k + r(x_j) with c constant, since
-|r(x_j)| <= |c|*B_k.  Every candidate is re-checked against every generator
-with exact arithmetic, so the output equals that of a full box scan.
+isolated exactly.  Every other coordinate is *scanned*.  On each fibre its
+range is narrowed by each generator that splits as p + r, every term of p in
+x_j and in no later coordinate, no term of r in x_j: exact integer interval
+arithmetic (Moore, 1966) encloses r over the box in [rl, rh], and x_j keeps
+the values where -rh <= p <= -rl.  Every candidate is re-checked against
+every generator with exact arithmetic, so the output equals that of a full
+box scan.
 
 The budget bounds the size of that full scan and is checked before any work:
 the number of points in the box, with one coordinate dropped in affine mode
@@ -73,15 +76,6 @@ def _check_budget(required, budget):
         raise BudgetExceededError(required, budget)
 
 
-def _unit_coefficient(terms, k):
-    """c when x_k occurs in the (exponent, coefficient) terms only as c*x_k,
-    else None."""
-    in_k = [(e, c) for e, c in terms if e[k]]
-    if len(in_k) == 1 and sum(in_k[0][0]) == 1:
-        return in_k[0][1]
-    return None
-
-
 def enumerate_affine(ideal, b, budget=DEFAULT_BUDGET):
     """All integer points of the variety with |x_i| <= b, sorted."""
     start = perf_counter()
@@ -90,8 +84,8 @@ def enumerate_affine(ideal, b, budget=DEFAULT_BUDGET):
         raise InputError("height bound must be positive")
     n = ideal.num_vars
     limit = int(floor(b))
-    linear = any(
-        _unit_coefficient(g.terms.items(), k) is not None
+    linear = any(  # some x_k occurs in a generator only as c*x_k
+        [sum(e) for e in g.terms if e[k]] == [1]
         for g in ideal.generators
         for k in range(n)
     )
@@ -125,16 +119,17 @@ def _solve(ideal, limits, projective):
     """(sorted points, fibres solved) of the variety in the box |x_j| <= limits[j];
     in projective mode only the primitive, sign-normalized vectors."""
     n = ideal.num_vars
+    generators = _integer_generators(ideal.generators)
     solvers = [[] for _ in range(n)]  # generators whose last variable is x_j
-    domains = [[(-lim, lim)] for lim in limits]
-    for terms in _integer_generators(ideal.generators):
+    for terms in generators:
         used = [i for i in range(n) if any(e[i] for e, _ in terms)]
         if not used:
             return (), 0  # a nonzero constant: the variety is empty
         solvers[used[-1]].append(terms)
-        for k, c, j, r in _range_constraints(terms, n):
-            bound = abs(c) * limits[k]
-            domains[j] = _where_between(r, domains[j], -bound, bound)
+    splits = [  # the p + r splits that narrow each scanned coordinate
+        [] if solvers[j] else [s for t in generators if (s := _split(t, j, limits))]
+        for j in range(n)
+    ]
 
     point = [0] * n
     found = []
@@ -149,14 +144,15 @@ def _solve(ideal, limits, projective):
             if all(h.evaluate(vec) == 0 for h in ideal.generators):
                 found.append(vec)
             return
-        domain = domains[j]
-        if projective and not any(point[:j]):
-            # a representative's first nonzero coordinate is positive
-            domain = [(max(a, 0), b) for a, b in domain if b >= 0]
+        # a representative's first nonzero coordinate is positive
+        low = 0 if projective and not any(point[:j]) else -limits[j]
+        domain = [(low, limits[j])]
         if solvers[j]:
             fibres += 1
             values = _solve_fibre(solvers[j], point, j, domain)
         else:
+            for split in splits[j]:
+                domain = _narrow(split, point, j, domain)
             values = _scan(domain)
         for v in values:
             point[j] = v
@@ -176,21 +172,50 @@ def _integer_generators(generators):
     return out
 
 
-def _range_constraints(terms, num_vars):
-    """Yield (k, c, j, r) for each way of reading the generator as
-    c*x_k + r(x_j): c a constant, r a nonconstant polynomial in one other
-    variable x_j, given as its coefficients of 1, x_j, x_j^2, ..."""
-    for k in range(num_vars):
-        c = _unit_coefficient(terms, k)
-        rest = [(e, a) for e, a in terms if not e[k]]
-        others = {i for e, _ in rest for i in range(num_vars) if e[i]}
-        if c is None or len(others) != 1:
-            continue
-        (j,) = others
-        r = [0] * (1 + max(e[j] for e, _ in rest))
-        for e, a in rest:
-            r[e[j]] += a
-        yield k, c, j, r
+def _split(terms, j, limits):
+    """The generator as p + r for narrowing x_j, or None: p its terms in
+    x_j, none of them in a later coordinate, and r the other terms, each as
+    (exponent, coefficient, lo, hi) with [lo, hi] the range of its monomial
+    in the later coordinates over the box."""
+    p = [(e, c) for e, c in terms if e[j]]
+    if not p or any(any(e[j + 1:]) for e, _ in p):
+        return None
+    r = []
+    for e, c in terms:
+        if not e[j]:
+            lo = hi = 1
+            for k in range(j + 1, len(e)):
+                if e[k]:
+                    a, b = _power(-limits[k], limits[k], e[k])
+                    ends = (lo * a, lo * b, hi * a, hi * b)
+                    lo, hi = min(ends), max(ends)
+            r.append((e, c, lo, hi))
+    return p, r
+
+
+def _power(low, high, k):
+    """The exact range of x^k over the integers x in [low, high]."""
+    if k % 2 == 0 and low < 0 < high:
+        return 0, max(low**k, high**k)
+    return min(low**k, high**k), max(low**k, high**k)
+
+
+def _narrow(split, point, j, domain):
+    """The values of x_j in `domain` where p = -r has a solution on the
+    fibre point[:j], given r's enclosure [rl, rh] over the later box."""
+    p, r = split
+    rl = rh = 0
+    for e, c, lo, hi in r:
+        for i in range(j):
+            if e[i]:
+                c *= point[i] ** e[i]
+        a, b = (c * lo, c * hi) if c >= 0 else (c * hi, c * lo)
+        rl += a
+        rh += b
+    coeffs = _restrict(p, point, j)
+    if not coeffs:  # p vanishes on the fibre
+        return domain if rl <= 0 <= rh else []
+    return _where_between(coeffs, domain, -rh, -rl)
 
 
 def _is_representative(vec):

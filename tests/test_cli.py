@@ -720,7 +720,7 @@ def test_verify_names_the_certificate_whose_poly_does_not_parse(capsys, tmp_path
     code, out, err = run(capsys, "verify", "--report", str(report), "--ideal", PARABOLA)
     assert (code, out) == (2, "")
     assert err == (
-        "error: malformed report: certificate 1: poly: "
+        f"error: malformed report: {report}: certificate 1: poly: "
         "line 1, column 6: unexpected token '@'\n"
     )
 

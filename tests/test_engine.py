@@ -32,7 +32,9 @@ from detmethod import (
     verify_certificate,
 )
 
-from conftest import make_ideal
+from detmethod.cli import load_ideal
+
+from conftest import DATA, make_ideal
 from oracles import exact_determinant, rational_kernel, rational_rank
 
 GRLEX = Ordering.GRLEX_LEFT
@@ -613,6 +615,19 @@ def test_affine_pipeline_empty_variety_is_vacuous():
     report = affine_pipeline(make_ideal(["x0^2 + 1"], 2), 50, delta=2)
     assert report.vacuous
     assert report.certificates == []
+
+
+@pytest.mark.parametrize("ideal_file", ["empty.ideal", "parabola.ideal"])
+def test_unknown_strategy_is_refused_for_any_point_count(ideal_file):
+    # with no points the cover never runs, so the name is checked up front
+    ideal = load_ideal(DATA / ideal_file)
+    with pytest.raises(InputError, match="^unknown strategy 'bogus'$"):
+        affine_pipeline(ideal, 10, delta=2, strategy="bogus")
+    with pytest.raises(InputError, match="^unknown strategy 'bogus'$"):
+        cover_and_construct(
+            engine.run_basis(ideal, "affine", GRLEX), HeightBox((1, 10, 10)), 2,
+            strategy="bogus",
+        )
 
 
 def test_affine_pipeline_single_point_degenerate():

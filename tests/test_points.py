@@ -171,6 +171,96 @@ def test_linear_coordinate_narrows_the_scan(parabola):
     assert ps.points == tuple((t, t * t) for t in range(-200, 201))
 
 
+@st.composite
+def split_ideals(draw, homogeneous):
+    """(ideal, height bounds, a planted integer point of the variety in the
+    box): each generator is f*h(p) - h*f(p) for f a sum of pure powers
+    c*x_i^k, even k and negative c included, and now and then one monomial
+    in two or more variables, so that it splits as p + r on some scanned
+    coordinates and not on others; h = x_i^k in projective mode, where every
+    term has degree k, and h = 1 in affine mode."""
+    n = draw(st.integers(2, 3))
+    bounds = [draw(st.integers(1, 4)) for _ in range(n)]
+    if not homogeneous:
+        bounds = [max(bounds)] * n
+    p = tuple(draw(st.integers(-b, b)) for b in bounds)
+    if homogeneous:
+        assume(any(p))
+        g = gcd(*p)
+        sign = 1 if next(v for v in p if v) > 0 else -1
+        p = tuple(sign * v // g for v in p)
+    coeff = st.integers(-3, 3).filter(bool)
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.integers(1, 4))
+        terms = {}
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            e = [0] * n
+            e[i] = k if homogeneous else draw(st.integers(1, 4))
+            terms[tuple(e)] = draw(coeff)
+        mixed = [e for d in range(2, 5) for e in monomials_of_degree(d, n)
+                 if sum(map(bool, e)) >= 2 and (d == k or not homogeneous)]
+        if mixed and draw(st.booleans()):
+            terms[draw(st.sampled_from(mixed))] = draw(coeff)
+        f = Polynomial(terms, n)
+        h = Polynomial.constant(1, n)
+        if homogeneous:
+            h = Polynomial.variable(draw(st.integers(0, n - 1)), n) ** k
+        g = f * h.evaluate(p) - h * f.evaluate(p)
+        assume(not g.is_zero())
+        gens.append(g)
+    return Ideal(gens, n), bounds, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=split_ideals(homogeneous=False))
+def test_narrowed_scan_matches_naive_affine_scan(case):
+    ideal, bounds, p = case
+    ps = enumerate_affine(ideal, bounds[0])
+    assert list(ps.points) == naive_affine_points(ideal, bounds[0])
+    assert p in ps.points
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=split_ideals(homogeneous=True))
+def test_narrowed_scan_matches_naive_projective_scan(case):
+    ideal, bounds, p = case
+    box = HeightBox(tuple(bounds))
+    ps = enumerate_projective(ideal, box)
+    assert list(ps.points) == naive_projective_points(ideal, box)
+    assert p in ps.points
+
+
+def test_circle_scan_is_narrowed_to_three_fibres(circle):
+    # x0^2 = 1 - x1^2 lies in [1 - B^2, 1], so x0 is -1, 0 or 1 at any height
+    assert enumerate_affine(circle, 120).fibres == 3  # of 241
+    ps = enumerate_affine(circle, 10**6, budget=10**13)
+    assert ps.fibres == 3
+    assert ps.points == ((-1, 0), (0, -1), (0, 1), (1, 0))
+
+
+def test_conic_scan_is_narrowed_on_each_fibre(conic):
+    # x1^2 = x0*x2 lies in [-12*|x0|, 12*|x0|] on the fibre x0: 203 of 313
+    box = HeightBox((12, 12, 12))
+    ps = enumerate_projective(conic, box)
+    assert ps.fibres == 203
+    assert list(ps.points) == naive_projective_points(conic, box)
+
+
+def test_scan_where_p_vanishes_on_the_fibre():
+    # x1 splits x0*x1 - x2^2 as p = x0*x1, r = -x2^2 in [-16, 0]: on the fibre
+    # x0 = 0, p vanishes and r can, so every x1 stays
+    cone = make_ideal(["x0*x1 - x2^2"], 3)
+    assert list(enumerate_affine(cone, 4).points) == naive_affine_points(cone, 4)
+    # here r = x2^2 + 1 lies in [1, 17], so x0 = 0 keeps no x1 and x0 != 0
+    # keeps the x1 of the other sign with |x0*x1| <= 17
+    ps = enumerate_affine(make_ideal(["x0*x1 + x2^2 + 1"], 3), 4)
+    assert ps.fibres == 2 * sum(min(4, 17 // a) for a in range(1, 5))
+    assert ps.points == ((-2, 1, -1), (-2, 1, 1), (-1, 1, 0), (-1, 2, -1),
+                         (-1, 2, 1), (1, -2, -1), (1, -2, 1), (1, -1, 0),
+                         (2, -1, -1), (2, -1, 1))
+
+
 def test_twisted_cubic_affine_at_large_height(twisted_cubic_affine):
     ps = enumerate_affine(twisted_cubic_affine, 10**4)
     assert ps.points == tuple((t, t**2, t**3) for t in range(-21, 22))
