@@ -49,7 +49,6 @@ from .ideals import (
     dimension_and_degree,
     groebner,
     hilbert_function,
-    homogenize_ideal,
     homogenized_basis,
     monomials_of_degree,
     normal_form,

@@ -5,8 +5,9 @@ Exit codes: 0 ok, 1 verification failure, 2 input error, 3 budget exceeded.
 JSON output is the machine contract (stable, sorted keys, standard JSON with
 no NaN or Infinity); text output is for humans and carries no stability
 promise.  `verify` parses a stored report, rejecting a malformed one as an
-input error, checks that each listed point lies in S(X,B), and leaves every
-other check to the engine's verifier.
+input error, checks that each listed point lies in S(X,B) and that the
+top-level counts and point lists match it, and leaves every other check to
+the engine's verifier.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ EXIT_BUDGET = 3
 def load_ideal(path):
     """Ideal file: header `vars: k`, then one generator per line; `#` starts
     a comment.  A parse error names the file, and the line and column in
-    it."""
+    it; a zero generator names the file and line, a count below 1 the
+    file."""
     try:
         with open(path) as fh:
             raw = fh.read()
@@ -72,6 +74,8 @@ def load_ideal(path):
         num_vars = int(header.split(":", 1)[1])
     except ValueError:
         raise InputError(f"{path}: malformed vars header {header!r}")
+    if num_vars < 1:
+        raise InputError(f"{path}: num_vars must be positive")
     gens = []
     for lineno, body in lines[1:]:
         try:
@@ -80,6 +84,10 @@ def load_ideal(path):
             raise InputError(
                 f"{path}: line {lineno}, column {exc.column}: {exc.message}"
             ) from exc
+        if gens[-1].is_zero():
+            raise InputError(
+                f"{path}: line {lineno}: zero polynomial is not allowed as a generator"
+            )
     if not gens:
         raise InputError(f"{path}: no generators")
     return Ideal(gens, num_vars)
@@ -249,7 +257,8 @@ def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET, path=None):
     """Re-verify a stored report against the ideal file, trusting nothing;
     a certificate whose poly does not parse is named with the report's path.
 
-    This parses the report and checks that each listed point lies in S(X,B);
+    This parses the report, checks that each listed point lies in S(X,B)
+    and that the top-level counts and point lists match it;
     engine.verify_certificate and engine.coverage_failure do the rest, as
     they do for the engine's own output."""
     mode, ordering, delta, heights = _report_params(data, ideal.num_vars)
@@ -283,6 +292,21 @@ def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET, path=None):
     uncovered = coverage_failure(certs, len(expected))
     if uncovered:
         failures.append(uncovered)
+    claims = {  # the top-level fields; a count must be a JSON integer
+        "points": list(map(list, expected)),
+        "point_count": len(expected),
+        "certificate_count": len(certs),
+        "k_actual": delta * len(certs),
+    }
+    if mode == "affine":  # each point with its leading 1 dropped
+        claims["affine_points"] = [list(p[1:]) for p in expected]
+    for key, value in claims.items():
+        stored = data.get(key)
+        if isinstance(value, list):
+            if stored != value:
+                failures.append(f"{key}: not the {len(value)} points of S(X,B)")
+        elif type(stored) is not int or stored != value:
+            failures.append(f"{key}: {json.dumps(stored)}, not {value}")
     return failures
 
 

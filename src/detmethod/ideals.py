@@ -342,21 +342,14 @@ def a_ratios(s, hf, sigma):
     return ests
 
 
-def homogenize_ideal(affine_ideal):
-    """Homogenization I^h of an affine ideal, with the new variable in front.
-    Homogenizing a Groebner basis for a graded ordering, here grlex-left
-    (not the raw generators), is what generates I^h (Cox-Little-O'Shea, IVA
-    ch. 8 sec. 4, Thm. 4)."""
-    return homogenized_basis(affine_ideal, Ordering.GRLEX_LEFT).ideal
-
-
 def homogenized_basis(affine_ideal, ordering):
-    """The full basis of I^h under `ordering`, kept on the affine ideal.  On
+    """The full basis of I^h, the homogenization with the new variable x0 in
+    front, under `ordering`, kept on the affine ideal; its .ideal is I^h.  On
     forms, grlex-left is the homogenized order of grlex-left on x1..xn, so
-    its basis is the affine grlex-left basis homogenized (IVA ch. 8 sec. 4,
-    Thm. 4), still reduced, monic and in groebner's order: the leading
-    monomials only gain x0^0.  Other orderings run groebner on it.  No basis
-    refers to the affine ideal, so the cache forms no cycle."""
+    its basis is the affine grlex-left basis homogenized (Cox-Little-O'Shea,
+    IVA ch. 8 sec. 4, Thm. 4), still reduced, monic and in groebner's order:
+    the leading monomials only gain x0^0.  Other orderings run groebner on
+    it.  No basis refers to the affine ideal, so the cache forms no cycle."""
     bases = affine_ideal._homogenized_bases
     if not bases:
         affine = groebner(affine_ideal, Ordering.GRLEX_LEFT).basis

@@ -2,24 +2,24 @@
 
 Affine mode enumerates X(Z,B); projective mode enumerates one primitive,
 sign-normalized representative per rational point in the box.  Both use one
-integer-only solver.  A coordinate x_j is *solved* when some generator
-involves x_j and only earlier variables: on each fibre (x_0..x_{j-1} fixed)
-that generator is a univariate integer polynomial, whose integer roots are
-isolated exactly.  Every other coordinate is *scanned*.  On each fibre its
-range is narrowed by each generator that splits as p + r, every term of p in
-x_j and in no later coordinate, no term of r in x_j: exact integer interval
-arithmetic (Moore, 1966) encloses r over the box in [rl, rh], and x_j keeps
-the values where -rh <= p <= -rl.  Every candidate is re-checked against
-every generator with exact arithmetic, so the output equals that of a full
-box scan.
+integer-only solver with one narrowing rule: on each fibre (x_0..x_{j-1}
+fixed), x_j is narrowed by the generators that split as p + r, every term of
+p in x_j and in no later coordinate, no term of r in x_j.  Exact integer
+interval arithmetic (Moore, 1966) encloses r over the box in [rl, rh], and
+x_j keeps the values where -rh <= p <= -rl.  An *exact* split, where r has no
+later coordinate either, has rl = rh and keeps the integer roots of the
+generator on the fibre; x_j is narrowed by its exact splits if it has any,
+else by all of its splits.  Every candidate is re-checked against every
+generator with exact arithmetic, so the output equals that of a full scan.
 
 The budget bounds the size of that full scan and is checked before any work:
 the number of points in the box, with one coordinate dropped in affine mode
 when a generator is linear in it with a constant coefficient.  The solver
 visits far fewer candidates than this figure.
 
-A PointSet carries the fibres solved and the seconds its enumeration took;
-class_index names the class S_i of the box that a point lies in.
+A PointSet carries its fibres (visits to a coordinate with an exact split)
+and the seconds its enumeration took; class_index names the class S_i of the
+box that a point lies in.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class HeightBox:
 class PointSet:
     points: tuple  # integer tuples, sorted lexicographically
     box: HeightBox
-    fibres: int = field(default=0, compare=False)  # univariate solves made
+    fibres: int = field(default=0, compare=False)  # see the module docstring
     seconds: float = field(default=0.0, compare=False)  # enumeration time
 
 
@@ -116,18 +116,20 @@ def enumerate_projective(ideal, box, budget=DEFAULT_BUDGET):
 
 
 def _solve(ideal, limits, projective):
-    """(sorted points, fibres solved) of the variety in the box |x_j| <= limits[j];
+    """(sorted points, fibres) of the variety in the box |x_j| <= limits[j];
     in projective mode only the primitive, sign-normalized vectors."""
     n = ideal.num_vars
     generators = _integer_generators(ideal.generators)
-    solvers = [[] for _ in range(n)]  # generators whose last variable is x_j
+    last = []  # each generator's last variable
     for terms in generators:
         used = [i for i in range(n) if any(e[i] for e, _ in terms)]
         if not used:
             return (), 0  # a nonzero constant: the variety is empty
-        solvers[used[-1]].append(terms)
-    splits = [  # the p + r splits that narrow each scanned coordinate
-        [] if solvers[j] else [s for t in generators if (s := _split(t, j, limits))]
+        last.append(used[-1])
+    solved = [j in last for j in range(n)]  # x_j has an exact split
+    plan = [  # the exact splits of x_j if it has any, else all of its splits
+        [s for terms, k in zip(generators, last)
+         if (k == j or not solved[j]) and (s := _split(terms, j, limits))]
         for j in range(n)
     ]
 
@@ -147,14 +149,12 @@ def _solve(ideal, limits, projective):
         # a representative's first nonzero coordinate is positive
         low = 0 if projective and not any(point[:j]) else -limits[j]
         domain = [(low, limits[j])]
-        if solvers[j]:
-            fibres += 1
-            values = _solve_fibre(solvers[j], point, j, domain)
-        else:
-            for split in splits[j]:
-                domain = _narrow(split, point, j, domain)
-            values = _scan(domain)
-        for v in values:
+        fibres += solved[j]
+        for split in plan[j]:
+            domain = _narrow(split, point, domain)
+            if not domain:
+                return
+        for v in _scan(domain):
             point[j] = v
             visit(j + 1)
 
@@ -173,24 +173,24 @@ def _integer_generators(generators):
 
 
 def _split(terms, j, limits):
-    """The generator as p + r for narrowing x_j, or None: p its terms in
-    x_j, none of them in a later coordinate, and r the other terms, each as
-    (exponent, coefficient, lo, hi) with [lo, hi] the range of its monomial
-    in the later coordinates over the box."""
-    p = [(e, c) for e, c in terms if e[j]]
-    if not p or any(any(e[j + 1:]) for e, _ in p):
+    """(degree of p, terms): the generator as p + r for narrowing x_j, or
+    None; p its terms in x_j, none in a later coordinate.  A term c*x^e is
+    (e_j, c, the (i, e_i) of earlier i with e_i > 0, lo, hi), with [lo, hi]
+    the range of its monomial in the later coordinates over the box."""
+    degree = max(e[j] for e, _ in terms)
+    if not degree or any(e[j] and any(e[j + 1:]) for e, _ in terms):
         return None
-    r = []
+    out = []
     for e, c in terms:
-        if not e[j]:
-            lo = hi = 1
-            for k in range(j + 1, len(e)):
-                if e[k]:
-                    a, b = _power(-limits[k], limits[k], e[k])
-                    ends = (lo * a, lo * b, hi * a, hi * b)
-                    lo, hi = min(ends), max(ends)
-            r.append((e, c, lo, hi))
-    return p, r
+        lo = hi = 1
+        for k in range(j + 1, len(e)):
+            if e[k]:
+                a, b = _power(-limits[k], limits[k], e[k])
+                ends = (lo * a, lo * b, hi * a, hi * b)
+                lo, hi = min(ends), max(ends)
+        earlier = tuple((i, e[i]) for i in range(j) if e[i])
+        out.append((e[j], c, earlier, lo, hi))
+    return degree, out
 
 
 def _power(low, high, k):
@@ -200,19 +200,26 @@ def _power(low, high, k):
     return min(low**k, high**k), max(low**k, high**k)
 
 
-def _narrow(split, point, j, domain):
+def _narrow(split, point, domain):
     """The values of x_j in `domain` where p = -r has a solution on the
-    fibre point[:j], given r's enclosure [rl, rh] over the later box."""
-    p, r = split
+    fibre point[:j]; one pass restricts p to the fibre and encloses r in
+    [rl, rh] over the later box."""
+    degree, terms = split
+    coeffs = [0] * (degree + 1)
     rl = rh = 0
-    for e, c, lo, hi in r:
-        for i in range(j):
-            if e[i]:
-                c *= point[i] ** e[i]
-        a, b = (c * lo, c * hi) if c >= 0 else (c * hi, c * lo)
-        rl += a
-        rh += b
-    coeffs = _restrict(p, point, j)
+    for k, c, earlier, lo, hi in terms:
+        for i, e in earlier:
+            c *= point[i] ** e
+        if k:
+            coeffs[k] += c
+        elif c >= 0:
+            rl += c * lo
+            rh += c * hi
+        else:
+            rl += c * hi
+            rh += c * lo
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
     if not coeffs:  # p vanishes on the fibre
         return domain if rl <= 0 <= rh else []
     return _where_between(coeffs, domain, -rh, -rl)
@@ -228,51 +235,21 @@ def _scan(intervals):
     return chain.from_iterable(range(a, b + 1) for a, b in intervals)
 
 
-def _solve_fibre(generators, point, j, domain):
-    """The values of x_j in `domain` that a variety point over the fibre
-    point[:j] can take: the integer roots of the first generator that does
-    not vanish on the fibre, or all of `domain` if every generator does."""
-    for terms in generators:
-        coeffs = _restrict(terms, point, j)
-        if not coeffs:
-            continue
-        if len(coeffs) == 1:
-            return []  # a nonzero constant: no point on this fibre
-        return integer_roots(coeffs, domain)
-    return _scan(domain)
-
-
-def _restrict(terms, point, j):
-    """The generator on the fibre point[:j], as its coefficients of 1, x_j,
-    x_j^2, ... without trailing zeros."""
-    coeffs = [0] * (1 + max(e[j] for e, _ in terms))
-    for e, c in terms:
-        for i in range(j):
-            if e[i]:
-                c *= point[i] ** e[i]
-        coeffs[e[j]] += c
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
-
-
-# -- exact integer root isolation ----------------------------------------------
-
-
-def integer_roots(coeffs, intervals):
-    """Sorted integer roots inside `intervals` (sorted, disjoint, inclusive
-    (lo, hi) pairs) of a nonconstant integer polynomial, given as its
-    coefficients of 1, x, x^2, ... with a nonzero leading one."""
-    if len(coeffs) == 2:
-        x, rem = divmod(-coeffs[0], coeffs[1])
-        inside = any(lo <= x <= hi for lo, hi in intervals)
-        return [x] if rem == 0 and inside else []
-    return list(_scan(_where_between(coeffs, intervals, 0, 0)))
+# -- exact integer level sets --------------------------------------------------
 
 
 def _where_between(coeffs, intervals, low, high):
-    """The sorted integer sub-intervals of `intervals` on which
-    low <= p(x) <= high."""
+    """The sorted integer sub-intervals of `intervals` (sorted, disjoint,
+    inclusive (lo, hi) pairs) on which low <= p(x) <= high, for p an integer
+    polynomial of positive degree given as its coefficients of 1, x, x^2, ...
+    with a nonzero leading one."""
+    if len(coeffs) == 2:  # c0 + c1*x: x runs from ceil((low - c0) / c1) to
+        c0, c1 = coeffs  # floor((high - c0) / c1), for c1 > 0
+        if c1 < 0:
+            c0, c1, low, high = -c0, -c1, -high, -low
+        first, last = -((c0 - low) // c1), (high - c0) // c1
+        pieces = ((max(lo, first), min(hi, last)) for lo, hi in intervals)
+        return [(a, b) for a, b in pieces if a <= b]
     p, below = [], 0  # p in the (c, g) form of _evaluate
     for e, c in enumerate(coeffs):
         if c:

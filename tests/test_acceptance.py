@@ -31,7 +31,7 @@ from detmethod import (
     groebner,
     hilbert_function,
     all_sigmas,
-    homogenize_ideal,
+    homogenized_basis,
     staircase,
     verify_certificate,
 )
@@ -65,7 +65,7 @@ def _run_corpus_entry(name, gens, n, mode, height, delta):
     ideal = make_ideal(gens, n)
     if mode == "affine":
         report = affine_pipeline(ideal, height, delta=delta)
-        ih = homogenize_ideal(ideal)
+        ih = homogenized_basis(ideal, Ordering.GRLEX_LEFT).ideal
     else:
         report = cover_and_construct(
             groebner(ideal, Ordering.GRLEX_LEFT),
@@ -207,7 +207,7 @@ def test_criterion_5_hilbert_oracle():
     for name, gens, n, mode, *_ in CORPUS:
         ideal = make_ideal(gens, n)
         if mode == "affine":
-            ideal = homogenize_ideal(ideal)
+            ideal = homogenized_basis(ideal, Ordering.GRLEX_LEFT).ideal
         for ordering in (Ordering.GRLEX_LEFT, Ordering.GREVLEX):
             gb = groebner(ideal, ordering)
             for s in range(9):

@@ -260,8 +260,13 @@ def test_construct_out_to_an_unwritable_path_is_an_input_error(capsys, tmp_path)
             "# header\nvars: 2\n\nx1 - x0^2  # parabola\n  x0 + (x1\n",
             "line 5, column 10: expected ')'",
         ),
+        (
+            "vars: 2\nx1 - x0^2\n\nx0 - x0\n",
+            "line 4: zero polynomial is not allowed as a generator",
+        ),
+        ("vars: 0\nx0\n", "num_vars must be positive"),
     ],
-    ids=["comment-above", "indented"],
+    ids=["comment-above", "indented", "zero-generator", "zero-vars"],
 )
 def test_ideal_parse_error_names_the_file_line_and_column(
     capsys, tmp_path, text, message
@@ -395,7 +400,10 @@ def test_verify_with_a_wrong_delta_walks_no_staircase_up_to_it(
         capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
     )
     assert code == 1
-    lines = out.splitlines()
+    # the report's k_actual, 2 * 7, no longer matches its delta either
+    k_actual = f"FAIL: k_actual: 14, not {3000 * data['certificate_count']}"
+    *lines, last = out.splitlines()
+    assert last == k_actual
     assert len(lines) == data["certificate_count"]
     assert all(
         re.fullmatch(
@@ -422,8 +430,55 @@ def test_verify_with_a_wrong_delta_walks_no_staircase_up_to_it(
             f"FAIL: certificate {k}: support monomial (0, 3000, 0) lies in LT(I)",
             f"FAIL: certificate {k}: lies in the ideal",
         )
-    ]
+    ] + [k_actual]
     assert calls == []
+
+
+TOP_LEVEL_EDITS = {
+    "points": lambda d: d["points"].append([1, 5, 5]),
+    "point_count": lambda d: d.update(point_count=999),
+    "certificate_count": lambda d: d.update(certificate_count=1),
+    "k_actual": lambda d: d.update(k_actual=0),
+    "affine_points": lambda d: d["affine_points"].reverse(),
+}
+
+
+@pytest.mark.parametrize("field", TOP_LEVEL_EDITS)
+def test_verify_checks_the_reports_top_level_claims(capsys, parabola_report, field):
+    # the certificates stay genuine: only the report's summary misstates
+    data = json.loads(parabola_report.read_text())
+    TOP_LEVEL_EDITS[field](data)
+    parabola_report.write_text(json.dumps(data))
+    code, out, _ = run(
+        capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        {
+            "points": "FAIL: points: not the 21 points of S(X,B)",
+            "point_count": "FAIL: point_count: 999, not 21",
+            "certificate_count": "FAIL: certificate_count: 1, not 7",
+            "k_actual": "FAIL: k_actual: 0, not 14",
+            "affine_points": "FAIL: affine_points: not the 21 points of S(X,B)",
+        }[field]
+    ]
+
+
+def test_verify_takes_only_a_json_integer_as_a_count(capsys, tmp_path):
+    # a report with one certificate (3 points at B = 3): true == 1 in Python,
+    # but a count must be a JSON integer
+    report = tmp_path / "report.json"
+    code, _, _ = run(
+        capsys, "construct", "--ideal", PARABOLA, "--height", "3", "--delta", "2",
+        "--out", str(report),
+    )
+    assert code == 0
+    data = json.loads(report.read_text())
+    assert data["certificate_count"] == 1
+    data["certificate_count"] = True
+    report.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--report", str(report), "--ideal", PARABOLA)
+    assert (code, out) == (1, "FAIL: certificate_count: true, not 1\n")
 
 
 def test_verify_takes_the_budget_its_report_was_built_under(capsys, tmp_path):

@@ -25,7 +25,7 @@ from detmethod import (
     enumerate_projective,
     exact_kernel,
     groebner,
-    homogenize_ideal,
+    homogenized_basis,
     parabola_chart,
     staircase,
     theoretical_rho,
@@ -556,7 +556,7 @@ def test_choose_delta_rejects_bad_inputs():
         with pytest.raises(InputError):
             choose_delta(_conic_basis(), epsilon)
     # the homogenized single point (2, 3) has dimension m = 0
-    point = homogenize_ideal(make_ideal(["x0 - 2", "x1 - 3"], 2))
+    point = homogenized_basis(make_ideal(["x0 - 2", "x1 - 3"], 2), GRLEX).ideal
     with pytest.raises(DegenerateIdealError):
         choose_delta(groebner(point, GRLEX), 0.5)
 
@@ -656,7 +656,7 @@ def test_parabola_chart_requires_square_height():
 
 def test_chart_norm_bound_dominates_component_sup():
     chart = parabola_chart(100)
-    ih = homogenize_ideal(make_ideal(["x1 - x0^2"], 2))
+    ih = homogenized_basis(make_ideal(["x1 - x0^2"], 2), GRLEX).ideal
     gb = groebner(ih, GRLEX)
     sc = staircase(gb, 2)
     nb = chart_norm_bound(chart, sc, 2)

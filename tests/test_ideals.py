@@ -17,7 +17,6 @@ from detmethod import (
     dimension_and_degree,
     groebner,
     hilbert_function,
-    homogenize_ideal,
     homogenized_basis,
     normal_form,
     parse_polynomial,
@@ -136,7 +135,7 @@ def _data_ideals(paths=None):
     ideal, and as it stands when homogeneous (projective)."""
     for path in sorted(DATA.glob("*.ideal")) if paths is None else paths:
         ideal = load_ideal(path)
-        yield f"{path.stem}-affine", homogenize_ideal(ideal)
+        yield f"{path.stem}-affine", homogenized_basis(ideal, GRLEX).ideal
         if ideal.homogeneous:
             yield f"{path.stem}-projective", ideal
 
@@ -326,7 +325,8 @@ def test_dim_deg_twisted_cubic(twisted_cubic):
 
 
 def test_dim_deg_point(single_point):
-    dd = dimension_and_degree(groebner(homogenize_ideal(single_point), GRLEX))
+    ih = homogenized_basis(single_point, GRLEX).ideal
+    dd = dimension_and_degree(groebner(ih, GRLEX))
     assert (dd.dimension, dd.degree) == (0, 1)
 
 
@@ -338,7 +338,7 @@ def test_dim_deg_empty_variety(gens):
 
 
 def _affine(gens, n):
-    return homogenize_ideal(make_ideal(gens, n))
+    return homogenized_basis(make_ideal(gens, n), GRLEX).ideal
 
 
 # (m, d) of every tests/data ideal, as an affine ideal homogenized and, when
@@ -462,7 +462,7 @@ def test_ordering_bound_saddle_surface():
 
 
 def test_ordering_bound_sum_with_a0(parabola):
-    ih = homogenize_ideal(parabola)
+    ih = homogenized_basis(parabola, GRLEX).ideal
     gb = groebner(ih, GRLEX)
     s = 20
     a = a_estimates(gb, s)

@@ -20,7 +20,7 @@ from detmethod import (
     tau_normalize,
 )
 from detmethod.cli import load_ideal
-from detmethod.points import integer_roots
+from detmethod.points import _where_between
 
 from conftest import DATA, make_ideal
 from oracles import naive_affine_points, naive_projective_points
@@ -283,7 +283,7 @@ def test_affine_budget_refusal(circle, parabola):
     assert err.value.required == 2 * 10**6 + 1
 
 
-# -- integer roots -----------------------------------------------------------
+# -- level sets: where low <= p(x) <= high ------------------------------------
 
 
 def _times(a, b):
@@ -298,11 +298,44 @@ def _value(coeffs, x):
     return sum(c * x**k for k, c in enumerate(coeffs))
 
 
+@st.composite
+def disjoint_intervals(draw, start):
+    """Sorted, disjoint, inclusive (lo, hi) pairs from `start` on: one to
+    three of them, singletons and touching neighbours included."""
+    out, lo = [], start
+    for _ in range(draw(st.integers(1, 3))):
+        hi = lo + draw(st.integers(0, 20))
+        out.append((lo, hi))
+        lo = hi + 1 + draw(st.integers(0, 6))
+    return out
+
+
+@st.composite
+def bands(draw, coeffs, intervals):
+    """(low, high) with low <= high: 0 and 0, the roots, a third of the time,
+    and otherwise a band reaching from p at a point of `intervals` by up to
+    ten either side, so that its ends are seldom values of p."""
+    if draw(st.integers(0, 2)) == 0:
+        return 0, 0
+    lo, hi = draw(st.sampled_from(intervals))
+    v = _value(coeffs, draw(st.integers(lo, hi)))
+    return v - draw(st.integers(0, 10)), v + draw(st.integers(0, 10))
+
+
+def _check_where_between(data, coeffs, intervals):
+    low, high = data.draw(bands(coeffs, intervals))
+    brute = [x for a, b in intervals for x in range(a, b + 1)
+             if low <= _value(coeffs, x) <= high]
+    out = _where_between(coeffs, intervals, low, high)
+    assert all(a <= b for a, b in out)
+    assert [x for a, b in out for x in range(a, b + 1)] == brute
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
     lead=st.integers(-4, 4).filter(bool),
-    roots=st.lists(st.integers(-12, 12), max_size=4),
+    roots=st.lists(st.integers(-12, 12), min_size=1, max_size=4),
     # (x - s)^2 - t with t not a square: two irrational roots for t > 0, none
     # for t < 0
     quadratics=st.lists(
@@ -312,36 +345,30 @@ def _value(coeffs, x):
         ),
         max_size=2,
     ),
-    width=st.integers(0, 30),
 )
-def test_integer_roots_match_brute_force(data, lead, roots, quadratics, width):
+def test_where_between_matches_brute_force(data, lead, roots, quadratics):
+    # degree 1 (the closed form) whenever one root and no quadratic are drawn
     coeffs = [lead]
     for r in roots:
         coeffs = _times(coeffs, [-r, 1])
     for s, t in quadratics:
         coeffs = _times(coeffs, [s * s - t, -2 * s, 1])
-    assume(len(coeffs) >= 2)
-    # an interval end on a root half of the time
-    lo = data.draw(st.sampled_from(roots) if roots and data.draw(st.booleans())
-                   else st.integers(-15, 15))
-    hi = lo + width
-    if data.draw(st.booleans()):
-        lo, hi = lo - width, lo
-    brute = [x for x in range(lo, hi + 1) if _value(coeffs, x) == 0]
-    assert integer_roots(coeffs, [(lo, hi)]) == brute
+    # the intervals start on a root half of the time
+    start = data.draw(st.sampled_from(roots) if data.draw(st.booleans())
+                      else st.integers(-30, 15))
+    _check_where_between(data, coeffs, data.draw(disjoint_intervals(start)))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
+    data=st.data(),
     coeffs=st.lists(st.integers(-20, 20), min_size=2, max_size=6).filter(
         lambda c: c[-1] != 0
     ),
-    lo=st.integers(-25, 25),
-    width=st.integers(0, 40),
+    start=st.integers(-40, 25),
 )
-def test_integer_roots_of_arbitrary_polynomials(coeffs, lo, width):
-    brute = [x for x in range(lo, lo + width + 1) if _value(coeffs, x) == 0]
-    assert integer_roots(coeffs, [(lo, lo + width)]) == brute
+def test_where_between_of_arbitrary_polynomials(data, coeffs, start):
+    _check_where_between(data, coeffs, data.draw(disjoint_intervals(start)))
 
 
 def test_affine_rejects_nonpositive_height(parabola):
