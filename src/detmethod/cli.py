@@ -125,13 +125,13 @@ def _parse_heights(args, num_vars):
     return HeightBox(tuple(parts))
 
 
+def _json(data):
+    """The JSON output contract: sorted keys, indent 2, no NaN or Infinity."""
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
+
+
 def report_json(report, include_timings=False):
-    return json.dumps(
-        report.to_dict(include_timings=include_timings),
-        sort_keys=True,
-        indent=2,
-        allow_nan=False,
-    )
+    return _json(report.to_dict(include_timings=include_timings))
 
 
 # -- subcommands -----------------------------------------------------------
@@ -150,7 +150,7 @@ def cmd_hilbert(args):
             a = [None] * gb.num_vars
         rows.append({"s": s, "hf": hf, "sigma": list(sig), "a": a})
     if args.output == "json":
-        print(json.dumps(rows, sort_keys=True, indent=2, allow_nan=False))
+        print(_json(rows))
     elif args.output == "csv":
         n = gb.num_vars
         header = ["s", "hf"] + [f"sigma{i}" for i in range(n)] + [
@@ -373,7 +373,7 @@ def cmd_bound(args):
         "bound": bound,
     }
     if args.output == "json":
-        print(json.dumps(out, sort_keys=True, indent=2, allow_nan=False))
+        print(_json(out))
     else:
         print(
             f"mu={out['mu']} m={out['m']} nu={out['nu']} e={out['e']} "

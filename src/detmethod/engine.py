@@ -11,8 +11,9 @@ the whole height box and bisects the longest axis of any sub-box whose
 monomial matrix has full rank; it terminates because a box holding at most
 mu-1 integer points always certifies.  The theoretical strategy lays down a
 grid of side rho on the chart domain [-1,1]^m, with rho derived from the
-determinant estimate; a full-rank occupied cube there is a falsification,
-reported as an error and never silently repaired.
+determinant estimate; a full-rank occupied cube there is never silently
+repaired: under a chart's derived norm bound it is a falsification, under a
+supplied one an input error (the bound was too small).
 
 A run builds one full Groebner basis per ideal and ordering, reads mu,
 sigma_i, m and d from its Hilbert series, and lists the staircase M(delta)
@@ -52,13 +53,13 @@ from .errors import (
 )
 from .ideals import (
     a_estimates,
+    affine_ordering_bound,
     all_sigmas,
     dimension_and_degree,
     groebner,
     hilbert_function,
     homogenized_basis,
     normal_form,
-    ordering_bound,
     staircase,
 )
 from .points import (
@@ -562,7 +563,7 @@ def _adaptive_cover(points, sc, gb, timings):
 
 
 def _theoretical_cover(
-    points, sc, gb, box, sigma, mu, m, norm_bound, param, timings
+    points, sc, gb, box, sigma, mu, m, norm_bound, param, timings, derived
 ):
     rho, cube_count = theoretical_rho(box, sigma, mu, m, norm_bound)
     rho_frac = Fraction(rho)
@@ -580,9 +581,14 @@ def _theoretical_cover(
         )
         cert = auxiliary_for_box(mat, idxs, sc, gb, desc, timings)
         if cert is None:
-            raise TheoreticalFalsificationError(
-                f"occupied rho-cube {key} has a full-rank matrix; this "
-                f"contradicts the determinant estimate (rho={rho})"
+            if derived:
+                raise TheoreticalFalsificationError(
+                    f"occupied rho-cube {key} has a full-rank matrix; this "
+                    f"contradicts the determinant estimate (rho={rho})"
+                )
+            raise InputError(
+                f"norm bound {norm_bound} is too small: occupied rho-cube "
+                f"{key} has a full-rank matrix (rho={rho})"
             )
         certs.append(cert)
     return certs, rho, cube_count
@@ -648,8 +654,8 @@ def cover_and_construct(
     degree, and the report then carries choose_delta's report as
     delta_report.
 
-    A chart or a norm bound is read by the theoretical strategy only, and
-    the adaptive strategy refuses them.
+    The theoretical strategy reads exactly one of a chart and a norm bound,
+    and the adaptive strategy neither (_require_options).
 
     Every enumerated point ends up covered by at least one certificate, or the
     run raises (degeneracy / falsification); nothing is silently skipped.
@@ -704,22 +710,17 @@ def cover_and_construct(
             certs, max_depth = _adaptive_cover(points, sc, gb, timings)
         else:
             if chart is not None:
-                nb = chart_norm_bound(chart, sc, nu)
-                param = chart.param
+                nb, param = chart_norm_bound(chart, sc, nu), chart.param
+            elif m != 1:
+                raise InputError(
+                    "built-in parameter map only covers curves (m=1); "
+                    "supply a chart for higher dimension"
+                )
             else:
-                if norm_bound is None:
-                    raise InputError(
-                        "theoretical strategy needs a chart or a norm bound"
-                    )
-                if m != 1:
-                    raise InputError(
-                        "built-in parameter map only covers curves (m=1); "
-                        "supply a chart for higher dimension"
-                    )
-                nb = norm_bound
-                param = lambda p: tau_normalize(p, box)[1:2]
+                nb, param = norm_bound, lambda p: tau_normalize(p, box)[1:2]
             certs, rho, cube_count = _theoretical_cover(
-                points, sc, gb, box, sigma, mu, m, nb, param, timings
+                points, sc, gb, box, sigma, mu, m, nb, param, timings,
+                derived=chart is not None,
             )
 
     if f:
@@ -772,8 +773,11 @@ def _require_options(delta, epsilon, strategy, norm_bound, chart):
         raise InputError("exactly one of delta / epsilon must be set")
     if strategy not in ("adaptive", "theoretical"):
         raise InputError(f"unknown strategy {strategy!r}")
-    if strategy == "adaptive" and (chart is not None or norm_bound is not None):
-        raise InputError("a chart or a norm bound needs the theoretical strategy")
+    if (chart is not None) + (norm_bound is not None) != (strategy == "theoretical"):
+        raise InputError(
+            "the theoretical strategy needs exactly one of a chart and a norm "
+            "bound; the adaptive strategy takes neither"
+        )
 
 
 def run_basis(ideal, mode, ordering):
@@ -830,7 +834,5 @@ def affine_pipeline(
         raise AssertionError(f"lifted points escaped S_0: {report.class_counts}")
     report.mode = "affine"
     report.affine_points = tuple(p[1:] for p in lifted.points)
-    report.ordering_bound = ordering_bound(
-        homogenized_basis(affine_ideal, Ordering.GRLEX_LEFT), ORDERING_BOUND_S
-    )
+    report.ordering_bound = affine_ordering_bound(affine_ideal, ORDERING_BOUND_S)
     return report

@@ -32,7 +32,8 @@ class DegenerateIdealError(ValueError):
 
 
 class TheoreticalFalsificationError(RuntimeError):
-    """An occupied rho-cube produced a full-rank matrix in theoretical mode.
+    """An occupied rho-cube produced a full-rank matrix in theoretical mode,
+    under a norm bound that chart_norm_bound derived.
 
     This would contradict the determinant estimate; it is treated as a test
     failure, never silently recovered from.

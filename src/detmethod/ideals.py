@@ -8,16 +8,18 @@ are read in closed form off multigraded Hilbert series numerators kept on
 the basis; M(delta), the degree-delta monomials that no leading monomial
 divides, is listed only for the monomial matrix.  An affine ideal keeps one
 basis of I^h per ordering (homogenized_basis); the grlex-left one is its
-affine grlex-left basis homogenized, and ordering_bound reads the section
-J = I^h + (x0) off LT(I^h) + (x0), so an affine ideal needs one Buchberger
-run under grlex-left.  No kept basis refers back to the object that keeps
-it, so dropping the ideal frees them at once, without the cycle collector.
+affine grlex-left basis homogenized, and affine_ordering_bound reads the
+section J = I^h + (x0) off LT(I^h) + (x0), so an affine ideal needs one
+Buchberger run under grlex-left.  No kept basis refers back to the object
+that keeps it, so dropping the ideal frees them at once, without the cycle
+collector.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -56,13 +58,40 @@ class GroebnerBasis:
         self.ordering = ordering
         self.basis = basis
         self.leading_monomials = [g.leading_monomial(ordering) for g in basis]
-        self._numerator = None  # kept by _numerator
-        self._dimension_degree = None  # kept by dimension_and_degree
-        self._section = None  # ordering_bound's numerator of LT(I) + (x0)
 
     @property
     def num_vars(self):
         return self.ideal.num_vars
+
+    @cached_property
+    def numerator(self):
+        """N(u) for S/LT(I) as (a, |a|, c_a) triples, c_a != 0."""
+        terms = _hilbert_numerator(self.leading_monomials).items()
+        return [(a, sum(a), c) for a, c in terms if c]
+
+    @cached_property
+    def section(self):
+        """The numerator {a: c_a} of S/(LT(I) + (x0))."""
+        x0 = (1,) + (0,) * (self.num_vars - 1)
+        return _hilbert_numerator(self.leading_monomials + [x0])
+
+    @cached_property
+    def dimension_degree(self):
+        """The dimension m and degree d of the projective variety of a
+        homogeneous ideal, read from the Hilbert series K(t)/(1-t)^n of
+        S/LT(I), K(t) = N(t, ..., t): (1-t) is divided out of K while
+        K(1) = 0, and then m is the remaining power minus 1 and d = K(1).
+        An empty variety (the Hilbert polynomial is 0) gives (-1, 0)."""
+        k = [0] * (1 + max((deg for _, deg, _ in self.numerator), default=0))
+        for _, deg, c in self.numerator:
+            k[deg] += c
+        power = self.num_vars
+        while power and any(k) and sum(k) == 0:
+            k = list(accumulate(k))[:-1]  # K(t) / (1-t)
+            power -= 1
+        if power == 0 or not any(k):
+            return DimensionDegree(-1, 0)
+        return DimensionDegree(power - 1, sum(k))
 
 
 @dataclass(frozen=True)
@@ -241,19 +270,10 @@ def _series_terms(gb, s):
     if s < 0:
         raise InputError("degree must be nonnegative")
     n = gb.num_vars
-    for a, deg, c in _numerator(gb):
+    for a, deg, c in gb.numerator:
         if deg <= s:
             k = s - deg + n - 1
             yield a, c * comb(k, n - 1), c * comb(k, n)
-
-
-def _numerator(gb):
-    """N(u) for S/LT(I) as (a, |a|, c_a) triples, c_a != 0: built on the
-    first call and kept on gb."""
-    if gb._numerator is None:
-        terms = _hilbert_numerator(gb.leading_monomials).items()
-        gb._numerator = [(a, sum(a), c) for a, c in terms if c]
-    return gb._numerator
 
 
 @dataclass(frozen=True)
@@ -298,25 +318,8 @@ def _minus_shifted(a, b, shift):
 
 
 def dimension_and_degree(gb):
-    """The dimension m and degree d of the projective variety of a
-    homogeneous ideal, read from the Hilbert series K(t)/(1-t)^n of
-    S/LT(I), K(t) = N(t, ..., t): (1-t) is divided out of K while K(1) = 0,
-    and then m is the remaining power minus 1 and d = K(1).  An empty
-    variety (the Hilbert polynomial is 0) gives (-1, 0).  The result is
-    computed once per basis and kept on it."""
-    if gb._dimension_degree is None:
-        k = [0] * (1 + max((deg for _, deg, _ in _numerator(gb)), default=0))
-        for _, deg, c in _numerator(gb):
-            k[deg] += c
-        power = gb.num_vars
-        while power and any(k) and sum(k) == 0:
-            k = list(accumulate(k))[:-1]  # K(t) / (1-t)
-            power -= 1
-        if power == 0 or not any(k):
-            gb._dimension_degree = DimensionDegree(-1, 0)
-        else:
-            gb._dimension_degree = DimensionDegree(power - 1, sum(k))
-    return gb._dimension_degree
+    """gb's DimensionDegree (m, d), computed once per basis."""
+    return gb.dimension_degree
 
 
 def a_estimates(gb, s):
@@ -375,35 +378,21 @@ def affine_ordering_bound(affine_ideal, s):
     """Check, at finite s, the exact inequality behind the bound
     a_1 + ... + a_n <= m/(m+1) under the left-graded ordering.
 
-    lhs is read off the Hilbert series of the homogenized ideal, the
-    intermediate bound off that of J = I^h + (x0).  The inequality
+    lhs is read off the Hilbert series of the homogenized ideal I^h, the
+    intermediate bound off that of J = I^h + (x0), whose leading terms are
+    LT(I^h) + (x0) since grlex-left is reverse lexicographic with x0
+    smallest (Bayer-Stillman, Invent. Math. 87, 1987): J needs no basis.
     lhs <= intermediate is exact at every finite s.  A sweep over s on one
-    ideal object runs Buchberger once in all, for the affine grlex-left
-    basis, and builds each series numerator once.
+    ideal object runs Buchberger once in all and builds each numerator once.
     """
-    return ordering_bound(homogenized_basis(affine_ideal, Ordering.GRLEX_LEFT), s)
-
-
-def ordering_bound(gb, s):
-    """affine_ordering_bound, read from gb, the full grlex-left basis of a
-    homogeneous ideal I.  grlex-left is reverse lexicographic with x0
-    smallest, so LT(I + (x0)) = LT(I) + (x0) (Bayer-Stillman, Invent. Math.
-    87, 1987): J's series is that of LT(I) + (x0), whose numerator is kept
-    on gb like gb's own and its dimension.  No basis of J is built."""
-    if gb.ordering is not Ordering.GRLEX_LEFT:
-        raise ValueError("the ordering bound needs the left-graded ordering")
+    gb = homogenized_basis(affine_ideal, Ordering.GRLEX_LEFT)
     hf = hilbert_function(gb, s)
     if hf == 0:
         raise DegenerateIdealError(f"HF of homogenization vanishes at s={s}")
     sig = all_sigmas(gb, s)
     lhs = Fraction(sum(sig[1:]), s * hf)
-
-    if gb._section is None:
-        x0 = (1,) + (0,) * (gb.num_vars - 1)
-        gb._section = _hilbert_numerator(gb.leading_monomials + [x0])
-    inter = Fraction(_weighted_hf_sum(gb._section, s), s * hf)
-
-    m = dimension_and_degree(gb).dimension
+    inter = Fraction(_weighted_hf_sum(gb.section, s), s * hf)
+    m = gb.dimension_degree.dimension
     limit = Fraction(m, m + 1) if m >= 0 else Fraction(0)
     return OrderingBoundReport(
         s=s,

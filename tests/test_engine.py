@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from detmethod import engine
+from detmethod import engine, ideals
 from detmethod import (
     AuxiliaryCertificate,
     DegenerateIdealError,
@@ -665,12 +665,29 @@ def test_chart_norm_bound_dominates_component_sup():
 
 
 def test_theoretical_norm_bound_too_small_is_falsified():
-    # an understated norm bound makes rho too large; the engine must notice
-    with pytest.raises((TheoreticalFalsificationError, InputError)):
+    # an understated supplied norm bound makes rho too large; the engine
+    # must notice, and the fault is the input's, not the paper's
+    with pytest.raises(InputError, match="^norm bound 1/1000000000000 is too small"):
         affine_pipeline(
             make_ideal(["x1 - x0^2"], 2), 100, delta=2,
             strategy="theoretical", norm_bound=Fraction(1, 10**12),
         )
+
+
+def test_a_chart_derived_norm_bound_that_fails_is_a_falsification(monkeypatch):
+    # only a bound chart_norm_bound proved can falsify the determinant estimate
+    monkeypatch.setattr(engine, "chart_norm_bound", lambda *a: Fraction(1, 10**12))
+    with pytest.raises(TheoreticalFalsificationError):
+        affine_pipeline(
+            make_ideal(["x1 - x0^2"], 2), 100, delta=2,
+            strategy="theoretical", chart=parabola_chart(100),
+        )
+
+
+ONE_RULE = (
+    "the theoretical strategy needs exactly one of a chart and a norm bound; "
+    "the adaptive strategy takes neither"
+)
 
 
 @pytest.mark.parametrize("option", ["norm_bound", "chart"])
@@ -679,10 +696,56 @@ def test_adaptive_strategy_refuses_a_chart_or_a_norm_bound(option):
     given = {"norm_bound": Fraction(20), "chart": parabola_chart(100)}
     kw = {option: given[option]}
     conic = groebner(make_ideal(["x0*x2 - x1^2"], 3), GRLEX)
-    with pytest.raises(InputError, match="needs the theoretical strategy"):
+    with pytest.raises(InputError, match=f"^{ONE_RULE}$"):
         cover_and_construct(conic, HeightBox((4, 4, 4)), 2, **kw)
-    with pytest.raises(InputError, match="needs the theoretical strategy"):
+    with pytest.raises(InputError, match=f"^{ONE_RULE}$"):
         affine_pipeline(make_ideal(["x1 - x0^2"], 2), 100, delta=2, **kw)
+
+
+@pytest.mark.parametrize("pipeline", ["affine_pipeline", "cover_and_construct"])
+@pytest.mark.parametrize("name", ["parabola", "empty"])
+@pytest.mark.parametrize("given", ["neither", "chart", "norm_bound", "both"])
+@pytest.mark.parametrize("strategy", ["adaptive", "theoretical"])
+def test_one_rule_for_the_theoretical_inputs(
+    monkeypatch, strategy, given, name, pipeline
+):
+    # the theoretical strategy takes exactly one of a chart and a norm bound,
+    # the adaptive one neither, checked before any Buchberger run or
+    # enumeration, whether or not the variety has points
+    ideal = load_ideal(DATA / f"{name}.ideal")
+    kw = {}
+    if given in ("chart", "both"):
+        kw["chart"] = parabola_chart(100)
+    if given in ("norm_bound", "both"):
+        kw["norm_bound"] = Fraction(20)
+    if strategy == "adaptive":
+        valid = given == "neither"
+    else:
+        valid = given in ("chart", "norm_bound")
+    if pipeline == "affine_pipeline":
+        run = lambda: affine_pipeline(ideal, 100, delta=2, strategy=strategy, **kw)
+    else:
+        gb = homogenized_basis(ideal, GRLEX)
+        lifted = engine.lifted_points(ideal, 100, engine.DEFAULT_BUDGET)
+        run = lambda: cover_and_construct(
+            gb, lifted.box, 2, strategy=strategy, point_set=lifted, **kw
+        )
+    if valid:
+        report = run()
+        assert report.strategy == strategy
+        assert report.vacuous == (name == "empty")
+        assert len(report.points) == (21 if name == "parabola" else 0)
+        return
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the options were checked")
+
+    monkeypatch.setattr(ideals, "groebner", unreachable)
+    monkeypatch.setattr(engine, "groebner", unreachable)
+    monkeypatch.setattr(engine, "enumerate_affine", unreachable)
+    monkeypatch.setattr(engine, "enumerate_projective", unreachable)
+    with pytest.raises(InputError, match=f"^{ONE_RULE}$"):
+        run()
 
 
 def test_cover_requires_homogeneous():
