@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bounds import DetBoundInput, choose_nu, determinant_bound, determinant_bound_exact
 from .engine import (
@@ -126,8 +127,48 @@ def _parse_heights(args, num_vars):
 
 
 def _json(data):
-    """The JSON output contract: sorted keys, indent 2, no NaN or Infinity."""
-    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False)
+    """The JSON output contract: sorted keys, indent 2, ASCII escapes, no NaN
+    or Infinity, byte for byte json.dumps(data, sort_keys=True, indent=2,
+    allow_nan=False).  With indent set, json.dumps skips CPython's C encoder;
+    this writer keeps its string escapes and renders each list of plain ints
+    in one join."""
+    return _emit(data, "\n")
+
+
+def _emit(value, newline):
+    """The JSON text of value; newline is a line break and the indent of the
+    line that value starts on."""
+    if isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:  # plain ints: no bool among them
+            items = map(int.__repr__, value)
+        else:
+            items = [_emit(x, inner) for x in value]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if value else "[]"
+    if isinstance(value, dict):
+        inner = newline + "  "
+        items = [
+            f"{encode_basestring_ascii(key)}: {_emit(x, inner)}"
+            for key, x in sorted(value.items())
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if value else "{}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {value!r}"
+            )
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def report_json(report, include_timings=False):
@@ -345,11 +386,13 @@ def cmd_sweep(args):
             budget=args.budget,
         )
         n_pts = len(report.affine_points)
+        k_bound = report.k_bound_value  # empty beyond the largest double
+        k_bound = "" if k_bound is None else f"{k_bound:.6g}"
         if i == 0:  # an error on the first height leaves stdout empty
             print("B,N,certificates,k_actual,k_bound")
         print(
             f"{b},{n_pts},{len(report.certificates)},"
-            f"{report.k_actual},{report.k_bound_value:.6g}"
+            f"{report.k_actual},{k_bound}"
         )
     return EXIT_OK
 

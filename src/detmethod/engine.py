@@ -28,6 +28,7 @@ alike.  A run tallies its points' classes S_i with class_index.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -72,7 +73,13 @@ from .points import (
     require_homogeneous,
     tau_normalize,
 )
-from .polynomials import Ordering, Polynomial, divides, format_polynomial
+from .polynomials import (
+    Ordering,
+    Polynomial,
+    divides,
+    format_dehomogenized,
+    format_polynomial,
+)
 
 DELTA_MAX_DEFAULT = 12
 PROBE_DEGREE_DEFAULT = 24
@@ -441,7 +448,7 @@ class PipelineReport:
     certificates: list
     k_actual: int
     k_bound_exponents: tuple
-    k_bound_value: float
+    k_bound_value: float | None  # None beyond the largest double
     rho: object = None
     cube_count: object = None
     max_depth: object = None
@@ -454,9 +461,9 @@ class PipelineReport:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self, include_timings=False):
-        def frac(x):
-            x = Fraction(x)
-            return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        def frac(x):  # an int unchanged, a Fraction as its int or "p/q"
+            p, q = x.numerator, x.denominator
+            return p if q == 1 else f"{p}/{q}"
 
         certs = []
         for c in self.certificates:
@@ -466,9 +473,7 @@ class PipelineReport:
                 "box": [[frac(lo), frac(hi)] for lo, hi in c.box],
             }
             if self.mode == "affine":
-                entry["affine_poly"] = format_polynomial(
-                    c.poly.dehomogenize(), self.ordering
-                )
+                entry["affine_poly"] = format_dehomogenized(c.poly, self.ordering)
             certs.append(entry)
         out = {
             "params": {
@@ -725,9 +730,11 @@ def cover_and_construct(
 
     if f:
         exps = tuple(m * s / f for s in sigma)
-        k_val = 1.0
-        for e_i, b_i in zip(exps, box.bounds):
-            k_val *= float(b_i) ** e_i
+        k_val = math.inf
+        with contextlib.suppress(OverflowError):
+            k_val = math.prod(float(b) ** e for e, b in zip(exps, box.bounds))
+        if k_val == math.inf:  # beyond the largest double: null, as in `bound`
+            k_val = None
     else:
         exps = tuple(0.0 for _ in sigma)
         k_val = 0.0

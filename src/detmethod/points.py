@@ -24,6 +24,7 @@ box that a point lies in.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -317,8 +318,22 @@ def _level_set(p, a, b, low, high):
     if key(a) > key(b):  # decreasing: search -p for -high <= -p(x) <= -low
         key = partial(_evaluate, [(-c, g) for c, g in p])
         low, high = -high, -low
-    xs = range(a, b + 1)
-    return a + bisect_left(xs, low, key=key), a + bisect_right(xs, high, key=key) - 1
+    first = _search(a, b + 1, low, key, bisect_left)
+    return first, _search(a, b + 1, high, key, bisect_right) - 1
+
+
+def _search(a, b, x, key, find):
+    """a + find(range(a, b), x, key=key), find being bisect_left or
+    bisect_right.  The C bisect takes no range longer than sys.maxsize, so a
+    longer one is first halved here: find on the one-element [mid] is 1
+    exactly when the answer lies above mid."""
+    while b - a > sys.maxsize:
+        mid = (a + b) // 2
+        if find([mid], x, key=key):
+            a = mid + 1
+        else:
+            b = mid
+    return a + find(range(a, b), x, key=key)
 
 
 def class_index(point, box):

@@ -244,13 +244,6 @@ class Polynomial:
         out = {(d - sum(e),) + e: c for e, c in self.terms.items()}
         return Polynomial(out, self.num_vars + 1)
 
-    def dehomogenize(self):
-        """Substitute 1 for x0, dropping that variable."""
-        out = {}
-        for e, c in self.terms.items():
-            out[e[1:]] = out.get(e[1:], Fraction(0)) + c
-        return Polynomial(out, self.num_vars - 1)
-
     def monic(self, ordering):
         _, lc = self.leading_term(ordering)
         return self * (1 / lc)
@@ -416,25 +409,35 @@ def _parse_atom(tz, num_vars):
 def format_polynomial(poly, ordering=Ordering.GRLEX_LEFT):
     """Render with terms in descending order under `ordering`; round-trip
     stable through parse_polynomial."""
-    if poly.is_zero():
+    return _format_terms(poly.terms, ordering)
+
+
+def format_dehomogenized(form, ordering=Ordering.GRLEX_LEFT):
+    """format_polynomial of form(1, x1, ..., xn), with x1..xn renamed
+    x0..x{n-1}, for a form (a homogeneous polynomial) in x0..xn.  Its terms
+    have one degree, so no two share the exponents of x1..xn, and dropping
+    the x0 exponent is the substitution x0 = 1 with no terms to merge."""
+    terms = {e[1:]: c for e, c in form.terms.items()}
+    if len(terms) != len(form.terms):
+        raise ValueError("format_dehomogenized needs a form")
+    return _format_terms(terms, ordering)
+
+
+def _format_terms(terms, ordering):
+    """The text of a term dict (exponent -> nonzero Fraction or int), each
+    coefficient written from its numerator and denominator."""
+    if not terms:
         return "0"
-    exps = sorted(poly.terms, key=ordering.key, reverse=True)
     parts = []
-    for i, e in enumerate(exps):
-        c = poly.terms[e]
-        neg = c < 0
-        c = abs(c)
-        factors = []
-        for j, k in enumerate(e):
-            if k == 1:
-                factors.append(f"x{j}")
-            elif k > 1:
-                factors.append(f"x{j}^{k}")
-        if not factors or c != 1:
-            factors.insert(0, str(c))
-        body = "*".join(factors)
-        if i == 0:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+    for e in sorted(terms, key=ordering.key, reverse=True):
+        c = terms[e]
+        num, den = c.numerator, c.denominator
+        factors = [f"x{j}" if k == 1 else f"x{j}^{k}" for j, k in enumerate(e) if k]
+        if den != 1:
+            factors.insert(0, f"{abs(num)}/{den}")
+        elif not factors or num not in (1, -1):
+            factors.insert(0, str(abs(num)))
+        sign = "-" if num < 0 else "+"
+        parts.append(f"{sign} {'*'.join(factors)}")
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]

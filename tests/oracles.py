@@ -263,3 +263,33 @@ def ordering_bounds_by_buchberger(affine_ideal, s_values):
             )
         )
     return reports
+
+
+def oracle_dehomogenize(f):
+    """f(1, x1, ..., xn) by substitution, x1..xn renamed x0..x{n-1}: terms
+    that differ only in x0 are summed."""
+    out = {}
+    for e, c in f.terms.items():
+        out[e[1:]] = out.get(e[1:], Fraction(0)) + c
+    return Polynomial(out, f.num_vars - 1)
+
+
+def fraction_format_polynomial(poly, ordering):
+    """format_polynomial with Fraction arithmetic on each coefficient: the
+    sign by comparison, the magnitude by abs, the text by str."""
+    if poly.is_zero():
+        return "0"
+    parts = []
+    for i, e in enumerate(sorted(poly.terms, key=ordering.key, reverse=True)):
+        c = poly.terms[e]
+        neg = c < 0
+        c = abs(c)
+        factors = [f"x{j}^{k}" if k > 1 else f"x{j}" for j, k in enumerate(e) if k]
+        if not factors or c != 1:
+            factors.insert(0, str(c))
+        body = "*".join(factors)
+        if i == 0:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append(("- " if neg else "+ ") + body)
+    return " ".join(parts)

@@ -246,6 +246,52 @@ def test_construct_out_to_an_unwritable_path_is_an_input_error(capsys, tmp_path)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+# -- heights beyond 2^63 and beyond the doubles ------------------------------
+
+CIRCLE = str(DATA / "circle.ideal")
+CIRCLE_POINTS = [[-1, 0], [0, -1], [0, 1], [1, 0]]
+HUGE_BUDGET = str(10**1000)
+
+
+@pytest.mark.parametrize("height", [10**19, 10**400])
+def test_points_at_huge_heights(capsys, height):
+    code, out, err = run(
+        capsys, "points", "--ideal", CIRCLE, "--height", str(height),
+        "--budget", HUGE_BUDGET,
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out) == CIRCLE_POINTS
+
+
+@pytest.mark.parametrize("height", [10**19, 10**400])
+def test_construct_and_verify_at_huge_heights(capsys, tmp_path, height):
+    """k_bound_value is null beyond the largest double, as `bound` is."""
+    report = tmp_path / "circle.json"
+    code, _, err = run(
+        capsys, "construct", "--ideal", CIRCLE, "--height", str(height),
+        "--delta", "2", "--budget", HUGE_BUDGET, "--out", str(report),
+    )
+    assert (code, err) == (0, "")
+    data = _strict_json(report.read_text())
+    assert data["affine_points"] == CIRCLE_POINTS
+    assert data["params"]["heights"] == [1, height, height]
+    assert (data["k_bound_value"] is None) == (height > 10**308)
+    code, out, err = run(
+        capsys, "verify", "--report", str(report), "--ideal", CIRCLE,
+        "--budget", HUGE_BUDGET,
+    )
+    assert (code, err) == (0, "") and out.startswith("PASS")
+
+
+def test_sweep_beyond_the_doubles_leaves_k_bound_empty(capsys):
+    code, out, err = run(
+        capsys, "sweep", "--ideal", CIRCLE, "--height-list", str(10**400),
+        "--delta", "2", "--budget", HUGE_BUDGET,
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == f"{10**400},4,1,2,"
+
+
 # -- ideal files -------------------------------------------------------------
 
 

@@ -371,6 +371,24 @@ def test_where_between_of_arbitrary_polynomials(data, coeffs, start):
     _check_where_between(data, coeffs, data.draw(disjoint_intervals(start)))
 
 
+@given(
+    r=st.integers(-(2**100), 2**100),
+    s=st.integers(-(2**100), 2**100),
+    lead=st.integers(-3, 3).filter(bool),
+)
+def test_where_between_on_ranges_beyond_sys_maxsize(r, s, lead):
+    """The C bisect takes no range longer than sys.maxsize (2^63 - 1 on a
+    64-bit build); a longer one is halved first."""
+    coeffs = _times([lead], _times([-r, 1], [-s, 1]))
+    assert _where_between(coeffs, [(-(2**101), 2**101)], 0, 0) == sorted(
+        {(r, r), (s, s)}
+    )
+    # p(x) = x^2 between 1 and 10^40
+    assert _where_between([0, 0, 1], [(-(2**101), 2**101)], 1, 10**40) == [
+        (-(10**20), -1), (1, 10**20)
+    ]
+
+
 def test_affine_rejects_nonpositive_height(parabola):
     with pytest.raises(InputError):
         enumerate_affine(parabola, 0)
