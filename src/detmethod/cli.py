@@ -13,7 +13,6 @@ the engine's verifier.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -21,7 +20,14 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .bounds import DetBoundInput, choose_nu, determinant_bound, determinant_bound_exact
+from .bounds import (
+    DetBoundInput,
+    choose_nu,
+    determinant_bound,
+    determinant_bound_exact,
+    finite_double,
+    float_up,
+)
 from .engine import (
     AuxiliaryCertificate,
     affine_pipeline,
@@ -405,8 +411,9 @@ def cmd_bound(args):
     log_bound = determinant_bound(inp)
     bound = None  # with a zero norm, or beyond the largest double
     if log_bound != -math.inf:
-        with contextlib.suppress(OverflowError):
-            bound = float(determinant_bound_exact(inp))
+        exact = determinant_bound_exact(inp)
+        if finite_double(exact):  # the least double >= the exact bound
+            bound = float_up(exact)
     out = {
         "mu": args.mu,
         "m": args.m,

@@ -312,8 +312,10 @@ def verify_certificate(cert, points, gb):
     support inside M(delta) already keeps a nonzero polynomial out of the
     ideal.  A support monomial of degree delta lies in M(delta) exactly when
     no leading monomial divides it, so M(delta) itself is never listed.  The
-    checks stay in integers where the data are: evaluate sums integer terms
-    at the integer points, and normal_form reduces in place."""
+    checks stay in integers where the data are: Polynomial.evaluate clears
+    the certificate's denominators on its first call and sums the kept
+    integer terms at each covered integer point, and normal_form reduces in
+    place."""
     poly = cert.poly
     if poly.is_zero():
         return ["zero polynomial"]
@@ -404,6 +406,12 @@ def theoretical_rho(box, sigma, mu, m, norm_bound):
     nb = float(norm_bound) if finite_double(norm_bound) else math.nan
     if not nb > 0:
         raise InputError("norm bound must be a positive finite double")
+    for b_i in box.bounds:  # the float logs below need a positive double
+        if not (finite_double(b_i) and float(b_i) > 0):
+            raise InputError(
+                f"height {b_i} lies outside the positive doubles, which the "
+                "theoretical strategy's bound needs"
+            )
     up = lambda x: math.nextafter(x, math.inf)
     # const, unrounded, gives the starting guess just inside the bound
     const = math.lgamma(mu + 1) + mu * math.log(D(m, nu)) + mu * math.log(nb)

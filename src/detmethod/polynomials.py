@@ -54,7 +54,7 @@ def _coeff(c):
 class Polynomial:
     """Sparse polynomial: map from exponent tuple to nonzero Fraction."""
 
-    __slots__ = ("terms", "num_vars", "_hash")
+    __slots__ = ("terms", "num_vars", "_hash", "_cleared")
 
     def __init__(self, terms, num_vars):
         if num_vars < 1:
@@ -73,6 +73,7 @@ class Polynomial:
         self.terms = clean
         self.num_vars = num_vars
         self._hash = None
+        self._cleared = None
 
     # -- constructors ------------------------------------------------------
 
@@ -180,26 +181,35 @@ class Polynomial:
     # -- calculus / substitution ------------------------------------------
 
     def evaluate(self, point):
-        """Exact value at a point of ints or rationals.
+        """Exact value at a point of ints or rationals, as a Fraction.
 
-        The coefficients are scaled to integers by their common denominator
-        D, the sum of c*D * prod x_i^k_i is formed, and D divides it once at
-        the end.  At an integer point every step stays in int; rational
+        The first call clears the denominators once and keeps the result on
+        the polynomial, as __hash__ keeps the hash: the common denominator D
+        of the coefficients and, for each term c*x^e, the integer c*D with
+        the (i, e_i) of its nonzero exponents.  Every call then sums
+        c*D * prod x_i^e_i and divides by D once at the end, with no gcd at
+        D = 1.  At an integer point every step stays in int; rational
         coordinates go through the same lines, as int and Fraction
-        arithmetic promote by themselves."""
+        arithmetic promote by themselves.  Keeping the integer terms is
+        sound because a Polynomial is never changed after construction."""
         if len(point) != self.num_vars:
             raise InputError(
                 f"point has {len(point)} coordinates, expected {self.num_vars}"
             )
-        den = lcm(*(c.denominator for c in self.terms.values()))
+        if self._cleared is None:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            self._cleared = den, tuple(
+                (tuple((i, k) for i, k in enumerate(e) if k),
+                 c.numerator * (den // c.denominator))
+                for e, c in self.terms.items()
+            )
+        den, terms = self._cleared
         total = 0
-        for e, c in self.terms.items():
-            v = c.numerator * (den // c.denominator)
-            for x, k in zip(point, e):
-                if k:
-                    v *= x**k
+        for powers, v in terms:
+            for i, k in powers:
+                v *= point[i] if k == 1 else point[i] ** k
             total += v
-        return Fraction(total, den)
+        return Fraction(total) if den == 1 else Fraction(total, den)
 
     def partial_derivative(self, alpha):
         """Iterated formal derivative d^alpha; may return zero."""
@@ -259,36 +269,12 @@ class Polynomial:
 # -- text format -----------------------------------------------------------
 
 _TOKEN = re.compile(r"\d+(?:/\d+)?|[A-Za-z_]\w*|[-+*^()]|\S")
+_VARIABLE = re.compile(r"x\d+").fullmatch
 
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.tokens = []
-        for lineno, line in enumerate(text.splitlines() or [""], start=1):
-            for m in _TOKEN.finditer(line):
-                self.tokens.append((m.group(0), lineno, m.start() + 1))
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def where(self):
-        if self.pos < len(self.tokens):
-            _, line, col = self.tokens[self.pos]
-            return line, col
-        if self.tokens:
-            _, line, col = self.tokens[-1]
-            return line, col + 1
-        return 1, 1
-
-    def error(self, message):
-        line, col = self.where()
-        raise ParseError(message, line, col)
+class _SyntaxAt(Exception):
+    """(token index, message): a syntax error, which parse_polynomial raises
+    as a ParseError at that token's line and column."""
 
 
 def parse_polynomial(text, num_vars):
@@ -296,17 +282,39 @@ def parse_polynomial(text, num_vars):
     literals p/q, operators + - * ^, parentheses; implicit multiplication is
     a syntax error.
 
-    Each subexpression is a dict from exponent to coefficient: the terms of a
-    sum gather in one dict, a single-term base is raised to its power
-    directly, and one Polynomial, which drops the zero terms, is built at the
-    end."""
-    tz = _Tokenizer(text)
-    if tz.peek() is None:
-        tz.error("empty polynomial")
-    terms = _parse_expr(tz, num_vars)
-    if tz.peek() is not None:
-        tz.error(f"unexpected token {tz.peek()!r}")
+    The text is split into tokens once, into a list that ends in None, and
+    the parser reads it by index.  Each subexpression is a dict from
+    exponent to coefficient: the terms of a sum gather in one dict, the
+    number and variable factors of a product multiply into one term in
+    place, a single-term base is raised to its power directly, and one
+    Polynomial, which drops the zero terms, is built at the end.  A
+    ParseError names the line and column of the token it is raised at, or
+    one column past the start of the last token at the end of the input;
+    they are worked out from the token's offset only when it is raised."""
+    tokens = _TOKEN.findall(text)
+    tokens.append(None)
+    try:
+        if tokens[0] is None:
+            raise _SyntaxAt(0, "empty polynomial")
+        terms, i = _parse_expr(tokens, 0, num_vars)
+        if tokens[i] is not None:
+            raise _SyntaxAt(i, f"unexpected token {tokens[i]!r}")
+    except _SyntaxAt as exc:
+        index, message = exc.args
+        raise ParseError(message, *_position(text, index)) from None
     return Polynomial(terms, num_vars)
+
+
+def _position(text, index):
+    """(line, column), from 1, of token `index` of text; past the last
+    token, one column after the start of the last token; (1, 1) if there
+    is no token.  Lines break where str.splitlines breaks them."""
+    starts = [m.start() for m in _TOKEN.finditer(text)]
+    if not starts:
+        return 1, 1
+    past = index >= len(starts)
+    lines = (text[: starts[-1] if past else starts[index]] + "_").splitlines()
+    return len(lines), len(lines[-1]) + past
 
 
 def _times(p, q):
@@ -335,75 +343,110 @@ def _power(p, k, num_vars):
     return out
 
 
-def _parse_expr(tz, num_vars):
+def _parse_expr(tokens, i, num_vars):
     sign = 1
-    if tz.peek() in ("+", "-"):
-        tok, _, _ = tz.next()
-        sign = -1 if tok == "-" else 1
+    if tokens[i] == "+" or tokens[i] == "-":
+        sign = -1 if tokens[i] == "-" else 1
+        i += 1
     total = {}
     while True:
-        for e, c in _parse_term(tz, num_vars).items():
+        term, i = _parse_term(tokens, i, num_vars)
+        for e, c in term.items():
             total[e] = total.get(e, 0) + sign * c
-        if tz.peek() not in ("+", "-"):
-            return total
-        tok, _, _ = tz.next()
+        tok = tokens[i]
+        if tok != "+" and tok != "-":
+            return total, i
         sign = -1 if tok == "-" else 1
+        i += 1
 
 
-def _parse_term(tz, num_vars):
-    p = _parse_power(tz, num_vars)
-    while tz.peek() == "*":
-        tz.next()
-        p = _times(p, _parse_power(tz, num_vars))
-    return p
+def _parse_term(tokens, i, num_vars):
+    """A product of powers.  A number or variable factor, raised to its
+    exponent, multiplies the running single term coeff*x^exp in place; any
+    other factor is read by _parse_power and multiplied in by _times."""
+    exp = [0] * num_vars
+    coeff = 1
+    rest = None  # the product of the other factors, a term dict
+    while True:
+        got = _literal(tokens, i, num_vars)
+        if got is None:
+            q, i = _parse_power(tokens, i, num_vars)
+            rest = q if rest is None else _times(rest, q)
+        else:
+            idx, c = got
+            k, i = _exponent(tokens, i + 1)
+            if idx is None:
+                coeff *= c**k
+            else:
+                exp[idx] += k
+        if tokens[i] != "*":
+            term = {tuple(exp): coeff}
+            return (term if rest is None else _times(term, rest)), i
+        i += 1
 
 
-def _parse_power(tz, num_vars):
-    base = _parse_atom(tz, num_vars)
-    if tz.peek() == "^":
-        tz.next()
-        tok = tz.peek()
-        if tok == "-":
-            tz.error("negative exponent")
-        if tok is None or not tok.isdigit():
-            tz.error("expected a nonnegative integer exponent")
-        tz.next()
-        base = _power(base, int(tok), num_vars)
-    return base
-
-
-def _parse_atom(tz, num_vars):
-    tok = tz.peek()
-    if tok is None:
-        tz.error("unexpected end of input")
-    if tok == "(":
-        tz.next()
-        p = _parse_expr(tz, num_vars)
-        if tz.peek() != ")":
-            tz.error("expected ')'")
-        tz.next()
-        return p
+def _exponent(tokens, i):
+    """(k, index after it) for an optional exponent ^k at token i; k = 1 if
+    there is none."""
+    if tokens[i] != "^":
+        return 1, i
+    tok = tokens[i + 1]
     if tok == "-":
-        tz.next()
-        return {e: -c for e, c in _parse_power(tz, num_vars).items()}
-    one = (0,) * num_vars
+        raise _SyntaxAt(i + 1, "negative exponent")
+    if tok is None or not tok.isdigit():
+        raise _SyntaxAt(i + 1, "expected a nonnegative integer exponent")
+    return int(tok), i + 2
+
+
+def _parse_power(tokens, i, num_vars):
+    base, i = _parse_atom(tokens, i, num_vars)
+    k, i = _exponent(tokens, i)
+    return _power(base, k, num_vars), i
+
+
+def _literal(tokens, i, num_vars):
+    """(None, c) for a number c at token i, (index, 1) for a variable, None
+    for any other token."""
+    tok = tokens[i]
+    if tok is None:
+        return None
     if tok[0].isdigit():
-        tz.next()
         if "/" in tok:
             num, den = tok.split("/")
-            if int(den) == 0:
-                tz.error("zero denominator")
-            c = Fraction(int(num), int(den))
-        else:
-            c = int(tok)
-        return {one: c}
-    if re.fullmatch(r"x\d+", tok):
+            if int(den) == 0:  # reported at the token after the literal
+                raise _SyntaxAt(i + 1, "zero denominator")
+            return None, Fraction(int(num), int(den))
+        return None, int(tok)
+    if _VARIABLE(tok):
         idx = int(tok[1:])
         if idx >= num_vars:
-            tz.error(f"unknown variable {tok!r} (have x0..x{num_vars - 1})")
-        tz.next()
-        return {one[:idx] + (1,) + one[idx + 1 :]: 1}
-    tz.error(f"unexpected token {tok!r}")
+            raise _SyntaxAt(
+                i, f"unknown variable {tok!r} (have x0..x{num_vars - 1})"
+            )
+        return idx, 1
+    return None
+
+
+def _parse_atom(tokens, i, num_vars):
+    tok = tokens[i]
+    if tok == "(":
+        p, i = _parse_expr(tokens, i + 1, num_vars)
+        if tokens[i] != ")":
+            raise _SyntaxAt(i, "expected ')'")
+        return p, i + 1
+    if tok == "-":
+        p, i = _parse_power(tokens, i + 1, num_vars)
+        return {e: -c for e, c in p.items()}, i
+    got = _literal(tokens, i, num_vars)
+    if got is not None:
+        idx, c = got
+        e = [0] * num_vars
+        if idx is not None:
+            e[idx] = 1
+        return {tuple(e): c}, i + 1
+    if tok is None:
+        raise _SyntaxAt(i, "unexpected end of input")
+    raise _SyntaxAt(i, f"unexpected token {tok!r}")
 
 
 def format_polynomial(poly, ordering=Ordering.GRLEX_LEFT):

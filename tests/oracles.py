@@ -5,12 +5,14 @@ dual-route check keeps one side independent.
 """
 
 import itertools
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
 from detmethod import (
     Ideal,
     Ordering,
+    ParseError,
     Polynomial,
     all_sigmas,
     dimension_and_degree,
@@ -293,3 +295,151 @@ def fraction_format_polynomial(poly, ordering):
         else:
             parts.append(("- " if neg else "+ ") + body)
     return " ".join(parts)
+
+
+# -- the polynomial text format, parsed token object by token object ----------
+
+_TOKEN = re.compile(r"\d+(?:/\d+)?|[A-Za-z_]\w*|[-+*^()]|\S")
+
+
+class _Tokenizer:
+    """The tokens of the text, line by line, each with its line and column."""
+
+    def __init__(self, text):
+        self.tokens = []
+        for lineno, line in enumerate(text.splitlines() or [""], start=1):
+            for m in _TOKEN.finditer(line):
+                self.tokens.append((m.group(0), lineno, m.start() + 1))
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def where(self):
+        if self.pos < len(self.tokens):
+            _, line, col = self.tokens[self.pos]
+            return line, col
+        if self.tokens:
+            _, line, col = self.tokens[-1]
+            return line, col + 1
+        return 1, 1
+
+    def error(self, message):
+        line, col = self.where()
+        raise ParseError(message, line, col)
+
+
+def tokenizer_parse_polynomial(text, num_vars):
+    """parse_polynomial by recursive descent over a tokenizer object: the
+    text is split line by line, each token kept with its line and column,
+    and read through peek() and next(); every factor is a term dict, and
+    every product goes through _times."""
+    tz = _Tokenizer(text)
+    if tz.peek() is None:
+        tz.error("empty polynomial")
+    terms = _parse_expr(tz, num_vars)
+    if tz.peek() is not None:
+        tz.error(f"unexpected token {tz.peek()!r}")
+    return Polynomial(terms, num_vars)
+
+
+def _times(p, q):
+    """Product of two term dicts (exponent -> coefficient)."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _power(p, k, num_vars):
+    """p^k for a term dict: a single term directly, else by repeated
+    squaring."""
+    if len(p) == 1:
+        ((e, c),) = p.items()
+        return {tuple(a * k for a in e): c**k}
+    out = {(0,) * num_vars: 1}
+    while k:
+        if k & 1:
+            out = _times(out, p)
+        k >>= 1
+        if k:
+            p = _times(p, p)
+    return out
+
+
+def _parse_expr(tz, num_vars):
+    sign = 1
+    if tz.peek() in ("+", "-"):
+        tok, _, _ = tz.next()
+        sign = -1 if tok == "-" else 1
+    total = {}
+    while True:
+        for e, c in _parse_term(tz, num_vars).items():
+            total[e] = total.get(e, 0) + sign * c
+        if tz.peek() not in ("+", "-"):
+            return total
+        tok, _, _ = tz.next()
+        sign = -1 if tok == "-" else 1
+
+
+def _parse_term(tz, num_vars):
+    p = _parse_power(tz, num_vars)
+    while tz.peek() == "*":
+        tz.next()
+        p = _times(p, _parse_power(tz, num_vars))
+    return p
+
+
+def _parse_power(tz, num_vars):
+    base = _parse_atom(tz, num_vars)
+    if tz.peek() == "^":
+        tz.next()
+        tok = tz.peek()
+        if tok == "-":
+            tz.error("negative exponent")
+        if tok is None or not tok.isdigit():
+            tz.error("expected a nonnegative integer exponent")
+        tz.next()
+        base = _power(base, int(tok), num_vars)
+    return base
+
+
+def _parse_atom(tz, num_vars):
+    tok = tz.peek()
+    if tok is None:
+        tz.error("unexpected end of input")
+    if tok == "(":
+        tz.next()
+        p = _parse_expr(tz, num_vars)
+        if tz.peek() != ")":
+            tz.error("expected ')'")
+        tz.next()
+        return p
+    if tok == "-":
+        tz.next()
+        return {e: -c for e, c in _parse_power(tz, num_vars).items()}
+    one = (0,) * num_vars
+    if tok[0].isdigit():
+        tz.next()
+        if "/" in tok:
+            num, den = tok.split("/")
+            if int(den) == 0:
+                tz.error("zero denominator")
+            c = Fraction(int(num), int(den))
+        else:
+            c = int(tok)
+        return {one: c}
+    if re.fullmatch(r"x\d+", tok):
+        idx = int(tok[1:])
+        if idx >= num_vars:
+            tz.error(f"unknown variable {tok!r} (have x0..x{num_vars - 1})")
+        tz.next()
+        return {one[:idx] + (1,) + one[idx + 1 :]: 1}
+    tz.error(f"unexpected token {tok!r}")

@@ -2,8 +2,11 @@
 
 import argparse
 import ast
+import contextlib
 import inspect
+import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -14,8 +17,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detmethod import cli, engine, ideals
+from detmethod.bounds import DetBoundInput, determinant_bound_exact
 from detmethod.cli import build_parser, load_ideal, main
 from detmethod.points import HeightBox, enumerate_affine, enumerate_projective
 
@@ -580,6 +586,30 @@ def test_bound_worked_example(capsys):
     assert data["bound"] == pytest.approx(162 / 512, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    mu=st.integers(1, 8),
+    m=st.integers(1, 3),
+    data=st.data(),
+    r=st.fractions(0, 1, max_denominator=1000).filter(lambda r: 0 < r < 1),
+)
+def test_bound_is_the_least_double_not_below_the_exact_bound(mu, m, data, r):
+    norms = data.draw(st.lists(
+        st.fractions(0, 100, max_denominator=50).filter(bool),
+        min_size=mu, max_size=mu,
+    ))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([
+            "bound", "--mu", str(mu), "--m", str(m), "--r", str(r),
+            "--norms", ",".join(map(str, norms)), "--output", "json",
+        ])
+    assert code == 0
+    bound = json.loads(out.getvalue())["bound"]
+    exact = determinant_bound_exact(DetBoundInput(mu=mu, m=m, norms=norms, r=r))
+    assert Fraction(bound) >= exact > Fraction(math.nextafter(bound, -math.inf))
+
+
 def _strict_json(text):
     """json.loads that refuses NaN and the infinities."""
 
@@ -781,6 +811,27 @@ def test_construct_with_a_too_small_norm_bound_is_an_input_error(capsys):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: norm bound 1/1000000 is too small: ")
+
+
+@pytest.mark.parametrize(
+    "ideal, height",
+    [(str(DATA / "circle.ideal"), str(10**400)), (PARABOLA, f"1/{10**400}")],
+    ids=["above", "below"],
+)
+def test_construct_theoretical_outside_the_doubles_is_an_input_error(
+    capsys, ideal, height
+):
+    # the theoretical bound is worked out in doubles: a height above them,
+    # or one that rounds to 0.0, is refused by name where the adaptive
+    # strategy runs (both varieties have a point at these heights)
+    argv = ("construct", "--ideal", ideal, "--height", height, "--delta", "2",
+            "--budget", str(10**1000))
+    code, out, err = run(
+        capsys, *argv, "--strategy", "theoretical", "--norm-bound", "20"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: height {height} lies outside the positive doubles")
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_sweep_error_on_the_first_height_prints_no_header(capsys):

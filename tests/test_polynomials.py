@@ -1,9 +1,10 @@
 """poly-core: orderings, arithmetic, calculus, parser round trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detmethod import (
@@ -13,7 +14,7 @@ from detmethod import (
     format_polynomial,
     parse_polynomial,
 )
-from oracles import oracle_dehomogenize
+from oracles import fraction_evaluate, oracle_dehomogenize, tokenizer_parse_polynomial
 
 GRLEX = Ordering.GRLEX_LEFT
 GREVLEX = Ordering.GREVLEX
@@ -136,6 +137,83 @@ def test_evaluate_conic_point():
 def test_evaluate_ring_homomorphism(f, g, p):
     assert (f + g).evaluate(p) == f.evaluate(p) + g.evaluate(p)
     assert (f * g).evaluate(p) == f.evaluate(p) * g.evaluate(p)
+
+
+rational_polys = st.dictionaries(  # small exponents, so constant terms are common
+    st.lists(st.integers(0, 3), min_size=3, max_size=3).map(tuple),
+    st.fractions(max_denominator=12).filter(lambda c: abs(c) <= 50),
+    max_size=6,
+).map(lambda t: Polynomial(t, 3))
+points3 = st.lists(
+    st.one_of(
+        st.integers(-10**6, 10**6),
+        st.fractions(max_denominator=30).filter(lambda x: abs(x) <= 100),
+    ),
+    min_size=3,
+    max_size=3,
+).map(tuple)
+
+
+@example(f=Polynomial({(0, 0, 0): Fraction(1, 2), (1, 0, 0): 1}, 3),
+         g=Polynomial({}, 3), points=[(2, 0, 0)])
+@given(f=rational_polys, g=rational_polys,
+       points=st.lists(points3, min_size=1, max_size=4))
+def test_evaluate_matches_fraction_sum(f, g, points):
+    # each point twice, on two polynomials in turn: a polynomial's first
+    # call builds its cleared terms, and its later calls read them back
+    for p in points + points:
+        for h in (f, g):
+            value = h.evaluate(p)
+            assert type(value) is Fraction
+            assert value == fraction_evaluate(h, p)
+
+
+# -- the parser against the token-object parser it replaced ----------------
+
+PARSE_TOKENS = [
+    "x0", "x1", "x2", "x3", "x", "y1", "0", "1", "2", "3", "3/4", "0/5",
+    "1/0", "+", "-", "*", "^", "(", ")", "@",
+]
+SEPARATORS = ["", " ", "  ", "\t", "\n", "\r\n", "\r", "\x0c", "\u2028"]
+separators = st.sampled_from(SEPARATORS)
+token_soups = st.lists(
+    st.tuples(separators, st.sampled_from(PARSE_TOKENS)), max_size=24
+).map(lambda parts: "".join(a + b for a, b in parts))
+expressions = st.recursive(  # texts in the grammar, most of which parse
+    st.sampled_from(["x0", "x1", "x2", "x3", "0", "2", "12", "3/4", "1/0"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, separators, st.sampled_from("+-*"), separators, inner),
+        st.tuples(st.just("("), separators, inner, separators, st.just(")")),
+        st.tuples(st.sampled_from(["-", "+"]), separators, inner),
+        st.tuples(inner, separators, st.just("^"), separators,
+                  st.sampled_from("0123")),
+    ).map("".join),
+    max_leaves=8,
+)
+texts = st.tuples(separators, token_soups | expressions, separators).map("".join)
+
+
+def _outcome(parse, text):
+    try:
+        f = parse(text, 3)
+    except ParseError as exc:
+        return "error", exc.message, exc.line, exc.column
+    return "poly", f, list(f.terms)  # the same terms, inserted in one order
+
+
+@settings(max_examples=400, deadline=None)
+@example(text="x1*x2^2*x1^3 - 3/4*x0*2^3*x0 + (x0 - 1)^2*x2")
+@example(text="(x0 + 1")
+@example(text="x0 +\n  2*x1^")
+@example(text="2/0 * x1")
+@example(text=" \r\n x1 x2")
+@given(text=texts)
+def test_parser_matches_tokenizer_oracle(text):
+    # exponents above 3 on nested sums only make the example slow
+    assume(all(int(k) <= 3 for k in re.findall(r"\^\s*(\d+)", text)))
+    assert _outcome(parse_polynomial, text) == _outcome(
+        tokenizer_parse_polynomial, text
+    )
 
 
 def test_derivative_power():
