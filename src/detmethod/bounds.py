@@ -1,15 +1,16 @@
 """Combinatorial counts, C^k norms of polynomials, and the determinant
 estimate that drives the method.
 
-Float arithmetic here is only ever used for *bounds*, always rounded outward
-so a bound is never understated.  Exact big-rational evaluation is available
+Float arithmetic here is only ever used for *bounds*, rounded outward one
+ulp per step; determinant_bound's math.lgamma term is the one exception, as
+its docstring says.  Exact big-rational evaluation is available
 for small instances via the ``*_exact`` variants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError
@@ -53,14 +54,10 @@ def D(m, k):
     return math.comb(k + m, m)
 
 
-@dataclass(frozen=True)
-class ExponentBudget:
+class ExponentBudget(namedtuple("ExponentBudget", "mu m nu e")):
     """Taylor order nu and the determinant exponent e for a mu x mu block."""
 
-    mu: int
-    m: int
-    nu: int
-    e: int
+    __slots__ = ()
 
 
 def choose_nu(mu, m):
@@ -112,30 +109,31 @@ def ck_norm_bound(phi, k, box):
     return best
 
 
-@dataclass(frozen=True)
-class DetBoundInput:
-    mu: int
-    m: int
-    norms: tuple  # per-row C^nu norm bounds
-    r: Fraction  # box diameter, in (0,1)
+class DetBoundInput(namedtuple("DetBoundInput", "mu m norms r")):
+    """mu, m, the per-row C^nu norm bounds and the box diameter r in (0,1)."""
 
-    def __post_init__(self):
-        if self.mu < 1 or self.m < 1:
+    __slots__ = ()
+
+    def __new__(cls, mu, m, norms, r):
+        if mu < 1 or m < 1:
             raise InputError("mu and m must be >= 1")
-        if len(self.norms) != self.mu:
+        if len(norms) != mu:
             raise InputError("need exactly mu norms")
-        if not all(map(finite_double, self.norms)):
+        if not all(map(finite_double, norms)):
             raise InputError("norms must be finite doubles")
-        if any(Fraction(n) < 0 for n in self.norms):
+        if any(Fraction(n) < 0 for n in norms):
             raise InputError("norms must be nonnegative")
-        if not (0 < Fraction(self.r) < 1):
+        if not (0 < Fraction(r) < 1):
             raise InputError("r must lie in (0,1)")
+        return super().__new__(cls, mu, m, norms, r)
 
 
 def determinant_bound(inp):
-    """Natural log of the bound mu! D_m(nu)^mu prod(norms) r^e, rounded
-    outward at every step.  -inf if some norm is zero (flagged by the caller
-    via math.isinf)."""
+    """Natural log of the bound mu! D_m(nu)^mu prod(norms) r^e.  Each step
+    after the first is rounded one ulp outward, but math.lgamma(mu + 1) can
+    be up to 3.2 ulps off (below log 2 at mu = 2), so one ulp up does not
+    always cover it: the result can understate the bound (ROADMAP item 9).
+    -inf if some norm is zero (flagged by the caller via math.isinf)."""
     budget = choose_nu(inp.mu, inp.m)
     if any(Fraction(n) == 0 for n in inp.norms):
         return -math.inf
@@ -160,10 +158,11 @@ def determinant_bound_exact(inp):
     return total
 
 
-@dataclass(frozen=True)
-class ExponentComparison:
-    finite: tuple  # m*sigma_i/f at the given delta, exact Fractions
-    limit: tuple  # (m+1) a_i / d^(1/m), floats
+class ExponentComparison(namedtuple("ExponentComparison", "finite limit")):
+    """finite: m*sigma_i/f at the given delta, exact Fractions; limit:
+    (m+1) a_i / d^(1/m), floats."""
+
+    __slots__ = ()
 
 
 def asymptotic_exponents(sigma, f, d, m, a):

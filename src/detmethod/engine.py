@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import contextlib
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import islice
 from math import isqrt
 from time import perf_counter
+from types import SimpleNamespace
 
 from .bounds import (
     D,
@@ -92,16 +92,12 @@ KERNEL_PRIME = 2**61 - 1
 # -- matrices and kernels --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonomialMatrix:
+class MonomialMatrix(namedtuple("MonomialMatrix", "exponents points rows residues")):
     """The staircase monomials at the points, in exact ints: one row per
     point, that point's equation, with rows[j][i] = points[j] ** exponents[i].
     residues[j] is rows[j] modulo KERNEL_PRIME, for exact_kernel's screen."""
 
-    exponents: tuple
-    points: tuple
-    rows: tuple
-    residues: tuple
+    __slots__ = ()
 
     def restrict(self, indices):
         """The matrix at points[j] for j in indices, in that order."""
@@ -269,12 +265,18 @@ def _primitive_vector(vec):
 # -- certificates ----------------------------------------------------------
 
 
-@dataclass
-class AuxiliaryCertificate:
-    poly: Polynomial  # integer coefficients, content 1, support in M(delta)
-    support_delta: int
-    points_covered: tuple  # indices into the run's enumerated point list
-    box: tuple  # ((lo, hi), ...) descriptor of the covered sub-box
+class AuxiliaryCertificate(SimpleNamespace):
+    """poly (integer coefficients, content 1, support in M(delta)),
+    support_delta, points_covered (indices into the run's enumerated point
+    list) and box, the ((lo, hi), ...) descriptor of the covered sub-box."""
+
+    def __init__(self, poly, support_delta, points_covered, box):
+        super().__init__(poly=poly, support_delta=support_delta,
+                         points_covered=points_covered, box=box)
+
+    def __reduce__(self):  # SimpleNamespace's would call __init__ bare
+        fields = self.poly, self.support_delta, self.points_covered, self.box
+        return type(self), fields
 
 
 def auxiliary_for_box(mat, indices, sc, gb, box_desc, timings, low=0):
@@ -355,8 +357,7 @@ def coverage_failure(certificates, point_count):
 # -- theoretical covering --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(namedtuple("Chart", "components param")):
     """A polynomial parametrization of the scaled variety, with a callable
     recovering each point's chart parameter in [-1,1]^m.
 
@@ -364,8 +365,7 @@ class Chart:
     param(point) must return exact rationals t with components(t) = z(point).
     """
 
-    components: tuple
-    param: object  # callable point -> tuple of Fractions
+    __slots__ = ()
 
 
 def parabola_chart(b):
@@ -398,7 +398,10 @@ def theoretical_rho(box, sigma, mu, m, norm_bound):
     mu! D_m(nu)^mu norm_bound^mu prod(B_i^sigma_i) rho^f < 1, capped at 1/2,
     with the number of covering cubes ceil(2/rho)^m; nu and f come from
     choose_nu(mu, m).  The left side is bounds.determinant_bound times the
-    heights' product, both rounded outward in log space."""
+    heights' product in log space, each step rounded one ulp outward; the
+    math.lgamma term inside determinant_bound can be up to 3.2 ulps off, so
+    the left side can come out understated and rho too large (ROADMAP
+    item 9)."""
     budget = choose_nu(mu, m)
     nu, f = budget.nu, budget.e
     if f <= 0:
@@ -436,37 +439,18 @@ def theoretical_rho(box, sigma, mu, m, norm_bound):
 # -- pipeline --------------------------------------------------------------
 
 
-@dataclass
-class PipelineReport:
-    mode: str
-    heights: tuple
-    delta: int
-    epsilon: object
-    ordering: Ordering
-    strategy: str
-    dimension: int
-    degree: int
-    mu: int
-    nu: int
-    f: int
-    sigma: tuple
-    points: tuple  # enumerated homogeneous representatives
-    affine_points: tuple  # affine mode only, else ()
-    class_counts: tuple
-    certificates: list
-    k_actual: int
-    k_bound_exponents: tuple
-    k_bound_value: float | None  # None beyond the largest double
-    rho: object = None
-    cube_count: object = None
-    max_depth: object = None
-    vacuous: bool = False
-    ordering_bound: object = None
-    delta_report: object = None
-    num_vars: int = 0
-    # opt-in stage timings; enumeration: points_s, points_fibres,
-    # points_found; kernel: kernel_s, kernel_calls
-    timings: dict = field(default_factory=dict)
+class PipelineReport(SimpleNamespace):
+    """A run's result, built by cover_and_construct with every field given
+    by keyword; affine_pipeline then sets mode, affine_points and
+    ordering_bound.  The fields: mode, heights, delta, epsilon, ordering,
+    strategy, dimension, degree, mu, nu, f, sigma; points (the enumerated
+    homogeneous representatives); affine_points (affine mode only, else ());
+    class_counts, certificates, k_actual, k_bound_exponents; k_bound_value
+    (None beyond the largest double); rho, cube_count and max_depth (None
+    where the strategy sets none); vacuous; ordering_bound and delta_report
+    (None unless set); num_vars; and timings, the opt-in stage timings
+    (enumeration: points_s, points_fibres, points_found; kernel: kernel_s,
+    kernel_calls)."""
 
     def to_dict(self, include_timings=False):
         def frac(x):  # an int unchanged, a Fraction as its int or "p/q"
@@ -777,6 +761,7 @@ def cover_and_construct(
         cube_count=cube_count,
         max_depth=max_depth,
         vacuous=not points,
+        ordering_bound=None,
         delta_report=delta_report,
         num_vars=gb.num_vars,
         timings=timings,

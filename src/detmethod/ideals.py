@@ -18,7 +18,7 @@ collector.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
@@ -94,15 +94,13 @@ class GroebnerBasis:
         return DimensionDegree(power - 1, sum(k))
 
 
-@dataclass(frozen=True)
-class Staircase:
+class Staircase(namedtuple("Staircase", "delta exponents")):
     """M(delta): the degree-delta monomials outside LT(I), sorted descending
     by the ordering.  Built by staircase() for the monomial matrix only: HF
     and sigma_i come from the Hilbert series, and certificate verification
     tests LT(I) membership by divisibility."""
 
-    delta: int
-    exponents: tuple
+    __slots__ = ()
 
 
 def _sort_key(ordering):
@@ -276,10 +274,10 @@ def _series_terms(gb, s):
             yield a, c * comb(k, n - 1), c * comb(k, n)
 
 
-@dataclass(frozen=True)
-class DimensionDegree:
-    dimension: int
-    degree: int
+class DimensionDegree(namedtuple("DimensionDegree", "dimension degree")):
+    """The dimension m and degree d of a projective variety."""
+
+    __slots__ = ()
 
 
 def _hilbert_numerator(monomials):
@@ -364,14 +362,15 @@ def homogenized_basis(affine_ideal, ordering):
     return bases[ordering]
 
 
-@dataclass(frozen=True)
-class OrderingBoundReport:
-    s: int
-    lhs: Fraction  # (sigma_1 + ... + sigma_n)(s) / (s * HF(s))
-    intermediate_bound: Fraction  # sum_{t<=s} t HF_J(t) / (s * HF(s))
-    limit: Fraction  # m / (m+1)
-    dimension: int
-    holds: bool
+class OrderingBoundReport(namedtuple(
+    "OrderingBoundReport", "s lhs intermediate_bound limit dimension holds"
+)):
+    """The ordering inequality at degree s, in exact Fractions:
+    lhs = (sigma_1 + ... + sigma_n)(s) / (s * HF(s)), intermediate_bound =
+    sum_{t<=s} t HF_J(t) / (s * HF(s)), limit = m / (m+1), the dimension m,
+    and whether lhs <= intermediate_bound holds."""
+
+    __slots__ = ()
 
 
 def affine_ordering_bound(affine_ideal, s):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -38,17 +38,16 @@ from .errors import BudgetExceededError, InputError
 DEFAULT_BUDGET = 10**9
 
 
-@dataclass(frozen=True)
-class HeightBox:
-    """Per-coordinate height bounds B_i > 0 (rationals)."""
+class HeightBox(namedtuple("HeightBox", "bounds")):
+    """Per-coordinate height bounds B_i > 0 (rationals), kept as Fractions."""
 
-    bounds: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        bounds = tuple(Fraction(b) for b in self.bounds)
+    def __new__(cls, bounds):
+        bounds = tuple(Fraction(b) for b in bounds)
         if not bounds or any(b <= 0 for b in bounds):
             raise InputError("height bounds must be positive")
-        object.__setattr__(self, "bounds", bounds)
+        return super().__new__(cls, bounds)
 
     @classmethod
     def uniform(cls, b, n):
@@ -58,12 +57,21 @@ class HeightBox:
         return [int(floor(b)) for b in self.bounds]
 
 
-@dataclass(frozen=True)
-class PointSet:
-    points: tuple  # integer tuples, sorted lexicographically
-    box: HeightBox
-    fibres: int = field(default=0, compare=False)  # see the module docstring
-    seconds: float = field(default=0.0, compare=False)  # enumeration time
+class PointSet(namedtuple("PointSet", "points box fibres seconds", defaults=(0, 0.0))):
+    """The points (integer tuples, sorted lexicographically) in the box, with
+    the fibres (see the module docstring) and seconds of their enumeration.
+    Two PointSets are equal, and hash equal, when their points and boxes are:
+    fibres and seconds describe the run, not the set."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, PointSet) and self[:2] == other[:2]
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's own
+
+    def __hash__(self):
+        return hash(self[:2])
 
 
 def require_homogeneous(ideal):

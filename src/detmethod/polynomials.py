@@ -393,7 +393,7 @@ def _exponent(tokens, i):
     tok = tokens[i + 1]
     if tok == "-":
         raise _SyntaxAt(i + 1, "negative exponent")
-    if tok is None or not tok.isdigit():
+    if tok is None or not tok.isdecimal():
         raise _SyntaxAt(i + 1, "expected a nonnegative integer exponent")
     return int(tok), i + 2
 
@@ -410,7 +410,7 @@ def _literal(tokens, i, num_vars):
     tok = tokens[i]
     if tok is None:
         return None
-    if tok[0].isdigit():
+    if tok[0].isdecimal():
         if "/" in tok:
             num, den = tok.split("/")
             if int(den) == 0:  # reported at the token after the literal

@@ -404,7 +404,7 @@ def _parse_power(tz, num_vars):
         tok = tz.peek()
         if tok == "-":
             tz.error("negative exponent")
-        if tok is None or not tok.isdigit():
+        if tok is None or not tok.isdecimal():
             tz.error("expected a nonnegative integer exponent")
         tz.next()
         base = _power(base, int(tok), num_vars)
@@ -426,7 +426,7 @@ def _parse_atom(tz, num_vars):
         tz.next()
         return {e: -c for e, c in _parse_power(tz, num_vars).items()}
     one = (0,) * num_vars
-    if tok[0].isdigit():
+    if tok[0].isdecimal():
         tz.next()
         if "/" in tok:
             num, den = tok.split("/")

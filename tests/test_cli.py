@@ -298,6 +298,21 @@ def test_sweep_beyond_the_doubles_leaves_k_bound_empty(capsys):
     assert out.splitlines()[1] == f"{10**400},4,1,2,"
 
 
+def test_cli_import_stays_off_dataclasses_and_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize: the larger part of
+    # the start-up every CLI invocation pays
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import detmethod.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, src],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout == "[]\n"
+
+
 # -- ideal files -------------------------------------------------------------
 
 
@@ -317,8 +332,16 @@ def test_sweep_beyond_the_doubles_leaves_k_bound_empty(capsys):
             "line 4: zero polynomial is not allowed as a generator",
         ),
         ("vars: 0\nx0\n", "num_vars must be positive"),
+        (
+            "vars: 2\nx1 - x0^\u00b2\n",
+            "line 2, column 9: expected a nonnegative integer exponent",
+        ),
+        ("vars: 2\n\u00b2\n", "line 2, column 1: unexpected token '\u00b2'"),
     ],
-    ids=["comment-above", "indented", "zero-generator", "zero-vars"],
+    ids=[
+        "comment-above", "indented", "zero-generator", "zero-vars",
+        "superscript-exponent", "superscript-literal",
+    ],
 )
 def test_ideal_parse_error_names_the_file_line_and_column(
     capsys, tmp_path, text, message

@@ -9,14 +9,24 @@ from hypothesis import strategies as st
 
 from detmethod import (
     BudgetExceededError,
+    DetBoundInput,
     HeightBox,
     Ideal,
     InputError,
+    Ordering,
+    PointSet,
     Polynomial,
+    affine_ordering_bound,
+    asymptotic_exponents,
+    build_matrix,
+    choose_nu,
     class_index,
     enumerate_affine,
     enumerate_projective,
+    groebner,
     monomials_of_degree,
+    parabola_chart,
+    staircase,
     tau_normalize,
 )
 from detmethod.cli import load_ideal
@@ -504,3 +514,56 @@ def test_tau_normalize_in_unit_cube(coords, scale):
     bound = max((abs(c) for c in coords), default=1) or 1
     box = HeightBox.uniform(Fraction(bound * scale), len(coords))
     assert all(abs(v) <= 1 for v in tau_normalize(tuple(coords), box))
+
+
+# -- the records ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bounds", [(), (0, 1), (-1,)])
+def test_height_box_rejects_empty_or_nonpositive_bounds(bounds):
+    with pytest.raises(InputError, match="height bounds must be positive"):
+        HeightBox(bounds)
+
+
+def test_height_box_keeps_fractions():
+    box = HeightBox((2, 1.5, "7/3"))
+    assert box.bounds == (2, Fraction(3, 2), Fraction(7, 3))
+    assert all(type(b) is Fraction for b in box.bounds)
+    assert HeightBox.uniform(3, 2) == HeightBox((Fraction(3), Fraction(3)))
+
+
+def test_point_set_equality_ignores_fibres_and_seconds():
+    box = HeightBox((4, 4))
+    a = PointSet(((0, 0), (1, 1)), box, 7, 0.25)
+    for b in (
+        PointSet(((0, 0), (1, 1)), HeightBox((4, 4)), 3, 0.25),
+        PointSet(((0, 0), (1, 1)), box, 7, 9.0),
+        PointSet(((0, 0), (1, 1)), box),
+    ):
+        assert a == b and not a != b and hash(a) == hash(b)
+    assert a != PointSet(((0, 0),), box, 7, 0.25)
+    assert a != PointSet(((0, 0), (1, 1)), HeightBox((4, 5)), 7, 0.25)
+
+
+def test_frozen_records_refuse_assignment():
+    parabola = CORPUS["parabola"]
+    gb = groebner(parabola, Ordering.GRLEX_LEFT)
+    sc = staircase(gb, 2)
+    box = HeightBox((4, 4))
+    records = [
+        (box, "bounds"),
+        (PointSet(((0, 0),), box), "fibres"),
+        (sc, "exponents"),
+        (build_matrix([(1, 1)], sc), "rows"),
+        (gb.dimension_degree, "degree"),
+        (affine_ordering_bound(parabola, 2), "holds"),
+        (choose_nu(3, 1), "nu"),
+        (DetBoundInput(mu=1, m=1, norms=(1,), r=Fraction(1, 2)), "r"),
+        (asymptotic_exponents((1, 1), 2, 1, 1, (0, 1)), "limit"),
+        (parabola_chart(4), "param"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None

@@ -172,7 +172,7 @@ def test_evaluate_matches_fraction_sum(f, g, points):
 
 PARSE_TOKENS = [
     "x0", "x1", "x2", "x3", "x", "y1", "0", "1", "2", "3", "3/4", "0/5",
-    "1/0", "+", "-", "*", "^", "(", ")", "@",
+    "1/0", "+", "-", "*", "^", "(", ")", "@", "\u00b2",
 ]
 SEPARATORS = ["", " ", "  ", "\t", "\n", "\r\n", "\r", "\x0c", "\u2028"]
 separators = st.sampled_from(SEPARATORS)
@@ -296,10 +296,17 @@ def test_parse_implicit_multiplication_rejected():
 
 
 def test_parse_error_position():
-    with pytest.raises(ParseError) as err:
-        parse_polynomial("x0 + @", 1)
-    assert err.value.line == 1
-    assert err.value.column == 6
+    cases = [
+        ("x0 + @", 6, "unexpected token '@'"),
+        # a superscript digit is no decimal digit, for \d and str.isdecimal
+        ("x0^\u00b2", 4, "expected a nonnegative integer exponent"),
+        ("\u00b2", 1, "unexpected token '\u00b2'"),
+    ]
+    for text, column, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, 1)
+        assert (err.value.line, err.value.column) == (1, column)
+        assert err.value.message == message
 
 
 def test_parse_parentheses():
