@@ -13,7 +13,6 @@ from .bounds import (
     asymptotic_exponents,
     choose_nu,
     ck_norm_bound,
-    determinant_bound,
     determinant_bound_exact,
 )
 from .engine import (

@@ -1,10 +1,11 @@
 """Combinatorial counts, C^k norms of polynomials, and the determinant
 estimate that drives the method.
 
-Float arithmetic here is only ever used for *bounds*, rounded outward one
-ulp per step; determinant_bound's math.lgamma term is the one exception, as
-its docstring says.  Exact big-rational evaluation is available
-for small instances via the ``*_exact`` variants.
+The determinant bound is evaluated exactly, as a Fraction
+(determinant_bound_exact); the theoretical cube side is decided from it in
+integers, with iroot.  Floats appear only as outward-rounded images of
+exact values: float_up (the least double not below a rational) and log_up
+(an upper bound on its natural log, within a stated margin).
 """
 
 from __future__ import annotations
@@ -18,15 +19,34 @@ from .ideals import monomials_of_degree
 from .polynomials import Polynomial
 
 
-def _up(x):
-    """Round a float up by one ulp (toward +inf)."""
-    return math.nextafter(x, math.inf)
-
-
 def float_up(x):
     """The least double >= the rational x (an int, Fraction or float)."""
     f = float(x)
-    return _up(f) if f < x else f
+    return math.nextafter(f, math.inf) if f < x else f
+
+
+def log_up(x):
+    """An upper bound on log x, for a rational x = p/q > 0 in lowest terms,
+    at most 2^-39 (1 + log p + log q) above it.  math.log of an int is
+    within a few ulps, past the doubles too, so log p - log q is off by far
+    less than the margin 2^-40 (1 + log p + log q) added to it."""
+    x = Fraction(x)
+    lp, lq = math.log(x.numerator), math.log(x.denominator)
+    return lp - lq + (1 + lp + lq) * 2.0**-40
+
+
+def iroot(n, k):
+    """floor(n^(1/k)) for ints n >= 0 and k >= 1, by integer Newton: from
+    a start at or above the root the iterates fall strictly until they
+    reach it."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // k)  # 2^ceil(bits/k) > n^(1/k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
 
 
 def finite_double(x):
@@ -128,33 +148,17 @@ class DetBoundInput(namedtuple("DetBoundInput", "mu m norms r")):
         return super().__new__(cls, mu, m, norms, r)
 
 
-def determinant_bound(inp):
-    """Natural log of the bound mu! D_m(nu)^mu prod(norms) r^e.  Each step
-    after the first is rounded one ulp outward, but math.lgamma(mu + 1) can
-    be up to 3.2 ulps off (below log 2 at mu = 2), so one ulp up does not
-    always cover it: the result can understate the bound (ROADMAP item 9).
-    -inf if some norm is zero (flagged by the caller via math.isinf)."""
-    budget = choose_nu(inp.mu, inp.m)
-    if any(Fraction(n) == 0 for n in inp.norms):
-        return -math.inf
-    log_total = _up(math.lgamma(inp.mu + 1))
-    log_total = _up(log_total + _up(inp.mu * _up(math.log(D(inp.m, budget.nu)))))
-    for n in inp.norms:
-        log_total = _up(log_total + _up(math.log(float_up(n))))
-    # r < 1, so log r < 0: rounding the log toward 0 keeps the bound an
-    # overestimate after multiplying by e
-    log_r = _up(math.log(float_up(inp.r)))
-    log_total = _up(log_total + budget.e * log_r)
-    return log_total
-
-
 def determinant_bound_exact(inp):
-    """The same bound as an exact Fraction (norms and r must be rational)."""
-    budget = choose_nu(inp.mu, inp.m)
-    total = Fraction(math.factorial(inp.mu)) * Fraction(D(inp.m, budget.nu)) ** inp.mu
-    for n in inp.norms:
+    """The bound mu! D_m(nu)^mu prod(norms) r^e as an exact Fraction, for
+    inp = (mu, m, norms, r): a DetBoundInput, or any such tuple of
+    rationals, unchecked (the theoretical strategy's r = 1 and norms past
+    the doubles).  It is 0 when some norm is."""
+    mu, m, norms, r = inp
+    budget = choose_nu(mu, m)
+    total = Fraction(math.factorial(mu)) * Fraction(D(m, budget.nu)) ** mu
+    for n in norms:
         total *= Fraction(n)
-    total *= Fraction(inp.r) ** budget.e
+    total *= Fraction(r) ** budget.e
     return total
 
 

@@ -23,10 +23,10 @@ from json.encoder import encode_basestring_ascii
 from .bounds import (
     DetBoundInput,
     choose_nu,
-    determinant_bound,
     determinant_bound_exact,
     finite_double,
     float_up,
+    log_up,
 )
 from .engine import (
     AuxiliaryCertificate,
@@ -408,10 +408,10 @@ def cmd_bound(args):
     r = _rational(args.r, "--r")
     inp = DetBoundInput(mu=args.mu, m=args.m, norms=norms, r=r)
     budget = choose_nu(args.mu, args.m)
-    log_bound = determinant_bound(inp)
-    bound = None  # with a zero norm, or beyond the largest double
-    if log_bound != -math.inf:
-        exact = determinant_bound_exact(inp)
+    exact = determinant_bound_exact(inp)
+    log_bound = bound = None  # with a zero norm; bound beyond the doubles too
+    if exact:
+        log_bound = log_up(exact)
         if finite_double(exact):  # the least double >= the exact bound
             bound = float_up(exact)
     out = {
@@ -419,15 +419,16 @@ def cmd_bound(args):
         "m": args.m,
         "nu": budget.nu,
         "e": budget.e,
-        "log_bound": None if log_bound == -math.inf else log_bound,
+        "log_bound": log_bound,
         "bound": bound,
     }
     if args.output == "json":
         print(_json(out))
     else:
+        log_text = "-inf" if log_bound is None else f"{log_bound:.6g}"
         print(
             f"mu={out['mu']} m={out['m']} nu={out['nu']} e={out['e']} "
-            f"bound={bound} (log {log_bound:.6g})"
+            f"bound={bound} (log {log_text})"
         )
     return EXIT_OK
 

@@ -10,10 +10,11 @@ Two covering strategies exist.  The default, adaptive bisection, starts from
 the whole height box and bisects the longest axis of any sub-box whose
 monomial matrix has full rank; it terminates because a box holding at most
 mu-1 integer points always certifies.  The theoretical strategy lays down a
-grid of side rho on the chart domain [-1,1]^m, with rho derived from the
-determinant estimate; a full-rank occupied cube there is never silently
-repaired: under a chart's derived norm bound it is a falsification, under a
-supplied one an input error (the bound was too small).
+grid of side rho = 1/q on the chart domain [-1,1]^m, with q decided in
+exact integers from the determinant estimate; a full-rank occupied cube
+there is never silently repaired: under a chart's derived norm bound it is
+a falsification, under a supplied one an input error (the bound was too
+small).
 
 A run builds one full Groebner basis per ideal and ordering, reads mu,
 sigma_i, m and d from its Hilbert series, and lists the staircase M(delta)
@@ -38,14 +39,11 @@ from time import perf_counter
 from types import SimpleNamespace
 
 from .bounds import (
-    D,
-    DetBoundInput,
     asymptotic_exponents,
     choose_nu,
     ck_norm_bound,
-    determinant_bound,
-    finite_double,
-    float_up,
+    determinant_bound_exact,
+    iroot,
 )
 from .errors import (
     DegenerateIdealError,
@@ -394,46 +392,26 @@ def chart_norm_bound(chart, sc, nu):
 
 
 def theoretical_rho(box, sigma, mu, m, norm_bound):
-    """Largest safe cube side rho with
-    mu! D_m(nu)^mu norm_bound^mu prod(B_i^sigma_i) rho^f < 1, capped at 1/2,
-    with the number of covering cubes ceil(2/rho)^m; nu and f come from
-    choose_nu(mu, m).  The left side is bounds.determinant_bound times the
-    heights' product in log space, each step rounded one ulp outward; the
-    math.lgamma term inside determinant_bound can be up to 3.2 ulps off, so
-    the left side can come out understated and rho too large (ROADMAP
-    item 9)."""
-    budget = choose_nu(mu, m)
-    nu, f = budget.nu, budget.e
+    """The cube side rho = 1/q and cube count (2q)^m of the theoretical grid
+    on [-1,1]^m, q >= 2 being the least integer with K < q^f, where
+    K = mu! (D_m(nu) norm_bound)^mu prod(B_i^sigma_i) is
+    bounds.determinant_bound_exact at r = 1 times the heights' product (nu
+    and f from choose_nu(mu, m)).  Decided in exact integers, for any
+    positive rational norm bound and heights."""
+    f = choose_nu(mu, m).e
     if f <= 0:
         raise DegenerateIdealError("f = 0: determinant exponent budget is empty")
-    nb = float(norm_bound) if finite_double(norm_bound) else math.nan
-    if not nb > 0:
-        raise InputError("norm bound must be a positive finite double")
-    for b_i in box.bounds:  # the float logs below need a positive double
-        if not (finite_double(b_i) and float(b_i) > 0):
-            raise InputError(
-                f"height {b_i} lies outside the positive doubles, which the "
-                "theoretical strategy's bound needs"
-            )
-    up = lambda x: math.nextafter(x, math.inf)
-    # const, unrounded, gives the starting guess just inside the bound
-    const = math.lgamma(mu + 1) + mu * math.log(D(m, nu)) + mu * math.log(nb)
-    log_heights = 0.0
+    try:
+        n = Fraction(norm_bound)
+    except (OverflowError, ValueError):  # an infinity or a NaN
+        n = 0
+    if n <= 0:
+        raise InputError(f"norm bound must be a positive rational, got {norm_bound}")
+    k = determinant_bound_exact((mu, m, (n,) * mu, 1))
     for s_i, b_i in zip(sigma, box.bounds):
-        const += s_i * math.log(float(b_i))
-        if s_i:
-            log_heights = up(log_heights + up(s_i * up(math.log(float_up(b_i)))))
-    norms = (float_up(norm_bound),) * mu
-
-    def log_lhs(rho):
-        inp = DetBoundInput(mu=mu, m=m, norms=norms, r=Fraction(rho))
-        return up(determinant_bound(inp) + log_heights)
-
-    rho = min(0.5, math.exp(-const / f) * 0.99)
-    while log_lhs(rho) >= 0:
-        rho /= 2
-    cube_count = math.ceil(2 / rho) ** m
-    return rho, cube_count
+        k *= Fraction(b_i) ** s_i
+    q = max(2, iroot(math.floor(k), f) + 1)
+    return Fraction(1, q), (2 * q) ** m
 
 
 # -- pipeline --------------------------------------------------------------
@@ -446,11 +424,11 @@ class PipelineReport(SimpleNamespace):
     strategy, dimension, degree, mu, nu, f, sigma; points (the enumerated
     homogeneous representatives); affine_points (affine mode only, else ());
     class_counts, certificates, k_actual, k_bound_exponents; k_bound_value
-    (None beyond the largest double); rho, cube_count and max_depth (None
-    where the strategy sets none); vacuous; ordering_bound and delta_report
-    (None unless set); num_vars; and timings, the opt-in stage timings
-    (enumeration: points_s, points_fibres, points_found; kernel: kernel_s,
-    kernel_calls)."""
+    (None beyond the largest double); rho (a Fraction 1/q, written "1/q"),
+    cube_count and max_depth (None where the strategy sets none); vacuous;
+    ordering_bound and delta_report (None unless set); num_vars; and
+    timings, the opt-in stage timings (enumeration: points_s,
+    points_fibres, points_found; kernel: kernel_s, kernel_calls)."""
 
     def to_dict(self, include_timings=False):
         def frac(x):  # an int unchanged, a Fraction as its int or "p/q"
@@ -491,7 +469,7 @@ class PipelineReport(SimpleNamespace):
             "k_actual": self.k_actual,
             "k_bound_exponents": list(self.k_bound_exponents),
             "k_bound_value": self.k_bound_value,
-            "rho": self.rho,
+            "rho": None if self.rho is None else frac(self.rho),
             "cube_count": self.cube_count,
             "max_depth": self.max_depth,
             "vacuous": self.vacuous,
@@ -563,19 +541,17 @@ def _theoretical_cover(
     points, sc, gb, box, sigma, mu, m, norm_bound, param, timings, derived
 ):
     rho, cube_count = theoretical_rho(box, sigma, mu, m, norm_bound)
-    rho_frac = Fraction(rho)
+    q = rho.denominator
     groups = {}
     for i, p in enumerate(points):
-        t = param(p)
-        key = tuple(int((Fraction(ti) + 1) / rho_frac) for ti in t)
+        # t = 1 would be key 2q, past the grid: it joins the last cube
+        key = tuple(min(math.floor((t + 1) * q), 2 * q - 1) for t in param(p))
         groups.setdefault(key, []).append(i)
     mat = build_matrix(points, sc)
     certs = []
     for key in sorted(groups):
         idxs = tuple(groups[key])
-        desc = tuple(
-            (k * rho_frac - 1, (k + 1) * rho_frac - 1) for k in key
-        )
+        desc = tuple((Fraction(k, q) - 1, Fraction(k + 1, q) - 1) for k in key)
         cert = auxiliary_for_box(mat, idxs, sc, gb, desc, timings)
         if cert is None:
             if derived:

@@ -16,8 +16,6 @@ from operator import le, neg
 
 from .errors import InputError, ParseError
 
-Exponent = tuple  # tuple of nonnegative ints, one entry per variable
-
 
 class Ordering(enum.Enum):
     """Graded monomial orderings.

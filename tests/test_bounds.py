@@ -17,12 +17,11 @@ from detmethod import (
     asymptotic_exponents,
     choose_nu,
     ck_norm_bound,
-    determinant_bound,
     determinant_bound_exact,
     parse_polynomial,
 )
 
-from detmethod.bounds import finite_double, float_up
+from detmethod.bounds import finite_double, float_up, iroot, log_up
 from oracles import exact_determinant, grid_derivative_max
 
 
@@ -130,25 +129,13 @@ def test_ck_norm_rejects_bad_box():
 def test_detbound_worked_example():
     # mu=2, m=1, unit norms, r=0.3: bound = 2 * 2^2 * 0.3 ~ 2.4
     inp = DetBoundInput(mu=2, m=1, norms=(1, 1), r=Fraction(3, 10))
-    exact = determinant_bound_exact(inp)
-    assert exact == Fraction(12, 5)
-    assert determinant_bound(inp) >= math.log(float(exact))
+    assert determinant_bound_exact(inp) == Fraction(12, 5)
 
 
 def test_detbound_small_r_example():
     inp = DetBoundInput(mu=3, m=1, norms=(1, 1, 1), r=Fraction(1, 10))
     # 3! * 3^3 * (1/10)^3 = 162/1000
     assert determinant_bound_exact(inp) == Fraction(81, 500)
-
-
-def test_detbound_float_never_understates():
-    rng = random.Random(11)
-    for _ in range(50):
-        mu = rng.randint(1, 6)
-        norms = tuple(Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(mu))
-        r = Fraction(rng.randint(1, 99), 100)
-        inp = DetBoundInput(mu=mu, m=rng.randint(1, 3), norms=norms, r=r)
-        assert determinant_bound(inp) >= math.log(float(determinant_bound_exact(inp)))
 
 
 def test_float_up_is_least_double_not_below():
@@ -160,23 +147,8 @@ def test_float_up_is_least_double_not_below():
     assert math.nextafter(third, -math.inf) < Fraction(1, 3) <= third
 
 
-def test_detbound_rounds_norms_and_r_outward():
-    # a norm or r just above a double counts as the next double up; with
-    # mu = 1 the bound is the norm alone, so one ulp of it shows
-    tiny = Fraction(1, 10**30)
-    next_up = lambda x: math.nextafter(x, math.inf)
-    r = Fraction(3, 10)
-    above = DetBoundInput(mu=1, m=1, norms=(Fraction(3, 2) + tiny,), r=r)
-    at_next = DetBoundInput(mu=1, m=1, norms=(next_up(1.5),), r=r)
-    assert determinant_bound(above) == determinant_bound(at_next)
-    above = DetBoundInput(mu=2, m=1, norms=(1, 1), r=Fraction(1, 2) + tiny)
-    at_next = DetBoundInput(mu=2, m=1, norms=(1, 1), r=next_up(0.5))
-    assert determinant_bound(above) == determinant_bound(at_next)
-
-
 def test_detbound_zero_norm():
     inp = DetBoundInput(mu=2, m=1, norms=(0, 1), r=Fraction(1, 2))
-    assert determinant_bound(inp) == -math.inf
     assert determinant_bound_exact(inp) == 0
 
 
@@ -213,6 +185,55 @@ def test_detbound_dominates_vandermonde():
     )
     inp = DetBoundInput(mu=5, m=1, norms=norms, r=Fraction(1, 100))
     assert det <= determinant_bound_exact(inp)
+
+
+def test_log_up_is_at_or_above_the_true_log_within_its_margin():
+    # log_up of the exact bound, which `bound` prints as log_bound, against
+    # mpmath at 200 bits; mu = 2, 4, 9, 40 and 51 are among the values
+    # where math.lgamma(mu + 1) understates log mu!.  At m = 1 the exponent
+    # e is mu (mu - 1) / 2, so an exact bound at mu = 3000 runs to tens of
+    # millions of bits: m = 1 is sampled up to mu = 400
+    mpmath = pytest.importorskip("mpmath")
+
+    def log(n):  # of the top 300 bits, off by under 2^-299 (quick on any n)
+        s = max(n.bit_length() - 300, 0)
+        with mpmath.workprec(200):
+            return mpmath.log(n >> s) + s * mpmath.log(2)
+
+    rng = random.Random(23)
+    cases = [(mu, 1) for mu in (1, 2, 4, 9, 40, 51, 400)]
+    cases += [(mu, m) for mu in (2, 9, 51, 3000) for m in (2, 3)]
+    cases += [(rng.randint(1, 3000), rng.randint(2, 3)) for _ in range(3)]
+    for mu, m in cases:
+        norms = tuple(Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(mu))
+        r = Fraction(rng.randint(1, 999), 1000)
+        exact = determinant_bound_exact(DetBoundInput(mu=mu, m=m, norms=norms, r=r))
+        p, q = exact.numerator, exact.denominator
+        with mpmath.workprec(200):
+            over = mpmath.mpf(log_up(exact)) - (log(p) - log(q))
+        assert 0 <= over <= 2.0**-39 * (1 + math.log(p) + math.log(q)), (mu, m)
+
+
+def test_iroot_against_brute_force():
+    # n = 0 and 1 included, which iroot returns before any Newton step
+    for k in range(1, 7):
+        for n in range(300):
+            r = iroot(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+
+
+def test_iroot_is_isqrt_at_k_2():
+    rng = random.Random(5)
+    for n in [0, 1, 2, 3, 4, 10**400, 10**400 - 1] + [
+        rng.getrandbits(rng.randint(1, 2000)) for _ in range(200)
+    ]:
+        assert iroot(n, 2) == math.isqrt(n)
+
+
+@given(n=st.integers(0, 10**300), k=st.integers(1, 40))
+def test_iroot_is_the_floor_root(n, k):
+    r = iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
 
 
 # -- asymptotic exponents --------------------------------------------------

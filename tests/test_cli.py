@@ -652,6 +652,14 @@ def test_bound_with_a_zero_norm_prints_null_log_bound(capsys):
     assert data["log_bound"] is None and data["bound"] is None
 
 
+def test_bound_text_with_a_zero_norm(capsys):
+    code, out, _ = run(
+        capsys, "bound", "--mu", "3", "--m", "1", "--norms", "0,1,1", "--r", "0.3",
+        "--output", "text",
+    )
+    assert (code, out) == (0, "mu=3 m=1 nu=2 e=3 bound=None (log -inf)\n")
+
+
 def test_bound_beyond_the_doubles_prints_null_bound(capsys):
     code, out, _ = run(
         capsys, "bound", "--mu", "3", "--m", "1", "--norms", "1e300,1e300,1e300",
@@ -685,18 +693,18 @@ def test_json_output_is_standard(capsys, argv):
 def test_norm_bound_is_read_exactly(capsys, monkeypatch):
     # "0.3" is 3/10, not the double just below it: the bound is not understated
     norms = []
-    real = engine.determinant_bound
+    real = engine.determinant_bound_exact
 
     def spy(inp):
-        norms.extend(inp.norms)
+        norms.extend(inp[2])
         return real(inp)
 
-    monkeypatch.setattr(engine, "determinant_bound", spy)
+    monkeypatch.setattr(engine, "determinant_bound_exact", spy)
     run(
         capsys, "construct", "--ideal", PARABOLA, "--height", "100",
         "--delta", "2", "--strategy", "theoretical", "--norm-bound", "0.3",
     )
-    assert norms and all(Fraction(n) >= Fraction(3, 10) for n in norms)
+    assert norms and all(n == Fraction(3, 10) for n in norms)
 
 
 # -- exit codes ------------------------------------------------------------
@@ -713,8 +721,8 @@ THEORETICAL = (
     [
         ((*THEORETICAL, "--norm-bound", "inf"), "Invalid literal"),
         ((*THEORETICAL, "--norm-bound", "nan"), "Invalid literal"),
-        ((*THEORETICAL, "--norm-bound", "1e400"), "positive finite double"),
-        ((*THEORETICAL, "--norm-bound", "0"), "positive finite double"),
+        ((*THEORETICAL, "--norm-bound=-1"), "norm bound must be a positive rational"),
+        ((*THEORETICAL, "--norm-bound", "0"), "norm bound must be a positive rational"),
         (("bound", "--mu", "3", "--m", "1", "--norms", "1e400,1,1", "--r", "0.3"),
          "finite doubles"),
         (("construct", "--ideal", PARABOLA, "--height", "25", "--epsilon", "inf"),
@@ -841,20 +849,32 @@ def test_construct_with_a_too_small_norm_bound_is_an_input_error(capsys):
     [(str(DATA / "circle.ideal"), str(10**400)), (PARABOLA, f"1/{10**400}")],
     ids=["above", "below"],
 )
-def test_construct_theoretical_outside_the_doubles_is_an_input_error(
-    capsys, ideal, height
+def test_construct_theoretical_beyond_the_doubles_verifies(
+    capsys, tmp_path, ideal, height
 ):
-    # the theoretical bound is worked out in doubles: a height above them,
-    # or one that rounds to 0.0, is refused by name where the adaptive
-    # strategy runs (both varieties have a point at these heights)
-    argv = ("construct", "--ideal", ideal, "--height", height, "--delta", "2",
-            "--budget", str(10**1000))
-    code, out, err = run(
-        capsys, *argv, "--strategy", "theoretical", "--norm-bound", "20"
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith(f"error: height {height} lies outside the positive doubles")
-    assert run(capsys, *argv)[0] == 0
+    # the theoretical cube side is decided in exact integers, so a height
+    # above the doubles, or one that no double tells from 0, constructs and
+    # verifies (both varieties have a point at these heights); a norm bound
+    # above the doubles is read like any other
+    budget = ("--budget", str(10**1000))
+    out = tmp_path / "report.json"
+    for norm_bound in ("20", str(10**400)):
+        code, _, err = run(
+            capsys, "construct", "--ideal", ideal, "--height", height,
+            "--delta", "2", "--strategy", "theoretical", "--norm-bound",
+            norm_bound, "--out", str(out), *budget,
+        )
+        assert code == 0, err
+        report = json.loads(out.read_text())
+        assert report["point_count"] >= 1
+        assert re.fullmatch(r"1/[0-9]+", report["rho"])
+        for cert in report["certificates"]:
+            for lo, hi in cert["box"]:
+                assert -1 <= Fraction(lo) < Fraction(hi) <= 1
+        code, text, _ = run(
+            capsys, "verify", "--report", str(out), "--ideal", ideal, *budget
+        )
+        assert code == 0 and text.startswith("PASS")
 
 
 def test_sweep_error_on_the_first_height_prints_no_header(capsys):

@@ -5,10 +5,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detmethod import engine, ideals
 from detmethod import (
     AuxiliaryCertificate,
+    D,
     DegenerateIdealError,
     HeightBox,
     InputError,
@@ -20,6 +23,7 @@ from detmethod import (
     build_matrix,
     chart_norm_bound,
     choose_delta,
+    choose_nu,
     class_index,
     cover_and_construct,
     enumerate_projective,
@@ -515,11 +519,53 @@ def test_theoretical_rho_monotone_in_height():
     assert r2 < r1 <= 0.5
 
 
-@pytest.mark.parametrize("norm_bound", [0, -1, Fraction(10**400), math.inf, math.nan])
+@pytest.mark.parametrize(
+    "norm_bound", [0, -1, -Fraction(1, 10**400), math.inf, math.nan]
+)
 def test_theoretical_rho_needs_a_positive_finite_norm_bound(norm_bound):
+    # a negative norm that no double tells from 0 is refused too
     box = HeightBox((1, 100, 100))
-    with pytest.raises(InputError, match="positive finite double"):
+    with pytest.raises(InputError, match="norm bound must be a positive rational"):
         theoretical_rho(box, (2, 4, 4), 5, 1, norm_bound)
+
+
+def test_theoretical_rho_takes_rationals_beyond_the_doubles():
+    # mu=5, m=1: f=10, K = 5! 5^5 N^5 B^8 with N = B = 10^400
+    box = HeightBox((1, 10**400, 10**400))
+    rho, cubes = theoretical_rho(box, (0, 4, 4), 5, 1, 10**400)
+    k = math.factorial(5) * 5**5 * 10**2000 * 10**3200
+    q = rho.denominator
+    assert rho == Fraction(1, q) and cubes == 2 * q
+    assert (q - 1) ** 10 <= k < q**10
+    tiny = HeightBox((1, Fraction(1, 10**400), Fraction(1, 10**400)))
+    assert theoretical_rho(tiny, (0, 4, 4), 5, 1, 20) == (Fraction(1, 2), 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mu=st.integers(2, 40),
+    m=st.integers(1, 3),
+    data=st.data(),
+    norm=st.fractions(Fraction(1, 10**6), 10**6, max_denominator=10**6),
+)
+def test_theoretical_rho_is_one_over_the_least_q(mu, m, data, norm):
+    # recomputed in Fractions: q^f > K = mu! (D_m(nu) N)^mu prod B_i^sigma_i,
+    # and no smaller q >= 2 has it
+    n = data.draw(st.integers(1, 3))
+    heights = data.draw(st.lists(
+        st.fractions(Fraction(1, 10**9), 10**30, max_denominator=10**9).filter(bool),
+        min_size=n, max_size=n,
+    ))
+    sigma = data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    budget = choose_nu(mu, m)
+    rho, cubes = theoretical_rho(HeightBox(heights), sigma, mu, m, norm)
+    q, f = rho.denominator, budget.e
+    k = Fraction(math.factorial(mu)) * (D(m, budget.nu) * norm) ** mu
+    for s_i, b_i in zip(sigma, heights):
+        k *= b_i**s_i
+    assert rho.numerator == 1 and q >= 2 and cubes == (2 * q) ** m
+    assert Fraction(q) ** f > k
+    assert q == 2 or Fraction(q - 1) ** f <= k
 
 
 def test_theoretical_rho_rejects_f_zero():
@@ -647,6 +693,24 @@ def test_theoretical_strategy_parabola_chart():
     for c in report.certificates:
         covered.update(c.points_covered)
     assert covered == set(range(21))
+
+
+@pytest.mark.parametrize("height", [100, 10**4])
+@pytest.mark.parametrize("source", ["chart", "norm_bound"])
+def test_theoretical_boxes_lie_in_the_unit_cube(source, height):
+    # the chart's t = 1 (x = sqrt(B)) falls on the grid's last cube, not
+    # on a cube past 1
+    kw = {"chart": parabola_chart(height)} if source == "chart" else {"norm_bound": 20}
+    report = affine_pipeline(
+        make_ideal(["x1 - x0^2"], 2), height, delta=2, strategy="theoretical", **kw
+    )
+    q = report.rho.denominator
+    assert report.cube_count == 2 * q
+    tops = [hi for c in report.certificates for _, hi in c.box]
+    assert (1 in tops) == (source == "chart")
+    for c in report.certificates:
+        for lo, hi in c.box:
+            assert -1 <= lo < hi <= 1 and hi - lo == Fraction(1, q)
 
 
 def test_parabola_chart_requires_square_height():
