@@ -10,7 +10,6 @@ from .bounds import (
     DetBoundInput,
     ExponentBudget,
     L,
-    asymptotic_exponents,
     choose_nu,
     ck_norm_bound,
     determinant_bound_exact,
@@ -45,7 +44,6 @@ from .ideals import (
     a_estimates,
     affine_ordering_bound,
     all_sigmas,
-    dimension_and_degree,
     groebner,
     hilbert_function,
     homogenized_basis,

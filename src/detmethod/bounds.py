@@ -139,9 +139,11 @@ class DetBoundInput(namedtuple("DetBoundInput", "mu m norms r")):
             raise InputError("mu and m must be >= 1")
         if len(norms) != mu:
             raise InputError("need exactly mu norms")
-        if not all(map(finite_double, norms)):
-            raise InputError("norms must be finite doubles")
-        if any(Fraction(n) < 0 for n in norms):
+        try:
+            negative = any(Fraction(n) < 0 for n in norms)
+        except (OverflowError, ValueError):  # an infinity or a NaN
+            raise InputError("norms must be finite rationals") from None
+        if negative:
             raise InputError("norms must be nonnegative")
         if not (0 < Fraction(r) < 1):
             raise InputError("r must lie in (0,1)")
@@ -161,24 +163,3 @@ def determinant_bound_exact(inp):
     total *= Fraction(r) ** budget.e
     return total
 
-
-class ExponentComparison(namedtuple("ExponentComparison", "finite limit")):
-    """finite: m*sigma_i/f at the given delta, exact Fractions; limit:
-    (m+1) a_i / d^(1/m), floats."""
-
-    __slots__ = ()
-
-
-def asymptotic_exponents(sigma, f, d, m, a):
-    """Per-coordinate height exponents: the measured finite-delta ratios
-    m*sigma_i/f next to the limiting values (m+1) a_i / d^(1/m)."""
-    if d < 1 or m < 1:
-        raise InputError("need d >= 1 and m >= 1")
-    if f == 0:
-        raise InputError("degenerate instance: f = 0 (mu <= 1)")
-    if any(not (0 <= Fraction(x) <= 1) for x in a):
-        raise InputError("a entries must lie in [0,1]")
-    finite = tuple(Fraction(m * s, f) for s in sigma)
-    root = d ** (1.0 / m)
-    limit = tuple((m + 1) * float(x) / root for x in a)
-    return ExponentComparison(finite=finite, limit=limit)

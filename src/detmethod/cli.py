@@ -236,7 +236,6 @@ def cmd_construct(args):
         norm_bound = _rational(norm_bound, "--norm-bound")
     ideal = load_ideal(args.ideal)
     ordering = Ordering(args.ordering)
-    gb = run_basis(ideal, args.mode, ordering)
     heights = _parse_heights(args, ideal.num_vars)
     options = dict(
         delta=args.delta,
@@ -248,6 +247,7 @@ def cmd_construct(args):
     if args.mode == "affine":
         report = affine_pipeline(ideal, heights, ordering=ordering, **options)
     else:
+        gb = run_basis(ideal, "projective", ordering)
         report = cover_and_construct(gb, heights, **options)
     text = report_json(report, include_timings=args.timings)
     if args.out:

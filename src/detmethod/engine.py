@@ -38,13 +38,7 @@ from math import isqrt
 from time import perf_counter
 from types import SimpleNamespace
 
-from .bounds import (
-    asymptotic_exponents,
-    choose_nu,
-    ck_norm_bound,
-    determinant_bound_exact,
-    iroot,
-)
+from .bounds import choose_nu, ck_norm_bound, determinant_bound_exact, iroot
 from .errors import (
     DegenerateIdealError,
     InputError,
@@ -54,7 +48,6 @@ from .ideals import (
     a_estimates,
     affine_ordering_bound,
     all_sigmas,
-    dimension_and_degree,
     groebner,
     hilbert_function,
     homogenized_basis,
@@ -271,10 +264,6 @@ class AuxiliaryCertificate(SimpleNamespace):
     def __init__(self, poly, support_delta, points_covered, box):
         super().__init__(poly=poly, support_delta=support_delta,
                          points_covered=points_covered, box=box)
-
-    def __reduce__(self):  # SimpleNamespace's would call __init__ bare
-        fields = self.poly, self.support_delta, self.points_covered, self.box
-        return type(self), fields
 
 
 def auxiliary_for_box(mat, indices, sc, gb, box_desc, timings, low=0):
@@ -567,31 +556,45 @@ def _theoretical_cover(
     return certs, rho, cube_count
 
 
+def _exponents(gb, delta, m, mu):
+    """(nu, f, sigma, exponents) of a run at degree delta on mu monomials:
+    choose_nu's Taylor order nu and determinant exponent f, sigma =
+    all_sigmas(gb, delta), and the k-bound exponents m*sigma_i/f, each the
+    correctly rounded float of the quotient of ints, or 0.0 where f = 0.
+    nu = f = 0 where m < 1 or mu = 0, which have no exponent budget."""
+    sigma = all_sigmas(gb, delta)
+    nu = f = 0
+    if m >= 1 and mu:
+        budget = choose_nu(mu, m)
+        nu, f = budget.nu, budget.e
+    return nu, f, sigma, tuple(m * s / f if f else 0.0 for s in sigma)
+
+
 def choose_delta(gb, epsilon):
     """Smallest delta <= DELTA_MAX_DEFAULT whose measured exponents
-    m*sigma_i/f stay within epsilon of the limit exponents (m+1)a_i/d^(1/m),
-    the a_i being measured at PROBE_DEGREE_DEFAULT and m, d read from the
-    full basis gb.  The reported (finite-delta) exponents are what the
-    k-bound uses; no asymptotic constants are assumed."""
+    m*sigma_i/f (from _exponents, with mu = HF(delta)) stay within epsilon
+    of the limit exponents (m+1)a_i/d^(1/m), the a_i being measured at
+    PROBE_DEGREE_DEFAULT and m, d read from the full basis gb; the limits
+    do not depend on delta and are computed once.  A delta with mu < 2 is
+    skipped; at mu >= 2 and m >= 1, f >= 1.  The reported (finite-delta)
+    exponents are what the k-bound uses; no asymptotic constants are
+    assumed."""
     if not 0 < epsilon < math.inf:
         raise InputError("epsilon must be positive and finite")
-    dd = dimension_and_degree(gb)
-    m, d = dd.dimension, dd.degree
+    m, d = gb.dimension_degree
     if m < 1:
         raise DegenerateIdealError("dimension < 1: the method does not apply")
-    a = a_estimates(gb, PROBE_DEGREE_DEFAULT)
+    limits = [
+        (m + 1) * float(a_i) / d ** (1.0 / m)
+        for a_i in a_estimates(gb, PROBE_DEGREE_DEFAULT)
+    ]
 
     best = None
     for delta in range(1, DELTA_MAX_DEFAULT + 1):
         mu = hilbert_function(gb, delta)
         if mu < 2:
             continue
-        budget = choose_nu(mu, m)
-        if budget.e == 0:
-            continue
-        exps = asymptotic_exponents(all_sigmas(gb, delta), budget.e, d, m, a)
-        ratios = [float(r) for r in exps.finite]
-        limits = list(exps.limit)
+        ratios = list(_exponents(gb, delta, m, mu)[3])
         overshoot = max(r - (li + epsilon) for r, li in zip(ratios, limits))
         report = {
             "delta": delta,
@@ -625,7 +628,12 @@ def cover_and_construct(
     gb of a homogeneous ideal, under gb's ordering.  Exactly one of delta and
     epsilon is set: the support degree is delta, or else choose_delta's
     degree, and the report then carries choose_delta's report as
-    delta_report.
+    delta_report.  The reported mu is the matrix width len(M(delta)), and
+    nu, f, sigma and the k-bound exponents come from _exponents at that mu.
+
+    An empty staircase (mu = 0) puts every degree-delta form in I, x_i^delta
+    among them; a point with x_i != 0 would keep x_i^delta out of I, so
+    S(X, B) is empty and the report vacuous.
 
     The theoretical strategy reads exactly one of a chart and a norm bound,
     and the adaptive strategy neither (_require_options).
@@ -638,12 +646,9 @@ def cover_and_construct(
     delta_report = None
     if delta is None:
         delta, delta_report = choose_delta(gb, epsilon)
-    dd = dimension_and_degree(gb)
-    m, d = dd.dimension, dd.degree
+    m, d = gb.dimension_degree
     sc = staircase(gb, delta)
     mu = len(sc.exponents)
-    if mu == 0:
-        raise InputError(f"staircase empty at delta={delta}")
 
     if point_set is None:
         point_set = enumerate_projective(gb.ideal, box, budget=budget)
@@ -658,18 +663,12 @@ def cover_and_construct(
         "kernel_calls": 0,
     }
 
-    sigma = all_sigmas(gb, delta)
-    if m < 1:
-        if points:
-            raise DegenerateIdealError(
-                "variety has dimension < 1; no auxiliary polynomial exists "
-                "outside a zero-dimensional point's ideal"
-            )
-        nu = 0
-        f = 0
-    else:
-        budget_nu = choose_nu(mu, m)
-        nu, f = budget_nu.nu, budget_nu.e
+    if m < 1 and points:
+        raise DegenerateIdealError(
+            "variety has dimension < 1; no auxiliary polynomial exists "
+            "outside a zero-dimensional point's ideal"
+        )
+    nu, f, sigma, exps = _exponents(gb, delta, m, mu)
 
     certs = []
     rho = cube_count = max_depth = None
@@ -696,16 +695,13 @@ def cover_and_construct(
                 derived=chart is not None,
             )
 
+    k_val = 0.0
     if f:
-        exps = tuple(m * s / f for s in sigma)
         k_val = math.inf
         with contextlib.suppress(OverflowError):
             k_val = math.prod(float(b) ** e for e, b in zip(exps, box.bounds))
         if k_val == math.inf:  # beyond the largest double: null, as in `bound`
             k_val = None
-    else:
-        exps = tuple(0.0 for _ in sigma)
-        k_val = 0.0
 
     # constructor output is never trusted: re-verify before it leaves
     failures = [msg for c in certs for msg in verify_certificate(c, points, gb)]

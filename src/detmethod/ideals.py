@@ -315,11 +315,6 @@ def _minus_shifted(a, b, shift):
     return out
 
 
-def dimension_and_degree(gb):
-    """gb's DimensionDegree (m, d), computed once per basis."""
-    return gb.dimension_degree
-
-
 def a_estimates(gb, s):
     """Finite-s estimates a_i(s) = sigma_i(s) / (s * HF(s)), exact rationals.
 

@@ -59,19 +59,9 @@ class HeightBox(namedtuple("HeightBox", "bounds")):
 
 class PointSet(namedtuple("PointSet", "points box fibres seconds", defaults=(0, 0.0))):
     """The points (integer tuples, sorted lexicographically) in the box, with
-    the fibres (see the module docstring) and seconds of their enumeration.
-    Two PointSets are equal, and hash equal, when their points and boxes are:
-    fibres and seconds describe the run, not the set."""
+    the fibres (see the module docstring) and seconds of their enumeration."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, PointSet) and self[:2] == other[:2]
-
-    __ne__ = object.__ne__  # the negation of __eq__, not tuple's own
-
-    def __hash__(self):
-        return hash(self[:2])
 
 
 def require_homogeneous(ideal):

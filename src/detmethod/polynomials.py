@@ -52,7 +52,7 @@ def _coeff(c):
 class Polynomial:
     """Sparse polynomial: map from exponent tuple to nonzero Fraction."""
 
-    __slots__ = ("terms", "num_vars", "_hash", "_cleared")
+    __slots__ = ("terms", "num_vars", "_cleared")
 
     def __init__(self, terms, num_vars):
         if num_vars < 1:
@@ -70,7 +70,6 @@ class Polynomial:
                 clean[tuple(exp)] = c
         self.terms = clean
         self.num_vars = num_vars
-        self._hash = None
         self._cleared = None
 
     # -- constructors ------------------------------------------------------
@@ -149,9 +148,6 @@ class Polynomial:
     __rmul__ = __mul__
     __radd__ = __add__
 
-    def __rsub__(self, other):
-        return self._promote(other) - self
-
     def __pow__(self, k):
         if k < 0:
             raise InputError("negative power")
@@ -171,20 +167,15 @@ class Polynomial:
             return NotImplemented
         return self.num_vars == other.num_vars and self.terms == other.terms
 
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.num_vars, frozenset(self.terms.items())))
-        return self._hash
-
     # -- calculus / substitution ------------------------------------------
 
     def evaluate(self, point):
         """Exact value at a point of ints or rationals, as a Fraction.
 
         The first call clears the denominators once and keeps the result on
-        the polynomial, as __hash__ keeps the hash: the common denominator D
-        of the coefficients and, for each term c*x^e, the integer c*D with
-        the (i, e_i) of its nonzero exponents.  Every call then sums
+        the polynomial, in its _cleared slot: the common denominator D of
+        the coefficients and, for each term c*x^e, the integer c*D with the
+        (i, e_i) of its nonzero exponents.  Every call then sums
         c*D * prod x_i^e_i and divides by D once at the end, with no gcd at
         D = 1.  At an integer point every step stays in int; rational
         coordinates go through the same lines, as int and Fraction

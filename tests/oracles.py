@@ -15,7 +15,6 @@ from detmethod import (
     ParseError,
     Polynomial,
     all_sigmas,
-    dimension_and_degree,
     divides,
     groebner,
     hilbert_function,
@@ -244,7 +243,7 @@ def ordering_bounds_by_buchberger(affine_ideal, s_values):
     t*HF_J(t) over t = 1..s term by term."""
     gb = homogenized_basis_by_buchberger(affine_ideal, Ordering.GRLEX_LEFT)
     section = section_basis_by_buchberger(gb)
-    m = dimension_and_degree(gb).dimension
+    m = gb.dimension_degree.dimension
     reports = []
     for s in s_values:
         hf = hilbert_function(gb, s)

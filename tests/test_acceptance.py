@@ -32,7 +32,6 @@ from detmethod import (
     hilbert_function,
     all_sigmas,
     homogenized_basis,
-    staircase,
     verify_certificate,
 )
 from detmethod.cli import main as cli_main

@@ -14,7 +14,6 @@ from detmethod import (
     DetBoundInput,
     InputError,
     L,
-    asymptotic_exponents,
     choose_nu,
     ck_norm_bound,
     determinant_bound_exact,
@@ -165,12 +164,19 @@ def test_detbound_input_validation():
         DetBoundInput(mu=2, m=1, norms=(1, 1), r=Fraction(3, 2))
 
 
-def test_detbound_rejects_norms_beyond_the_doubles():
+def test_detbound_takes_norms_beyond_the_doubles_but_not_infinities():
+    # the exact bound needs no doubles; finite_double only decides whether
+    # `bound` can print its double image
     largest = Fraction(sys.float_info.max)
     assert finite_double(largest) and finite_double(-largest)
-    for norm in (largest + 1, 10**400, math.inf, math.nan):
+    for norm in (largest + 1, 10**400):
         assert not finite_double(norm)
-        with pytest.raises(InputError, match="finite doubles"):
+        inp = DetBoundInput(mu=2, m=1, norms=(1, norm), r=Fraction(1, 2))
+        # 2! D_1(1)^2 (1 * norm) (1/2)^e with nu = e = 1
+        assert determinant_bound_exact(inp) == 2 * 2**2 * norm * Fraction(1, 2)
+    for norm in (math.inf, -math.inf, math.nan):
+        assert not finite_double(norm)
+        with pytest.raises(InputError, match="norms must be finite rationals"):
             DetBoundInput(mu=2, m=1, norms=(1, norm), r=Fraction(1, 2))
 
 
@@ -235,20 +241,3 @@ def test_iroot_is_the_floor_root(n, k):
     r = iroot(n, k)
     assert r**k <= n < (r + 1) ** k
 
-
-# -- asymptotic exponents --------------------------------------------------
-
-
-def test_asymptotic_exponents_parabola_setup():
-    # m=1, d=2, a=(1/2,1/2): limits are 2 * (1/2) / 2 = 1/2 each
-    cmp = asymptotic_exponents(
-        sigma=(4, 4), f=8, d=2, m=1, a=(Fraction(1, 2), Fraction(1, 2))
-    )
-    assert cmp.finite == (Fraction(1, 2), Fraction(1, 2))
-    assert cmp.limit == pytest.approx((0.5, 0.5))
-    assert [float(x) for x in cmp.finite] == pytest.approx(cmp.limit)
-
-
-def test_asymptotic_exponents_rejects_f_zero():
-    with pytest.raises(InputError):
-        asymptotic_exponents(sigma=(1,), f=0, d=1, m=1, a=(1,))

@@ -65,6 +65,18 @@ def test_hilbert_csv(capsys):
     assert lines[1].split(",")[:2] == ["1", "3"]
 
 
+def test_hilbert_text(capsys):
+    code, out, _ = run(
+        capsys, "hilbert", "--ideal", PARABOLA, "--output", "text",
+        "--s-min", "0", "--s-max", "1",
+    )
+    assert code == 0
+    assert out == (
+        "s=  0  HF=     1  sigma=[0, 0, 0]  a=(- - -)\n"
+        "s=  1  HF=     3  sigma=[1, 1, 1]  a=(1/3 1/3 1/3)\n"
+    )
+
+
 def test_hilbert_csv_leaves_undefined_estimates_empty(capsys):
     code, out, _ = run(
         capsys, "hilbert", "--ideal", PARABOLA, "--output", "csv",
@@ -139,13 +151,45 @@ def test_points_projective(capsys):
              "--heights", "1,2,3"),
             "projective mode takes --height or --heights, not both",
         ),
+        (("--ideal", PARABOLA), "affine mode needs --height B"),
+        (
+            ("--ideal", CONIC, "--mode", "projective"),
+            "projective mode needs --heights B0,...,Bn",
+        ),
+        (
+            ("--ideal", CONIC, "--mode", "projective", "--heights", "1,2"),
+            "--heights needs 3 entries, got 2",
+        ),
     ],
-    ids=["affine", "projective"],
+    ids=["affine", "projective", "affine-none", "projective-none", "projective-short"],
 )
 def test_points_refuses_a_height_option_it_would_ignore(capsys, argv, message):
     code, out, err = run(capsys, "points", *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_points_text(capsys):
+    code, out, _ = run(
+        capsys, "points", "--ideal", CONIC, "--mode", "projective",
+        "--heights", "1,1,1", "--output", "text",
+    )
+    assert code == 0
+    assert out == "0 0 1\n1 -1 1\n1 0 0\n1 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("points", "--ideal", CONIC, "--mode", "projective"),
+        ("construct", "--ideal", CONIC, "--mode", "projective", "--delta", "2"),
+    ],
+    ids=["points", "construct"],
+)
+def test_projective_height_is_the_uniform_heights(capsys, argv):
+    code, uniform, _ = run(capsys, *argv, "--height", "8")
+    assert code == 0
+    assert run(capsys, *argv, "--heights", "8,8,8") == (0, uniform, "")
 
 
 @pytest.mark.parametrize("degree", [1500, 2000])
@@ -337,10 +381,13 @@ def test_cli_import_stays_off_dataclasses_and_inspect():
             "line 2, column 9: expected a nonnegative integer exponent",
         ),
         ("vars: 2\n\u00b2\n", "line 2, column 1: unexpected token '\u00b2'"),
+        ("vars: x\nx0\n", "malformed vars header 'vars: x'"),
+        ("vars: 2\n# only a comment\n", "no generators"),
     ],
     ids=[
         "comment-above", "indented", "zero-generator", "zero-vars",
-        "superscript-exponent", "superscript-literal",
+        "superscript-exponent", "superscript-literal", "letter-vars",
+        "no-generators",
     ],
 )
 def test_ideal_parse_error_names_the_file_line_and_column(
@@ -351,6 +398,13 @@ def test_ideal_parse_error_names_the_file_line_and_column(
     code, out, err = run(capsys, "points", "--ideal", str(path), "--height", "3")
     assert code == 2 and out == ""
     assert err == f"error: {path}: {message}\n"
+
+
+def test_unreadable_ideal_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "missing.ideal"
+    code, out, err = run(capsys, "points", "--ideal", str(path), "--height", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read ideal file {path}: ")
 
 
 # -- verify ----------------------------------------------------------------
@@ -661,13 +715,16 @@ def test_bound_text_with_a_zero_norm(capsys):
 
 
 def test_bound_beyond_the_doubles_prints_null_bound(capsys):
-    code, out, _ = run(
-        capsys, "bound", "--mu", "3", "--m", "1", "--norms", "1e300,1e300,1e300",
-        "--r", "0.3", "--output", "json",
-    )
-    assert code == 0
-    data = _strict_json(out)
-    assert data["bound"] is None and data["log_bound"] > 2000
+    # the bound past the largest double, from norms inside and past it
+    for norms, least_log in (("1e300,1e300,1e300", 2000), ("1e400,1,1", 900)):
+        code, out, err = run(
+            capsys, "bound", "--mu", "3", "--m", "1", "--norms", norms,
+            "--r", "0.3", "--output", "json",
+        )
+        assert code == 0, err
+        data = _strict_json(out)
+        assert data["bound"] is None
+        assert least_log < data["log_bound"] < math.inf
 
 
 @pytest.mark.parametrize(
@@ -723,8 +780,8 @@ THEORETICAL = (
         ((*THEORETICAL, "--norm-bound", "nan"), "Invalid literal"),
         ((*THEORETICAL, "--norm-bound=-1"), "norm bound must be a positive rational"),
         ((*THEORETICAL, "--norm-bound", "0"), "norm bound must be a positive rational"),
-        (("bound", "--mu", "3", "--m", "1", "--norms", "1e400,1,1", "--r", "0.3"),
-         "finite doubles"),
+        (("bound", "--mu", "3", "--m", "1", "--norms", "inf,1,1", "--r", "0.3"),
+         "Invalid literal"),
         (("construct", "--ideal", PARABOLA, "--height", "25", "--epsilon", "inf"),
          "epsilon must be positive and finite"),
         (("construct", "--ideal", PARABOLA, "--height", "25", "--epsilon", "nan"),
@@ -903,6 +960,46 @@ def test_degenerate_ideal_exit_code(capsys):
     assert code == 2
 
 
+def test_a_failed_internal_verification_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(engine, "verify_certificate", lambda *_: ["planted"])
+    code, out, err = run(
+        capsys, "construct", "--ideal", PARABOLA, "--height", "10", "--delta", "2"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failure: internal verification failed")
+
+
+def test_zero_dimensional_variety_without_points_is_vacuous(capsys, tmp_path):
+    path = tmp_path / "point.ideal"
+    path.write_text("vars: 2\nx0 - 200\nx1 - 3\n")
+    code, out, err = run(
+        capsys, "construct", "--ideal", str(path), "--height", "10", "--delta", "2"
+    )
+    assert code == 0, err
+    data = json.loads(out)
+    assert (data["dimension"], data["f"], data["k_bound_value"]) == (0, 0, 0.0)
+    assert data["vacuous"] is True and data["point_count"] == 0
+
+
+def test_empty_projective_variety_is_vacuous_and_verifies(capsys, tmp_path):
+    # mu = 0 at delta = 2: every quadric lies in (x0, x1, x2), so no point
+    # of P^2 lies on the variety
+    path = tmp_path / "empty.ideal"
+    path.write_text("vars: 3\nx0\nx1\nx2\n")
+    report = tmp_path / "empty.json"
+    argv = ("construct", "--ideal", str(path), "--mode", "projective",
+            "--heights", "3,3,3")
+    code, _, err = run(capsys, *argv, "--delta", "2", "--out", str(report))
+    assert code == 0, err
+    data = json.loads(report.read_text())
+    assert data["vacuous"] is True
+    assert (data["mu"], data["f"], data["certificate_count"]) == (0, 0, 0)
+    code, out, _ = run(capsys, "verify", "--report", str(report), "--ideal", str(path))
+    assert (code, out) == (0, "PASS: 0 certificates verified\n")
+    code, _, err = run(capsys, *argv, "--epsilon", "0.25")
+    assert code == 2 and "dimension < 1" in err
+
+
 MALFORMED_REPORTS = {
     "no-params": lambda d: {k: v for k, v in d.items() if k != "params"},
     "string-delta": lambda d: {**d, "params": {**d["params"], "delta": "2"}},
@@ -914,6 +1011,15 @@ MALFORMED_REPORTS = {
     },
     "uneven-affine-heights": lambda d: {
         **d, "params": {**d["params"], "heights": [7, 100, 3]}
+    },
+    "unknown-mode": lambda d: {**d, "params": {**d["params"], "mode": "weighted"}},
+    "unknown-ordering": lambda d: {
+        **d, "params": {**d["params"], "ordering": "lex"}
+    },
+    "non-integer-point": lambda d: {
+        **d, "certificates": [
+            {**c, "points": [[1, 0.5, 2]]} for c in d["certificates"]
+        ],
     },
 }
 
@@ -1091,6 +1197,46 @@ def test_source_has_no_assert_statements():
         tree = ast.parse(path.read_text())
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def _unused_imports(tree):
+    """The names a module imports and never reads.  A test function's
+    parameter reads the fixture of its name; `from __future__` binds
+    nothing."""
+    imported = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+            read.update(arg.arg for arg in node.args.args)
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_source_and_tests_have_no_unused_imports():
+    # __init__.py imports to re-export; bench/ is the benchmark's own
+    paths = [p for p in (SRC / "detmethod").glob("*.py") if p.name != "__init__.py"]
+    paths += DATA.parent.glob("*.py")
+    for path in sorted(paths):
+        unused = _unused_imports(ast.parse(path.read_text()))
+        assert not unused, f"{path.name}: unused imports (line, name) {unused}"
+
+
+def test_unused_import_check_sees_reads_and_fixtures():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from a import fixture, kept, lost as renamed\n"
+        "def test_x(fixture):\n"
+        "    return os.path, kept\n"
+    )
+    assert _unused_imports(ast.parse(source)) == [(3, "renamed")]
 
 
 def test_construct_and_verify_under_optimize_flag(tmp_path):

@@ -18,7 +18,9 @@ from detmethod import (
     Ordering,
     Polynomial,
     TheoreticalFalsificationError,
+    a_estimates,
     affine_pipeline,
+    all_sigmas,
     auxiliary_for_box,
     build_matrix,
     chart_norm_bound,
@@ -26,9 +28,9 @@ from detmethod import (
     choose_nu,
     class_index,
     cover_and_construct,
-    enumerate_projective,
     exact_kernel,
     groebner,
+    hilbert_function,
     homogenized_basis,
     parabola_chart,
     staircase,
@@ -585,6 +587,33 @@ def test_choose_delta_conic():
     assert delta == 2
     assert report["delta"] == 2
     assert max(r - l for r, l in zip(report["ratios"], report["limits"])) <= 0.25
+
+
+@pytest.mark.parametrize(
+    "gens, num_vars, epsilon, expected_delta",
+    [
+        (["x0*x2 - x1^2"], 3, 0.25, 2),
+        (["x0*x2 - x1^2"], 3, 100.0, 1),
+        (["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"], 4, 0.25, 1),
+    ],
+    ids=["conic", "conic-first-delta", "twisted-cubic"],
+)
+def test_choose_delta_reports_the_exponents_and_their_limits(
+    gens, num_vars, epsilon, expected_delta
+):
+    gb = groebner(make_ideal(gens, num_vars), GRLEX)
+    m, d = gb.dimension_degree
+    delta, report = choose_delta(gb, epsilon)
+    assert delta == report["delta"] == expected_delta
+    # the limits (m+1) a_i / d^(1/m), the a_i measured at the probe degree
+    a = a_estimates(gb, engine.PROBE_DEGREE_DEFAULT)
+    assert report["limits"] == [(m + 1) * float(x) / d ** (1.0 / m) for x in a]
+    # the ratios m sigma_i / f at delta: the correctly rounded floats of the
+    # exact quotients, from which the quotients are recovered exactly
+    f = choose_nu(hilbert_function(gb, delta), m).e
+    exact = [Fraction(m * s, f) for s in all_sigmas(gb, delta)]
+    assert report["ratios"] == [float(x) for x in exact]
+    assert [Fraction(r).limit_denominator(f) for r in report["ratios"]] == exact
 
 
 def test_choose_delta_huge_epsilon_picks_smallest_usable():

@@ -14,7 +14,6 @@ from detmethod import (
     a_estimates,
     affine_ordering_bound,
     all_sigmas,
-    dimension_and_degree,
     groebner,
     hilbert_function,
     homogenized_basis,
@@ -310,30 +309,30 @@ def test_dim_deg_free_ring():
     # full basis shows a 30-fold point
     gb = groebner(make_ideal(["x0^30"], 2), GRLEX)
     assert hilbert_function(gb, 7) == 8
-    dd = dimension_and_degree(gb)
+    dd = gb.dimension_degree
     assert (dd.dimension, dd.degree) == (0, 30)
 
 
 def test_dim_deg_conic(conic):
-    dd = dimension_and_degree(groebner(conic, GRLEX))
+    dd = groebner(conic, GRLEX).dimension_degree
     assert (dd.dimension, dd.degree) == (1, 2)
 
 
 def test_dim_deg_twisted_cubic(twisted_cubic):
-    dd = dimension_and_degree(groebner(twisted_cubic, GRLEX))
+    dd = groebner(twisted_cubic, GRLEX).dimension_degree
     assert (dd.dimension, dd.degree) == (1, 3)
 
 
 def test_dim_deg_point(single_point):
     ih = homogenized_basis(single_point, GRLEX).ideal
-    dd = dimension_and_degree(groebner(ih, GRLEX))
+    dd = groebner(ih, GRLEX).dimension_degree
     assert (dd.dimension, dd.degree) == (0, 1)
 
 
 @pytest.mark.parametrize("gens", [["x0", "x1"], ["x0^2", "x0*x1", "x1^3"], ["1"]])
 def test_dim_deg_empty_variety(gens):
     gb = groebner(make_ideal(gens, 2), GRLEX)
-    dd = dimension_and_degree(gb)
+    dd = gb.dimension_degree
     assert (dd.dimension, dd.degree) == (-1, 0)
 
 
@@ -392,7 +391,7 @@ def test_dim_deg_table_covers_every_data_ideal():
 )
 def test_dim_deg_table(name, make, expected, ordering):
     gb = groebner(make(), ordering)
-    dd = dimension_and_degree(gb)
+    dd = gb.dimension_degree
     assert (dd.dimension, dd.degree) == expected
     # independently of the division by (1-t): the m-th difference of HF is d
     # and the next one vanishes at s = 20..25

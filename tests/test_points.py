@@ -17,7 +17,6 @@ from detmethod import (
     PointSet,
     Polynomial,
     affine_ordering_bound,
-    asymptotic_exponents,
     build_matrix,
     choose_nu,
     class_index,
@@ -532,19 +531,6 @@ def test_height_box_keeps_fractions():
     assert HeightBox.uniform(3, 2) == HeightBox((Fraction(3), Fraction(3)))
 
 
-def test_point_set_equality_ignores_fibres_and_seconds():
-    box = HeightBox((4, 4))
-    a = PointSet(((0, 0), (1, 1)), box, 7, 0.25)
-    for b in (
-        PointSet(((0, 0), (1, 1)), HeightBox((4, 4)), 3, 0.25),
-        PointSet(((0, 0), (1, 1)), box, 7, 9.0),
-        PointSet(((0, 0), (1, 1)), box),
-    ):
-        assert a == b and not a != b and hash(a) == hash(b)
-    assert a != PointSet(((0, 0),), box, 7, 0.25)
-    assert a != PointSet(((0, 0), (1, 1)), HeightBox((4, 5)), 7, 0.25)
-
-
 def test_frozen_records_refuse_assignment():
     parabola = CORPUS["parabola"]
     gb = groebner(parabola, Ordering.GRLEX_LEFT)
@@ -559,7 +545,6 @@ def test_frozen_records_refuse_assignment():
         (affine_ordering_bound(parabola, 2), "holds"),
         (choose_nu(3, 1), "nu"),
         (DetBoundInput(mu=1, m=1, norms=(1,), r=Fraction(1, 2)), "r"),
-        (asymptotic_exponents((1, 1), 2, 1, 1, (0, 1)), "limit"),
         (parabola_chart(4), "param"),
     ]
     for record, field in records:
