@@ -575,8 +575,8 @@ def choose_delta(gb, epsilon):
     m*sigma_i/f (from _exponents, with mu = HF(delta)) stay within epsilon
     of the limit exponents (m+1)a_i/d^(1/m), the a_i being measured at
     PROBE_DEGREE_DEFAULT and m, d read from the full basis gb; the limits
-    do not depend on delta and are computed once.  A delta with mu < 2 is
-    skipped; at mu >= 2 and m >= 1, f >= 1.  The reported (finite-delta)
+    do not depend on delta and are computed once.  With m >= 1, mu >= 2 and
+    f >= 1 at every delta >= 1.  The reported (finite-delta)
     exponents are what the k-bound uses; no asymptotic constants are
     assumed."""
     if not 0 < epsilon < math.inf:
@@ -591,9 +591,7 @@ def choose_delta(gb, epsilon):
 
     best = None
     for delta in range(1, DELTA_MAX_DEFAULT + 1):
-        mu = hilbert_function(gb, delta)
-        if mu < 2:
-            continue
+        mu = hilbert_function(gb, delta)  # >= delta + 1 >= 2 by Noether normalization
         ratios = list(_exponents(gb, delta, m, mu)[3])
         overshoot = max(r - (li + epsilon) for r, li in zip(ratios, limits))
         report = {
@@ -806,5 +804,6 @@ def affine_pipeline(
         raise AssertionError(f"lifted points escaped S_0: {report.class_counts}")
     report.mode = "affine"
     report.affine_points = tuple(p[1:] for p in lifted.points)
-    report.ordering_bound = affine_ordering_bound(affine_ideal, ORDERING_BOUND_S)
+    if report.dimension >= 0:  # else 1 lies in I and HF of I^h vanishes
+        report.ordering_bound = affine_ordering_bound(affine_ideal, ORDERING_BOUND_S)
     return report

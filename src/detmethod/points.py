@@ -12,10 +12,12 @@ generator on the fibre; x_j is narrowed by its exact splits if it has any,
 else by all of its splits.  Every candidate is re-checked against every
 generator with exact arithmetic, so the output equals that of a full scan.
 
-The budget bounds the size of that full scan and is checked before any work:
-the number of points in the box, with one coordinate dropped in affine mode
-when a generator is linear in it with a constant coefficient.  The solver
-visits far fewer candidates than this figure.
+The budget bounds the scan the solver plans and is checked before the first
+fibre: the product over the coordinates of 2*L_j + 1, the values with
+|x_j| <= L_j, or of d where that is smaller and x_j has an exact split of
+degree d whose every term of degree d in x_j is c*x_j^d, free of earlier
+coordinates.  That split is then a nonzero polynomial of degree d on every
+fibre, with at most d integer roots.
 
 A PointSet carries its fibres (visits to a coordinate with an exact split)
 and the seconds its enumeration took; class_index names the class S_i of the
@@ -70,11 +72,6 @@ def require_homogeneous(ideal):
         raise InputError("projective mode requires a homogeneous ideal")
 
 
-def _check_budget(required, budget):
-    if required > budget:
-        raise BudgetExceededError(required, budget)
-
-
 def enumerate_affine(ideal, b, budget=DEFAULT_BUDGET):
     """All integer points of the variety with |x_i| <= b, sorted."""
     start = perf_counter()
@@ -82,16 +79,8 @@ def enumerate_affine(ideal, b, budget=DEFAULT_BUDGET):
     if b <= 0:
         raise InputError("height bound must be positive")
     n = ideal.num_vars
-    limit = int(floor(b))
-    linear = any(  # some x_k occurs in a generator only as c*x_k
-        [sum(e) for e in g.terms if e[k]] == [1]
-        for g in ideal.generators
-        for k in range(n)
-    )
-    _check_budget((2 * limit + 1) ** (n - 1 if linear else n), budget)
-    pts, fibres = _solve(ideal, [limit] * n, projective=False)
-    box = HeightBox.uniform(b, n)
-    return PointSet(pts, box, fibres, perf_counter() - start)
+    pts, fibres = _solve(ideal, [int(floor(b))] * n, budget, projective=False)
+    return PointSet(pts, HeightBox.uniform(b, n), fibres, perf_counter() - start)
 
 
 def enumerate_projective(ideal, box, budget=DEFAULT_BUDGET):
@@ -99,24 +88,20 @@ def enumerate_projective(ideal, box, budget=DEFAULT_BUDGET):
     on the projective variety within the box."""
     start = perf_counter()
     require_homogeneous(ideal)
-    n = ideal.num_vars
-    if len(box.bounds) != n:
+    if len(box.bounds) != ideal.num_vars:
         raise InputError("box dimension must match the ambient variable count")
-    limits = box.ranges()
-    required = 1
-    for lim in limits:
-        required *= 2 * lim + 1
-    _check_budget(required, budget)
-    pts, fibres = _solve(ideal, limits, projective=True)
+    pts, fibres = _solve(ideal, box.ranges(), budget, projective=True)
     return PointSet(pts, box, fibres, perf_counter() - start)
 
 
 # -- the fibre-wise solver ---------------------------------------------------
 
 
-def _solve(ideal, limits, projective):
+def _solve(ideal, limits, budget, projective):
     """(sorted points, fibres) of the variety in the box |x_j| <= limits[j];
-    in projective mode only the primitive, sign-normalized vectors."""
+    in projective mode only the primitive, sign-normalized vectors.  Raises
+    BudgetExceededError before the first fibre if the planned scan (see the
+    module docstring) exceeds the budget."""
     n = ideal.num_vars
     generators = _integer_generators(ideal.generators)
     last = []  # each generator's last variable
@@ -131,6 +116,15 @@ def _solve(ideal, limits, projective):
          if (k == j or not solved[j]) and (s := _split(terms, j, limits))]
         for j in range(n)
     ]
+    # the planned scan: x_j takes at most d values on a fibre if it has an
+    # exact split of degree d whose terms of degree d are all c*x_j^d
+    required = 1
+    for j, splits in enumerate(plan):
+        roots = [d for d, terms in splits if solved[j] and not any(
+            k == d and earlier for k, _, earlier, _, _ in terms)]
+        required *= min([2 * limits[j] + 1, *roots])
+    if required > budget:
+        raise BudgetExceededError(required, budget)
 
     point = [0] * n
     found = []

@@ -611,12 +611,13 @@ def test_verify_takes_only_a_json_integer_as_a_count(capsys, tmp_path):
 
 
 def test_verify_takes_the_budget_its_report_was_built_under(capsys, tmp_path):
-    # the affine twisted cubic at B = 10^6 scans 4.0e12 candidates
+    # the affine twisted cubic at B = 10^9 plans 2*10^9 + 1 candidates, the
+    # values of x0 (x1 and x2 each have a linear exact split)
     cubic = str(DATA / "twisted_cubic_affine.ideal")
-    budget = ("--budget", str(10**13))
+    budget = ("--budget", str(10**10))
     report = tmp_path / "report.json"
     code, _, err = run(
-        capsys, "construct", "--ideal", cubic, "--height", str(10**6),
+        capsys, "construct", "--ideal", cubic, "--height", str(10**9),
         "--delta", "2", *budget, "--out", str(report),
     )
     assert code == 0, err
@@ -979,6 +980,50 @@ def test_zero_dimensional_variety_without_points_is_vacuous(capsys, tmp_path):
     data = json.loads(out)
     assert (data["dimension"], data["f"], data["k_bound_value"]) == (0, 0, 0.0)
     assert data["vacuous"] is True and data["point_count"] == 0
+
+
+@pytest.mark.parametrize("text", ["vars: 2\n1\n", "vars: 2\nx0\nx0 - 1\n"])
+def test_empty_affine_variety_is_vacuous_and_verifies(capsys, tmp_path, text):
+    # 1 lies in I, so the ordering bound, whose HF of I^h vanishes, is skipped
+    path = tmp_path / "unit.ideal"
+    path.write_text(text)
+    report = tmp_path / "unit.json"
+    code, _, err = run(
+        capsys, "construct", "--ideal", str(path), "--height", "5",
+        "--delta", "2", "--out", str(report),
+    )
+    assert code == 0, err
+    data = json.loads(report.read_text())
+    assert data["vacuous"] is True and "ordering_bound" not in data
+    assert (data["dimension"], data["certificate_count"]) == (-1, 0)
+    code, out, _ = run(capsys, "verify", "--report", str(report), "--ideal", str(path))
+    assert (code, out) == (0, "PASS: 0 certificates verified\n")
+    code, out, err = run(
+        capsys, "sweep", "--ideal", str(path), "--height-list", "5", "--delta", "2"
+    )
+    assert (code, out) == (0, "B,N,certificates,k_actual,k_bound\n5,0,0,0,0\n"), err
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (pathlib.Path(PARABOLA).read_text(), ("--height", "25", "--delta", "0"),
+         "mu = 1 at delta=0"),
+        ("vars: 4\nx0*x3 - x1*x2\n",  # the Segre quadric, a surface
+         ("--mode", "projective", "--heights", "3,3,3,3", "--delta", "2",
+          "--strategy", "theoretical", "--norm-bound", "20"),
+         "built-in parameter map only covers curves"),
+    ],
+    ids=["delta-0", "theoretical-surface"],
+)
+def test_construct_refuses_a_run_it_cannot_cover(
+    capsys, tmp_path, text, argv, message
+):
+    path = tmp_path / "run.ideal"
+    path.write_text(text)
+    code, out, err = run(capsys, "construct", "--ideal", str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
 
 
 def test_empty_projective_variety_is_vacuous_and_verifies(capsys, tmp_path):

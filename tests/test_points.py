@@ -28,6 +28,7 @@ from detmethod import (
     staircase,
     tau_normalize,
 )
+from detmethod import points
 from detmethod.cli import load_ideal
 from detmethod.points import _where_between
 
@@ -284,12 +285,69 @@ def test_affine_budget_refusal(circle, parabola):
     with pytest.raises(BudgetExceededError) as err:
         enumerate_affine(circle, 10**6, budget=1000)
     assert err.value.required > err.value.budget
-    # the budget bounds the full box scan, less a coordinate that a generator
-    # gives linearly with a constant coefficient
-    assert err.value.required == (2 * 10**6 + 1) ** 2
+    # the budget bounds the planned scan: 2*B + 1 values of a coordinate, or
+    # d where it has an exact split of degree d whose terms of degree d are
+    # all c*x_j^d (x1 in the circle, d = 2; x1 in the parabola, d = 1)
+    assert err.value.required == 2 * (2 * 10**6 + 1)
     with pytest.raises(BudgetExceededError) as err:
         enumerate_affine(parabola, 10**6, budget=1000)
     assert err.value.required == 2 * 10**6 + 1
+
+
+def planned_and_visited(ideal, bound, projective):
+    """(the scan the budget guard plans, the leaves the solver visits): the
+    plan is read off BudgetExceededError at budget 0, and a leaf is a call of
+    _is_representative in projective mode, else of the first generator's
+    evaluate, which the leaf re-check makes once per candidate."""
+    enumerate_points = enumerate_projective if projective else enumerate_affine
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_points(ideal, bound, budget=0)
+    leaves = 0
+    if projective:
+        target, name = points, "_is_representative"
+        real = points._is_representative
+
+        def spy(vec):
+            nonlocal leaves
+            leaves += 1
+            return real(vec)
+    else:
+        target, name, real = Polynomial, "evaluate", Polynomial.evaluate
+        first = ideal.generators[0]
+
+        def spy(self, point):
+            nonlocal leaves
+            leaves += self is first
+            return real(self, point)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(target, name, spy)
+        enumerate_points(ideal, bound)
+    return err.value.required, leaves
+
+
+def test_planned_scan_counts_a_top_coefficient_that_vanishes_on_a_fibre():
+    # 3*x1 - 3*x0*x1 is linear in x1, but on the fibre x0 = 1 it vanishes
+    # for every x1: the planned scan is the box, 13 * 13, and the solver
+    # visits 12 fibres with the one root x1 = 0 and 13 leaves at x0 = 1
+    ideal = make_ideal(["3*x1 - 3*x0*x1"], 2)
+    assert planned_and_visited(ideal, 6, False) == (13 * 13, 12 + 13)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=planted_ideals(homogeneous=False))
+def test_affine_plan_never_understates_the_leaves_visited(case):
+    ideal, bounds, _ = case
+    planned, leaves = planned_and_visited(ideal, max(bounds), False)
+    assert planned >= leaves
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=planted_ideals(homogeneous=True))
+def test_projective_plan_never_understates_the_leaves_visited(case):
+    ideal, bounds, _ = case
+    planned, leaves = planned_and_visited(ideal, HeightBox(tuple(bounds)), True)
+    assert planned >= leaves
 
 
 # -- level sets: where low <= p(x) <= high ------------------------------------
