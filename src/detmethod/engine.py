@@ -33,8 +33,9 @@ import contextlib
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, repeat
 from math import isqrt
+from operator import lshift, mul
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -78,6 +79,8 @@ PROBE_DEGREE_DEFAULT = 24
 ORDERING_BOUND_S = 10
 # the prime of exact_kernel's rank screen (a Mersenne prime, 2^61 - 1)
 KERNEL_PRIME = 2**61 - 1
+# dependent rows in a row after which the rank screen offers its chosen rows
+KERNEL_STOP_RUN = 8
 
 
 # -- matrices and kernels --------------------------------------------------
@@ -103,20 +106,37 @@ class MonomialMatrix(namedtuple("MonomialMatrix", "exponents points rows residue
 def build_matrix(points, sc):
     """The monomial matrix at the points.  A cover builds it once and hands
     each box its restrict(), so each power and residue is computed once per
-    cover."""
+    cover.
+
+    A row is built column by column: for each coordinate x_i that some
+    exponent uses, the powers 1, x_i, ..., x_i^top are one running product,
+    and the row is the elementwise product of the columns x_i^(e_i) read off
+    them.  A coordinate equal to 1 contributes a column of ones and is
+    skipped, as are the unused ones; a row with no column left is all ones."""
     if not points:
         raise InputError("need at least one point")
     exponents = tuple(sc.exponents)
     n = len(exponents[0]) if exponents else None
-    top = max(map(max, exponents), default=0)
+    # per used coordinate: (index, its exponent column, its top exponent)
+    columns = [
+        (i, col, max(col))
+        for i, col in enumerate(zip(*exponents))
+        if any(col)
+    ]
+    ones = (1,) * len(exponents)
     rows = []
     for p in points:
         if n is not None and len(p) != n:
             raise InputError("point dimension does not match the staircase")
-        powers = [[x**k for k in range(top + 1)] for x in p]
-        rows.append(
-            tuple(math.prod(map(list.__getitem__, powers, e)) for e in exponents)
-        )
+        row = None
+        for i, col, top in columns:
+            x = p[i]
+            if x == 1:
+                continue
+            powers = list(accumulate(repeat(x, top), mul, initial=1))
+            entries = map(powers.__getitem__, col)
+            row = list(entries) if row is None else list(map(mul, row, entries))
+        rows.append(ones if row is None else tuple(row))
     return MonomialMatrix(
         exponents=exponents,
         points=tuple(points),
@@ -136,59 +156,87 @@ def exact_kernel(mat, low=0):
 
     All arithmetic is on integers.  A box with fewer than mu points goes
     straight to primitive-row elimination of all its rows.  A larger box
-    first runs a rank screen over its rows in order: mu rows independent
-    modulo KERNEL_PRIME have a mu x mu minor nonzero mod P, hence nonzero, so
-    there is no kernel.  If those mu rows all lie among the first `low`
-    rows, the result is False instead of None (falsy too): the first `low`
-    rows alone have full rank, which lets the adaptive cover split a child
-    box made of them without a kernel call.  Otherwise the r < mu rows
-    independent mod P are eliminated, and the vector is checked against
-    every row with exact dot products.  The pivot columns of any subset of
-    the rows lie among those of all rows, so a vector on columns 0..f,
-    nonzero at f, that vanishes on every row is the full matrix's.  If the
-    check fails, P was a bad prime for this matrix and the elimination runs
+    first runs a rank screen over its rows in order (_independent_mod_p):
+    mu rows independent modulo KERNEL_PRIME have a mu x mu minor nonzero
+    mod P, hence nonzero, so there is no kernel.  If those mu rows all lie
+    among the first `low` rows, the result is False instead of None (falsy
+    too): the first `low` rows alone have full rank, which lets the adaptive
+    cover split a child box made of them without a kernel call.
+
+    Otherwise the r < mu rows independent mod P are eliminated, and the
+    vector is checked against every row with exact dot products.  The
+    screen offers its chosen rows early, once KERNEL_STOP_RUN rows in a row
+    have been dependent mod P at a rank it has not offered yet, and again
+    at its end if the rank grew since; a vector that passes the check is
+    returned at once, and after a failed check the screen resumes.  Either
+    way the vector is the first-free-column one: its support ends at the
+    chosen rows' first free column f, so the box's first free column is at
+    most f once it vanishes on every row, and at least f because columns
+    0..f-1 are already independent on the chosen rows.  Columns 0..f-1 being
+    independent, the vector on 0..f is unique up to scale.  If no offer
+    passes, P was a bad prime for this matrix and the elimination runs
     again on all rows.
     """
     mu = len(mat.exponents)
     rows = mat.rows
     if len(rows) < mu:
         return _first_kernel_vector(rows, mu)
-    chosen = _independent_mod_p(mat.residues, mu)
-    if len(chosen) == mu:
-        return None if chosen[-1] >= low else False
-    vec = _first_kernel_vector([rows[j] for j in chosen], mu)
-    if any(sum(a * b for a, b in zip(vec, row)) for row in rows):
-        vec = _first_kernel_vector(rows, mu)
-    return vec
+    for chosen in _independent_mod_p(mat.residues, mu):
+        if len(chosen) == mu:
+            return None if chosen[-1] >= low else False
+        vec = _first_kernel_vector([rows[j] for j in chosen], mu)
+        if not any(sum(map(mul, vec, row)) for row in rows):
+            return vec
+    return _first_kernel_vector(rows, mu)
 
 
 def _independent_mod_p(residues, mu):
-    """Indices of the residue rows that stay independent modulo KERNEL_PRIME
-    when added one at a time to an echelon form, stopping at mu of them.
+    """The rank screen: yields the list of indices of the residue rows that
+    stay independent modulo KERNEL_PRIME when added one at a time to an
+    echelon form, each time exact_kernel should try them.  That is once
+    KERNEL_STOP_RUN rows in a row have been dependent (the rank then has
+    not grown since the last offer, so each rank is offered at most once),
+    and at the end: after the last row, or at mu independent rows, unless
+    that rank was already offered.
 
-    A row is reduced by each echelon row from that row's pivot on (its
-    entries before the pivot are zero), and taken mod P once at the end: each
-    step adds less than P^2 to an entry, so only the pivot entry read for
-    the next step needs reducing on the way."""
+    Each row is one int with mu slots of W bits, column k in bits
+    k*W..(k+1)*W-1.  Reducing by an echelon row with pivot c and normalised
+    entries t (1 at c, 0 before it) is one multiply-add v += f * neg, where
+    f is slot c mod P and neg packs P - t from slot c on: it adds f*(P - t)
+    <= (P-1)*P to each slot, and slot c becomes a multiple of P.  A slot
+    starts below P and takes at most mu - 1 steps, so it never exceeds
+    M = (mu-1)*(P-1)*P + P - 1; W is the bit length of M, so no slot
+    carries into the next.  Slots are unpacked and reduced mod P once per
+    row, to find its pivot and, for a new echelon row, to normalise it."""
     p = KERNEL_PRIME
-    echelon = []  # (pivot column, reduced row from the pivot on, 1 there)
+    width = ((mu - 1) * (p - 1) * p + p - 1).bit_length()
+    mask = (1 << width) - 1
+    shifts = range(0, mu * width, width)
+    echelon = []  # (shift of the pivot slot, packed P - the normalised row)
     chosen = []
+    run = 0  # rows dependent since the rank last grew
     for j, row in enumerate(residues):
-        v = list(row)
-        for c, tail in echelon:
-            f = v[c] % p
+        v = sum(map(lshift, row, shifts))
+        for shift, neg in echelon:
+            f = (v >> shift & mask) % p
             if f:
-                v[c:] = [a - f * b for a, b in zip(islice(v, c, None), tail)]
-        v = [x % p for x in v]
-        c = next((c for c, x in enumerate(v) if x), None)
+                v += f * neg
+        slots = [(v >> shift & mask) % p for shift in shifts]
+        c = next((c for c, x in enumerate(slots) if x), None)
         if c is None:
+            run += 1
+            if run == KERNEL_STOP_RUN:
+                yield chosen
             continue
-        inv = pow(v[c], -1, p)
-        echelon.append((c, [x * inv % p for x in islice(v, c, None)]))
+        inv = pow(slots[c], -1, p)
+        neg = (p - x * inv % p << shift for x, shift in zip(slots[c:], shifts[c:]))
+        echelon.append((shifts[c], sum(neg)))
         chosen.append(j)
+        run = 0
         if len(chosen) == mu:
             break
-    return chosen
+    if run < KERNEL_STOP_RUN:
+        yield chosen
 
 
 def _first_kernel_vector(rows, mu):
@@ -417,7 +465,8 @@ class PipelineReport(SimpleNamespace):
     cube_count and max_depth (None where the strategy sets none); vacuous;
     ordering_bound and delta_report (None unless set); num_vars; and
     timings, the opt-in stage timings (enumeration: points_s,
-    points_fibres, points_found; kernel: kernel_s, kernel_calls)."""
+    points_fibres, points_found; matrix build: matrix_s; kernel: kernel_s,
+    kernel_calls)."""
 
     def to_dict(self, include_timings=False):
         def frac(x):  # an int unchanged, a Fraction as its int or "p/q"
@@ -482,8 +531,9 @@ class PipelineReport(SimpleNamespace):
         return out
 
 
-def _adaptive_cover(points, sc, gb, timings):
-    """Bisection covering; returns (certificates, max_depth).
+def _adaptive_cover(mat, sc, gb, timings):
+    """Bisection covering of the points of the matrix mat; returns
+    (certificates, max_depth).
 
     A box's split (the longest axis of its bounding box, the lowest such
     axis on ties, at the midpoint) is fixed before its kernel call, which
@@ -491,7 +541,7 @@ def _adaptive_cover(points, sc, gb, timings):
     rows among them, the low child has full rank too, and it is split
     without a kernel call of its own."""
     n = gb.num_vars
-    mat = build_matrix(points, sc)
+    points = mat.points
     certs = []
     max_depth = 0
     stack = [(tuple(range(len(points))), 0, False)]
@@ -527,16 +577,15 @@ def _adaptive_cover(points, sc, gb, timings):
 
 
 def _theoretical_cover(
-    points, sc, gb, box, sigma, mu, m, norm_bound, param, timings, derived
+    mat, sc, gb, box, sigma, mu, m, norm_bound, param, timings, derived
 ):
     rho, cube_count = theoretical_rho(box, sigma, mu, m, norm_bound)
     q = rho.denominator
     groups = {}
-    for i, p in enumerate(points):
+    for i, p in enumerate(mat.points):
         # t = 1 would be key 2q, past the grid: it joins the last cube
         key = tuple(min(math.floor((t + 1) * q), 2 * q - 1) for t in param(p))
         groups.setdefault(key, []).append(i)
-    mat = build_matrix(points, sc)
     certs = []
     for key in sorted(groups):
         idxs = tuple(groups[key])
@@ -657,6 +706,7 @@ def cover_and_construct(
         "points_s": point_set.seconds,
         "points_fibres": point_set.fibres,
         "points_found": len(points),
+        "matrix_s": 0.0,
         "kernel_s": 0.0,
         "kernel_calls": 0,
     }
@@ -676,9 +726,7 @@ def cover_and_construct(
                 f"mu = {mu} at delta={delta}: the staircase admits no "
                 "nontrivial vanishing polynomial"
             )
-        if strategy == "adaptive":
-            certs, max_depth = _adaptive_cover(points, sc, gb, timings)
-        else:
+        if strategy == "theoretical":
             if chart is not None:
                 nb, param = chart_norm_bound(chart, sc, nu), chart.param
             elif m != 1:
@@ -688,8 +736,14 @@ def cover_and_construct(
                 )
             else:
                 nb, param = norm_bound, lambda p: tau_normalize(p, box)[1:2]
+        start = perf_counter()
+        mat = build_matrix(points, sc)
+        timings["matrix_s"] = perf_counter() - start
+        if strategy == "adaptive":
+            certs, max_depth = _adaptive_cover(mat, sc, gb, timings)
+        else:
             certs, rho, cube_count = _theoretical_cover(
-                points, sc, gb, box, sigma, mu, m, nb, param, timings,
+                mat, sc, gb, box, sigma, mu, m, nb, param, timings,
                 derived=chart is not None,
             )
 

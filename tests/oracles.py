@@ -7,7 +7,7 @@ dual-route check keeps one side independent.
 import itertools
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from detmethod import (
     Ideal,
@@ -108,6 +108,43 @@ def naive_staircase(gb, delta):
     ]
     exps.sort(key=gb.ordering.key, reverse=True)
     return tuple(exps)
+
+
+def entrywise_matrix_rows(points, exponents):
+    """The monomial matrix rows by the per-entry formula: each coordinate's
+    powers 0..top listed once per point, and each entry the product of the
+    powers its exponent picks."""
+    top = max(map(max, exponents), default=0)
+    rows = []
+    for p in points:
+        powers = [[x**k for k in range(top + 1)] for x in p]
+        rows.append(tuple(prod(map(list.__getitem__, powers, e)) for e in exponents))
+    return tuple(rows)
+
+
+def list_screen(residues, mu, p):
+    """The rank screen on lists: indices of the residue rows that stay
+    independent modulo p when added one at a time to an echelon form,
+    stopping at mu of them.  Each row is reduced entry by entry and taken
+    mod p once at the end."""
+    echelon = []  # (pivot column, reduced row from the pivot on, 1 there)
+    chosen = []
+    for j, row in enumerate(residues):
+        v = list(row)
+        for c, tail in echelon:
+            f = v[c] % p
+            if f:
+                v[c:] = [a - f * b for a, b in zip(v[c:], tail)]
+        v = [x % p for x in v]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        inv = pow(v[c], -1, p)
+        echelon.append((c, [x * inv % p for x in v[c:]]))
+        chosen.append(j)
+        if len(chosen) == mu:
+            break
+    return chosen
 
 
 def exact_determinant(rows):

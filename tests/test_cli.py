@@ -241,18 +241,20 @@ def test_construct_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+TIMED_RUNS = (
+    (("--ideal", PARABOLA, "--height", "25"), lambda: enumerate_affine(
+        load_ideal(PARABOLA), 25).fibres),
+    (("--ideal", CONIC, "--mode", "projective", "--heights", "4,4,4"),
+     lambda: enumerate_projective(load_ideal(CONIC), HeightBox((4, 4, 4))).fibres),
+    (("--ideal", PARABOLA, "--height", "100", "--strategy", "theoretical",
+      "--norm-bound", "20"), lambda: enumerate_affine(
+        load_ideal(PARABOLA), 100).fibres),
+)
+
+
 def test_construct_timings_flag(capsys, tmp_path):
     out_file = tmp_path / "t.json"
-    for args, fibres in (
-        (
-            ("--ideal", PARABOLA, "--height", "25"),
-            enumerate_affine(load_ideal(PARABOLA), 25).fibres,
-        ),
-        (
-            ("--ideal", CONIC, "--mode", "projective", "--heights", "4,4,4"),
-            enumerate_projective(load_ideal(CONIC), HeightBox((4, 4, 4))).fibres,
-        ),
-    ):
+    for args, fibres in TIMED_RUNS:
         code, _, _ = run(
             capsys, "construct", *args, "--delta", "2", "--timings",
             "--out", str(out_file),
@@ -260,12 +262,28 @@ def test_construct_timings_flag(capsys, tmp_path):
         assert code == 0
         report = json.loads(out_file.read_text())
         timings = report["timings"]
-        keys = ("points_s", "points_fibres", "points_found", "kernel_s", "kernel_calls")
+        keys = {"points_s", "points_fibres", "points_found", "matrix_s",
+                "kernel_s", "kernel_calls"}
+        assert set(timings) == keys
         for key in keys:
             assert timings[key] >= 0
         assert timings["points_found"] == report["point_count"]
         assert timings["kernel_calls"] >= report["certificate_count"] > 0
-        assert timings["points_fibres"] == fibres
+        assert timings["points_fibres"] == fibres()
+
+
+def test_construct_timings_only_with_the_flag(capsys, tmp_path):
+    """Without --timings no stage time, the matrix build's included, is
+    written: the report stays byte-for-byte reproducible."""
+    out_file = tmp_path / "t.json"
+    for args, _ in TIMED_RUNS:
+        code, _, _ = run(
+            capsys, "construct", *args, "--delta", "2", "--out", str(out_file)
+        )
+        assert code == 0
+        text = out_file.read_text()
+        assert "timings" not in json.loads(text)
+        assert "matrix_s" not in text and "kernel_s" not in text
 
 
 def test_epsilon_reports_carry_delta_report(capsys, tmp_path):

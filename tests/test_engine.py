@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from detmethod import (
     groebner,
     hilbert_function,
     homogenized_basis,
+    monomials_of_degree,
     parabola_chart,
     staircase,
     theoretical_rho,
@@ -41,7 +43,13 @@ from detmethod import (
 from detmethod.cli import load_ideal
 
 from conftest import DATA, make_ideal
-from oracles import exact_determinant, rational_kernel, rational_rank
+from oracles import (
+    entrywise_matrix_rows,
+    exact_determinant,
+    list_screen,
+    rational_kernel,
+    rational_rank,
+)
 
 GRLEX = Ordering.GRLEX_LEFT
 
@@ -387,6 +395,153 @@ def test_elimination_matches_oracle_on_awkward_rows(rows):
     expected = _first_oracle_vector(mat)
     assert engine._first_kernel_vector(mat.rows, len(rows[0])) == expected
     assert exact_kernel(mat) == expected
+
+
+# -- the packed screen and the column-wise matrix ----------------------------
+
+P = engine.KERNEL_PRIME
+
+
+def _offers(residues, mu):
+    """Each list of chosen rows the screen offers, as a tuple."""
+    return [tuple(chosen) for chosen in engine._independent_mod_p(residues, mu)]
+
+
+def _check_offers(residues, mu):
+    """The screen's last offer is the list screen's choice, and each earlier
+    offer is a shorter prefix of the next: every rank is offered once."""
+    offers = _offers(residues, mu)
+    assert offers and offers[-1] == tuple(list_screen(residues, mu, P))
+    for shorter, longer in zip(offers, offers[1:]):
+        assert len(shorter) < len(longer) and longer[: len(shorter)] == shorter
+    return offers
+
+
+@st.composite
+def residue_rows(draw):
+    """mu from 1 to 64, and rows drawn from a few base rows: repeats, zero
+    rows, rows of all P - 1, entries at 0, 1 and P - 1, sums of two rows
+    mod P, and often more rows than mu."""
+    mu = draw(st.integers(1, 64))
+    entry = st.sampled_from([0, 1, P - 1]) | st.integers(0, P - 1)
+    base = st.lists(entry, min_size=mu, max_size=mu)
+    base |= st.sampled_from([[0] * mu, [P - 1] * mu])
+    pool = draw(st.lists(base, min_size=1, max_size=5))
+    a, b = draw(st.lists(st.integers(0, P - 1), min_size=2, max_size=2))
+    pool.append([(a * x + b * y) % P for x, y in zip(pool[0], pool[-1])])
+    rows = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=mu + 16))
+    return mu, [tuple(row) for row in rows]
+
+
+@settings(max_examples=120, deadline=None)
+@given(residue_rows())
+def test_packed_screen_matches_list_screen(case):
+    mu, rows = case
+    _check_offers(rows, mu)
+
+
+def test_packed_screen_holds_the_largest_slot_growth():
+    """mu - 1 unit rows, then the row of all P - 1 with a last entry 0: each
+    unit row adds (P-1)*P to the last slot, which reaches (mu-1)*(P-1)*P,
+    as wide as the slot bound allows, and is still 0 mod P, so the last row
+    is dependent."""
+    for mu in range(1, 65):
+        units = [tuple(int(i == k) for i in range(mu)) for k in range(mu - 1)]
+        last = (P - 1,) * (mu - 1) + (0,)
+        assert _check_offers(units + [last], mu)[-1] == tuple(range(mu - 1))
+        assert _check_offers(units + [(P - 1,) * mu], mu)[-1] == tuple(range(mu))
+
+
+def test_screen_offers_after_a_run_of_dependent_rows():
+    run = engine.KERNEL_STOP_RUN
+    rows = [(1, 0, 0)] + [(2, 0, 0)] * run + [(0, 1, 0)] + [(0, 2, 0)] * (run - 1)
+    assert _offers(rows, 3) == [(0,), (0, run + 1)]
+    # a run that reaches the end is not offered twice
+    assert _offers(rows + [(0, 3, 0)], 3) == [(0,), (0, run + 1)]
+    assert _offers([(0, 0, 0)] * run, 3) == [()]
+
+
+coordinates = (
+    st.sampled_from([0, 1, -1])
+    | st.integers(-(10**6), 10**6)
+    | st.integers(2**64, 2**70)
+    | st.integers(-(2**70), -(2**64))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_build_matrix_matches_entrywise_formula(data):
+    n = data.draw(st.integers(2, 5))
+    ordering = data.draw(st.sampled_from(list(Ordering)))
+    delta = data.draw(st.integers(1, 4))
+    exponents = data.draw(
+        st.lists(
+            st.sampled_from(list(monomials_of_degree(delta, n))),
+            min_size=1, max_size=12, unique=True,
+        )
+    )
+    exponents.sort(key=ordering.key, reverse=True)
+    points = data.draw(
+        st.lists(st.tuples(*[coordinates] * n), min_size=1, max_size=6)
+    )
+    mat = build_matrix(points, SimpleNamespace(exponents=exponents))
+    assert mat.rows == entrywise_matrix_rows(points, exponents)
+    assert mat.residues == tuple(
+        tuple(x % P for x in row) for row in mat.rows
+    )
+
+
+# -- tall kernels: the early stop ----------------------------------------------
+
+
+def test_kernel_resumes_the_screen_after_a_failed_early_check(monkeypatch):
+    """Row 2 is dependent on row 1 mod P but not over Q, so the vector of the
+    first offer (rank 2) fails on it; the screen resumes, and the offer at
+    rank 3 passes, well before the last row."""
+    eliminated = _spy(monkeypatch, "_first_kernel_vector", lambda rows, mu: len(rows))
+    run = engine.KERNEL_STOP_RUN
+    rows = (
+        [(1, 0, 0, 0), (0, 1, P, 0), (0, 1, 0, 0)]
+        + [(1, 0, 0, 0)] * run
+        + [(0, 0, 1, 0)]
+        + [(2, 0, 0, 0)] * (2 * run)
+    )
+    mat = _matrix(rows)
+    assert exact_kernel(mat) == (0, 0, 0, 1) == _first_oracle_vector(mat)
+    assert eliminated == [2, 3]
+
+
+def test_kernel_falls_back_after_failed_early_checks(monkeypatch):
+    """Full rank over Q, rank 2 mod P: the one offer fails, the screen ends
+    on the same rank without offering it again, and all rows are eliminated."""
+    eliminated = _spy(monkeypatch, "_first_kernel_vector", lambda rows, mu: len(rows))
+    rows = [(1, 0, 0), (0, 1, P), (0, 1, 0)] + [(3, 0, 0)] * engine.KERNEL_STOP_RUN
+    mat = _matrix(rows)
+    assert rational_kernel(mat) == []
+    assert exact_kernel(mat) is None
+    assert eliminated == [2, len(rows)]
+
+
+def test_kernel_matches_rational_oracle_on_tall_rows():
+    """Tall rank-deficient matrices, some entries multiples of P: the early
+    stop, the resumed screen and the all-rows fallback all agree with the
+    oracle."""
+    rng = random.Random(26)
+    for _ in range(150):
+        mu = rng.randint(2, 8)
+        rank = rng.randint(1, mu)
+        basis = [
+            [rng.choice([0, 1, P, 2 * P, rng.randint(-(10**20), 10**20)])
+             for _ in range(mu)]
+            for _ in range(rank)
+        ]
+        rows = [
+            [sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(mu)]
+            for _ in range(rng.randint(mu, 4 * mu + 20))
+        ]
+        mat = _matrix(rows)
+        assert exact_kernel(mat) == _first_oracle_vector(mat)
 
 
 # -- auxiliary polynomials ---------------------------------------------------
