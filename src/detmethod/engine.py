@@ -35,7 +35,7 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import isqrt
-from operator import lshift, mul
+from operator import itemgetter, lshift, mul
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -95,12 +95,23 @@ class MonomialMatrix(namedtuple("MonomialMatrix", "exponents points rows residue
 
     def restrict(self, indices):
         """The matrix at points[j] for j in indices, in that order."""
+        get = _getter(indices)
         return MonomialMatrix(
             exponents=self.exponents,
-            points=tuple(self.points[j] for j in indices),
-            rows=tuple(self.rows[j] for j in indices),
-            residues=tuple(self.residues[j] for j in indices),
+            points=get(self.points),
+            rows=get(self.rows),
+            residues=get(self.residues),
         )
+
+
+def _getter(indices):
+    """A function from a sequence to the tuple of its items at indices,
+    one itemgetter; itemgetter of one index returns the item itself, so
+    that case is wrapped in a 1-tuple."""
+    if len(indices) == 1:
+        (j,) = indices
+        return lambda seq: (seq[j],)
+    return itemgetter(*indices)
 
 
 def build_matrix(points, sc):
@@ -351,8 +362,10 @@ def verify_certificate(cert, points, gb):
     no leading monomial divides it, so M(delta) itself is never listed.  The
     checks stay in integers where the data are: Polynomial.evaluate clears
     the certificate's denominators on its first call and sums the kept
-    integer terms at each covered integer point, and normal_form reduces in
-    place."""
+    integer terms at each covered integer point.  On a certificate whose
+    support lies outside LT(I), normal_form costs one divisibility test per
+    term and leading monomial and returns the certificate itself; only a
+    support that meets LT(I) runs the division."""
     poly = cert.poly
     if poly.is_zero():
         return ["zero polynomial"]
@@ -542,22 +555,22 @@ def _adaptive_cover(mat, sc, gb, timings):
     without a kernel call of its own."""
     n = gb.num_vars
     points = mat.points
+    columns = tuple(zip(*points))  # the points' coordinates, per axis
     certs = []
     max_depth = 0
     stack = [(tuple(range(len(points))), 0, False)]
     while stack:
         idxs, depth, full_rank = stack.pop()
         max_depth = max(max_depth, depth)
-        pts = [points[i] for i in idxs]
+        get = _getter(idxs)
+        coords = [get(col) for col in columns]
         # shrink to the integer bounding box of the contained points
-        bbox = [
-            (min(p[a] for p in pts), max(p[a] for p in pts)) for a in range(n)
-        ]
+        bbox = [(min(xs), max(xs)) for xs in coords]
         extents = [hi - lo for lo, hi in bbox]
         axis = max(range(n), key=lambda a: (extents[a], -a))
         lo, hi = bbox[axis]
-        low = tuple(i for i in idxs if 2 * points[i][axis] <= lo + hi)
-        high = tuple(i for i in idxs if 2 * points[i][axis] > lo + hi)
+        low = tuple(i for i, x in zip(idxs, coords[axis]) if 2 * x <= lo + hi)
+        high = tuple(i for i, x in zip(idxs, coords[axis]) if 2 * x > lo + hi)
         cert = None
         if not full_rank:
             cert = auxiliary_for_box(

@@ -23,6 +23,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
+from operator import add, sub
 
 from .errors import DegenerateIdealError, InputError
 from .polynomials import Ordering, Polynomial, divides
@@ -107,48 +108,72 @@ def _sort_key(ordering):
     return lambda g: (ordering.key(g.leading_monomial(ordering)), sorted(g.terms))
 
 
-def _s_polynomial(f, g, ordering):
-    lmf, lcf = f.leading_term(ordering)
-    lmg, lcg = g.leading_term(ordering)
-    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
-    n = f.num_vars
-    mf = Polynomial.monomial(tuple(a - b for a, b in zip(lcm, lmf)), n, 1 / lcf)
-    mg = Polynomial.monomial(tuple(a - b for a, b in zip(lcm, lmg)), n, 1 / lcg)
-    return mf * f - mg * g
+def _s_terms(f, lmf, g, lmg):
+    """The S-polynomial x^(L-lmf) f - x^(L-lmg) g of the monic f and g, L
+    the lcm of their leading monomials, as one term dict: the two leading
+    terms cancel and are never formed."""
+    lcm = tuple(map(max, lmf, lmg))
+    sf = tuple(map(sub, lcm, lmf))
+    sg = tuple(map(sub, lcm, lmg))
+    work = {tuple(map(add, e, sf)): c for e, c in f.terms.items() if e != lmf}
+    for e, c in g.terms.items():
+        if e != lmg:
+            e = tuple(map(add, e, sg))
+            c = work.get(e, 0) - c
+            if c:
+                work[e] = c
+            else:
+                del work[e]
+    return work
 
 
-def _reduce(f, basis, lms, ordering):
-    """Full normal form of f against (basis, lms), by the division algorithm
-    in place: the work polynomial is a dict; its leading term is popped and
-    either q*g is subtracted from it term by term (g the first element whose
-    leading monomial divides it) or the term moves to the remainder.  Only
-    the remainder becomes a Polynomial."""
-    key = ordering.key
-    work = dict(f.terms)
+def _reduce(work, basis, lms, ordering):
+    """The remainder of the term dict `work` on division by (basis, lms),
+    as a term dict in descending order: the division algorithm in place
+    (Cox-Little-O'Shea, IVA ch. 2 sec. 3).  The leading term is popped off
+    a heap of negated order keys, each computed once per monomial, and
+    either q*g is subtracted from `work` term by term (g the first element
+    whose leading monomial divides it) or the term moves to the remainder.
+    Every term a subtraction adds lies below the popped one, so a popped
+    monomial never returns; an entry whose term cancelled is skipped.
+    `work` is consumed."""
+    key = ordering.heap_key
+    heap = [(key(e), e) for e in work]
+    heapq.heapify(heap)
+    queued = set(work)
     remainder = {}
-    while work:
-        lm = max(work, key=key)
-        lc = work.pop(lm)
+    while heap:
+        lm = heapq.heappop(heap)[1]
+        lc = work.pop(lm, None)
+        if lc is None:
+            continue
         for g, lmg in zip(basis, lms):
             if divides(lmg, lm):
                 q = lc / g.terms[lmg]
-                shift = tuple(a - b for a, b in zip(lm, lmg))
+                shift = tuple(map(sub, lm, lmg))
                 for e, c in g.terms.items():
                     if e != lmg:
-                        e = tuple(a + b for a, b in zip(e, shift))
+                        e = tuple(map(add, e, shift))
                         c = work.get(e, 0) - q * c
                         if c:
                             work[e] = c
+                            if e not in queued:
+                                queued.add(e)
+                                heapq.heappush(heap, (key(e), e))
                         else:
                             del work[e]
                 break
         else:
             remainder[lm] = lc
-    return Polynomial(remainder, f.num_vars)
+    return remainder
 
 
 def groebner(ideal, ordering):
-    """The full reduced Groebner basis of the ideal, by Buchberger."""
+    """The full reduced Groebner basis of the ideal, by Buchberger.  Each
+    S-polynomial of two monic elements is formed as one term dict and
+    reduced in place; only a nonzero remainder, made monic, becomes a
+    Polynomial.  A remainder comes out of _reduce in descending order, so
+    its first term is its leading one."""
     basis = sorted(
         (g.monic(ordering) for g in ideal.generators), key=_sort_key(ordering)
     )
@@ -159,6 +184,7 @@ def groebner(ideal, ordering):
             seen.append(g)
     basis = seen
     lms = [g.leading_monomial(ordering) for g in basis]
+    n = ideal.num_vars
 
     heap = []
     counter = 0
@@ -177,11 +203,14 @@ def groebner(ideal, ordering):
 
     while heap:
         _, _, i, j = heapq.heappop(heap)
-        s = _s_polynomial(basis[i], basis[j], ordering)
-        r = _reduce(s, basis, lms, ordering)
-        if not r.is_zero():
-            basis.append(r.monic(ordering))
-            lms.append(basis[-1].leading_monomial(ordering))
+        r = _reduce(
+            _s_terms(basis[i], lms[i], basis[j], lms[j]), basis, lms, ordering
+        )
+        if r:
+            lm = next(iter(r))
+            lc = r[lm]
+            basis.append(Polynomial({e: c / lc for e, c in r.items()}, n))
+            lms.append(lm)
             push_pairs(len(basis) - 1)
 
     # interreduce: drop elements whose LM is divisible by another LM, then
@@ -201,8 +230,12 @@ def groebner(ideal, ordering):
     klms = [lms[k] for k in keep]
     for idx in range(len(reduced)):
         others = reduced[:idx] + reduced[idx + 1 :]
-        reduced[idx] = _reduce(
-            reduced[idx], others, klms[:idx] + klms[idx + 1 :], ordering
+        reduced[idx] = Polynomial(
+            _reduce(
+                dict(reduced[idx].terms), others,
+                klms[:idx] + klms[idx + 1 :], ordering,
+            ),
+            n,
         )
 
     reduced.sort(key=_sort_key(ordering))
@@ -211,11 +244,20 @@ def groebner(ideal, ordering):
 
 def normal_form(f, gb):
     """Remainder of f on division by gb; zero iff f lies in the ideal.
-    _reduce works in place on a dict of f's terms, as Buchberger's
-    reductions do."""
+    When no leading monomial divides any term of f, the division algorithm
+    moves every term to the remainder unchanged, so f itself is returned
+    (a Polynomial is never changed, so sharing it is safe): for a
+    certificate, whose support lies in M(delta), the normal form costs one
+    divisibility test per term and leading monomial.  Otherwise _reduce
+    divides a dict of f's terms in place, as Buchberger's reductions do."""
     if f.num_vars != gb.num_vars:
         raise InputError("variable count mismatch")
-    return _reduce(f, gb.basis, gb.leading_monomials, gb.ordering)
+    lms = gb.leading_monomials
+    if not any(divides(lm, e) for e in f.terms for lm in lms):
+        return f
+    return Polynomial(
+        _reduce(dict(f.terms), gb.basis, lms, gb.ordering), f.num_vars
+    )
 
 
 def monomials_of_degree(total, nvars):

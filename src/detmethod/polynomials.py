@@ -35,6 +35,13 @@ class Ordering(enum.Enum):
             return (sum(alpha), tuple(map(neg, alpha)))
         return (sum(alpha), tuple(map(neg, reversed(alpha))))
 
+    def heap_key(self, alpha):
+        """key negated: the larger monomial has the smaller heap_key, so a
+        heap of these pops the largest monomial first."""
+        if self is Ordering.GRLEX_LEFT:
+            return (-sum(alpha), alpha)
+        return (-sum(alpha), alpha[::-1])
+
 
 def divides(a, b):
     """True if monomial x^a divides x^b."""
@@ -87,10 +94,6 @@ class Polynomial:
         exp = [0] * num_vars
         exp[i] = 1
         return cls({tuple(exp): 1}, num_vars)
-
-    @classmethod
-    def monomial(cls, exp, num_vars, coeff=1):
-        return cls({tuple(exp): coeff}, num_vars)
 
     # -- basic queries -----------------------------------------------------
 

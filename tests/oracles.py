@@ -4,6 +4,7 @@ These deliberately avoid the library's staircase / kernel code paths so each
 dual-route check keeps one side independent.
 """
 
+import heapq
 import itertools
 import re
 from fractions import Fraction
@@ -244,17 +245,110 @@ def naive_normal_form(f, gb):
         lm, lc = work.leading_term(ordering)
         for g, lmg in zip(gb.basis, gb.leading_monomials):
             if divides(lmg, lm):
-                quot = Polynomial.monomial(
-                    tuple(a - b for a, b in zip(lm, lmg)),
+                quot = Polynomial(
+                    {tuple(a - b for a, b in zip(lm, lmg)): lc / g.terms[lmg]},
                     f.num_vars,
-                    lc / g.terms[lmg],
                 )
                 work = work - quot * g
                 break
         else:
             remainder[lm] = lc
-            work = work - Polynomial.monomial(lm, f.num_vars, lc)
+            work = work - Polynomial({lm: lc}, f.num_vars)
     return Polynomial(remainder, f.num_vars)
+
+
+def polynomial_s_polynomial(f, g, ordering):
+    """The S-polynomial of f and g built from whole Polynomials: each is
+    scaled by a monomial Polynomial and the two are subtracted."""
+    lmf, lcf = f.leading_term(ordering)
+    lmg, lcg = g.leading_term(ordering)
+    lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
+    n = f.num_vars
+    mf = Polynomial({tuple(a - b for a, b in zip(lcm, lmf)): 1 / lcf}, n)
+    mg = Polynomial({tuple(a - b for a, b in zip(lcm, lmg)): 1 / lcg}, n)
+    return mf * f - mg * g
+
+
+def max_key_reduce(f, basis, lms, ordering):
+    """The full normal form of the Polynomial f against (basis, lms), by the
+    division algorithm on a dict of its terms whose leading term is found by
+    max() over the whole dict at every step."""
+    key = ordering.key
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        lm = max(work, key=key)
+        lc = work.pop(lm)
+        for g, lmg in zip(basis, lms):
+            if divides(lmg, lm):
+                q = lc / g.terms[lmg]
+                shift = tuple(a - b for a, b in zip(lm, lmg))
+                for e, c in g.terms.items():
+                    if e != lmg:
+                        e = tuple(a + b for a, b in zip(e, shift))
+                        c = work.get(e, 0) - q * c
+                        if c:
+                            work[e] = c
+                        else:
+                            del work[e]
+                break
+        else:
+            remainder[lm] = lc
+    return Polynomial(remainder, f.num_vars)
+
+
+def polynomial_groebner(ideal, ordering):
+    """groebner's reduced basis, as a list of Polynomials, by the same
+    Buchberger run (normal selection, the coprime criterion, one
+    interreduction pass) with polynomial_s_polynomial and max_key_reduce in
+    place of the term-dict S-polynomials and the heap division."""
+    def sort_key(g):
+        return ordering.key(g.leading_monomial(ordering)), sorted(g.terms)
+
+    basis = []
+    for g in sorted((g.monic(ordering) for g in ideal.generators), key=sort_key):
+        if g not in basis:
+            basis.append(g)
+    lms = [g.leading_monomial(ordering) for g in basis]
+    # pairs leave the heap by (degree of the lcm, order of creation)
+    pairs = []
+    counter = itertools.count()
+
+    def push(j):
+        for i in range(j):
+            lcm = tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
+            if lcm != tuple(a + b for a, b in zip(lms[i], lms[j])):
+                heapq.heappush(pairs, (sum(lcm), next(counter), i, j))
+
+    for j in range(len(basis)):
+        push(j)
+    while pairs:
+        _, _, i, j = heapq.heappop(pairs)
+        s = polynomial_s_polynomial(basis[i], basis[j], ordering)
+        r = max_key_reduce(s, basis, lms, ordering)
+        if not r.is_zero():
+            basis.append(r.monic(ordering))
+            lms.append(basis[-1].leading_monomial(ordering))
+            push(len(basis) - 1)
+    keep = [
+        idx
+        for idx, lm in enumerate(lms)
+        if not any(
+            divides(lms[k], lm) and k != idx and (lms[k] != lm or k < idx)
+            for k in range(len(lms))
+        )
+    ]
+    reduced = [basis[k] for k in keep]
+    klms = [lms[k] for k in keep]
+    for idx in range(len(reduced)):
+        reduced[idx] = max_key_reduce(
+            reduced[idx],
+            reduced[:idx] + reduced[idx + 1 :],
+            klms[:idx] + klms[idx + 1 :],
+            ordering,
+        )
+    reduced.sort(key=sort_key)
+    return reduced
 
 
 def homogenized_basis_by_buchberger(affine_ideal, ordering):

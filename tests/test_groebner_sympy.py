@@ -1,7 +1,10 @@
 """Differential test of the Groebner engine against sympy.groebner.
 
 Random homogeneous ideals in 3 variables: the Hilbert function, which does
-not depend on the ordering, and under grevlex the monic reduced basis itself.
+not depend on the ordering, and under each ordering the monic reduced basis
+itself.  grlex-left is sympy's grevlex over the symbols in reverse order: at
+equal degree, x^a > x^b under either exactly when the first nonzero entry of
+a - b, read from x0, is negative.
 """
 
 from fractions import Fraction
@@ -44,8 +47,9 @@ def homogeneous_ideals(draw):
     return Ideal(gens, N)
 
 
-def _sympy_basis(ideal):
-    """sympy's reduced grevlex basis, each element monic, as term dicts."""
+def _sympy_basis(ideal, ordering):
+    """sympy's reduced basis under `ordering`, each element monic, as term
+    dicts: grevlex over x0, x1, x2, or over x2, x1, x0 for grlex-left."""
     exprs = [
         sum(
             int(c) * sympy.prod(x**k for x, k in zip(SYMBOLS, e))
@@ -53,24 +57,24 @@ def _sympy_basis(ideal):
         )
         for g in ideal.generators
     ]
-    basis = sympy.groebner(exprs, *SYMBOLS, order="grevlex", domain="QQ")
+    symbols = SYMBOLS if ordering is Ordering.GREVLEX else SYMBOLS[::-1]
+    basis = sympy.groebner(exprs, *symbols, order="grevlex", domain="QQ")
     out = []
     for g in basis.polys:
-        terms = {e: Fraction(int(c.p), int(c.q)) for e, c in g.terms()}
-        lc = terms[_leading(terms)]
+        terms = {
+            e if symbols is SYMBOLS else e[::-1]: Fraction(int(c.p), int(c.q))
+            for e, c in g.terms()
+        }
+        lc = terms[max(terms, key=ordering.key)]
         out.append({e: c / lc for e, c in terms.items()})
     return out
-
-
-def _leading(terms):
-    return max(terms, key=Ordering.GREVLEX.key)
 
 
 @settings(max_examples=40, deadline=None)
 @given(ideal=homogeneous_ideals())
 def test_matches_sympy_groebner(ideal):
-    expected = _sympy_basis(ideal)
-    lms = [_leading(t) for t in expected]
+    expected = _sympy_basis(ideal, Ordering.GREVLEX)
+    lms = [max(t, key=Ordering.GREVLEX.key) for t in expected]
     hf = [
         sum(
             not any(divides(lm, e) for lm in lms)
@@ -81,6 +85,7 @@ def test_matches_sympy_groebner(ideal):
     for ordering in Ordering:
         gb = groebner(ideal, ordering)
         assert [hilbert_function(gb, s) for s in range(S_MAX + 1)] == hf
-    gb = groebner(ideal, Ordering.GREVLEX)
-    ours = [g.terms for g in gb.basis]
-    assert sorted(ours, key=sorted) == sorted(expected, key=sorted)
+    for ordering in Ordering:
+        ours = [g.terms for g in groebner(ideal, ordering).basis]
+        expected = _sympy_basis(ideal, ordering)
+        assert sorted(ours, key=sorted) == sorted(expected, key=sorted)

@@ -32,8 +32,10 @@ from conftest import DATA, make_ideal
 from oracles import (
     hilbert_oracle,
     homogenized_basis_by_buchberger,
+    max_key_reduce,
     naive_staircase,
     ordering_bounds_by_buchberger,
+    polynomial_groebner,
 )
 
 GRLEX = Ordering.GRLEX_LEFT
@@ -68,6 +70,49 @@ def test_groebner_deterministic(twisted_cubic):
     assert gb1.basis == gb2.basis
 
 
+@st.composite
+def random_ideals(draw, homogeneous):
+    """1 to 3 generators in 2 or 3 variables, of degree at most 3, with
+    small rational coefficients; all of one degree each if homogeneous."""
+    n = draw(st.integers(2, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if homogeneous:
+            monos = list(monomials_of_degree(draw(st.integers(1, 3)), n))
+        else:
+            monos = [e for s in range(4) for e in monomials_of_degree(s, n)]
+        terms = draw(
+            st.dictionaries(
+                st.sampled_from(monos),
+                st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        g = Polynomial(terms, n)
+        if not g.is_zero():
+            gens.append(g)
+    if not gens:
+        gens.append(Polynomial.variable(0, n))
+    return Ideal(gens, n)
+
+
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["forms", "affine"])
+@pytest.mark.parametrize("ordering", [GRLEX, GREVLEX])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_groebner_matches_polynomial_buchberger(homogeneous, ordering, data):
+    # the term-dict S-polynomials and the heap division give the basis of
+    # the whole-Polynomial run: same elements, same order, same terms
+    ideal = data.draw(random_ideals(homogeneous))
+    gb = groebner(ideal, ordering)
+    expected = polynomial_groebner(ideal, ordering)
+    assert [g.terms for g in gb.basis] == [g.terms for g in expected]
+    assert gb.leading_monomials == [
+        g.leading_monomial(ordering) for g in expected
+    ]
+
+
 # -- normal form -----------------------------------------------------------
 
 
@@ -91,6 +136,36 @@ def test_normal_form_staircase_representative(conic):
     for e in nf.support():
         for lm in gb.leading_monomials:
             assert not all(a <= b for a, b in zip(lm, e))
+
+
+@pytest.mark.parametrize("ordering", [GRLEX, GREVLEX])
+def test_normal_form_of_staircase_support_is_its_input(ordering):
+    # no leading monomial divides a term: the remainder is f, shared
+    for name, ideal in _data_ideals():
+        gb = groebner(ideal, ordering)
+        for delta in range(4):
+            exps = staircase(gb, delta).exponents
+            if exps:
+                f = Polynomial({e: k + 1 for k, e in enumerate(exps)},
+                               gb.num_vars)
+                assert normal_form(f, gb) is f, (name, delta)
+    zero = Polynomial.zero(3)
+    assert normal_form(zero, groebner(make_ideal(["x0"], 3), ordering)) is zero
+
+
+def test_normal_form_divides_by_every_leading_monomial(twisted_cubic):
+    # each term of f is divisible by one leading monomial only, and not by
+    # the first: the division runs and leaves f's staircase terms
+    gb = groebner(twisted_cubic, GRLEX)
+    first = gb.leading_monomials[0]
+    for lm, g in zip(gb.leading_monomials[1:], gb.basis[1:]):
+        assert not divides(first, lm)
+        f = Polynomial({lm: 3, (0, 0, 0, 2): 1}, 4)
+        nf = normal_form(f, gb)
+        assert nf is not f
+        assert nf == f - g * 3 == max_key_reduce(
+            f, gb.basis, gb.leading_monomials, GRLEX
+        )
 
 
 def test_normal_form_idempotent(twisted_cubic):
@@ -169,7 +244,7 @@ def monomial_ideals(draw, max_vars=5, max_exponent=4, max_gens=5):
 @example(case=(4, [(0, 3, 0, 0), (1, 0, 1, 1)]), ordering=GREVLEX)  # x1^3
 def test_staircase_matches_naive_filter_on_monomial_ideals(case, ordering):
     n, gens = case
-    ideal = Ideal([Polynomial.monomial(e, n, 1) for e in gens], n)
+    ideal = Ideal([Polynomial({e: 1}, n) for e in gens], n)
     gb = groebner(ideal, ordering)
     for delta in range(9):
         assert staircase(gb, delta).exponents == naive_staircase(gb, delta)
@@ -187,10 +262,10 @@ def test_staircase_matches_naive_filter_on_monomial_ideals(case, ordering):
 @example(case=(3, [(0, 2, 0), (1, 1, 1)]), ordering=GRLEX, delta=3)
 def test_verifier_finds_lt_exactly_outside_the_staircase(case, ordering, delta):
     n, gens = case
-    gb = groebner(Ideal([Polynomial.monomial(e, n, 1) for e in gens], n), ordering)
+    gb = groebner(Ideal([Polynomial({e: 1}, n) for e in gens], n), ordering)
     standard = set(naive_staircase(gb, delta))
     for e in monomials_of_degree(delta, n):
-        cert = AuxiliaryCertificate(Polynomial.monomial(e, n, 1), delta, (), ())
+        cert = AuxiliaryCertificate(Polynomial({e: 1}, n), delta, (), ())
         in_lt = f"support monomial {e} lies in LT(I)" in verify_certificate(
             cert, (), gb
         )
@@ -269,7 +344,7 @@ def test_series_matches_staircase_listing_on_data_and_corpus_ideals(ordering):
 @example(case=(3, [(2, 0, 0), (1, 1, 0), (0, 2, 1)]), ordering=GREVLEX)
 def test_series_matches_brute_force_count_on_monomial_ideals(case, ordering):
     n, gens = case
-    gb = groebner(Ideal([Polynomial.monomial(e, n, 1) for e in gens], n), ordering)
+    gb = groebner(Ideal([Polynomial({e: 1}, n) for e in gens], n), ordering)
     for s in range(12):
         standard = [
             e

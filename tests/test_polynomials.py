@@ -76,6 +76,12 @@ class TestOrderingAxioms:
         assert (ka == kb) == (a == b)
         assert [ka < kb, a == b, kb < ka].count(True) == 1
 
+    @given(a=exponents, b=exponents)
+    def test_heap_key_reverses_key(self, ordering, a, b):
+        assert (ordering.heap_key(a) < ordering.heap_key(b)) == (
+            ordering.key(b) < ordering.key(a)
+        )
+
 
 # -- leading monomials -----------------------------------------------------
 
