@@ -4,7 +4,12 @@ kernels, box covering, and certified auxiliary polynomials.
 Each cover builds one monomial matrix, one row per enumerated point, and a
 box's matrix is its restriction to the box's points.  A box is certified by
 one kernel vector, the first-free-column vector that exact_kernel returns in
-exact integers, or subdivided if its matrix has full rank.
+exact integers, or subdivided if its matrix has full rank.  That vector is
+the kernel vector with the smallest last column, unique up to scale (two
+independent ones would combine to one with a smaller last column), so the
+column order of the elimination that finds it cannot change it: the
+elimination runs from the ordering-smallest column down, where the entries
+are small.
 
 Two covering strategies exist.  The default, adaptive bisection, starts from
 the whole height box and bisects the longest axis of any sub-box whose
@@ -163,16 +168,22 @@ def exact_kernel(mat, low=0):
     entry of the ordering-largest monomial in its support), with
     sum_e c_e * (x^(j))^e = 0 at every point j and support ending at the first
     free column f of the rows' echelon form: the first vector of the basis
-    read off the reduced echelon form, and the one a certificate uses.
+    read off the reduced echelon form, and the one a certificate uses.  It is
+    the kernel vector with the smallest last column, and that vector is
+    unique up to scale: two independent kernel vectors with the same last
+    column would combine to one with a smaller last column.
 
     All arithmetic is on integers.  A box with fewer than mu points goes
-    straight to primitive-row elimination of all its rows.  A larger box
-    first runs a rank screen over its rows in order (_independent_mod_p):
-    mu rows independent modulo KERNEL_PRIME have a mu x mu minor nonzero
-    mod P, hence nonzero, so there is no kernel.  If those mu rows all lie
-    among the first `low` rows, the result is False instead of None (falsy
-    too): the first `low` rows alone have full rank, which lets the adaptive
-    cover split a child box made of them without a kernel call.
+    straight to _first_kernel_vector on all its rows, which eliminates them
+    from the ordering-smallest column of the block it needs down to column
+    0; by that uniqueness the column order cannot change the vector.  A
+    larger box first runs a rank screen over its rows in order
+    (_independent_mod_p): mu rows independent modulo KERNEL_PRIME have a
+    mu x mu minor nonzero mod P, hence nonzero, so there is no kernel.  If
+    those mu rows all lie among the first `low` rows, the result is False
+    instead of None (falsy too): the first `low` rows alone have full rank,
+    which lets the adaptive cover split a child box made of them without a
+    kernel call.
 
     Otherwise the r < mu rows independent mod P are eliminated, and the
     vector is checked against every row with exact dot products.  The
@@ -254,55 +265,91 @@ def _first_kernel_vector(rows, mu):
     """exact_kernel's vector for the given integer rows of length mu, or None
     if they have rank mu.
 
-    Primitive-row elimination runs column by column and stops at the first
-    column f without a pivot.  Columns 0..f-1 then hold the pivots, and with
-    r rows f is at most r, so only the first r+1 columns are touched.  Each
-    step takes the row with the smallest nonzero entry pv in the column as
-    pivot row, replaces each other row with entry g there by
-    (pv/h)*row - (g/h)*pivot row, h = gcd(pv, g), and divides it by its
-    content; rows are kept from the current column on.  The row that
-    fraction-free (Bareiss) elimination would hold with the same pivots, its
-    entries minors of the matrix, is an integer multiple of each row here;
-    on Vandermonde-like rows most of those minors' size is a common factor,
-    which the division drops.  Back-substitution of column f stays in
-    integers: before x_k is solved from pivot d_k and the partial sum s, the
-    vector found so far is scaled by d_k/gcd(s, d_k), so
-    x_k = -s/gcd(s, d_k).  The vector on columns 0..f is unique up to scale,
-    so neither the pivot choice nor the scaling changes the primitive
-    result.
+    With r rows any r + 1 columns hold a kernel vector, so the vector, the
+    kernel vector with the smallest last column, lies in K, the kernel of
+    the block of columns 0..w-1, w = min(mu, r + 1), and every vector of K,
+    padded with zeros, is a kernel vector of the rows.  In K it is unique up
+    to scale (two independent vectors with the same last column combine to
+    one with a smaller last column), so any basis of K determines it, and
+    the column order of the elimination cannot change the result.
+
+    _eliminate runs the block from its ordering-smallest column w-1 down to
+    column 0.  The monomial matrix's columns run from the highest affine
+    degree down to 1, so this is Newton's divided differences in integers:
+    each content division removes a coordinate difference while the entries
+    are still small.  A pivot row of column c ends at c, so back-substitution
+    gives one vector of K per free column j, upwards in integers: x_j = 1,
+    0 at the other free columns, and at each pivot column c above j, with
+    pivot entry d and partial sum s, the vector so far is scaled by
+    d/gcd(s, d) and x_c = -s/gcd(s, d).  With two or more free columns the
+    basis runs through _eliminate too: after each column the vectors left
+    span the vectors of K that end below it, so the pivot of the smallest
+    column, taken when one vector was left, ends at the smallest last
+    column.
     """
     width = min(mu, len(rows) + 1)
+    pivots = _eliminate(rows, width)
+    free = [j for j, top in enumerate(pivots) if top is None]
+    if not free:
+        return None  # a pivot in each of the mu columns
+    basis = []
+    for j in free:
+        x = [1]  # x_j..x_(c-1), as c rises from j + 1
+        for c in range(j + 1, width):
+            top = pivots[c]
+            if top is None:
+                x.append(0)
+                continue
+            s = sum(map(mul, top[j:c], x))
+            h = math.gcd(s, top[c])
+            t = top[c] // h
+            x = [v * t for v in x]
+            x.append(-s // h)
+        basis.append([0] * j + x)
+    if len(basis) == 1:
+        vec = basis[0]
+    else:
+        vec = next(v for v in _eliminate(basis, width) if v is not None)
+    return _primitive_vector(vec + [0] * (mu - len(vec)))
+
+
+def _eliminate(rows, width):
+    """Primitive-row elimination of the rows' columns 0..width-1, from
+    column width-1 down to 0: the list of pivot rows by column, None at a
+    column without a pivot.
+
+    Each step takes the row with the smallest nonzero entry pv in column c
+    as pivot row, replaces each other row with entry g there by
+    (pv/h)*row - (g/h)*pivot row, h = gcd(pv, g), on columns 0..c-1, and
+    divides it by its content.  A row not combined keeps its entries
+    beyond c, which are zero, so a pivot row's support ends at its column.
+    The row that fraction-free (Bareiss) elimination would hold with the
+    same pivots, its entries minors of the matrix, is an integer multiple
+    of each row here; on Vandermonde-like rows most of those minors' size
+    is a common factor, which the division drops.
+    """
+    pivots = [None] * width
     m = [row[:width] for row in rows]
-    pivots = []
-    for f in range(width):
+    for c in range(width - 1, -1, -1):
         piv = None
         for i, row in enumerate(m):
-            if row[0] and (piv is None or abs(row[0]) < abs(m[piv][0])):
+            if row[c] and (piv is None or abs(row[c]) < abs(m[piv][c])):
                 piv = i
         if piv is None:
-            break
-        top = m.pop(piv)
-        pivots.append(top)
-        pv = top[0]
+            continue
+        top = pivots[c] = m.pop(piv)
+        pv, head = top[c], top[:c]
         for i, row in enumerate(m):
-            g = row[0]
+            g = row[c]
             if g:
                 h = math.gcd(pv, g)
                 a, b = pv // h, g // h
-                row = [a * x - b * y for x, y in zip(row, top)]
-                c = math.gcd(*row)
-                if c > 1:
-                    row = [x // c for x in row]
-            m[i] = row[1:]
-    else:
-        return None  # a pivot in each of the mu columns
-    x = [1]  # x_k..x_f, as k falls from f
-    for row in reversed(pivots):
-        s = sum(a * b for a, b in zip(row[1:], x))
-        h = math.gcd(s, row[0])
-        t = row[0] // h
-        x = [-s // h] + [v * t for v in x]
-    return _primitive_vector(x + [0] * (mu - len(x)))
+                row = [a * x - b * y for x, y in zip(row, head)]
+                k = math.gcd(*row)
+                if k > 1:
+                    row = [x // k for x in row]
+                m[i] = row
+    return pivots
 
 
 def _primitive_vector(vec):

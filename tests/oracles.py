@@ -148,6 +148,52 @@ def list_screen(residues, mu, p):
     return chosen
 
 
+def forward_kernel_vector(rows, mu):
+    """The first-free-column kernel vector of the integer rows of length mu,
+    primitive and positive at its first nonzero entry, or None at rank mu:
+    primitive-row elimination from column 0 up, stopping at the first column
+    f without a pivot, then back-substitution of column f alone.  Each step
+    takes the row with the smallest nonzero entry pv in the column as pivot
+    row, replaces each other row with entry g there by (pv/h)*row -
+    (g/h)*pivot row, h = gcd(pv, g), and divides it by its content."""
+    width = min(mu, len(rows) + 1)
+    m = [row[:width] for row in rows]
+    pivots = []
+    for _ in range(width):
+        piv = None
+        for i, row in enumerate(m):
+            if row[0] and (piv is None or abs(row[0]) < abs(m[piv][0])):
+                piv = i
+        if piv is None:
+            break
+        top = m.pop(piv)
+        pivots.append(top)
+        pv = top[0]
+        for i, row in enumerate(m):
+            g = row[0]
+            if g:
+                h = gcd(pv, g)
+                a, b = pv // h, g // h
+                row = [a * x - b * y for x, y in zip(row, top)]
+                c = gcd(*row)
+                if c > 1:
+                    row = [x // c for x in row]
+            m[i] = row[1:]
+    else:
+        return None  # a pivot in each of the mu columns
+    x = [1]  # x_k..x_f, as k falls from f
+    for row in reversed(pivots):
+        s = sum(a * b for a, b in zip(row[1:], x))
+        h = gcd(s, row[0])
+        t = row[0] // h
+        x = [-s // h] + [v * t for v in x]
+    vec = x + [0] * (mu - len(x))
+    g = gcd(*vec)
+    if next(v for v in vec if v) < 0:
+        g = -g
+    return tuple(v // g for v in vec)
+
+
 def exact_determinant(rows):
     """Fraction-exact determinant via elimination (small matrices)."""
     mat = [[Fraction(v) for v in row] for row in rows]

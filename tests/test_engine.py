@@ -46,6 +46,7 @@ from conftest import DATA, make_ideal
 from oracles import (
     entrywise_matrix_rows,
     exact_determinant,
+    forward_kernel_vector,
     list_screen,
     rational_kernel,
     rational_rank,
@@ -395,6 +396,89 @@ def test_elimination_matches_oracle_on_awkward_rows(rows):
     expected = _first_oracle_vector(mat)
     assert engine._first_kernel_vector(mat.rows, len(rows[0])) == expected
     assert exact_kernel(mat) == expected
+
+
+# -- the elimination from the ordering-smallest column ------------------------
+
+
+@st.composite
+def integer_rows(draw):
+    """r = 1..mu+2 integer rows of length mu = 1..30: random entries, a
+    random rank, or Vandermonde rows (x^(mu-1), ..., x, 1) of up to 25
+    columns with repeated nodes possible; then some columns zeroed, and
+    some rows replaced by a multiple (1 repeats it) of another row."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shape = draw(st.sampled_from(["entries", "rank", "vandermonde"]))
+    mu = draw(st.integers(1, 25 if shape == "vandermonde" else 30))
+    r = draw(st.integers(1, mu + 2))
+    if shape == "vandermonde":
+        xs = [rng.randint(-12, 12) for _ in range(r)]
+        rows = [[x**k for k in reversed(range(mu))] for x in xs]
+    else:
+        size = draw(st.sampled_from([1, 10, 1000, 10**12]))
+        rank = r if shape == "entries" else draw(st.integers(0, min(r, mu)))
+        basis = [[rng.randint(-size, size) for _ in range(mu)] for _ in range(rank)]
+        rows = [
+            [sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(mu)]
+            for _ in range(r)
+        ] if shape == "rank" else basis
+    zero = draw(st.sets(st.integers(0, mu - 1), max_size=3))
+    rows = [[0 if j in zero else v for j, v in enumerate(row)] for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        i, k = rng.randrange(r), rng.randrange(r)
+        rows[i] = [draw(st.sampled_from([1, -1, 3, 10**9])) * v for v in rows[k]]
+    return rows, mu
+
+
+@settings(max_examples=80, deadline=None)
+@given(integer_rows())
+def test_elimination_matches_forward_elimination_and_rational_oracle(case):
+    """The elimination from the ordering-smallest column returns the forward
+    elimination's first-free-column vector, and rational_kernel's first."""
+    rows, mu = case
+    vec = engine._first_kernel_vector(rows, mu)
+    assert vec == forward_kernel_vector(rows, mu)
+    assert vec == _first_oracle_vector(_matrix(rows))
+
+
+def _block_kernel_dimension(rows, mu):
+    width = min(mu, len(rows) + 1)
+    return width - rational_rank([row[:width] for row in rows])
+
+
+def test_elimination_full_rank_is_none():
+    """Distinct Vandermonde nodes, square: a pivot in every column."""
+    rows = [[x**k for k in reversed(range(4))] for x in (-2, 1, 3, 7)]
+    assert _block_kernel_dimension(rows, 4) == 0
+    assert engine._first_kernel_vector(rows, 4) is None
+    assert forward_kernel_vector(rows, 4) is None
+
+
+def test_elimination_reduces_a_kernel_basis_of_dimension_two(monkeypatch):
+    """Rank 2 on the block of columns 0..3 leaves two free columns, so the
+    basis of K runs through the elimination a second time, and the
+    reduction keeps the vector with the smallest last column, 2."""
+    rows = [[1, 1, 1, 1, 9], [1, 2, 3, 4, 9], [2, 3, 4, 5, 18]]
+    assert _block_kernel_dimension(rows, 5) == 2
+    sizes = _spy(monkeypatch, "_eliminate", lambda rows, width: len(rows))
+    vec = engine._first_kernel_vector(rows, 5)
+    assert sizes == [3, 2]
+    assert vec == (1, -2, 1, 0, 0)
+    assert vec == forward_kernel_vector(rows, 5) == _first_oracle_vector(_matrix(rows))
+
+
+def test_elimination_divides_combined_rows_by_their_content():
+    """Vandermonde rows (x^5, ..., x, 1): the pivot of the column of ones
+    is row 0 as given, and each other row, once combined with it, holds
+    x^k - x_0^k, a multiple of x - x_0 that the content division removes,
+    so every later pivot row is primitive and no larger than the input.
+    Five rows leave column 0 free."""
+    rows = [[x**k for k in reversed(range(6))] for x in (2, 5, 11, 17, -3)]
+    pivots = engine._eliminate(rows, 6)
+    assert pivots[0] is None and pivots[5] == rows[0]
+    for top in pivots[1:5]:
+        assert math.gcd(*top) == 1
+        assert max(map(abs, top)) <= 17**5
 
 
 # -- the packed screen and the column-wise matrix ----------------------------

@@ -10,7 +10,7 @@ from detmethod.engine import run_basis
 
 from conftest import DATA
 from oracles import rational_kernel, rational_rank
-from test_engine import _kernel_calls
+from test_engine import _block_kernel_dimension, _kernel_calls
 
 SURFACES = DATA / "surfaces"
 
@@ -39,25 +39,30 @@ def _projective(name, b, delta):
     return cover_and_construct(gb, HeightBox((b,) * 4), delta=delta)
 
 
+RUNS = {
+    "saddle": lambda: affine_pipeline(load_ideal(SURFACES / "saddle.ideal"), 12, delta=3),
+    "segre_quadric": lambda: _projective("segre_quadric.ideal", 3, 2),
+    # one box of 112 points, mu = 52: the rank stops growing at 32
+    "quartic_surface": lambda: _projective("quartic_surface.ideal", 3, 5),
+}
+
+
 @pytest.mark.parametrize(
-    "run, paths",
+    "name, paths",
     [
-        (lambda: affine_pipeline(load_ideal(SURFACES / "saddle.ideal"), 12, delta=3),
-         {"early stop", "screen to the end"}),
-        (lambda: _projective("segre_quadric.ideal", 3, 2),
-         {"early stop", "screen to the end"}),
-        # one box of 112 points, mu = 52: the rank stops growing at 32
-        (lambda: _projective("quartic_surface.ideal", 3, 5), {"early stop"}),
+        ("saddle", {"early stop", "screen to the end"}),
+        ("segre_quadric", {"early stop", "screen to the end"}),
+        ("quartic_surface", {"early stop"}),
     ],
-    ids=["saddle", "segre_quadric", "quartic_surface"],
+    ids=list(RUNS),
 )
-def test_surface_kernels_match_the_oracle(monkeypatch, run, paths):
+def test_surface_kernels_match_the_oracle(monkeypatch, name, paths):
     """Every kernel call answers as the rational oracle does (a False
     verdict: the first `low` rows have rank mu), and among the screened
     calls that return a vector, some stop early and some read every row."""
     calls = _kernel_calls(monkeypatch)
     reads = _rows_screened(monkeypatch)
-    run()
+    RUNS[name]()
     reads = iter(reads)
     seen = set()
     for mat, low, result in calls:
@@ -70,3 +75,42 @@ def test_surface_kernels_match_the_oracle(monkeypatch, run, paths):
         if result and read is not None:
             seen.add("early stop" if read < len(mat.rows) else "screen to the end")
     assert seen == paths
+
+
+def _eliminations(monkeypatch):
+    """Wrap engine._first_kernel_vector and engine._eliminate so that each
+    elimination appends (rows, mu, sizes) to the returned list, sizes
+    being the number of rows of each _eliminate call it makes."""
+    calls = []
+    first, eliminate = engine._first_kernel_vector, engine._eliminate
+
+    def first_spy(rows, mu):
+        calls.append((rows, mu, []))
+        return first(rows, mu)
+
+    def eliminate_spy(rows, width):
+        calls[-1][2].append(len(rows))
+        return eliminate(rows, width)
+
+    monkeypatch.setattr(engine, "_first_kernel_vector", first_spy)
+    monkeypatch.setattr(engine, "_eliminate", eliminate_spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, reduced, eliminations",
+    [("saddle", 8, 16), ("segre_quadric", 3, 9), ("quartic_surface", 1, 1)],
+    ids=list(RUNS),
+)
+def test_surface_eliminations_reduce_kernel_bases(monkeypatch, name, reduced, eliminations):
+    """On surfaces a box's chosen rows can leave two or more free columns
+    in the block of columns 0..w-1, w = min(mu, r + 1): the elimination then
+    reduces a kernel basis of that size, one vector per free column, to the
+    vector with the smallest last column."""
+    calls = _eliminations(monkeypatch)
+    RUNS[name]()
+    assert len(calls) == eliminations
+    for rows, mu, sizes in calls:
+        free = _block_kernel_dimension(rows, mu)
+        assert sizes == ([len(rows), free] if free >= 2 else [len(rows)])
+    assert sum(len(sizes) == 2 for _, _, sizes in calls) == reduced
