@@ -33,8 +33,8 @@ from .engine import (
     affine_pipeline,
     coverage_failure,
     cover_and_construct,
-    lifted_points,
     run_basis,
+    run_points,
     verify_certificate,
 )
 from .errors import (
@@ -305,17 +305,13 @@ def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET, path=None):
     a certificate whose poly does not parse is named with the report's path.
 
     This parses the report, checks that each listed point lies in S(X,B)
-    and that the top-level counts and point lists match it;
+    (engine.run_points) and that the top-level counts and point lists match it;
     engine.verify_certificate and engine.coverage_failure do the rest, as
     they do for the engine's own output."""
     mode, ordering, delta, heights = _report_params(data, ideal.num_vars)
     certificates = _field(data, "certificates", list)
     gb = run_basis(ideal, mode, ordering)
-    if mode == "affine":
-        expected = lifted_points(ideal, heights[1], budget).points
-    else:
-        box = HeightBox(tuple(heights))
-        expected = enumerate_projective(ideal, box, budget=budget).points
+    expected = run_points(ideal, mode, HeightBox(tuple(heights)), budget).points
     index = {p: i for i, p in enumerate(expected)}
 
     failures = []

@@ -27,9 +27,10 @@ once, for the monomial matrix.  Every certificate passes verify_certificate
 (LT(I) membership by divisibility), and the set coverage_failure, before a
 report leaves the engine; `detmethod verify` runs the same two checks.
 
-run_basis (the basis of each mode) and lifted_points (an affine run's points
-(1, x)) decide what a run covers, for the engine and `detmethod verify`
-alike.  A run tallies its points' classes S_i with class_index.
+One body, cover_and_construct, runs both modes: it decides delta, M(delta)
+and the exponents, then enumerates through run_points and builds its report
+once.  run_basis and run_points (the points (1, x) of an affine run) decide
+what a run covers, for the engine and `detmethod verify` alike.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from .ideals import (
 from .points import (
     DEFAULT_BUDGET,
     HeightBox,
-    PointSet,
     class_index,
     enumerate_affine,
     enumerate_projective,
@@ -409,16 +409,17 @@ def verify_certificate(cert, points, gb):
     no leading monomial divides it, so M(delta) itself is never listed.  The
     checks stay in integers where the data are: Polynomial.evaluate clears
     the certificate's denominators on its first call and sums the kept
-    integer terms at each covered integer point.  On a certificate whose
-    support lies outside LT(I), normal_form costs one divisibility test per
-    term and leading monomial and returns the certificate itself; only a
-    support that meets LT(I) runs the division."""
+    integer terms at each covered integer point.  normal_form returns the
+    certificate itself, after one divisibility test per term and leading
+    monomial, exactly when its support lies outside LT(I); only a support
+    that meets LT(I) runs the division, and a test per monomial to name it."""
     poly = cert.poly
     if poly.is_zero():
         return ["zero polynomial"]
     failures = []
     if not poly.integer_coefficients():
         failures.append("non-integer coefficients")
+    remainder = normal_form(poly, gb)
     delta = cert.support_delta
     for e in poly.support():
         if sum(e) != delta:
@@ -426,13 +427,13 @@ def verify_certificate(cert, points, gb):
                 f"support monomial {e} has degree {sum(e)}, not delta = {delta}"
             )
             break
-        if any(divides(lm, e) for lm in gb.leading_monomials):
+        if remainder is not poly and any(divides(lm, e) for lm in gb.leading_monomials):
             failures.append(f"support monomial {e} lies in LT(I)")
             break
     for idx in cert.points_covered:
         if poly.evaluate(points[idx]) != 0:
             failures.append(f"does not vanish at {points[idx]}")
-    if normal_form(poly, gb).is_zero():
+    if remainder.is_zero():
         failures.append("lies in the ideal")
     return failures
 
@@ -498,27 +499,29 @@ def theoretical_rho(box, sigma, mu, m, norm_bound):
     f = choose_nu(mu, m).e
     if f <= 0:
         raise DegenerateIdealError("f = 0: determinant exponent budget is empty")
-    try:
-        n = Fraction(norm_bound)
-    except (OverflowError, ValueError):  # an infinity or a NaN
-        n = 0
-    if n <= 0:
-        raise InputError(f"norm bound must be a positive rational, got {norm_bound}")
-    k = determinant_bound_exact((mu, m, (n,) * mu, 1))
+    k = determinant_bound_exact((mu, m, (_norm_bound(norm_bound),) * mu, 1))
     for s_i, b_i in zip(sigma, box.bounds):
         k *= Fraction(b_i) ** s_i
     q = max(2, iroot(math.floor(k), f) + 1)
     return Fraction(1, q), (2 * q) ** m
 
 
+def _norm_bound(norm_bound):
+    """The norm bound as a Fraction, which must be positive and finite."""
+    with contextlib.suppress(OverflowError, ValueError):  # an infinity or a NaN
+        if (n := Fraction(norm_bound)) > 0:
+            return n
+    raise InputError(f"norm bound must be a positive rational, got {norm_bound}")
+
+
 # -- pipeline --------------------------------------------------------------
 
 
 class PipelineReport(SimpleNamespace):
-    """A run's result, built by cover_and_construct with every field given
-    by keyword; affine_pipeline then sets mode, affine_points and
-    ordering_bound.  The fields: mode, heights, delta, epsilon, ordering,
-    strategy, dimension, degree, mu, nu, f, sigma; points (the enumerated
+    """A run's result, built once by cover_and_construct, the one body of
+    both modes, with every field given by keyword and none changed after:
+    mode, heights, delta, epsilon, ordering, strategy, dimension, degree,
+    mu, nu, f, sigma; points (the enumerated
     homogeneous representatives); affine_points (affine mode only, else ());
     class_counts, certificates, k_actual, k_bound_exponents; k_bound_value
     (None beyond the largest double); rho (a Fraction 1/q, written "1/q"),
@@ -636,9 +639,11 @@ def _adaptive_cover(mat, sc, gb, timings):
     return certs, max_depth
 
 
-def _theoretical_cover(
-    mat, sc, gb, box, sigma, mu, m, norm_bound, param, timings, derived
-):
+def _theoretical_cover(mat, sc, gb, box, sigma, mu, m, nu, norm_bound, chart, timings):
+    if chart is not None:  # a derived bound: a full-rank cube falsifies it
+        norm_bound, param = chart_norm_bound(chart, sc, nu), chart.param
+    else:
+        param = lambda p: tau_normalize(p, box)[1:2]
     rho, cube_count = theoretical_rho(box, sigma, mu, m, norm_bound)
     q = rho.denominator
     groups = {}
@@ -652,7 +657,7 @@ def _theoretical_cover(
         desc = tuple((Fraction(k, q) - 1, Fraction(k + 1, q) - 1) for k in key)
         cert = auxiliary_for_box(mat, idxs, sc, gb, desc, timings)
         if cert is None:
-            if derived:
+            if chart is not None:
                 raise TheoreticalFalsificationError(
                     f"occupied rho-cube {key} has a full-rank matrix; this "
                     f"contradicts the determinant estimate (rho={rho})"
@@ -728,22 +733,21 @@ def cover_and_construct(
     norm_bound=None,
     chart=None,
     budget=DEFAULT_BUDGET,
-    point_set=None,
+    affine_ideal=None,
     epsilon=None,
 ):
     """Run the covering construction over S(X, B) for the full GroebnerBasis
-    gb of a homogeneous ideal, under gb's ordering.  Exactly one of delta and
-    epsilon is set: the support degree is delta, or else choose_delta's
-    degree, and the report then carries choose_delta's report as
-    delta_report.  The reported mu is the matrix width len(M(delta)), and
-    nu, f, sigma and the k-bound exponents come from _exponents at that mu.
+    gb of a homogeneous ideal, under gb's ordering; with affine_ideal, gb is
+    that of its I^h, box is (1, B, ..., B), and the run is affine.  Exactly
+    one of delta and epsilon is set: the support degree is delta, or else
+    choose_delta's degree, whose report is then delta_report.  The reported
+    mu is len(M(delta)), and nu, f, sigma and the k-bound exponents come from
+    _exponents at that mu, all decided before run_points, as is each refusal
+    that needs no point.
 
     An empty staircase (mu = 0) puts every degree-delta form in I, x_i^delta
     among them; a point with x_i != 0 would keep x_i^delta out of I, so
     S(X, B) is empty and the report vacuous.
-
-    The theoretical strategy reads exactly one of a chart and a norm bound,
-    and the adaptive strategy neither (_require_options).
 
     Every enumerated point ends up covered by at least one certificate, or the
     run raises (degeneracy / falsification); nothing is silently skipped.
@@ -756,12 +760,21 @@ def cover_and_construct(
     m, d = gb.dimension_degree
     sc = staircase(gb, delta)
     mu = len(sc.exponents)
+    nu, f, sigma, exps = _exponents(gb, delta, m, mu)
+    if strategy == "theoretical" and chart is None and m > 1:
+        raise InputError(
+            "built-in parameter map only covers curves (m=1); "
+            "supply a chart for higher dimension"
+        )
 
-    if point_set is None:
-        point_set = enumerate_projective(gb.ideal, box, budget=budget)
+    mode = "projective" if affine_ideal is None else "affine"
+    point_set = run_points(affine_ideal or gb.ideal, mode, box, budget)
     points = point_set.points
-    tally = Counter(class_index(p, point_set.box) for p in points)
-    class_counts = tuple(tally[i] for i in range(len(point_set.box.bounds)))
+    tally = Counter(class_index(p, box) for p in points)
+    class_counts = tuple(tally[i] for i in range(len(box.bounds)))
+    # x0 = 1 with B_0 = 1 forces class 0; checked, not assumed
+    if mode == "affine" and any(class_counts[1:]):
+        raise AssertionError(f"lifted points escaped S_0: {class_counts}")
     timings = {
         "points_s": point_set.seconds,
         "points_fibres": point_set.fibres,
@@ -771,31 +784,19 @@ def cover_and_construct(
         "kernel_calls": 0,
     }
 
-    if m < 1 and points:
-        raise DegenerateIdealError(
-            "variety has dimension < 1; no auxiliary polynomial exists "
-            "outside a zero-dimensional point's ideal"
-        )
-    nu, f, sigma, exps = _exponents(gb, delta, m, mu)
-
     certs = []
     rho = cube_count = max_depth = None
     if points:
+        if m < 1:
+            raise DegenerateIdealError(
+                "variety has dimension < 1; no auxiliary polynomial exists "
+                "outside a zero-dimensional point's ideal"
+            )
         if mu < 2:
             raise DegenerateIdealError(
                 f"mu = {mu} at delta={delta}: the staircase admits no "
                 "nontrivial vanishing polynomial"
             )
-        if strategy == "theoretical":
-            if chart is not None:
-                nb, param = chart_norm_bound(chart, sc, nu), chart.param
-            elif m != 1:
-                raise InputError(
-                    "built-in parameter map only covers curves (m=1); "
-                    "supply a chart for higher dimension"
-                )
-            else:
-                nb, param = norm_bound, lambda p: tau_normalize(p, box)[1:2]
         start = perf_counter()
         mat = build_matrix(points, sc)
         timings["matrix_s"] = perf_counter() - start
@@ -803,8 +804,7 @@ def cover_and_construct(
             certs, max_depth = _adaptive_cover(mat, sc, gb, timings)
         else:
             certs, rho, cube_count = _theoretical_cover(
-                mat, sc, gb, box, sigma, mu, m, nb, param, timings,
-                derived=chart is not None,
+                mat, sc, gb, box, sigma, mu, m, nu, norm_bound, chart, timings
             )
 
     k_val = 0.0
@@ -821,8 +821,11 @@ def cover_and_construct(
     if failures or uncovered:
         raise AssertionError(f"internal verification failed: {failures or uncovered}")
 
+    ordering_bound = None
+    if mode == "affine" and m >= 0:  # else 1 lies in I and HF of I^h vanishes
+        ordering_bound = affine_ordering_bound(affine_ideal, ORDERING_BOUND_S)
     return PipelineReport(
-        mode="projective",
+        mode=mode,
         heights=box.bounds,
         delta=delta,
         epsilon=epsilon,
@@ -835,7 +838,7 @@ def cover_and_construct(
         f=f,
         sigma=sigma,
         points=points,
-        affine_points=(),
+        affine_points=tuple(p[1:] for p in points) if mode == "affine" else (),
         class_counts=class_counts,
         certificates=certs,
         k_actual=delta * len(certs),
@@ -845,7 +848,7 @@ def cover_and_construct(
         cube_count=cube_count,
         max_depth=max_depth,
         vacuous=not points,
-        ordering_bound=None,
+        ordering_bound=ordering_bound,
         delta_report=delta_report,
         num_vars=gb.num_vars,
         timings=timings,
@@ -853,6 +856,9 @@ def cover_and_construct(
 
 
 def _require_options(delta, epsilon, strategy, norm_bound, chart):
+    """The one options check, before any Buchberger run or run_points in
+    either mode: one of delta and epsilon, a known strategy, and one of a
+    chart and a positive finite norm bound for the theoretical strategy only."""
     if (delta is None) == (epsilon is None):
         raise InputError("exactly one of delta / epsilon must be set")
     if strategy not in ("adaptive", "theoretical"):
@@ -862,6 +868,8 @@ def _require_options(delta, epsilon, strategy, norm_bound, chart):
             "the theoretical strategy needs exactly one of a chart and a norm "
             "bound; the adaptive strategy takes neither"
         )
+    if norm_bound is not None:
+        _norm_bound(norm_bound)
 
 
 def run_basis(ideal, mode, ordering):
@@ -874,13 +882,13 @@ def run_basis(ideal, mode, ordering):
     return groebner(ideal, ordering)
 
 
-def lifted_points(affine_ideal, b, budget):
-    """The points S(X-bar, (1,B,...,B)) an affine run covers: each x of
-    X(Z,B) lifted to (1, x), with the enumeration's fibres and time."""
-    affine = enumerate_affine(affine_ideal, b, budget=budget)
-    points = tuple((1,) + x for x in affine.points)
-    box = HeightBox((1,) + affine.box.bounds)
-    return PointSet(points, box, affine.fibres, affine.seconds)
+def run_points(ideal, mode, box, budget):
+    """S(X, box) for a run in `mode`, with the enumeration's fibres and time;
+    in affine mode box is (1, B, ..., B), and each x of X(Z,B) lifts to (1, x)."""
+    if mode == "projective":
+        return enumerate_projective(ideal, box, budget=budget)
+    affine = enumerate_affine(ideal, box.bounds[1], budget=budget)
+    return affine._replace(points=tuple((1,) + x for x in affine.points), box=box)
 
 
 def affine_pipeline(
@@ -894,30 +902,22 @@ def affine_pipeline(
     chart=None,
     budget=DEFAULT_BUDGET,
 ):
-    """Affine flavor: homogenize, lift X(Z,B) into S(X-bar, (1,B,...,B)), run
-    the cover, and check the ordering inequality at ORDERING_BOUND_S.
+    """Affine flavor: check the options, homogenize, and run the one body,
+    cover_and_construct, whose run_points lifts X(Z,B) into S(X-bar, (1,B,...,B)).
 
     A certificate G is checked at the lifted points (1,x), so the affine
     polynomial g = G(1,x) vanishes on X(Z,B); G is homogeneous and nonzero
     (its support lies in M(delta)), so g is nonzero too."""
     _require_options(delta, epsilon, strategy, norm_bound, chart)
-    lifted = lifted_points(affine_ideal, b, budget)
     # the bases are kept on affine_ideal, so a sweep over heights shares them
-    report = cover_and_construct(
+    return cover_and_construct(
         homogenized_basis(affine_ideal, ordering),
-        lifted.box,
+        HeightBox((1,) + (b,) * affine_ideal.num_vars),
         delta,
         strategy=strategy,
         norm_bound=norm_bound,
         chart=chart,
-        point_set=lifted,
+        budget=budget,
+        affine_ideal=affine_ideal,
         epsilon=epsilon,
     )
-    # x0 = 1 with B_0 = 1 forces class 0; checked, not assumed
-    if any(report.class_counts[1:]):
-        raise AssertionError(f"lifted points escaped S_0: {report.class_counts}")
-    report.mode = "affine"
-    report.affine_points = tuple(p[1:] for p in lifted.points)
-    if report.dimension >= 0:  # else 1 lies in I and HF of I^h vanishes
-        report.ordering_bound = affine_ordering_bound(affine_ideal, ORDERING_BOUND_S)
-    return report

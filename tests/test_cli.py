@@ -815,6 +815,33 @@ def test_non_finite_number_is_input_error(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--ideal", CUBIC_AFFINE, "--height", "1000000000", "--epsilon", "-1"),
+         "epsilon must be positive and finite"),
+        (("--ideal", PARABOLA, "--height", "1000000000000", "--delta", "2",
+          "--strategy", "theoretical", "--norm-bound", "-1"),
+         "norm bound must be a positive rational, got -1"),
+        (("--ideal", str(DATA / "surfaces" / "saddle.ideal"), "--height", "100000",
+          "--delta", "2", "--strategy", "theoretical", "--norm-bound", "20"),
+         "built-in parameter map only covers curves"),
+        (("--ideal", str(DATA / "empty.ideal"), "--height", "50", "--delta", "2",
+          "--strategy", "theoretical", "--norm-bound", "-1"),
+         "norm bound must be a positive rational, got -1"),
+    ],
+    ids=["cubic-epsilon", "parabola-norm-bound", "saddle-norm-bound", "empty-norm-bound"],
+)
+def test_a_run_is_refused_before_its_enumeration(capsys, argv, message):
+    # the first three plan scans over the default budget, and the last has
+    # no points: each refusal needs only the options and the basis, so it
+    # comes first, with exit 2
+    code, out, err = run(capsys, "construct", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert "enumeration requires scanning" not in err
+
+
 def test_malformed_ideal_file(capsys, tmp_path):
     bad = tmp_path / "bad.ideal"
     bad.write_text("vars: 2\nx0 + @\n")

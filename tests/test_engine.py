@@ -706,7 +706,37 @@ def test_verify_rejects_ideal_member():
     failures = verify_certificate(
         AuxiliaryCertificate(member, 2, (), ((0, 1),) * 3), [], gb
     )
-    assert any("ideal" in msg for msg in failures)
+    assert failures == ["support monomial (0, 2, 0) lies in LT(I)", "lies in the ideal"]
+
+
+def test_verify_tests_lt_membership_once_per_term_and_leading_monomial(
+    monkeypatch,
+):
+    # the LT(I) test is read off normal_form, which returns a certificate
+    # supported in M(delta) itself: one divides call per term and leading
+    # monomial, none of them in verify_certificate's own loop
+    parabola = make_ideal(["x1 - x0^2"], 2)
+    report = affine_pipeline(parabola, 4 * 10**4, delta=2)
+    gb = homogenized_basis(parabola, GRLEX)
+    calls = {"engine": 0, "ideals": 0}
+
+    def counting(name, real):
+        def divides(a, b):
+            calls[name] += 1
+            return real(a, b)
+
+        return divides
+
+    monkeypatch.setattr(engine, "divides", counting("engine", engine.divides))
+    monkeypatch.setattr(ideals, "divides", counting("ideals", ideals.divides))
+    certs = report.certificates
+    assert len(certs) == 116
+    assert all(verify_certificate(c, report.points, gb) == [] for c in certs)
+    lms = len(gb.leading_monomials)
+    assert calls == {
+        "engine": 0,
+        "ideals": sum(len(c.poly.terms) * lms for c in certs),
+    }
 
 
 # -- integer dichotomy -------------------------------------------------------
@@ -1034,7 +1064,37 @@ def test_adaptive_strategy_refuses_a_chart_or_a_norm_bound(option):
         affine_pipeline(make_ideal(["x1 - x0^2"], 2), 100, delta=2, **kw)
 
 
-@pytest.mark.parametrize("pipeline", ["affine_pipeline", "cover_and_construct"])
+def _run_affine(pipeline, ideal, **kw):
+    """A run over the ideal's points of height <= 100 at delta = 2, unless
+    kw sets epsilon: through affine_pipeline, or through the one body,
+    cover_and_construct, with the affine ideal and its lifted box."""
+    kw.setdefault("delta", None if "epsilon" in kw else 2)
+    if pipeline == "affine_pipeline":
+        return lambda: affine_pipeline(ideal, 100, **kw)
+    gb = homogenized_basis(ideal, GRLEX)
+    box = HeightBox((1,) + (100,) * ideal.num_vars)
+    return lambda: cover_and_construct(gb, box, affine_ideal=ideal, **kw)
+
+
+def _forbid(monkeypatch, *, buchberger):
+    """Make every enumeration, and with buchberger every Groebner basis
+    run, fail the test if it is reached."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran before the options were checked")
+
+    names = ["enumerate_affine", "enumerate_projective"]
+    if buchberger:
+        monkeypatch.setattr(ideals, "groebner", unreachable)
+        names.append("groebner")
+    for name in names:
+        monkeypatch.setattr(engine, name, unreachable)
+
+
+PIPELINES = ["affine_pipeline", "cover_and_construct"]
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
 @pytest.mark.parametrize("name", ["parabola", "empty"])
 @pytest.mark.parametrize("given", ["neither", "chart", "norm_bound", "both"])
 @pytest.mark.parametrize("strategy", ["adaptive", "theoretical"])
@@ -1054,30 +1114,57 @@ def test_one_rule_for_the_theoretical_inputs(
         valid = given == "neither"
     else:
         valid = given in ("chart", "norm_bound")
-    if pipeline == "affine_pipeline":
-        run = lambda: affine_pipeline(ideal, 100, delta=2, strategy=strategy, **kw)
-    else:
-        gb = homogenized_basis(ideal, GRLEX)
-        lifted = engine.lifted_points(ideal, 100, engine.DEFAULT_BUDGET)
-        run = lambda: cover_and_construct(
-            gb, lifted.box, 2, strategy=strategy, point_set=lifted, **kw
-        )
+    run = _run_affine(pipeline, ideal, strategy=strategy, **kw)
     if valid:
         report = run()
-        assert report.strategy == strategy
+        assert report.mode == "affine" and report.strategy == strategy
         assert report.vacuous == (name == "empty")
         assert len(report.points) == (21 if name == "parabola" else 0)
+        assert report.affine_points == tuple(p[1:] for p in report.points)
+        assert report.ordering_bound is not None  # x0^2 + 1 has m = 1 too
         return
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("ran before the options were checked")
-
-    monkeypatch.setattr(ideals, "groebner", unreachable)
-    monkeypatch.setattr(engine, "groebner", unreachable)
-    monkeypatch.setattr(engine, "enumerate_affine", unreachable)
-    monkeypatch.setattr(engine, "enumerate_projective", unreachable)
+    _forbid(monkeypatch, buchberger=True)
     with pytest.raises(InputError, match=f"^{ONE_RULE}$"):
         run()
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES)
+@pytest.mark.parametrize("name", ["parabola", "empty"])
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"epsilon": 0.0}, "epsilon must be positive and finite"),
+        ({"epsilon": -1.0}, "epsilon must be positive and finite"),
+        ({"strategy": "theoretical", "norm_bound": 0},
+         "norm bound must be a positive rational, got 0"),
+        ({"strategy": "theoretical", "norm_bound": Fraction(-1)},
+         "norm bound must be a positive rational, got -1"),
+    ],
+    ids=["epsilon-0", "epsilon-minus-1", "norm-bound-0", "norm-bound-minus-1"],
+)
+def test_a_bad_number_is_refused_before_enumeration(
+    monkeypatch, kw, message, name, pipeline
+):
+    # epsilon is checked by choose_delta, after the basis it reads but
+    # before any enumeration; the norm bound by _require_options, before
+    # any Buchberger run too, whether or not the variety has points
+    ideal = load_ideal(DATA / f"{name}.ideal")
+    run = _run_affine(pipeline, ideal, **kw)
+    _forbid(monkeypatch, buchberger="norm_bound" in kw)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        run()
+
+
+def test_a_norm_bound_on_a_surface_is_refused_before_enumeration(monkeypatch):
+    # the built-in parameter map covers curves only: refused after the
+    # basis gives m = 2, before the enumeration, whose plan at B = 10^5 is
+    # over the budget
+    saddle = load_ideal(DATA / "surfaces" / "saddle.ideal")
+    _forbid(monkeypatch, buchberger=False)
+    with pytest.raises(InputError, match="^built-in parameter map only covers curves"):
+        affine_pipeline(
+            saddle, 10**5, delta=2, strategy="theoretical", norm_bound=Fraction(20)
+        )
 
 
 def test_cover_requires_homogeneous():
