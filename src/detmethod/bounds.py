@@ -11,6 +11,7 @@ exact values: float_up (the least double not below a rational) and log_up
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 
@@ -82,15 +83,19 @@ class ExponentBudget(namedtuple("ExponentBudget", "mu m nu e")):
 
 def choose_nu(mu, m):
     """Smallest nu with D_m(nu-1) <= mu <= D_m(nu), plus the exponent
-    e = sum_{i<nu} i L_m(i) + nu (mu - D_m(nu-1))."""
+    e = sum_{i<nu} i L_m(i) + nu (mu - D_m(nu-1)).  nu is found by doubling
+    and bisection, and the sum is m C(nu+m-1, m+1) (i L_m(i) = m C(i+m-1, m),
+    summed by the hockey-stick identity), so a large mu costs O(log mu)
+    steps."""
     if mu < 1:
         raise InputError("mu must be >= 1")
-    nu = 0
-    while D(m, nu) < mu:
-        nu += 1
+    top = 1
+    while D(m, top) < mu:
+        top *= 2
+    nu = bisect_left(range(top + 1), mu, key=lambda k: D(m, k))
     if not D(m, nu - 1) <= mu <= D(m, nu):
         raise AssertionError(f"choose_nu: no nu brackets mu={mu} for m={m}")
-    e = sum(i * L(m, i) for i in range(nu)) + nu * (mu - D(m, nu - 1))
+    e = m * math.comb(nu + m - 1, m + 1) + nu * (mu - D(m, nu - 1))
     return ExponentBudget(mu=mu, m=m, nu=nu, e=e)
 
 

@@ -5,9 +5,10 @@ Exit codes: 0 ok, 1 verification failure, 2 input error, 3 budget exceeded.
 JSON output is the machine contract (stable, sorted keys, standard JSON with
 no NaN or Infinity); text output is for humans and carries no stability
 promise.  `verify` parses a stored report, rejecting a malformed one as an
-input error, checks that each listed point lies in S(X,B) and that the
-top-level counts and point lists match it, and leaves every other check to
-the engine's verifier.
+input error, checks that each listed point lies in S(X,B), that the
+top-level counts and point lists match it and that the series fields are
+those engine.run_series derives, and leaves every other check to the
+engine's verifier.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from .bounds import (
 )
 from .engine import (
     AuxiliaryCertificate,
+    _require_options,
     affine_pipeline,
     coverage_failure,
     cover_and_construct,
     run_basis,
     run_points,
+    run_series,
     verify_certificate,
 )
 from .errors import (
@@ -44,7 +47,7 @@ from .errors import (
     ParseError,
     TheoreticalFalsificationError,
 )
-from .ideals import Ideal, a_ratios, all_sigmas, hilbert_function
+from .ideals import Ideal, _a_denominator, _series
 from .points import (
     DEFAULT_BUDGET,
     HeightBox,
@@ -136,18 +139,23 @@ def _json(data):
     """The JSON output contract: sorted keys, indent 2, ASCII escapes, no NaN
     or Infinity, byte for byte json.dumps(data, sort_keys=True, indent=2,
     allow_nan=False).  With indent set, json.dumps skips CPython's C encoder;
-    this writer keeps its string escapes and renders each list of plain ints
-    in one join."""
+    this writer keeps its string escapes and renders each list of plain ints,
+    or of strings, in one join."""
     return _emit(data, "\n")
 
 
 def _emit(value, newline):
     """The JSON text of value; newline is a line break and the indent of the
     line that value starts on."""
+    if type(value) is int:  # a plain int, not a bool
+        return int.__repr__(value)
     if isinstance(value, (list, tuple)):
         inner = newline + "  "
-        if set(map(type, value)) == {int}:  # plain ints: no bool among them
+        kinds = set(map(type, value))
+        if kinds == {int}:  # plain ints: no bool among them
             items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
         else:
             items = [_emit(x, inner) for x in value]
         return f"[{inner}{(',' + inner).join(items)}{newline}]" if value else "[]"
@@ -187,19 +195,18 @@ def report_json(report, include_timings=False):
 def cmd_hilbert(args):
     ideal = load_ideal(args.ideal)
     gb = run_basis(ideal, args.mode, Ordering(args.ordering))
+    n = gb.num_vars
     rows = []
     for s in range(args.s_min, args.s_max + 1):
-        hf = hilbert_function(gb, s)
-        sig = all_sigmas(gb, s)
+        hf, sig = _series(gb, s)
+        a = [None] * n
         if s >= 1 and hf > 0:
-            a = [str(x) for x in a_ratios(s, hf, sig)]
-        else:
-            a = [None] * gb.num_vars
+            q = _a_denominator(s, hf, sig)
+            a = [_ratio_text(x, q) for x in sig]
         rows.append({"s": s, "hf": hf, "sigma": list(sig), "a": a})
     if args.output == "json":
         print(_json(rows))
     elif args.output == "csv":
-        n = gb.num_vars
         header = ["s", "hf"] + [f"sigma{i}" for i in range(n)] + [
             f"a{i}" for i in range(n)
         ]
@@ -212,6 +219,12 @@ def cmd_hilbert(args):
             a = " ".join(x or "-" for x in r["a"])
             print(f"s={r['s']:3d}  HF={r['hf']:6d}  sigma={r['sigma']}  a=({a})")
     return EXIT_OK
+
+
+def _ratio_text(p, q):
+    """str(Fraction(p, q)) for ints p and q > 0, from one gcd."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def cmd_points(args):
@@ -247,6 +260,7 @@ def cmd_construct(args):
     if args.mode == "affine":
         report = affine_pipeline(ideal, heights, ordering=ordering, **options)
     else:
+        _require_options(args.delta, args.epsilon, args.strategy, norm_bound, None)
         gb = run_basis(ideal, "projective", ordering)
         report = cover_and_construct(gb, heights, **options)
     text = report_json(report, include_timings=args.timings)
@@ -305,9 +319,11 @@ def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET, path=None):
     a certificate whose poly does not parse is named with the report's path.
 
     This parses the report, checks that each listed point lies in S(X,B)
-    (engine.run_points) and that the top-level counts and point lists match it;
-    engine.verify_certificate and engine.coverage_failure do the rest, as
-    they do for the engine's own output."""
+    (engine.run_points) and that the top-level counts and point lists match
+    it, and that the series fields are those engine.run_series derives from
+    the basis and delta; engine.verify_certificate and
+    engine.coverage_failure do the rest, as they do for the engine's own
+    output."""
     mode, ordering, delta, heights = _report_params(data, ideal.num_vars)
     certificates = _field(data, "certificates", list)
     gb = run_basis(ideal, mode, ordering)
@@ -335,21 +351,23 @@ def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET, path=None):
     uncovered = coverage_failure(certs, len(expected))
     if uncovered:
         failures.append(uncovered)
-    claims = {  # the top-level fields; a count must be a JSON integer
-        "points": list(map(list, expected)),
+    point_lists = {"points": list(map(list, expected))}
+    if mode == "affine":  # each point with its leading 1 dropped
+        point_lists["affine_points"] = [list(p[1:]) for p in expected]
+    for key, value in point_lists.items():
+        if data.get(key) != value:
+            failures.append(f"{key}: not the {len(value)} points of S(X,B)")
+    claims = {
         "point_count": len(expected),
         "certificate_count": len(certs),
         "k_actual": delta * len(certs),
+        **run_series(gb, delta)._asdict(),
     }
-    if mode == "affine":  # each point with its leading 1 dropped
-        claims["affine_points"] = [list(p[1:]) for p in expected]
     for key, value in claims.items():
         stored = data.get(key)
-        if isinstance(value, list):
-            if stored != value:
-                failures.append(f"{key}: not the {len(value)} points of S(X,B)")
-        elif type(stored) is not int or stored != value:
-            failures.append(f"{key}: {json.dumps(stored)}, not {value}")
+        value = list(value) if isinstance(value, tuple) else value
+        if repr(stored) != repr(value):  # so True is not 1, nor 1.0 or "1"
+            failures.append(f"{key}: {json.dumps(stored)}, not {json.dumps(value)}")
     return failures
 
 

@@ -30,7 +30,8 @@ report leaves the engine; `detmethod verify` runs the same two checks.
 One body, cover_and_construct, runs both modes: it decides delta, M(delta)
 and the exponents, then enumerates through run_points and builds its report
 once.  run_basis and run_points (the points (1, x) of an affine run) decide
-what a run covers, for the engine and `detmethod verify` alike.
+what a run covers, and run_series the report fields its basis and delta
+decide, for the engine and `detmethod verify` alike.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ from .errors import (
     TheoreticalFalsificationError,
 )
 from .ideals import (
+    _series,
     a_estimates,
     affine_ordering_bound,
-    all_sigmas,
     groebner,
-    hilbert_function,
     homogenized_basis,
     normal_form,
     staircase,
@@ -670,31 +670,42 @@ def _theoretical_cover(mat, sc, gb, box, sigma, mu, m, nu, norm_bound, chart, ti
     return certs, rho, cube_count
 
 
-def _exponents(gb, delta, m, mu):
-    """(nu, f, sigma, exponents) of a run at degree delta on mu monomials:
-    choose_nu's Taylor order nu and determinant exponent f, sigma =
-    all_sigmas(gb, delta), and the k-bound exponents m*sigma_i/f, each the
-    correctly rounded float of the quotient of ints, or 0.0 where f = 0.
+class RunSeries(namedtuple(
+    "RunSeries", "dimension degree mu nu f sigma k_bound_exponents"
+)):
+    """A report's fields that its basis and delta decide: m, d, mu =
+    HF(delta) = len(M(delta)), choose_nu's nu and f, sigma(delta), and the
+    k-bound exponents m*sigma_i/f."""
+
+    __slots__ = ()
+
+
+def run_series(gb, delta):
+    """The RunSeries of a run at degree delta on the full basis gb, for the
+    engine and `detmethod verify` alike.  HF(delta) and sigma come from one
+    integer pass over the Hilbert series; each k-bound exponent is the
+    correctly rounded float of a quotient of ints, or 0.0 where f = 0.
     nu = f = 0 where m < 1 or mu = 0, which have no exponent budget."""
-    sigma = all_sigmas(gb, delta)
+    m, d = gb.dimension_degree
+    mu, sigma = _series(gb, delta)
     nu = f = 0
     if m >= 1 and mu:
         budget = choose_nu(mu, m)
         nu, f = budget.nu, budget.e
-    return nu, f, sigma, tuple(m * s / f if f else 0.0 for s in sigma)
+    exps = tuple(m * s / f if f else 0.0 for s in sigma)
+    return RunSeries(m, d, mu, nu, f, sigma, exps)
 
 
 def choose_delta(gb, epsilon):
     """Smallest delta <= DELTA_MAX_DEFAULT whose measured exponents
-    m*sigma_i/f (from _exponents, with mu = HF(delta)) stay within epsilon
+    m*sigma_i/f (run_series' k-bound exponents) stay within epsilon
     of the limit exponents (m+1)a_i/d^(1/m), the a_i being measured at
     PROBE_DEGREE_DEFAULT and m, d read from the full basis gb; the limits
     do not depend on delta and are computed once.  With m >= 1, mu >= 2 and
     f >= 1 at every delta >= 1.  The reported (finite-delta)
     exponents are what the k-bound uses; no asymptotic constants are
     assumed."""
-    if not 0 < epsilon < math.inf:
-        raise InputError("epsilon must be positive and finite")
+    _epsilon(epsilon)
     m, d = gb.dimension_degree
     if m < 1:
         raise DegenerateIdealError("dimension < 1: the method does not apply")
@@ -705,8 +716,7 @@ def choose_delta(gb, epsilon):
 
     best = None
     for delta in range(1, DELTA_MAX_DEFAULT + 1):
-        mu = hilbert_function(gb, delta)  # >= delta + 1 >= 2 by Noether normalization
-        ratios = list(_exponents(gb, delta, m, mu)[3])
+        ratios = list(run_series(gb, delta).k_bound_exponents)
         overshoot = max(r - (li + epsilon) for r, li in zip(ratios, limits))
         report = {
             "delta": delta,
@@ -740,10 +750,10 @@ def cover_and_construct(
     gb of a homogeneous ideal, under gb's ordering; with affine_ideal, gb is
     that of its I^h, box is (1, B, ..., B), and the run is affine.  Exactly
     one of delta and epsilon is set: the support degree is delta, or else
-    choose_delta's degree, whose report is then delta_report.  The reported
-    mu is len(M(delta)), and nu, f, sigma and the k-bound exponents come from
-    _exponents at that mu, all decided before run_points, as is each refusal
-    that needs no point.
+    choose_delta's degree, whose report is then delta_report.  m, d, mu =
+    len(M(delta)), nu, f, sigma and the k-bound exponents are run_series'
+    fields, all decided before run_points, as is each refusal that needs no
+    point.
 
     An empty staircase (mu = 0) puts every degree-delta form in I, x_i^delta
     among them; a point with x_i != 0 would keep x_i^delta out of I, so
@@ -757,10 +767,8 @@ def cover_and_construct(
     delta_report = None
     if delta is None:
         delta, delta_report = choose_delta(gb, epsilon)
-    m, d = gb.dimension_degree
+    m, _, mu, nu, f, sigma, exps = series = run_series(gb, delta)
     sc = staircase(gb, delta)
-    mu = len(sc.exponents)
-    nu, f, sigma, exps = _exponents(gb, delta, m, mu)
     if strategy == "theoretical" and chart is None and m > 1:
         raise InputError(
             "built-in parameter map only covers curves (m=1); "
@@ -831,18 +839,12 @@ def cover_and_construct(
         epsilon=epsilon,
         ordering=gb.ordering,
         strategy=strategy,
-        dimension=m,
-        degree=d,
-        mu=mu,
-        nu=nu,
-        f=f,
-        sigma=sigma,
+        **series._asdict(),
         points=points,
         affine_points=tuple(p[1:] for p in points) if mode == "affine" else (),
         class_counts=class_counts,
         certificates=certs,
         k_actual=delta * len(certs),
-        k_bound_exponents=exps,
         k_bound_value=k_val,
         rho=rho,
         cube_count=cube_count,
@@ -857,10 +859,13 @@ def cover_and_construct(
 
 def _require_options(delta, epsilon, strategy, norm_bound, chart):
     """The one options check, before any Buchberger run or run_points in
-    either mode: one of delta and epsilon, a known strategy, and one of a
-    chart and a positive finite norm bound for the theoretical strategy only."""
+    either mode: one of delta and a positive finite epsilon, a known
+    strategy, and one of a chart and a positive finite norm bound for the
+    theoretical strategy only."""
     if (delta is None) == (epsilon is None):
         raise InputError("exactly one of delta / epsilon must be set")
+    if epsilon is not None:
+        _epsilon(epsilon)
     if strategy not in ("adaptive", "theoretical"):
         raise InputError(f"unknown strategy {strategy!r}")
     if (chart is not None) + (norm_bound is not None) != (strategy == "theoretical"):
@@ -870,6 +875,12 @@ def _require_options(delta, epsilon, strategy, norm_bound, chart):
         )
     if norm_bound is not None:
         _norm_bound(norm_bound)
+
+
+def _epsilon(epsilon):
+    """Refuse an epsilon that is not positive and finite (a NaN too)."""
+    if not 0 < epsilon < math.inf:
+        raise InputError("epsilon must be positive and finite")
 
 
 def run_basis(ideal, mode, ordering):

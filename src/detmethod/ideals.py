@@ -5,7 +5,9 @@ strategy, final interreduction, deterministic ordering of generators and
 output).  Every basis is the full reduced one, and the pipelines build one
 per ideal and ordering.  HF, sigma_i, a_i, mu, m, d and the ordering bound
 are read in closed form off multigraded Hilbert series numerators kept on
-the basis; M(delta), the degree-delta monomials that no leading monomial
+the basis: HF(s) and every sigma_i(s) in one integer pass per degree
+(_series), and the a_i become Fractions only where they are returned;
+M(delta), the degree-delta monomials that no leading monomial
 divides, is listed only for the monomial matrix.  An affine ideal keeps one
 basis of I^h per ordering (homogenized_basis); the grlex-left one is its
 affine grlex-left basis homogenized, and affine_ordering_bound reads the
@@ -287,33 +289,39 @@ def staircase(gb, delta):
 
 
 def hilbert_function(gb, s):
-    """HF(s) = sum_a c_a C(s-|a|+n-1, n-1), read off the numerator
-    N(u) = sum_a c_a u^a of the multigraded Hilbert series of S/LT(I)."""
-    return sum(b for _, b, _ in _series_terms(gb, s))
+    """HF(s), the number of degree-s monomials outside LT(I), by _series."""
+    return _series(gb, s)[0]
 
 
 def all_sigmas(gb, s):
-    """(sigma_0, ..., sigma_n): per-coordinate exponent sums over M(s), read
-    off N(u): u_i d/du_i of the series at u = (t, ..., t) is
-    (u_i d/du_i N)(t)/(1-t)^n + N(t) t/(1-t)^(n+1)."""
-    sig = [0] * gb.num_vars
-    for a, b, shifted in _series_terms(gb, s):
-        for i, ai in enumerate(a):
-            sig[i] += ai * b + shifted
-    return tuple(sig)
+    """(sigma_0, ..., sigma_n): per-coordinate exponent sums over M(s), by
+    _series."""
+    return _series(gb, s)[1]
 
 
-def _series_terms(gb, s):
-    """For each term c_a u^a of N with |a| <= s: a, c_a C(s-|a|+n-1, n-1)
-    and c_a C(s-|a|+n-1, n), its shares of [t^s] N(t)/(1-t)^n and of
-    [t^(s-1)] N(t)/(1-t)^(n+1)."""
+def _series(gb, s):
+    """HF(s) and (sigma_0, ..., sigma_n)(s) as ints, in one walk over the
+    terms c_a u^a of N(u), the numerator of the multigraded Hilbert series
+    of S/LT(I), with |a| <= s.  Each term's share of HF(s) = [t^s]
+    N(t)/(1-t)^n is b = c_a C(s-|a|+n-1, n-1).  u_i d/du_i of the series
+    at u = (t, ..., t) is (u_i d/du_i N)(t)/(1-t)^n + N(t) t/(1-t)^(n+1),
+    so sigma_i(s) adds a_i b per term, and every sigma_i the same shift,
+    the sum of c_a C(s-|a|+n-1, n) = b (s-|a|)/n."""
     if s < 0:
         raise InputError("degree must be nonnegative")
     n = gb.num_vars
+    hf = shift = 0
+    sig = [0] * n
     for a, deg, c in gb.numerator:
         if deg <= s:
-            k = s - deg + n - 1
-            yield a, c * comb(k, n - 1), c * comb(k, n)
+            b = c * comb(s - deg + n - 1, n - 1)
+            hf += b
+            shift += b * (s - deg)
+            for i, ai in enumerate(a):
+                if ai:
+                    sig[i] += ai * b
+    shift //= n
+    return hf, tuple(x + shift for x in sig)
 
 
 class DimensionDegree(namedtuple("DimensionDegree", "dimension degree")):
@@ -365,19 +373,24 @@ def a_estimates(gb, s):
     """
     if s < 1:
         raise InputError("s must be >= 1")
-    return a_ratios(s, hilbert_function(gb, s), all_sigmas(gb, s))
+    hf, sigma = _series(gb, s)
+    q = _a_denominator(s, hf, sigma)
+    return tuple(Fraction(x, q) for x in sigma)
 
 
-def a_ratios(s, hf, sigma):
-    """a_estimates from HF(s) = hf and sigma_i(s) = sigma[i], for callers
-    that hold both already.  The sigma_i sum the exponents of the hf
-    standard monomials of degree s, so the a_i sum to 1."""
+def _a_denominator(s, hf, sigma):
+    """s * HF(s), the denominator of every a_i(s) = sigma_i(s) / (s * HF(s)),
+    once HF(s) = hf > 0 and sigma_0 + ... + sigma_n = s * hf: the sigma_i sum
+    the exponents of the hf standard monomials of degree s, so the a_i sum
+    to 1.  The check is on ints, before any a_i is formed."""
     if hf == 0:
         raise DegenerateIdealError(f"Hilbert function vanishes at s={s}")
-    ests = tuple(Fraction(x, s * hf) for x in sigma)
-    if sum(ests) != 1:
-        raise AssertionError(f"a_estimates at s={s} sum to {sum(ests)}, not 1")
-    return ests
+    q = s * hf
+    if sum(sigma) != q:
+        raise AssertionError(
+            f"a_estimates at s={s} sum to {Fraction(sum(sigma), q)}, not 1"
+        )
+    return q
 
 
 def homogenized_basis(affine_ideal, ordering):
@@ -418,23 +431,25 @@ def affine_ordering_bound(affine_ideal, s):
     intermediate bound off that of J = I^h + (x0), whose leading terms are
     LT(I^h) + (x0) since grlex-left is reverse lexicographic with x0
     smallest (Bayer-Stillman, Invent. Math. 87, 1987): J needs no basis.
-    lhs <= intermediate is exact at every finite s.  A sweep over s on one
+    Both sides share the denominator s * HF(s), so `holds` compares their
+    numerators on ints, exactly at every finite s.  A sweep over s on one
     ideal object runs Buchberger once in all and builds each numerator once.
     """
+    if s < 1:
+        raise InputError("s must be >= 1")
     gb = homogenized_basis(affine_ideal, Ordering.GRLEX_LEFT)
-    hf = hilbert_function(gb, s)
+    hf, sig = _series(gb, s)
     if hf == 0:
         raise DegenerateIdealError(f"HF of homogenization vanishes at s={s}")
-    sig = all_sigmas(gb, s)
-    lhs = Fraction(sum(sig[1:]), s * hf)
-    inter = Fraction(_weighted_hf_sum(gb.section, s), s * hf)
+    q = s * hf
+    lhs = sum(sig[1:])
+    inter = _weighted_hf_sum(gb.section, s)
     m = gb.dimension_degree.dimension
-    limit = Fraction(m, m + 1) if m >= 0 else Fraction(0)
     return OrderingBoundReport(
         s=s,
-        lhs=lhs,
-        intermediate_bound=inter,
-        limit=limit,
+        lhs=Fraction(lhs, q),
+        intermediate_bound=Fraction(inter, q),
+        limit=Fraction(m, m + 1) if m >= 0 else Fraction(0),
         dimension=m,
         holds=lhs <= inter,
     )

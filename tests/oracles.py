@@ -8,7 +8,7 @@ import heapq
 import itertools
 import re
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from detmethod import (
     Ideal,
@@ -97,6 +97,25 @@ def hilbert_oracle(ideal, s):
     if not rows:
         return len(cols)
     return len(cols) - rational_rank(rows)
+
+
+def series_by_terms(gb, s):
+    """HF(s) and (sigma_0, ..., sigma_n)(s) summed term by term over the
+    Hilbert series numerator N(u) = sum_a c_a u^a of S/LT(I), each
+    binomial evaluated on its own: HF(s) = sum_a c_a C(s-|a|+n-1, n-1),
+    and sigma_i(s) = sum_a (a_i c_a C(s-|a|+n-1, n-1) + c_a C(s-|a|+n, n)
+    - c_a C(s-|a|+n-1, n-1)), the second share by Pascal's rule."""
+    n = gb.num_vars
+    hf = 0
+    sigma = [0] * n
+    for a, deg, c in gb.numerator:
+        if deg > s:
+            continue
+        below = c * comb(s - deg + n - 1, n - 1)
+        hf += below
+        for i in range(n):
+            sigma[i] += a[i] * below + c * comb(s - deg + n, n) - below
+    return hf, tuple(sigma)
 
 
 def naive_staircase(gb, delta):

@@ -79,6 +79,17 @@ def test_choose_nu_sandwich_and_minimality(mu, m):
         assert D(m, b.nu - 1) < mu
 
 
+def test_choose_nu_matches_the_linear_scan_and_is_fast_at_large_mu():
+    for m in range(1, 5):
+        for mu in range(1, 400):
+            nu = next(k for k in range(mu + 1) if D(m, k) >= mu)
+            e = sum(i * L(m, i) for i in range(nu)) + nu * (mu - D(m, nu - 1))
+            assert choose_nu(mu, m) == (mu, m, nu, e), (mu, m)
+    # a curve at HF = 2*10^9 + 1: nu = 2*10^9, which a scan would step through
+    b = choose_nu(2 * 10**9 + 1, 1)
+    assert (b.nu, b.e) == (2 * 10**9, (2 * 10**9 + 1) * 10**9)
+
+
 # -- ck norms --------------------------------------------------------------
 
 

@@ -547,10 +547,20 @@ def test_verify_with_a_wrong_delta_walks_no_staircase_up_to_it(
         capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
     )
     assert code == 1
-    # the report's k_actual, 2 * 7, no longer matches its delta either
-    k_actual = f"FAIL: k_actual: 14, not {3000 * data['certificate_count']}"
-    *lines, last = out.splitlines()
-    assert last == k_actual
+    # the report's k_actual, 2 * 7, and its series fields no longer match
+    # its delta either; at 3000 HF = 6001 and f = 6001 * 6000 / 2
+    summary = [
+        f"FAIL: k_actual: 14, not {3000 * data['certificate_count']}",
+        "FAIL: mu: 5, not 6001",
+        "FAIL: nu: 4, not 6000",
+        "FAIL: f: 10, not 18003000",
+        "FAIL: sigma: [4, 2, 4], not [9000000, 3000, 9000000]",
+        "FAIL: k_bound_exponents: [0.4, 0.2, 0.4], not "
+        f"{[s / 18003000 for s in (9000000, 3000, 9000000)]}",
+    ]
+    lines = out.splitlines()
+    assert lines[-len(summary):] == summary
+    lines = lines[: -len(summary)]
     assert len(lines) == data["certificate_count"]
     assert all(
         re.fullmatch(
@@ -577,7 +587,7 @@ def test_verify_with_a_wrong_delta_walks_no_staircase_up_to_it(
             f"FAIL: certificate {k}: support monomial (0, 3000, 0) lies in LT(I)",
             f"FAIL: certificate {k}: lies in the ideal",
         )
-    ] + [k_actual]
+    ] + summary
     assert calls == []
 
 
@@ -609,6 +619,35 @@ def test_verify_checks_the_reports_top_level_claims(capsys, parabola_report, fie
             "affine_points": "FAIL: affine_points: not the 21 points of S(X,B)",
         }[field]
     ]
+
+
+SERIES_FIELDS = ["dimension", "degree", "mu", "nu", "f", "sigma", "k_bound_exponents"]
+SERIES_RUNS = {
+    "affine": ("--ideal", PARABOLA, "--height", "100", "--delta", "2"),
+    "projective": (
+        "--ideal", CONIC, "--mode", "projective", "--heights", "8,8,8", "--delta", "2",
+    ),
+}
+
+
+@pytest.mark.parametrize("field", SERIES_FIELDS)
+@pytest.mark.parametrize("mode", SERIES_RUNS)
+def test_verify_rederives_the_series_fields(capsys, tmp_path, mode, field):
+    # one wrong value in one field: one FAIL line naming it, exit 1
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "construct", *SERIES_RUNS[mode], "--out", str(report))
+    assert code == 0
+    data = json.loads(report.read_text())
+    genuine = data[field]
+    if isinstance(genuine, list):
+        data[field] = [genuine[0] + 1, *genuine[1:]]
+    else:
+        data[field] = genuine + 1
+    report.write_text(json.dumps(data))
+    ideal = SERIES_RUNS[mode][1]
+    code, out, _ = run(capsys, "verify", "--report", str(report), "--ideal", ideal)
+    assert code == 1
+    assert out == f"FAIL: {field}: {json.dumps(data[field])}, not {json.dumps(genuine)}\n"
 
 
 def test_verify_takes_only_a_json_integer_as_a_count(capsys, tmp_path):

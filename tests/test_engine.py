@@ -40,7 +40,7 @@ from detmethod import (
     verify_certificate,
 )
 
-from detmethod.cli import load_ideal
+from detmethod.cli import build_parser, load_ideal
 
 from conftest import DATA, make_ideal
 from oracles import (
@@ -1128,31 +1128,67 @@ def test_one_rule_for_the_theoretical_inputs(
         run()
 
 
-@pytest.mark.parametrize("pipeline", PIPELINES)
+EPSILON = "epsilon must be positive and finite"
+BAD_NUMBERS = {
+    "epsilon-0": ({"epsilon": 0.0}, EPSILON),
+    "epsilon-minus-1": ({"epsilon": -1.0}, EPSILON),
+    "epsilon-inf": ({"epsilon": math.inf}, EPSILON),
+    "epsilon-nan": ({"epsilon": math.nan}, EPSILON),
+    "norm-bound-0": (
+        {"strategy": "theoretical", "norm_bound": 0},
+        "norm bound must be a positive rational, got 0",
+    ),
+    "norm-bound-minus-1": (
+        {"strategy": "theoretical", "norm_bound": Fraction(-1)},
+        "norm bound must be a positive rational, got -1",
+    ),
+    "norm-bound-adaptive": ({"norm_bound": Fraction(3)}, ONE_RULE),
+}
+
+
+def _construct_args(args, kw):
+    """`detmethod construct`'s parsed options: args, then kw as flags, and
+    --delta 2 unless kw sets epsilon."""
+    kw = {"delta": 2, **kw} if "epsilon" not in kw else kw
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in kw.items()]
+    return build_parser().parse_args(["construct", *args, *flags])
+
+
+@pytest.mark.parametrize("pipeline", PIPELINES + ["construct"])
 @pytest.mark.parametrize("name", ["parabola", "empty"])
-@pytest.mark.parametrize(
-    "kw, message",
-    [
-        ({"epsilon": 0.0}, "epsilon must be positive and finite"),
-        ({"epsilon": -1.0}, "epsilon must be positive and finite"),
-        ({"strategy": "theoretical", "norm_bound": 0},
-         "norm bound must be a positive rational, got 0"),
-        ({"strategy": "theoretical", "norm_bound": Fraction(-1)},
-         "norm bound must be a positive rational, got -1"),
-    ],
-    ids=["epsilon-0", "epsilon-minus-1", "norm-bound-0", "norm-bound-minus-1"],
-)
+@pytest.mark.parametrize("case", BAD_NUMBERS)
 def test_a_bad_number_is_refused_before_enumeration(
-    monkeypatch, kw, message, name, pipeline
+    monkeypatch, case, name, pipeline
 ):
-    # epsilon is checked by choose_delta, after the basis it reads but
-    # before any enumeration; the norm bound by _require_options, before
-    # any Buchberger run too, whether or not the variety has points
-    ideal = load_ideal(DATA / f"{name}.ideal")
-    run = _run_affine(pipeline, ideal, **kw)
-    _forbid(monkeypatch, buchberger="norm_bound" in kw)
+    # _require_options checks epsilon and the norm bound before any
+    # Buchberger run or enumeration, whether or not the variety has points;
+    # through cover_and_construct the basis is built before the check
+    kw, message = BAD_NUMBERS[case]
+    path = DATA / f"{name}.ideal"
+    if pipeline == "construct":
+        args = _construct_args(["--ideal", str(path), "--height", "100"], kw)
+        run = lambda: args.func(args)
+    else:
+        run = _run_affine(pipeline, load_ideal(path), **kw)
+    _forbid(monkeypatch, buchberger=True)
     with pytest.raises(InputError, match=f"^{message}$"):
         run()
+
+
+@pytest.mark.parametrize("case", BAD_NUMBERS)
+def test_a_bad_number_is_refused_before_buchberger_in_projective_mode(
+    monkeypatch, case
+):
+    # `construct --mode projective` checks the options before its basis
+    kw, message = BAD_NUMBERS[case]
+    args = _construct_args(
+        ["--ideal", str(DATA / "conic.ideal"), "--mode", "projective",
+         "--heights", "5,5,5"],
+        kw,
+    )
+    _forbid(monkeypatch, buchberger=True)
+    with pytest.raises(InputError, match=f"^{message}$"):
+        args.func(args)
 
 
 def test_a_norm_bound_on_a_surface_is_refused_before_enumeration(monkeypatch):

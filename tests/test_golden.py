@@ -6,7 +6,9 @@ modes, `--delta` and `--epsilon` (which add the `delta_report` and
 `ordering_bound` blocks), both orderings, and both theoretical-strategy
 inputs (a chart and `--norm-bound`); plus `verify` on a pristine report, on
 the three mutants of acceptance criterion 9, and on one report mutated in
-several ways at once.  A digest moves whenever any byte of the output moves.
+several ways at once; plus the `hilbert` tables in json, csv and text, in
+both modes and under both orderings.  A digest moves whenever any byte of
+the output moves.
 
 To re-pin after an intended output change, run from the repository root:
 
@@ -68,6 +70,19 @@ CONSTRUCT = {
 }
 
 
+# `hilbert` tables, s = 0..40 (s = 0 has no a_i): the affine circle and the
+# projective twisted cubic, under both orderings, in every output format
+HILBERT = {
+    f"hilbert-{mode}-{ordering}-{output}": (
+        "--ideal", ideal(name), "--mode", mode, "--ordering", ordering,
+        "--output", output, "--s-min", "0", "--s-max", "40",
+    )
+    for mode, name in (("affine", "circle"), ("projective", "twisted_cubic"))
+    for ordering in ("grlex-left", "grevlex")
+    for output in ("json", "csv", "text")
+}
+
+
 def _cli(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -119,6 +134,10 @@ def _mutants(pristine):
 def golden_outputs(tmp_path):
     outputs = {name: _construct(args) for name, args in CONSTRUCT.items()}
     outputs["theoretical-chart-parabola"] = _theoretical_chart()
+    for name, args in HILBERT.items():
+        code, text = _cli("hilbert", *args)
+        assert code == 0
+        outputs[name] = text
 
     pristine = outputs["affine-delta-parabola"]
     reports = {"pristine": json.loads(pristine), **_mutants(pristine)}

@@ -1,5 +1,10 @@
 """ideal-engine: Buchberger, normal forms, staircases, Hilbert data."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 from detmethod import (
     DegenerateIdealError,
     Ideal,
+    InputError,
     Ordering,
     Polynomial,
     a_estimates,
@@ -22,9 +28,9 @@ from detmethod import (
     staircase,
 )
 
-from detmethod import ideals
-from detmethod.cli import load_ideal
-from detmethod.engine import AuxiliaryCertificate, verify_certificate
+from detmethod import cli, ideals
+from detmethod.cli import load_ideal, main
+from detmethod.engine import AuxiliaryCertificate, run_basis, verify_certificate
 from detmethod.ideals import monomials_of_degree
 from detmethod.polynomials import divides
 
@@ -36,7 +42,10 @@ from oracles import (
     naive_staircase,
     ordering_bounds_by_buchberger,
     polynomial_groebner,
+    series_by_terms,
 )
+
+SRC = pathlib.Path(__file__).parent.parent / "src"
 
 GRLEX = Ordering.GRLEX_LEFT
 GREVLEX = Ordering.GREVLEX
@@ -355,6 +364,61 @@ def test_series_matches_brute_force_count_on_monomial_ideals(case, ordering):
         assert (hilbert_function(gb, s), all_sigmas(gb, s)) == expected, s
 
 
+# -- the one-pass series against the term-by-term sums ----------------------
+
+
+def _data_runs():
+    """(file, mode) for every tests/data file, in each mode it is valid in."""
+    for path in sorted(DATA.glob("*.ideal")):
+        yield path, "affine"
+        if load_ideal(path).homogeneous:
+            yield path, "projective"
+
+
+@pytest.mark.parametrize("ordering", [GRLEX, GREVLEX])
+def test_series_and_printed_ratios_match_the_term_sums_on_data_ideals(
+    capsys, ordering
+):
+    # HF(s) and sigma(s) from one pass equal the reference sums for every
+    # s <= 200, and `hilbert` prints each a_i as str(Fraction) writes it
+    for path, mode in _data_runs():
+        gb = run_basis(load_ideal(path), mode, ordering)
+        expected = [series_by_terms(gb, s) for s in range(201)]
+        assert [ideals._series(gb, s) for s in range(201)] == expected, path
+        code = main([
+            "hilbert", "--ideal", str(path), "--mode", mode,
+            "--ordering", ordering.value, "--s-min", "0", "--s-max", "200",
+        ])
+        rows = json.loads(capsys.readouterr().out)
+        assert code == 0 and len(rows) == 201
+        for row, (hf, sigma) in zip(rows, expected):
+            s = row["s"]
+            assert (row["hf"], row["sigma"]) == (hf, list(sigma)), (path, s)
+            a = [str(Fraction(x, s * hf)) for x in sigma] if s and hf else None
+            assert row["a"] == (a or [None] * gb.num_vars), (path, s)
+
+
+def test_the_sum_check_is_on_ints_and_survives_python_O(capsys, monkeypatch):
+    # sigma_0 + ... + sigma_n = s * HF(s), or no a_i is formed
+    message = "a_estimates at s=3 sum to 7/15, not 1"
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        ideals._a_denominator(3, 5, (1, 2, 4))
+    assert ideals._a_denominator(3, 5, (4, 5, 6)) == 15
+    # hilbert reports it as a verification failure, exit 1
+    monkeypatch.setattr(cli, "_series", lambda gb, s: (5, (1, 2, 4)))
+    code = main(["hilbert", "--ideal", str(DATA / "parabola.ideal"), "--s-min", "3"])
+    assert (code, capsys.readouterr().err) == (1, f"verification failure: {message}\n")
+    # an explicit raise, not an assert statement, so `python -O` keeps it
+    probe = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from detmethod import ideals; ideals._a_denominator(3, 5, (1, 2, 4))"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert probe.returncode == 1
+    assert probe.stderr.endswith(f"AssertionError: {message}\n")
+
+
 # -- sigma -----------------------------------------------------------------
 
 
@@ -519,6 +583,14 @@ def test_ordering_bound_parabola(parabola):
     # lhs = (1+s)/(2s+1) at finite s
     assert rep.lhs == Fraction(41, 81)
     assert abs(rep.lhs - rep.limit) < Fraction(1, 10)
+
+
+def test_ordering_bound_refuses_s_below_1(parabola, monkeypatch):
+    # refused before the basis: no Buchberger run
+    monkeypatch.setattr(ideals, "groebner", None)
+    for s in (0, -1):
+        with pytest.raises(InputError, match="^s must be >= 1$"):
+            affine_ordering_bound(parabola, s)
 
 
 def test_ordering_bound_linear():
