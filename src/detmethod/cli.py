@@ -5,9 +5,8 @@ Exit codes: 0 ok, 1 verification failure, 2 input error, 3 budget exceeded.
 JSON output is the machine contract (stable, sorted keys, standard JSON with
 no NaN or Infinity); text output is for humans and carries no stability
 promise.  `verify` parses a stored report, rejecting a malformed one as an
-input error, checks that each listed point lies in S(X,B), that the
-top-level counts and point lists match it and that the series fields are
-those engine.run_series derives, and leaves every other check to the
+input error, checks that each listed point lies in S(X,B), that every field
+engine.run_summary derives matches, and leaves every other check to the
 engine's verifier.
 """
 
@@ -33,11 +32,12 @@ from .engine import (
     AuxiliaryCertificate,
     _require_options,
     affine_pipeline,
+    choose_delta,
     coverage_failure,
     cover_and_construct,
     run_basis,
     run_points,
-    run_series,
+    run_summary,
     verify_certificate,
 )
 from .errors import (
@@ -284,7 +284,7 @@ def _field(obj, key, kind):
 
 
 def _report_params(data, num_vars):
-    """(mode, ordering, delta, heights) of a stored report."""
+    """(mode, ordering, delta, heights, epsilon) of a stored report."""
     params = _field(data, "params", dict)
     mode = _field(params, "mode", str)
     if mode not in ("affine", "projective"):
@@ -301,7 +301,10 @@ def _report_params(data, num_vars):
     delta = _field(params, "delta", int)
     if delta < 0:
         raise InputError("malformed report: delta must be nonnegative")
-    return mode, ordering, delta, heights
+    epsilon = params.get("epsilon")
+    if epsilon is not None and type(epsilon) not in (int, float):
+        raise InputError("malformed report: 'epsilon' must be a number or null")
+    return mode, ordering, delta, heights, epsilon
 
 
 def _report_points(cert, num_vars):
@@ -319,15 +322,18 @@ def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET, path=None):
     a certificate whose poly does not parse is named with the report's path.
 
     This parses the report, checks that each listed point lies in S(X,B)
-    (engine.run_points) and that the top-level counts and point lists match
-    it, and that the series fields are those engine.run_series derives from
-    the basis and delta; engine.verify_certificate and
-    engine.coverage_failure do the rest, as they do for the engine's own
-    output."""
-    mode, ordering, delta, heights = _report_params(data, ideal.num_vars)
+    (engine.run_points), that each certificate's point list is nonempty, in
+    S(X,B) order and free of repeats, that every field engine.run_summary derives
+    from the basis, box, delta, points and certificates is the stored one,
+    and that params.num_vars, and with epsilon delta and delta_report, are
+    those of the basis and engine.choose_delta; engine.verify_certificate
+    and engine.coverage_failure do the rest, as they do for the engine's
+    own output."""
+    mode, ordering, delta, heights, epsilon = _report_params(data, ideal.num_vars)
     certificates = _field(data, "certificates", list)
     gb = run_basis(ideal, mode, ordering)
-    expected = run_points(ideal, mode, HeightBox(tuple(heights)), budget).points
+    box = HeightBox(tuple(heights))
+    expected = run_points(ideal, mode, box, budget).points
     index = {p: i for i, p in enumerate(expected)}
 
     failures = []
@@ -341,33 +347,36 @@ def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET, path=None):
                 f"malformed report: {where}certificate {k}: poly: {exc}"
             ) from exc
         points = _report_points(entry, gb.num_vars)
-        cert = AuxiliaryCertificate(
-            poly, delta, tuple(index[p] for p in points if p in index), ()
-        )
+        covered = tuple(index[p] for p in points if p in index)
+        cert = AuxiliaryCertificate(poly, delta, covered, ())
         certs.append(cert)
         messages = [f"point {p} not in S(X,B)" for p in points if p not in index]
+        if not points or any(i >= j for i, j in zip(covered, covered[1:])):
+            messages.append(
+                "points: not a nonempty list in S(X,B) order without repeats"
+            )
         messages += verify_certificate(cert, expected, gb)
         failures += [f"certificate {k}: {msg}" for msg in messages]
     uncovered = coverage_failure(certs, len(expected))
     if uncovered:
         failures.append(uncovered)
-    point_lists = {"points": list(map(list, expected))}
-    if mode == "affine":  # each point with its leading 1 dropped
-        point_lists["affine_points"] = [list(p[1:]) for p in expected]
-    for key, value in point_lists.items():
-        if data.get(key) != value:
-            failures.append(f"{key}: not the {len(value)} points of S(X,B)")
-    claims = {
-        "point_count": len(expected),
-        "certificate_count": len(certs),
-        "k_actual": delta * len(certs),
-        **run_series(gb, delta)._asdict(),
-    }
-    for key, value in claims.items():
-        stored = data.get(key)
-        value = list(value) if isinstance(value, tuple) else value
-        if repr(stored) != repr(value):  # so True is not 1, nor 1.0 or "1"
-            failures.append(f"{key}: {json.dumps(stored)}, not {json.dumps(value)}")
+    stored = {**data, **{f"params.{key}": v for key, v in data["params"].items()}}
+    derived = {"params.num_vars": gb.num_vars}
+    if epsilon is None:
+        derived["delta_report"] = None
+    else:
+        derived["params.delta"], derived["delta_report"] = choose_delta(gb, epsilon)
+    derived.update(run_summary(gb, box, delta, expected, certs, mode == "affine"))
+    for key, value in derived.items():
+        have = stored.get(key)
+        if key.endswith("points"):  # as lists: JSON text of S(X,B) costs more
+            if have != value:
+                failures.append(f"{key}: not the {len(value)} points of S(X,B)")
+        elif repr(have) != repr(value):  # so that true is not 1, nor 1.0 or "1"
+            # as JSON text too, where a dict's key order does not count
+            have, want = (json.dumps(x, sort_keys=True) for x in (have, value))
+            if have != want:
+                failures.append(f"{key}: {have}, not {want}")
     return failures
 
 
@@ -405,13 +414,12 @@ def cmd_sweep(args):
             ordering=ordering,
             budget=args.budget,
         )
-        n_pts = len(report.affine_points)
         k_bound = report.k_bound_value  # empty beyond the largest double
         k_bound = "" if k_bound is None else f"{k_bound:.6g}"
         if i == 0:  # an error on the first height leaves stdout empty
             print("B,N,certificates,k_actual,k_bound")
         print(
-            f"{b},{n_pts},{len(report.certificates)},"
+            f"{b},{report.point_count},{report.certificate_count},"
             f"{report.k_actual},{k_bound}"
         )
     return EXIT_OK

@@ -30,8 +30,9 @@ report leaves the engine; `detmethod verify` runs the same two checks.
 One body, cover_and_construct, runs both modes: it decides delta, M(delta)
 and the exponents, then enumerates through run_points and builds its report
 once.  run_basis and run_points (the points (1, x) of an affine run) decide
-what a run covers, and run_series the report fields its basis and delta
-decide, for the engine and `detmethod verify` alike.
+what a run covers, and run_summary (with run_series) the report fields its
+basis, box, delta, points and certificates decide, for the engine and
+`detmethod verify` alike.
 """
 
 from __future__ import annotations
@@ -520,16 +521,13 @@ def _norm_bound(norm_bound):
 class PipelineReport(SimpleNamespace):
     """A run's result, built once by cover_and_construct, the one body of
     both modes, with every field given by keyword and none changed after:
-    mode, heights, delta, epsilon, ordering, strategy, dimension, degree,
-    mu, nu, f, sigma; points (the enumerated
-    homogeneous representatives); affine_points (affine mode only, else ());
-    class_counts, certificates, k_actual, k_bound_exponents; k_bound_value
-    (None beyond the largest double); rho (a Fraction 1/q, written "1/q"),
-    cube_count and max_depth (None where the strategy sets none); vacuous;
-    ordering_bound and delta_report (None unless set); num_vars; and
-    timings, the opt-in stage timings (enumeration: points_s,
-    points_fibres, points_found; matrix build: matrix_s; kernel: kernel_s,
-    kernel_calls)."""
+    mode, heights, delta, epsilon, ordering, strategy; summary, the
+    run_summary dict, each of whose fields is an attribute too;
+    certificates; rho (a Fraction 1/q, written "1/q"), cube_count and
+    max_depth (None where the strategy sets none); ordering_bound and
+    delta_report (None unless set); num_vars; and timings, the opt-in stage
+    timings (enumeration: points_s, points_fibres, points_found; matrix
+    build: matrix_s; kernel: kernel_s, kernel_calls)."""
 
     def to_dict(self, include_timings=False):
         def frac(x):  # an int unchanged, a Fraction as its int or "p/q"
@@ -540,7 +538,7 @@ class PipelineReport(SimpleNamespace):
         for c in self.certificates:
             entry = {
                 "poly": format_polynomial(c.poly, self.ordering),
-                "points": [list(self.points[i]) for i in c.points_covered],
+                "points": [self.points[i] for i in c.points_covered],
                 "box": [[frac(lo), frac(hi)] for lo, hi in c.box],
             }
             if self.mode == "affine":
@@ -556,27 +554,12 @@ class PipelineReport(SimpleNamespace):
                 "strategy": self.strategy,
                 "num_vars": self.num_vars,
             },
-            "dimension": self.dimension,
-            "degree": self.degree,
-            "mu": self.mu,
-            "nu": self.nu,
-            "f": self.f,
-            "sigma": list(self.sigma),
-            "point_count": len(self.points),
-            "points": [list(p) for p in self.points],
-            "class_counts": list(self.class_counts),
-            "certificate_count": len(self.certificates),
+            **self.summary,
             "certificates": certs,
-            "k_actual": self.k_actual,
-            "k_bound_exponents": list(self.k_bound_exponents),
-            "k_bound_value": self.k_bound_value,
             "rho": None if self.rho is None else frac(self.rho),
             "cube_count": self.cube_count,
             "max_depth": self.max_depth,
-            "vacuous": self.vacuous,
         }
-        if self.mode == "affine":
-            out["affine_points"] = [list(p) for p in self.affine_points]
         if self.ordering_bound is not None:
             ob = self.ordering_bound
             out["ordering_bound"] = {
@@ -692,8 +675,46 @@ def run_series(gb, delta):
     if m >= 1 and mu:
         budget = choose_nu(mu, m)
         nu, f = budget.nu, budget.e
-    exps = tuple(m * s / f if f else 0.0 for s in sigma)
-    return RunSeries(m, d, mu, nu, f, sigma, exps)
+    exps = [m * s / f if f else 0.0 for s in sigma]
+    return RunSeries(m, d, mu, nu, f, list(sigma), exps)
+
+
+def run_summary(gb, box, delta, points, certificates, affine):
+    """Every top-level report field that a run's basis, box, delta, points
+    and certificates decide, as the report writes it, for
+    cover_and_construct and `detmethod verify` alike: run_series' fields;
+    the points of S(X, box), their count and their classes S_i (in affine
+    mode all in S_0, checked, and each point also without its leading 1 as
+    affine_points); the certificate count and k = delta times it; the
+    heights' bound prod B_i^(m sigma_i / f) on k (0.0 where f = 0, None
+    beyond the largest double); and whether S(X, box) is empty."""
+    series = run_series(gb, delta)
+    tally = Counter(map(class_index, points, repeat(box)))
+    class_counts = [tally[i] for i in range(len(box.bounds))]
+    if affine and any(class_counts[1:]):  # x0 = 1 with B_0 = 1 forces S_0
+        raise AssertionError(f"lifted points escaped S_0: {class_counts}")
+    k_bound = 0.0
+    if series.f:
+        k_bound = math.inf
+        with contextlib.suppress(OverflowError):
+            k_bound = math.prod(
+                float(b) ** e for e, b in zip(series.k_bound_exponents, box.bounds)
+            )
+        if k_bound == math.inf:  # beyond the largest double: null, as in `bound`
+            k_bound = None
+    summary = {
+        **series._asdict(),
+        "points": [list(p) for p in points],
+        "point_count": len(points),
+        "class_counts": class_counts,
+        "certificate_count": len(certificates),
+        "k_actual": delta * len(certificates),
+        "k_bound_value": k_bound,
+        "vacuous": not points,
+    }
+    if affine:
+        summary["affine_points"] = [p[1:] for p in summary["points"]]
+    return summary
 
 
 def choose_delta(gb, epsilon):
@@ -716,7 +737,7 @@ def choose_delta(gb, epsilon):
 
     best = None
     for delta in range(1, DELTA_MAX_DEFAULT + 1):
-        ratios = list(run_series(gb, delta).k_bound_exponents)
+        ratios = run_series(gb, delta).k_bound_exponents
         overshoot = max(r - (li + epsilon) for r, li in zip(ratios, limits))
         report = {
             "delta": delta,
@@ -767,7 +788,7 @@ def cover_and_construct(
     delta_report = None
     if delta is None:
         delta, delta_report = choose_delta(gb, epsilon)
-    m, _, mu, nu, f, sigma, exps = series = run_series(gb, delta)
+    m, _, mu, nu, _, sigma, _ = run_series(gb, delta)
     sc = staircase(gb, delta)
     if strategy == "theoretical" and chart is None and m > 1:
         raise InputError(
@@ -778,11 +799,6 @@ def cover_and_construct(
     mode = "projective" if affine_ideal is None else "affine"
     point_set = run_points(affine_ideal or gb.ideal, mode, box, budget)
     points = point_set.points
-    tally = Counter(class_index(p, box) for p in points)
-    class_counts = tuple(tally[i] for i in range(len(box.bounds)))
-    # x0 = 1 with B_0 = 1 forces class 0; checked, not assumed
-    if mode == "affine" and any(class_counts[1:]):
-        raise AssertionError(f"lifted points escaped S_0: {class_counts}")
     timings = {
         "points_s": point_set.seconds,
         "points_fibres": point_set.fibres,
@@ -815,14 +831,6 @@ def cover_and_construct(
                 mat, sc, gb, box, sigma, mu, m, nu, norm_bound, chart, timings
             )
 
-    k_val = 0.0
-    if f:
-        k_val = math.inf
-        with contextlib.suppress(OverflowError):
-            k_val = math.prod(float(b) ** e for e, b in zip(exps, box.bounds))
-        if k_val == math.inf:  # beyond the largest double: null, as in `bound`
-            k_val = None
-
     # constructor output is never trusted: re-verify before it leaves
     failures = [msg for c in certs for msg in verify_certificate(c, points, gb)]
     uncovered = coverage_failure(certs, len(points))
@@ -832,6 +840,7 @@ def cover_and_construct(
     ordering_bound = None
     if mode == "affine" and m >= 0:  # else 1 lies in I and HF of I^h vanishes
         ordering_bound = affine_ordering_bound(affine_ideal, ORDERING_BOUND_S)
+    summary = run_summary(gb, box, delta, points, certs, mode == "affine")
     return PipelineReport(
         mode=mode,
         heights=box.bounds,
@@ -839,17 +848,12 @@ def cover_and_construct(
         epsilon=epsilon,
         ordering=gb.ordering,
         strategy=strategy,
-        **series._asdict(),
-        points=points,
-        affine_points=tuple(p[1:] for p in points) if mode == "affine" else (),
-        class_counts=class_counts,
+        summary=summary,
+        **summary,
         certificates=certs,
-        k_actual=delta * len(certs),
-        k_bound_value=k_val,
         rho=rho,
         cube_count=cube_count,
         max_depth=max_depth,
-        vacuous=not points,
         ordering_bound=ordering_bound,
         delta_report=delta_report,
         num_vars=gb.num_vars,

@@ -547,16 +547,18 @@ def test_verify_with_a_wrong_delta_walks_no_staircase_up_to_it(
         capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
     )
     assert code == 1
-    # the report's k_actual, 2 * 7, and its series fields no longer match
-    # its delta either; at 3000 HF = 6001 and f = 6001 * 6000 / 2
+    # the report's series fields, k_actual, 2 * 7, and k-bound no longer
+    # match its delta either; at 3000 HF = 6001 and f = 6001 * 6000 / 2
+    exponents = [s / 18003000 for s in (9000000, 3000, 9000000)]
+    k_bound = math.prod(float(b) ** e for e, b in zip(exponents, (1, 100, 100)))
     summary = [
-        f"FAIL: k_actual: 14, not {3000 * data['certificate_count']}",
         "FAIL: mu: 5, not 6001",
         "FAIL: nu: 4, not 6000",
         "FAIL: f: 10, not 18003000",
         "FAIL: sigma: [4, 2, 4], not [9000000, 3000, 9000000]",
-        "FAIL: k_bound_exponents: [0.4, 0.2, 0.4], not "
-        f"{[s / 18003000 for s in (9000000, 3000, 9000000)]}",
+        f"FAIL: k_bound_exponents: [0.4, 0.2, 0.4], not {exponents}",
+        f"FAIL: k_actual: 14, not {3000 * data['certificate_count']}",
+        f"FAIL: k_bound_value: {data['k_bound_value']}, not {k_bound}",
     ]
     lines = out.splitlines()
     assert lines[-len(summary):] == summary
@@ -591,63 +593,203 @@ def test_verify_with_a_wrong_delta_walks_no_staircase_up_to_it(
     assert calls == []
 
 
-TOP_LEVEL_EDITS = {
-    "points": lambda d: d["points"].append([1, 5, 5]),
-    "point_count": lambda d: d.update(point_count=999),
-    "certificate_count": lambda d: d.update(certificate_count=1),
-    "k_actual": lambda d: d.update(k_actual=0),
-    "affine_points": lambda d: d["affine_points"].reverse(),
-}
-
-
-@pytest.mark.parametrize("field", TOP_LEVEL_EDITS)
-def test_verify_checks_the_reports_top_level_claims(capsys, parabola_report, field):
-    # the certificates stay genuine: only the report's summary misstates
-    data = json.loads(parabola_report.read_text())
-    TOP_LEVEL_EDITS[field](data)
-    parabola_report.write_text(json.dumps(data))
-    code, out, _ = run(
-        capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
-    )
-    assert code == 1
-    assert out.splitlines() == [
-        {
-            "points": "FAIL: points: not the 21 points of S(X,B)",
-            "point_count": "FAIL: point_count: 999, not 21",
-            "certificate_count": "FAIL: certificate_count: 1, not 7",
-            "k_actual": "FAIL: k_actual: 0, not 14",
-            "affine_points": "FAIL: affine_points: not the 21 points of S(X,B)",
-        }[field]
-    ]
-
-
-SERIES_FIELDS = ["dimension", "degree", "mu", "nu", "f", "sigma", "k_bound_exponents"]
-SERIES_RUNS = {
-    "affine": ("--ideal", PARABOLA, "--height", "100", "--delta", "2"),
+# a construct report of each kind, as `detmethod construct` writes it with
+# these options; the mutation test edits every key of each
+MUTATION_RUNS = {
+    "affine": ("--ideal", PARABOLA, "--height", "100", "--epsilon", "0.25"),
     "projective": (
         "--ideal", CONIC, "--mode", "projective", "--heights", "8,8,8", "--delta", "2",
+    ),
+    "theoretical": (
+        "--ideal", PARABOLA, "--height", "100", "--delta", "2",
+        "--strategy", "theoretical", "--norm-bound", "20",
     ),
 }
 
 
-@pytest.mark.parametrize("field", SERIES_FIELDS)
-@pytest.mark.parametrize("mode", SERIES_RUNS)
-def test_verify_rederives_the_series_fields(capsys, tmp_path, mode, field):
-    # one wrong value in one field: one FAIL line naming it, exit 1
-    report = tmp_path / "report.json"
-    code, _, _ = run(capsys, "construct", *SERIES_RUNS[mode], "--out", str(report))
-    assert code == 0
-    data = json.loads(report.read_text())
-    genuine = data[field]
-    if isinstance(genuine, list):
-        data[field] = [genuine[0] + 1, *genuine[1:]]
+def _construct_report(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["construct", *argv]) == 0
+    return json.loads(out.getvalue())
+
+
+MUTATION_REPORTS = {
+    name: _construct_report(argv) for name, argv in MUTATION_RUNS.items()
+}
+# a key's name: its own at the top level, "params.<key>" in params, and
+# "certificate 0: <key>" in the first certificate
+MUTATION_KEYS = [
+    (run_name, key)
+    for run_name, data in MUTATION_REPORTS.items()
+    for key in sorted(data.keys() - {"params", "certificates"})
+    + [f"params.{key}" for key in sorted(data["params"])]
+    + [f"certificate 0: {key}" for key in sorted(data["certificates"][0])]
+]
+# keys whose edit changes what verify derives, or makes the report
+# malformed: verify exits 2, or 1 with at least one FAIL line
+INPUT_KEYS = {
+    "params.mode",
+    "params.heights",
+    "params.delta",
+    "params.epsilon",
+    "certificate 0: poly",
+    "certificate 0: points",
+}
+SWAPS = {
+    "affine": "projective",
+    "projective": "affine",
+    "grlex-left": "grevlex",
+    "adaptive": "theoretical",
+    "theoretical": "adaptive",
+}
+# exact edits and FAIL lines, on the affine report
+EXACT_EDITS = {
+    "points": (
+        lambda d: d["points"].append([1, 5, 5]),
+        ["FAIL: points: not the 21 points of S(X,B)"],
+    ),
+    "point_count": (
+        lambda d: d.update(point_count=999), ["FAIL: point_count: 999, not 21"]
+    ),
+    "certificate_count": (
+        lambda d: d.update(certificate_count=1), ["FAIL: certificate_count: 1, not 7"]
+    ),
+    "k_actual": (lambda d: d.update(k_actual=0), ["FAIL: k_actual: 0, not 14"]),
+    "affine_points": (
+        lambda d: d["affine_points"].reverse(),
+        ["FAIL: affine_points: not the 21 points of S(X,B)"],
+    ),
+    "class_counts": (
+        lambda d: d.update(class_counts=[0, 20, 1]),
+        ["FAIL: class_counts: [0, 20, 1], not [21, 0, 0]"],
+    ),
+    "vacuous": (lambda d: d.update(vacuous=True), ["FAIL: vacuous: true, not false"]),
+    "params.num_vars": (
+        lambda d: d["params"].update(num_vars=7), ["FAIL: params.num_vars: 7, not 3"]
+    ),
+}
+
+
+def _readme_unchecked():
+    """The backquoted names of README's `verify` bullet's unchecked list."""
+    text = README.read_text().split("  - Unchecked:", 1)[1].split("\n- ", 1)[0]
+    return set(re.findall(r"`([^`]+)`", text))
+
+
+def _edited(value):
+    """value with one thing changed: a bool negated, a number raised, a
+    choice swapped, a polynomial given a constant term, another string
+    extended, null made 1, a list's first item edited, or the value at a
+    dict's first key."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 2
+    if isinstance(value, str):
+        return SWAPS.get(value, value + (" + 1" if "x" in value else "1"))
+    if value is None:
+        return 1
+    if isinstance(value, list):
+        return [_edited(value[0]), *value[1:]] if value else [0]
+    key = min(value)
+    return {**value, key: _edited(value[key])}
+
+
+def _mutate(data, name):
+    """Edit the key `name` of the report data in place; (before, after)."""
+    if name.startswith("params."):
+        obj, key = data["params"], name.removeprefix("params.")
+    elif name.startswith("certificate 0: "):
+        obj, key = data["certificates"][0], name.removeprefix("certificate 0: ")
     else:
-        data[field] = genuine + 1
+        obj, key = data, name
+    before = obj[key]
+    obj[key] = _edited(before)
+    return before, obj[key]
+
+
+@pytest.mark.parametrize(
+    "run_name, name, exact",
+    [(r, n, False) for r, n in MUTATION_KEYS]
+    + [("affine", n, True) for n in EXACT_EDITS],
+    ids=[f"{r}-{n}" for r, n in MUTATION_KEYS] + [f"exact-{n}" for n in EXACT_EDITS],
+)
+def test_verify_fails_on_a_single_edit_of_any_key(
+    capsys, tmp_path, run_name, name, exact
+):
+    # one edit of one value: exit 1 with exactly one FAIL line naming a
+    # derived field, exit 1 or 2 for an input; PASS only on README's list
+    data = json.loads(json.dumps(MUTATION_REPORTS[run_name]))
+    if exact:
+        EXACT_EDITS[name][0](data)
+    else:
+        before, after = _mutate(data, name)
+    report = tmp_path / "report.json"
     report.write_text(json.dumps(data))
-    ideal = SERIES_RUNS[mode][1]
+    ideal = MUTATION_RUNS[run_name][1]
     code, out, _ = run(capsys, "verify", "--report", str(report), "--ideal", ideal)
+    lines = out.splitlines()
+    if exact:
+        assert (code, lines) == (1, EXACT_EDITS[name][1])
+    elif name.split(": ")[-1] in _readme_unchecked():
+        assert code == 0 and out.startswith("PASS")
+    elif name in INPUT_KEYS:
+        assert code == 2 or (code == 1 and lines and lines[0].startswith("FAIL: "))
+    elif name.endswith("points"):
+        assert (code, lines) == (
+            1, [f"FAIL: {name}: not the {len(before)} points of S(X,B)"]
+        )
+    else:
+        have, want = (json.dumps(x, sort_keys=True) for x in (after, before))
+        assert (code, lines) == (1, [f"FAIL: {name}: {have}, not {want}"])
+
+
+def test_verify_names_what_a_changed_epsilon_decides(capsys, tmp_path):
+    # at epsilon = 100 choose_delta takes delta = 1, so the stored delta
+    # and delta_report are not what the report's epsilon decides
+    data = json.loads(json.dumps(MUTATION_REPORTS["affine"]))
+    data["params"]["epsilon"] = 100
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--report", str(report), "--ideal", PARABOLA)
     assert code == 1
-    assert out == f"FAIL: {field}: {json.dumps(data[field])}, not {json.dumps(genuine)}\n"
+    assert [line.split(": ")[1] for line in out.splitlines()] == [
+        "params.delta",
+        "delta_report",
+    ]
+    assert out.startswith("FAIL: params.delta: 2, not 1\n")
+
+
+CERTIFICATE_POINT_EDITS = {
+    "empty": lambda certs: certs.append({**certs[0], "points": [], "box": []}),
+    "repeated": lambda certs: certs[0]["points"].insert(0, certs[0]["points"][0]),
+    "unsorted": lambda certs: certs[0]["points"].reverse(),
+}
+
+
+@pytest.mark.parametrize("case", CERTIFICATE_POINT_EDITS)
+def test_verify_takes_a_certificates_points_in_order_once_each(
+    capsys, tmp_path, case
+):
+    # construct lists each certificate's points sorted, and each box it
+    # certifies holds a point
+    data = json.loads(json.dumps(MUTATION_REPORTS["projective"]))
+    certs = data["certificates"]
+    assert len(certs[0]["points"]) > 1
+    CERTIFICATE_POINT_EDITS[case](certs)
+    data["certificate_count"] = len(certs)
+    data["k_actual"] = 2 * len(certs)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "verify", "--report", str(report), "--ideal", CONIC)
+    k = len(certs) - 1 if case == "empty" else 0
+    assert (code, out) == (
+        1,
+        f"FAIL: certificate {k}: points: not a nonempty list in S(X,B) order "
+        "without repeats\n",
+    )
 
 
 def test_verify_takes_only_a_json_integer_as_a_count(capsys, tmp_path):
@@ -1142,6 +1284,7 @@ MALFORMED_REPORTS = {
         **d, "params": {**d["params"], "heights": [7, 100, 3]}
     },
     "unknown-mode": lambda d: {**d, "params": {**d["params"], "mode": "weighted"}},
+    "string-epsilon": lambda d: {**d, "params": {**d["params"], "epsilon": "1/4"}},
     "unknown-ordering": lambda d: {
         **d, "params": {**d["params"], "ordering": "lex"}
     },

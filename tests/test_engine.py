@@ -914,7 +914,7 @@ def test_cover_conic_projective():
     assert report.mu == 5
     assert (report.dimension, report.degree) == (1, 2)
     assert len(report.points) == 8
-    assert report.class_counts == (5, 0, 3)
+    assert report.class_counts == [5, 0, 3]
     covered = set()
     for c in report.certificates:
         covered.update(c.points_covered)
@@ -1120,7 +1120,7 @@ def test_one_rule_for_the_theoretical_inputs(
         assert report.mode == "affine" and report.strategy == strategy
         assert report.vacuous == (name == "empty")
         assert len(report.points) == (21 if name == "parabola" else 0)
-        assert report.affine_points == tuple(p[1:] for p in report.points)
+        assert report.affine_points == [p[1:] for p in report.points]
         assert report.ordering_bound is not None  # x0^2 + 1 has m = 1 too
         return
     _forbid(monkeypatch, buchberger=True)
