@@ -9,24 +9,20 @@ from .bounds import (
     D,
     DetBoundInput,
     ExponentBudget,
-    L,
     choose_nu,
     ck_norm_bound,
     determinant_bound_exact,
 )
 from .engine import (
     AuxiliaryCertificate,
-    Chart,
     MonomialMatrix,
     PipelineReport,
     affine_pipeline,
     auxiliary_for_box,
     build_matrix,
-    chart_norm_bound,
     choose_delta,
     cover_and_construct,
     exact_kernel,
-    parabola_chart,
     theoretical_rho,
     verify_certificate,
 )
@@ -35,7 +31,6 @@ from .errors import (
     DegenerateIdealError,
     InputError,
     ParseError,
-    TheoreticalFalsificationError,
 )
 from .ideals import (
     GroebnerBasis,
@@ -57,7 +52,6 @@ from .points import (
     class_index,
     enumerate_affine,
     enumerate_projective,
-    tau_normalize,
 )
 from .polynomials import (
     Ordering,

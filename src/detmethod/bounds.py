@@ -59,13 +59,6 @@ def finite_double(x):
         return False
 
 
-def L(m, k):
-    """Number of m-variate multi-indices of total degree exactly k."""
-    if m < 1 or k < 0:
-        raise InputError("need m >= 1 and k >= 0")
-    return math.comb(k + m - 1, m - 1)
-
-
 def D(m, k):
     """Number of m-variate multi-indices of total degree at most k."""
     if m < 1:

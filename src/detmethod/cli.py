@@ -45,7 +45,6 @@ from .errors import (
     DegenerateIdealError,
     InputError,
     ParseError,
-    TheoreticalFalsificationError,
 )
 from .ideals import Ideal, _a_denominator, _series
 from .points import (
@@ -260,7 +259,7 @@ def cmd_construct(args):
     if args.mode == "affine":
         report = affine_pipeline(ideal, heights, ordering=ordering, **options)
     else:
-        _require_options(args.delta, args.epsilon, args.strategy, norm_bound, None)
+        _require_options(args.delta, args.epsilon, args.strategy, norm_bound)
         gb = run_basis(ideal, "projective", ordering)
         report = cover_and_construct(gb, heights, **options)
     text = report_json(report, include_timings=args.timings)
@@ -562,7 +561,7 @@ def main(argv=None):
     except (InputError, DegenerateIdealError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (AssertionError, TheoreticalFalsificationError) as exc:
+    except AssertionError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 

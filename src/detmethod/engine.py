@@ -14,12 +14,11 @@ are small.
 Two covering strategies exist.  The default, adaptive bisection, starts from
 the whole height box and bisects the longest axis of any sub-box whose
 monomial matrix has full rank; it terminates because a box holding at most
-mu-1 integer points always certifies.  The theoretical strategy lays down a
-grid of side rho = 1/q on the chart domain [-1,1]^m, with q decided in
-exact integers from the determinant estimate; a full-rank occupied cube
-there is never silently repaired: under a chart's derived norm bound it is
-a falsification, under a supplied one an input error (the bound was too
-small).
+mu-1 integer points always certifies.  The theoretical strategy, for curves
+only, lays down a grid of side rho = 1/q on [-1,1] in the parameter
+t = x_1/B_1, with q decided in exact integers from the determinant estimate
+under the supplied norm bound; a full-rank occupied cube there is never
+silently repaired: it is an input error (the bound was too small).
 
 A run builds one full Groebner basis per ideal and ordering, reads mu,
 sigma_i, m and d from its Hilbert series, and lists the staircase M(delta)
@@ -42,17 +41,12 @@ import math
 from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import isqrt
 from operator import itemgetter, lshift, mul
 from time import perf_counter
 from types import SimpleNamespace
 
-from .bounds import choose_nu, ck_norm_bound, determinant_bound_exact, iroot
-from .errors import (
-    DegenerateIdealError,
-    InputError,
-    TheoreticalFalsificationError,
-)
+from .bounds import choose_nu, determinant_bound_exact, iroot
+from .errors import DegenerateIdealError, InputError
 from .ideals import (
     _series,
     a_estimates,
@@ -69,7 +63,6 @@ from .points import (
     enumerate_affine,
     enumerate_projective,
     require_homogeneous,
-    tau_normalize,
 )
 from .polynomials import (
     Ordering,
@@ -454,42 +447,6 @@ def coverage_failure(certificates, point_count):
 # -- theoretical covering --------------------------------------------------
 
 
-class Chart(namedtuple("Chart", "components param")):
-    """A polynomial parametrization of the scaled variety, with a callable
-    recovering each point's chart parameter in [-1,1]^m.
-
-    components map [-1,1]^m into the z-coordinates z_j = x_j B_0 / (x_0 B_j);
-    param(point) must return exact rationals t with components(t) = z(point).
-    """
-
-    __slots__ = ()
-
-
-def parabola_chart(b):
-    """Chart t -> (t/sqrt(B), t^2) for the scaled parabola; requires a
-    perfect-square height so the parameter map stays exact."""
-    s = isqrt(int(b))
-    if s * s != int(b):
-        raise InputError("theoretical parabola chart needs a perfect-square height")
-    t = Polynomial.variable(0, 1)
-    comps = (t * Fraction(1, s), t * t)
-    return Chart(components=comps, param=lambda pt: (Fraction(pt[1], s),))
-
-
-def chart_norm_bound(chart, sc, nu):
-    """Exact bound on max_i ||psi_i||_nu for psi_i(u) = (1, phi(u))^{e(i)}."""
-    m = chart.components[0].num_vars
-    unit_box = [(Fraction(-1), Fraction(1))] * m
-    best = Fraction(0)
-    for e in sc.exponents:
-        psi = Polynomial.constant(1, m)
-        for comp, k in zip(chart.components, e[1:]):
-            if k:
-                psi = psi * comp**k
-        best = max(best, ck_norm_bound(psi, nu, unit_box))
-    return best
-
-
 def theoretical_rho(box, sigma, mu, m, norm_bound):
     """The cube side rho = 1/q and cube count (2q)^m of the theoretical grid
     on [-1,1]^m, q >= 2 being the least integer with K < q^f, where
@@ -622,17 +579,15 @@ def _adaptive_cover(mat, sc, gb, timings):
     return certs, max_depth
 
 
-def _theoretical_cover(mat, sc, gb, box, sigma, mu, m, nu, norm_bound, chart, timings):
-    if chart is not None:  # a derived bound: a full-rank cube falsifies it
-        norm_bound, param = chart_norm_bound(chart, sc, nu), chart.param
-    else:
-        param = lambda p: tau_normalize(p, box)[1:2]
+def _theoretical_cover(mat, sc, gb, box, sigma, mu, m, norm_bound, timings):
     rho, cube_count = theoretical_rho(box, sigma, mu, m, norm_bound)
     q = rho.denominator
     groups = {}
     for i, p in enumerate(mat.points):
-        # t = 1 would be key 2q, past the grid: it joins the last cube
-        key = tuple(min(math.floor((t + 1) * q), 2 * q - 1) for t in param(p))
+        # the cube of t = x_1/B_1; t = 1 would be key 2q, past the grid: it
+        # joins the last cube
+        t = Fraction(p[1]) / box.bounds[1]
+        key = (min(math.floor((t + 1) * q), 2 * q - 1),)
         groups.setdefault(key, []).append(i)
     certs = []
     for key in sorted(groups):
@@ -640,11 +595,6 @@ def _theoretical_cover(mat, sc, gb, box, sigma, mu, m, nu, norm_bound, chart, ti
         desc = tuple((Fraction(k, q) - 1, Fraction(k + 1, q) - 1) for k in key)
         cert = auxiliary_for_box(mat, idxs, sc, gb, desc, timings)
         if cert is None:
-            if chart is not None:
-                raise TheoreticalFalsificationError(
-                    f"occupied rho-cube {key} has a full-rank matrix; this "
-                    f"contradicts the determinant estimate (rho={rho})"
-                )
             raise InputError(
                 f"norm bound {norm_bound} is too small: occupied rho-cube "
                 f"{key} has a full-rank matrix (rho={rho})"
@@ -762,7 +712,6 @@ def cover_and_construct(
     delta=None,
     strategy="adaptive",
     norm_bound=None,
-    chart=None,
     budget=DEFAULT_BUDGET,
     affine_ideal=None,
     epsilon=None,
@@ -781,20 +730,18 @@ def cover_and_construct(
     S(X, B) is empty and the report vacuous.
 
     Every enumerated point ends up covered by at least one certificate, or the
-    run raises (degeneracy / falsification); nothing is silently skipped.
+    run raises (degeneracy, or a norm bound too small); nothing is silently
+    skipped.
     """
-    _require_options(delta, epsilon, strategy, norm_bound, chart)
+    _require_options(delta, epsilon, strategy, norm_bound)
     require_homogeneous(gb.ideal)
     delta_report = None
     if delta is None:
         delta, delta_report = choose_delta(gb, epsilon)
-    m, _, mu, nu, _, sigma, _ = run_series(gb, delta)
+    m, _, mu, _, _, sigma, _ = run_series(gb, delta)
     sc = staircase(gb, delta)
-    if strategy == "theoretical" and chart is None and m > 1:
-        raise InputError(
-            "built-in parameter map only covers curves (m=1); "
-            "supply a chart for higher dimension"
-        )
+    if strategy == "theoretical" and m > 1:
+        raise InputError("the theoretical strategy covers curves only (m = 1)")
 
     mode = "projective" if affine_ideal is None else "affine"
     point_set = run_points(affine_ideal or gb.ideal, mode, box, budget)
@@ -828,7 +775,7 @@ def cover_and_construct(
             certs, max_depth = _adaptive_cover(mat, sc, gb, timings)
         else:
             certs, rho, cube_count = _theoretical_cover(
-                mat, sc, gb, box, sigma, mu, m, nu, norm_bound, chart, timings
+                mat, sc, gb, box, sigma, mu, m, norm_bound, timings
             )
 
     # constructor output is never trusted: re-verify before it leaves
@@ -861,21 +808,21 @@ def cover_and_construct(
     )
 
 
-def _require_options(delta, epsilon, strategy, norm_bound, chart):
+def _require_options(delta, epsilon, strategy, norm_bound):
     """The one options check, before any Buchberger run or run_points in
     either mode: one of delta and a positive finite epsilon, a known
-    strategy, and one of a chart and a positive finite norm bound for the
-    theoretical strategy only."""
+    strategy, and a positive finite norm bound exactly when the strategy is
+    theoretical."""
     if (delta is None) == (epsilon is None):
         raise InputError("exactly one of delta / epsilon must be set")
     if epsilon is not None:
         _epsilon(epsilon)
     if strategy not in ("adaptive", "theoretical"):
         raise InputError(f"unknown strategy {strategy!r}")
-    if (chart is not None) + (norm_bound is not None) != (strategy == "theoretical"):
+    if (norm_bound is not None) != (strategy == "theoretical"):
         raise InputError(
-            "the theoretical strategy needs exactly one of a chart and a norm "
-            "bound; the adaptive strategy takes neither"
+            "the theoretical strategy needs a norm bound; the adaptive "
+            "strategy takes none"
         )
     if norm_bound is not None:
         _norm_bound(norm_bound)
@@ -914,7 +861,6 @@ def affine_pipeline(
     ordering=Ordering.GRLEX_LEFT,
     strategy="adaptive",
     norm_bound=None,
-    chart=None,
     budget=DEFAULT_BUDGET,
 ):
     """Affine flavor: check the options, homogenize, and run the one body,
@@ -923,7 +869,7 @@ def affine_pipeline(
     A certificate G is checked at the lifted points (1,x), so the affine
     polynomial g = G(1,x) vanishes on X(Z,B); G is homogeneous and nonzero
     (its support lies in M(delta)), so g is nonzero too."""
-    _require_options(delta, epsilon, strategy, norm_bound, chart)
+    _require_options(delta, epsilon, strategy, norm_bound)
     # the bases are kept on affine_ideal, so a sweep over heights shares them
     return cover_and_construct(
         homogenized_basis(affine_ideal, ordering),
@@ -931,7 +877,6 @@ def affine_pipeline(
         delta,
         strategy=strategy,
         norm_bound=norm_bound,
-        chart=chart,
         budget=budget,
         affine_ideal=affine_ideal,
         epsilon=epsilon,

@@ -29,12 +29,3 @@ class BudgetExceededError(RuntimeError):
 
 class DegenerateIdealError(ValueError):
     """The staircase construction cannot apply (e.g. mu <= 1 at every degree)."""
-
-
-class TheoreticalFalsificationError(RuntimeError):
-    """An occupied rho-cube produced a full-rank matrix in theoretical mode,
-    under a norm bound that chart_norm_bound derived.
-
-    This would contradict the determinant estimate; it is treated as a test
-    failure, never silently recovered from.
-    """

@@ -338,14 +338,3 @@ def class_index(point, box):
         if num * best_den > best_num * den:
             best, best_num, best_den = i, num, den
     return best
-
-
-def tau_normalize(point, box):
-    """Coordinate-wise exact division by the height bounds; lands in
-    [-1,1]^(n+1) for in-box points."""
-    if len(point) != len(box.bounds):
-        raise InputError("dimension mismatch")
-    out = tuple(Fraction(x) / b for x, b in zip(point, box.bounds))
-    if any(abs(v) > 1 for v in out):
-        raise ValueError(f"point {point} lies outside the box")
-    return out

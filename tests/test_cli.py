@@ -1006,7 +1006,7 @@ def test_non_finite_number_is_input_error(capsys, argv, message):
          "norm bound must be a positive rational, got -1"),
         (("--ideal", str(DATA / "surfaces" / "saddle.ideal"), "--height", "100000",
           "--delta", "2", "--strategy", "theoretical", "--norm-bound", "20"),
-         "built-in parameter map only covers curves"),
+         "the theoretical strategy covers curves only (m = 1)"),
         (("--ideal", str(DATA / "empty.ideal"), "--height", "50", "--delta", "2",
           "--strategy", "theoretical", "--norm-bound", "-1"),
          "norm bound must be a positive rational, got -1"),
@@ -1093,8 +1093,8 @@ def test_sweep_without_delta_or_epsilon_takes_epsilon_one_quarter(capsys):
 
 
 ONE_RULE = (
-    "the theoretical strategy needs exactly one of a chart and a norm bound; "
-    "the adaptive strategy takes neither"
+    "the theoretical strategy needs a norm bound; the adaptive strategy "
+    "takes none"
 )
 
 
@@ -1238,7 +1238,7 @@ def test_empty_affine_variety_is_vacuous_and_verifies(capsys, tmp_path, text):
         ("vars: 4\nx0*x3 - x1*x2\n",  # the Segre quadric, a surface
          ("--mode", "projective", "--heights", "3,3,3,3", "--delta", "2",
           "--strategy", "theoretical", "--norm-bound", "20"),
-         "built-in parameter map only covers curves"),
+         "the theoretical strategy covers curves only (m = 1)"),
     ],
     ids=["delta-0", "theoretical-surface"],
 )
@@ -1509,6 +1509,88 @@ def test_unused_import_check_sees_reads_and_fixtures():
         "    return os.path, kept\n"
     )
     assert _unused_imports(ast.parse(source)) == [(3, "renamed")]
+
+
+def _unread_definitions(modules, readers=()):
+    """The functions, classes and methods that the modules ({name: tree})
+    define and that nothing reads outside its own definition: no ast.Name
+    load and no ast.Attribute of that name in the modules or the reader
+    trees.  A read inside an unread definition does not count, so what only
+    dead code reads is dead too.  Dunder methods are exempt.  Sorted
+    (module, line, name)."""
+    defined = []  # (module, node)
+    reads = {}  # name -> the definitions enclosing each read of it
+
+    def visit(node, module, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if module is not None:
+                defined.append((module, node))
+            enclosing += (node,)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.setdefault(node.id, []).append(enclosing)
+        elif isinstance(node, ast.Attribute):
+            reads.setdefault(node.attr, []).append(enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, enclosing)
+
+    for module, tree in modules.items():
+        visit(tree, module, ())
+    for tree in readers:
+        visit(tree, None, ())
+    dead = set()
+    while True:
+        unread = {
+            (module, node)
+            for module, node in defined
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and all(
+                node in enclosing or dead.intersection(enclosing)
+                for enclosing in reads.get(node.name, ())
+            )
+        }
+        if len(unread) == len(dead):
+            return sorted((module, node.lineno, node.name) for module, node in unread)
+        dead = {node for _, node in unread}
+
+
+def test_source_defines_nothing_only_other_tests_read():
+    # __init__.py only re-exports; the acceptance suite is the one test
+    # module whose reads count as callers
+    modules = {
+        p.name: ast.parse(p.read_text())
+        for p in (SRC / "detmethod").glob("*.py")
+        if p.name != "__init__.py"
+    }
+    acceptance = ast.parse((DATA.parent / "test_acceptance.py").read_text())
+    unread = _unread_definitions(modules, [acceptance])
+    assert not unread, f"definitions nothing reads (module, line, name): {unread}"
+
+
+def test_unread_definition_check_sees_reads_outside_the_definition():
+    source = (
+        "def recursive(n):\n"
+        "    return recursive(n - 1) + only_dead_code_reads()\n"
+        "def only_dead_code_reads():\n"
+        "    return 0\n"
+        "def helper():\n"
+        "    return 1\n"
+        "class Record:\n"
+        "    def __repr__(self):\n"
+        "        return 'r'\n"
+        "    def used(self):\n"
+        "        return helper()\n"
+        "    def unused(self):\n"
+        "        return self.used()\n"
+        "def by_reader():\n"
+        "    pass\n"
+    )
+    reader = "import m\nm.by_reader(m.Record().used)\n"
+    unread = _unread_definitions({"m.py": ast.parse(source)}, [ast.parse(reader)])
+    assert unread == [
+        ("m.py", 1, "recursive"),
+        ("m.py", 3, "only_dead_code_reads"),
+        ("m.py", 12, "unused"),
+    ]
 
 
 def test_construct_and_verify_under_optimize_flag(tmp_path):

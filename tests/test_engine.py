@@ -18,13 +18,11 @@ from detmethod import (
     InputError,
     Ordering,
     Polynomial,
-    TheoreticalFalsificationError,
     a_estimates,
     affine_pipeline,
     all_sigmas,
     auxiliary_for_box,
     build_matrix,
-    chart_norm_bound,
     choose_delta,
     choose_nu,
     class_index,
@@ -34,7 +32,6 @@ from detmethod import (
     hilbert_function,
     homogenized_basis,
     monomials_of_degree,
-    parabola_chart,
     staircase,
     theoretical_rho,
     verify_certificate,
@@ -270,9 +267,10 @@ def test_kernel_skips_the_screen_below_mu_rows(monkeypatch):
 @pytest.mark.parametrize("strategy", ["adaptive", "theoretical"])
 def test_build_matrix_once_per_cover(monkeypatch, strategy):
     builds = _spy(monkeypatch, "build_matrix", lambda points, sc: len(points))
-    chart = parabola_chart(100) if strategy == "theoretical" else None
+    norm_bound = 20 if strategy == "theoretical" else None
     report = affine_pipeline(
-        make_ideal(["x1 - x0^2"], 2), 100, delta=2, strategy=strategy, chart=chart
+        make_ideal(["x1 - x0^2"], 2), 100, delta=2, strategy=strategy,
+        norm_bound=norm_bound,
     )
     assert builds == [21]
     assert report.timings["kernel_calls"] > 1
@@ -979,51 +977,23 @@ def test_affine_pipeline_single_point_degenerate():
         affine_pipeline(make_ideal(["x0 - 2", "x1 - 3"], 2), 10, delta=2)
 
 
-def test_theoretical_strategy_parabola_chart():
-    chart = parabola_chart(100)
+@pytest.mark.parametrize(
+    "name, height", [("parabola", 100), ("parabola", 10**4), ("line", 100)]
+)
+def test_theoretical_boxes_lie_in_the_unit_cube(name, height):
+    # the line's t = x_1/B_1 = 1 (x_1 = B) falls on the grid's last cube, not
+    # on a cube past 1; the parabola's |x_1| <= sqrt(B) reaches no cube at 1
     report = affine_pipeline(
-        make_ideal(["x1 - x0^2"], 2), 100, delta=2,
-        strategy="theoretical", chart=chart,
-    )
-    assert report.rho is not None and 0 < report.rho <= 0.5
-    assert report.cube_count >= len(report.certificates)
-    covered = set()
-    for c in report.certificates:
-        covered.update(c.points_covered)
-    assert covered == set(range(21))
-
-
-@pytest.mark.parametrize("height", [100, 10**4])
-@pytest.mark.parametrize("source", ["chart", "norm_bound"])
-def test_theoretical_boxes_lie_in_the_unit_cube(source, height):
-    # the chart's t = 1 (x = sqrt(B)) falls on the grid's last cube, not
-    # on a cube past 1
-    kw = {"chart": parabola_chart(height)} if source == "chart" else {"norm_bound": 20}
-    report = affine_pipeline(
-        make_ideal(["x1 - x0^2"], 2), height, delta=2, strategy="theoretical", **kw
+        load_ideal(DATA / f"{name}.ideal"), height, delta=2,
+        strategy="theoretical", norm_bound=20,
     )
     q = report.rho.denominator
     assert report.cube_count == 2 * q
     tops = [hi for c in report.certificates for _, hi in c.box]
-    assert (1 in tops) == (source == "chart")
+    assert (1 in tops) == (name == "line")
     for c in report.certificates:
         for lo, hi in c.box:
             assert -1 <= lo < hi <= 1 and hi - lo == Fraction(1, q)
-
-
-def test_parabola_chart_requires_square_height():
-    with pytest.raises(InputError):
-        parabola_chart(50)
-
-
-def test_chart_norm_bound_dominates_component_sup():
-    chart = parabola_chart(100)
-    ih = homogenized_basis(make_ideal(["x1 - x0^2"], 2), GRLEX).ideal
-    gb = groebner(ih, GRLEX)
-    sc = staircase(gb, 2)
-    nb = chart_norm_bound(chart, sc, 2)
-    # psi for exponent (0,0,2) is t^4: sup of its second derivative is 12
-    assert nb >= 12
 
 
 def test_theoretical_norm_bound_too_small_is_falsified():
@@ -1036,32 +1006,22 @@ def test_theoretical_norm_bound_too_small_is_falsified():
         )
 
 
-def test_a_chart_derived_norm_bound_that_fails_is_a_falsification(monkeypatch):
-    # only a bound chart_norm_bound proved can falsify the determinant estimate
-    monkeypatch.setattr(engine, "chart_norm_bound", lambda *a: Fraction(1, 10**12))
-    with pytest.raises(TheoreticalFalsificationError):
-        affine_pipeline(
-            make_ideal(["x1 - x0^2"], 2), 100, delta=2,
-            strategy="theoretical", chart=parabola_chart(100),
-        )
-
-
 ONE_RULE = (
-    "the theoretical strategy needs exactly one of a chart and a norm bound; "
-    "the adaptive strategy takes neither"
+    "the theoretical strategy needs a norm bound; the adaptive strategy "
+    "takes none"
 )
 
 
-@pytest.mark.parametrize("option", ["norm_bound", "chart"])
-def test_adaptive_strategy_refuses_a_chart_or_a_norm_bound(option):
-    # the adaptive cover reads neither, so neither is silently dropped
-    given = {"norm_bound": Fraction(20), "chart": parabola_chart(100)}
-    kw = {option: given[option]}
+def test_adaptive_strategy_refuses_a_norm_bound():
+    # the adaptive cover reads no norm bound, so none is silently dropped
+    norm_bound = Fraction(20)
     conic = groebner(make_ideal(["x0*x2 - x1^2"], 3), GRLEX)
     with pytest.raises(InputError, match=f"^{ONE_RULE}$"):
-        cover_and_construct(conic, HeightBox((4, 4, 4)), 2, **kw)
+        cover_and_construct(conic, HeightBox((4, 4, 4)), 2, norm_bound=norm_bound)
     with pytest.raises(InputError, match=f"^{ONE_RULE}$"):
-        affine_pipeline(make_ideal(["x1 - x0^2"], 2), 100, delta=2, **kw)
+        affine_pipeline(
+            make_ideal(["x1 - x0^2"], 2), 100, delta=2, norm_bound=norm_bound
+        )
 
 
 def _run_affine(pipeline, ideal, **kw):
@@ -1096,24 +1056,17 @@ PIPELINES = ["affine_pipeline", "cover_and_construct"]
 
 @pytest.mark.parametrize("pipeline", PIPELINES)
 @pytest.mark.parametrize("name", ["parabola", "empty"])
-@pytest.mark.parametrize("given", ["neither", "chart", "norm_bound", "both"])
+@pytest.mark.parametrize("given", ["neither", "norm_bound"])
 @pytest.mark.parametrize("strategy", ["adaptive", "theoretical"])
 def test_one_rule_for_the_theoretical_inputs(
     monkeypatch, strategy, given, name, pipeline
 ):
-    # the theoretical strategy takes exactly one of a chart and a norm bound,
-    # the adaptive one neither, checked before any Buchberger run or
-    # enumeration, whether or not the variety has points
+    # the theoretical strategy takes a norm bound, the adaptive one none,
+    # checked before any Buchberger run or enumeration, whether or not the
+    # variety has points
     ideal = load_ideal(DATA / f"{name}.ideal")
-    kw = {}
-    if given in ("chart", "both"):
-        kw["chart"] = parabola_chart(100)
-    if given in ("norm_bound", "both"):
-        kw["norm_bound"] = Fraction(20)
-    if strategy == "adaptive":
-        valid = given == "neither"
-    else:
-        valid = given in ("chart", "norm_bound")
+    kw = {"norm_bound": Fraction(20)} if given == "norm_bound" else {}
+    valid = (given == "norm_bound") == (strategy == "theoretical")
     run = _run_affine(pipeline, ideal, strategy=strategy, **kw)
     if valid:
         report = run()
@@ -1192,12 +1145,13 @@ def test_a_bad_number_is_refused_before_buchberger_in_projective_mode(
 
 
 def test_a_norm_bound_on_a_surface_is_refused_before_enumeration(monkeypatch):
-    # the built-in parameter map covers curves only: refused after the
-    # basis gives m = 2, before the enumeration, whose plan at B = 10^5 is
-    # over the budget
+    # the theoretical strategy covers curves only: refused after the basis
+    # gives m = 2, before the enumeration, whose plan at B = 10^5 is over
+    # the budget
     saddle = load_ideal(DATA / "surfaces" / "saddle.ideal")
     _forbid(monkeypatch, buchberger=False)
-    with pytest.raises(InputError, match="^built-in parameter map only covers curves"):
+    message = r"^the theoretical strategy covers curves only \(m = 1\)$"
+    with pytest.raises(InputError, match=message):
         affine_pipeline(
             saddle, 10**5, delta=2, strategy="theoretical", norm_bound=Fraction(20)
         )

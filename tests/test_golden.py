@@ -3,8 +3,8 @@ stdout, pinned in tests/data/golden.json.
 
 The cases span every report shape the CLI emits: affine and projective
 modes, `--delta` and `--epsilon` (which add the `delta_report` and
-`ordering_bound` blocks), both orderings, and both theoretical-strategy
-inputs (a chart and `--norm-bound`); plus `verify` on a pristine report, on
+`ordering_bound` blocks), both orderings, and the theoretical strategy
+under `--norm-bound` in both modes; plus `verify` on a pristine report, on
 the three mutants of acceptance criterion 9, and on one report mutated in
 several ways at once; plus the `hilbert` tables in json, csv and text, in
 both modes and under both orderings.  A digest moves whenever any byte of
@@ -24,8 +24,7 @@ import sys
 
 import pytest
 
-from detmethod import affine_pipeline, parabola_chart
-from detmethod.cli import load_ideal, main, report_json
+from detmethod.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = DATA / "golden.json"
@@ -67,6 +66,10 @@ CONSTRUCT = {
         "--ideal", ideal("parabola"), "--height", "100", "--delta", "2",
         "--strategy", "theoretical", "--norm-bound", "20",
     ),
+    "theoretical-norm-bound-conic": (
+        "--ideal", ideal("conic"), "--mode", "projective", "--heights", "8,8,8",
+        "--delta", "2", "--strategy", "theoretical", "--norm-bound", "20",
+    ),
 }
 
 
@@ -94,14 +97,6 @@ def _construct(args):
     code, text = _cli("construct", *args)
     assert code == 0
     return text
-
-
-def _theoretical_chart():
-    report = affine_pipeline(
-        load_ideal(ideal("parabola")), 100, delta=2,
-        strategy="theoretical", chart=parabola_chart(100),
-    )
-    return report_json(report) + "\n"
 
 
 def _mutants(pristine):
@@ -133,7 +128,6 @@ def _mutants(pristine):
 
 def golden_outputs(tmp_path):
     outputs = {name: _construct(args) for name, args in CONSTRUCT.items()}
-    outputs["theoretical-chart-parabola"] = _theoretical_chart()
     for name, args in HILBERT.items():
         code, text = _cli("hilbert", *args)
         assert code == 0

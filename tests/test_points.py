@@ -24,9 +24,7 @@ from detmethod import (
     enumerate_projective,
     groebner,
     monomials_of_degree,
-    parabola_chart,
     staircase,
-    tau_normalize,
 )
 from detmethod import points
 from detmethod.cli import load_ideal
@@ -552,27 +550,6 @@ def test_class_index_scaled():
     assert class_index((5, 1, 2), box) == 1  # 1/1 beats 5/10
 
 
-def test_tau_normalize_example():
-    box = HeightBox((4, 4, 4))
-    assert tau_normalize((4, 2, 1), box) == (1, Fraction(1, 2), Fraction(1, 4))
-
-
-def test_tau_normalize_out_of_box():
-    with pytest.raises(ValueError):
-        tau_normalize((5, 0), HeightBox((4, 4)))
-
-
-@settings(max_examples=40)
-@given(
-    coords=st.lists(st.integers(-6, 6), min_size=2, max_size=4),
-    scale=st.integers(1, 5),
-)
-def test_tau_normalize_in_unit_cube(coords, scale):
-    bound = max((abs(c) for c in coords), default=1) or 1
-    box = HeightBox.uniform(Fraction(bound * scale), len(coords))
-    assert all(abs(v) <= 1 for v in tau_normalize(tuple(coords), box))
-
-
 # -- the records ------------------------------------------------------------
 
 
@@ -603,7 +580,6 @@ def test_frozen_records_refuse_assignment():
         (affine_ordering_bound(parabola, 2), "holds"),
         (choose_nu(3, 1), "nu"),
         (DetBoundInput(mu=1, m=1, norms=(1,), r=Fraction(1, 2)), "r"),
-        (parabola_chart(4), "param"),
     ]
     for record, field in records:
         with pytest.raises(AttributeError):
