@@ -639,7 +639,7 @@ def run_summary(gb, box, delta, points, certificates, affine):
     heights' bound prod B_i^(m sigma_i / f) on k (0.0 where f = 0, None
     beyond the largest double); and whether S(X, box) is empty."""
     series = run_series(gb, delta)
-    tally = Counter(map(class_index, points, repeat(box)))
+    tally = Counter(map(class_index, points, repeat(box.weights())))
     class_counts = [tally[i] for i in range(len(box.bounds))]
     if affine and any(class_counts[1:]):  # x0 = 1 with B_0 = 1 forces S_0
         raise AssertionError(f"lifted points escaped S_0: {class_counts}")

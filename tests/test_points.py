@@ -1,6 +1,7 @@
 """point-enum: affine/projective scans, class index, tau normalization."""
 
 from fractions import Fraction
+from itertools import product
 from math import floor, gcd
 
 import pytest
@@ -248,10 +249,13 @@ def test_circle_scan_is_narrowed_to_three_fibres(circle):
 
 
 def test_conic_scan_is_narrowed_on_each_fibre(conic):
-    # x1^2 = x0*x2 lies in [-12*|x0|, 12*|x0|] on the fibre x0: 203 of 313
+    # the divisor route visits x1 first; on each of the 24 fibres x1 != 0, x0
+    # runs over the divisors d of x1^2 with x1^2/12 <= d <= 12 (d > 0, x0
+    # being the first coordinate) and x2 = x1^2/d: 44 pairs; on x1 = 0, x0 is
+    # scanned over [0, 12] and x2 solved 13 times
     box = HeightBox((12, 12, 12))
     ps = enumerate_projective(conic, box)
-    assert ps.fibres == 203
+    assert ps.fibres == 44 + 13
     assert list(ps.points) == naive_projective_points(conic, box)
 
 
@@ -290,6 +294,156 @@ def test_affine_budget_refusal(circle, parabola):
     with pytest.raises(BudgetExceededError) as err:
         enumerate_affine(parabola, 10**6, budget=1000)
     assert err.value.required == 2 * 10**6 + 1
+
+
+# -- the divisor route ----------------------------------------------------------
+
+
+SURFACES = {path.stem: load_ideal(path)
+            for path in sorted((DATA / "surfaces").glob("*.ideal"))}
+
+
+def divisor_fibres(enumerate_points, ideal, bound):
+    """(the point set, the number of fibres on which the divisor route ran)."""
+    real, routed = points._divisor_pairs, 0
+
+    def spy(route, point, domain):
+        nonlocal routed
+        routed += 1
+        return real(route, point, domain)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_divisor_pairs", spy)
+        ps = enumerate_points(ideal, bound)
+    return ps, routed
+
+
+@pytest.mark.parametrize(
+    "ideal, bounds, routed",
+    [
+        (CORPUS["conic"], (6, 6, 6), True),
+        (CORPUS["conic"], (5, Fraction(7, 2), 6), True),
+        (CORPUS["twisted_cubic"], (4, 4, 4, 4), True),
+        (CORPUS["twisted_cubic"], (2, 4, 3, 4), True),
+        (SURFACES["segre_quadric"], (4, 4, 4, 4), True),
+        (SURFACES["segre_quadric"], (3, 4, 2, 4), True),
+        (make_ideal(["2*x0*x2 - 3*x1^2"], 3), (6, 6, 6), True),
+        (make_ideal(["x1*x2 - 2*x0^2"], 3), (3, 6, 6), True),
+        # the saddle keeps the order x0, x1, x2: visited first, x2 would lose
+        # its exact split of one root, and the route would plan (2B + 1)^3
+        (SURFACES["saddle"], (6, 6, 6), False),
+    ],
+    ids=["conic", "conic-box", "cubic", "cubic-box", "segre", "segre-box",
+         "2-3-conic", "x1x2-2x0^2", "saddle"],
+)
+def test_divisor_route_matches_naive_scans(ideal, bounds, routed):
+    if ideal.homogeneous:
+        box = HeightBox(bounds)
+        ps, fibres = divisor_fibres(enumerate_projective, ideal, box)
+        assert list(ps.points) == naive_projective_points(ideal, box)
+        assert bool(fibres) is routed
+    b = max(bounds)
+    ps, fibres = divisor_fibres(enumerate_affine, ideal, b)
+    assert list(ps.points) == naive_affine_points(ideal, b)
+    assert bool(fibres) is routed
+
+
+def test_divisor_route_on_a_constant_and_uneven_coefficients():
+    # x0*x1 = 12 has the 12 signed divisor pairs with both coordinates in
+    # [-12, 12]; 4*x0*x1 = 6*x2 has no point where 2*x2 is odd
+    ps, fibres = divisor_fibres(enumerate_affine, make_ideal(["x0*x1 - 12"], 2), 12)
+    assert fibres == 1
+    assert [p[0] for p in ps.points] == [-12, -6, -4, -3, -2, -1, 1, 2, 3, 4, 6, 12]
+    uneven = make_ideal(["4*x0*x1 - 6*x2"], 3)
+    ps, _ = divisor_fibres(enumerate_affine, uneven, 5)
+    assert list(ps.points) == naive_affine_points(uneven, 5)
+    assert all(p[2] % 2 == 0 for p in ps.points)
+
+
+def test_divisor_route_keeps_the_budget_guard_and_sieves_after_it(conic):
+    # the guard counts the order x0, x1, x2; the route's sieve is not built
+    # for a run that the guard refuses
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_smallest_prime_factors", None)
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_projective(conic, HeightBox.uniform(1000, 3))
+    assert err.value.required == 2001**3
+    assert planned_and_visited(conic, HeightBox.uniform(8, 3), True)[0] == 17**3
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 30, 97, 1000])
+def test_smallest_prime_factors(limit):
+    spf = points._smallest_prime_factors(limit)
+    assert len(spf) == limit + 1
+    for x in range(2, limit + 1):
+        smallest = min(d for d in range(2, x + 1) if x % d == 0)
+        assert spf[x] == (0 if smallest == x else smallest)
+
+
+@st.composite
+def bilinear_ideals(draw, homogeneous):
+    """(ideal, height bounds, a point of the variety in the box, or None): a
+    generator c*x_i*x_j - c'*x^a, x^a free of x_i and x_j (x^a = 1 included
+    in affine mode, of degree 2 in projective mode), its c and c' fitted to
+    a drawn point half of the time and otherwise drawn from [-4, 4], so that
+    c does not divide c'*x^a on many fibres; x^a = 0 on the fibres where one
+    of its coordinates is 0.  Now and then a second generator f*h(p) -
+    h*f(p) that vanishes at the drawn point p, as in planted_ideals."""
+    n = draw(st.integers(3 if homogeneous else 2, 4))
+    bounds = [draw(st.integers(1, 4)) for _ in range(n)]
+    if not homogeneous:
+        bounds = [max(bounds)] * n
+    i, j = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=2)))
+    others = [k for k in range(n) if k not in (i, j)]
+    a = [0] * n
+    for _ in range(2 if homogeneous else draw(st.integers(0, 3)) if others else 0):
+        a[draw(st.sampled_from(others))] += 1
+    p = tuple(draw(st.integers(-b, b)) for b in bounds)
+    if homogeneous:
+        assume(any(p))
+        g = gcd(*p)
+        sign = 1 if next(v for v in p if v) > 0 else -1
+        p = tuple(sign * v // g for v in p)
+    coeff = st.integers(-4, 4).filter(bool)
+    u, w = p[i] * p[j], 1
+    for k in others:
+        w *= p[k] ** a[k]
+    if u and w and draw(st.booleans()):
+        s, g = draw(coeff), gcd(u, w)
+        c, c2 = s * w // g, s * u // g
+    else:
+        c, c2 = draw(coeff), draw(coeff)
+    e = [0] * n
+    e[i] = e[j] = 1
+    gens = [Polynomial({tuple(e): c, tuple(a): -c2}, n)]
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 2))
+        exps = st.sampled_from(list(monomials_of_degree(degree, n)))
+        f = Polynomial(draw(st.dictionaries(exps, coeff, min_size=1, max_size=3)), n)
+        h = Polynomial({draw(exps): 1}, n) if homogeneous else Polynomial.constant(1, n)
+        extra = f * h.evaluate(p) - h * f.evaluate(p)
+        if not extra.is_zero():
+            gens.append(extra)
+    return Ideal(gens, n), bounds, p if c * u == c2 * w else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=bilinear_ideals(homogeneous=False))
+def test_divisor_route_matches_naive_affine_scan(case):
+    ideal, bounds, p = case
+    ps = enumerate_affine(ideal, bounds[0])
+    assert list(ps.points) == naive_affine_points(ideal, bounds[0])
+    assert p is None or p in ps.points
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=bilinear_ideals(homogeneous=True))
+def test_divisor_route_matches_naive_projective_scan(case):
+    ideal, bounds, p = case
+    box = HeightBox(tuple(bounds))
+    ps = enumerate_projective(ideal, box)
+    assert list(ps.points) == naive_projective_points(ideal, box)
+    assert p is None or p in ps.points
 
 
 def planned_and_visited(ideal, bound, projective):
@@ -333,7 +487,8 @@ def test_planned_scan_counts_a_top_coefficient_that_vanishes_on_a_fibre():
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=planted_ideals(homogeneous=False))
+@given(case=st.one_of(planted_ideals(homogeneous=False),
+                      bilinear_ideals(homogeneous=False)))
 def test_affine_plan_never_understates_the_leaves_visited(case):
     ideal, bounds, _ = case
     planned, leaves = planned_and_visited(ideal, max(bounds), False)
@@ -341,7 +496,8 @@ def test_affine_plan_never_understates_the_leaves_visited(case):
 
 
 @settings(max_examples=150, deadline=None)
-@given(case=planted_ideals(homogeneous=True))
+@given(case=st.one_of(planted_ideals(homogeneous=True),
+                      bilinear_ideals(homogeneous=True)))
 def test_projective_plan_never_understates_the_leaves_visited(case):
     ideal, bounds, _ = case
     planned, leaves = planned_and_visited(ideal, HeightBox(tuple(bounds)), True)
@@ -548,6 +704,14 @@ def test_class_index_tie_breaks_low():
 def test_class_index_scaled():
     box = HeightBox((10, 1, 10))
     assert class_index((5, 1, 2), box) == 1  # 1/1 beats 5/10
+    # fractional heights, against the Fraction rule, with the box or its
+    # weights: 1/B_j = w_j/105 for the lcm 105 of the numerators 7, 3, 5
+    box = HeightBox((Fraction(7, 4), 3, Fraction(5, 3)))
+    assert box.weights() == (60, 35, 63)
+    for point in product(range(-4, 5), repeat=3):
+        ratios = [abs(x) / b for x, b in zip(point, box.bounds)]
+        first = ratios.index(max(ratios))
+        assert class_index(point, box) == class_index(point, box.weights()) == first
 
 
 # -- the records ------------------------------------------------------------
