@@ -15,6 +15,7 @@ from .bounds import (
 )
 from .engine import (
     AuxiliaryCertificate,
+    FullRank,
     MonomialMatrix,
     PipelineReport,
     affine_pipeline,

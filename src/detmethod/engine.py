@@ -7,18 +7,23 @@ one kernel vector, the first-free-column vector that exact_kernel returns in
 exact integers, or subdivided if its matrix has full rank.  That vector is
 the kernel vector with the smallest last column, unique up to scale (two
 independent ones would combine to one with a smaller last column), so the
-column order of the elimination that finds it cannot change it: the
-elimination runs from the ordering-smallest column down, where the entries
-are small.
+column order of the elimination that finds it cannot change it, nor can
+the row order: the elimination runs from the ordering-smallest column down,
+where the entries are small.  At full rank exact_kernel answers a falsy
+FullRank(c): the box's first c rows alone have full rank.
 
 Two covering strategies exist.  The default, adaptive bisection, starts from
 the whole height box and bisects the longest axis of any sub-box whose
 monomial matrix has full rank; it terminates because a box holding at most
-mu-1 integer points always certifies.  The theoretical strategy, for curves
-only, lays down a grid of side rho = 1/q on [-1,1] in the parameter
-t = x_1/B_1, with q decided in exact integers from the determinant estimate
-under the supplied norm bound; a full-rank occupied cube there is never
-silently repaired: it is an input error (the bound was too small).
+mu-1 integer points always certifies.  Before it screens a box, it lays the
+box's rows out so that each box of its left chain (low child, low child of
+that, ...) is a prefix of them, and one FullRank answer splits every chain
+box that holds its prefix without a kernel call of its own.  The
+theoretical strategy, for curves only, lays down a grid of side rho = 1/q
+on [-1,1] in the parameter t = x_1/B_1, with q decided in exact integers
+from the determinant estimate under the supplied norm bound; a full-rank
+occupied cube there is never silently repaired: it is an input error (the
+bound was too small).
 
 A run builds one full Groebner basis per ideal and ordering, reads mu,
 sigma_i, m and d from its Hilbert series, and lists the staircase M(delta)
@@ -155,8 +160,19 @@ def build_matrix(points, sc):
     )
 
 
-def exact_kernel(mat, low=0):
-    """The first kernel vector of the matrix, or None at full rank.
+class FullRank(namedtuple("FullRank", "rows")):
+    """exact_kernel's answer at full rank, falsy like None: the matrix's
+    first `rows` rows alone have rank mu."""
+
+    __slots__ = ()
+
+    def __bool__(self):
+        return False
+
+
+def exact_kernel(mat):
+    """The first kernel vector of the matrix, or a falsy FullRank at full
+    rank.
 
     The vector is the primitive integer c, positive at its leading entry (the
     entry of the ordering-largest monomial in its support), with
@@ -165,7 +181,8 @@ def exact_kernel(mat, low=0):
     read off the reduced echelon form, and the one a certificate uses.  It is
     the kernel vector with the smallest last column, and that vector is
     unique up to scale: two independent kernel vectors with the same last
-    column would combine to one with a smaller last column.
+    column would combine to one with a smaller last column.  So the order of
+    the rows cannot change it either.
 
     All arithmetic is on integers.  A box with fewer than mu points goes
     straight to _first_kernel_vector on all its rows, which eliminates them
@@ -174,10 +191,9 @@ def exact_kernel(mat, low=0):
     larger box first runs a rank screen over its rows in order
     (_independent_mod_p): mu rows independent modulo KERNEL_PRIME have a
     mu x mu minor nonzero mod P, hence nonzero, so there is no kernel.  If
-    those mu rows all lie among the first `low` rows, the result is False
-    instead of None (falsy too): the first `low` rows alone have full rank,
-    which lets the adaptive cover split a child box made of them without a
-    kernel call.
+    the mu-th of them is row c, the result is FullRank(c + 1): rows 0..c
+    alone have full rank, which lets the adaptive cover split every box
+    made of a longer prefix of these rows without a kernel call.
 
     Otherwise the r < mu rows independent mod P are eliminated, and the
     vector is checked against every row with exact dot products.  The
@@ -191,7 +207,7 @@ def exact_kernel(mat, low=0):
     0..f-1 are already independent on the chosen rows.  Columns 0..f-1 being
     independent, the vector on 0..f is unique up to scale.  If no offer
     passes, P was a bad prime for this matrix and the elimination runs
-    again on all rows.
+    again on all rows; at full rank the result is then FullRank(len(rows)).
     """
     mu = len(mat.exponents)
     rows = mat.rows
@@ -199,11 +215,11 @@ def exact_kernel(mat, low=0):
         return _first_kernel_vector(rows, mu)
     for chosen in _independent_mod_p(mat.residues, mu):
         if len(chosen) == mu:
-            return None if chosen[-1] >= low else False
+            return FullRank(chosen[-1] + 1)
         vec = _first_kernel_vector([rows[j] for j in chosen], mu)
         if not any(sum(map(mul, vec, row)) for row in rows):
             return vec
-    return _first_kernel_vector(rows, mu)
+    return _first_kernel_vector(rows, mu) or FullRank(len(rows))
 
 
 def _independent_mod_p(residues, mu):
@@ -366,18 +382,20 @@ class AuxiliaryCertificate(SimpleNamespace):
                          points_covered=points_covered, box=box)
 
 
-def auxiliary_for_box(mat, indices, sc, gb, box_desc, timings, low=0):
+def auxiliary_for_box(mat, indices, sc, gb, box_desc, timings):
     """Certificate for the points mat.points[i], i in indices, of one sub-box,
-    or a falsy value if their monomial matrix has full rank mu (triggering
-    subdivision in adaptive mode): False when the first `low` of the indices
-    alone have full rank (see exact_kernel), else None.  mat is the cover's
-    matrix; the certificate lists the indices in ascending order, and the
-    kernel stage is added to `timings` (kernel_s, kernel_calls)."""
+    or exact_kernel's falsy FullRank if their monomial matrix has full rank
+    mu (triggering subdivision in adaptive mode; its rows count the indices).
+    mat is the cover's matrix; the certificate lists the indices in
+    ascending order, and the kernel stage is added to `timings` (kernel_s,
+    kernel_calls, and kernel_screens for a call with at least mu rows, the
+    ones that run the rank screen)."""
     box_mat = mat.restrict(indices)
     start = perf_counter()
-    coeffs = exact_kernel(box_mat, low)
+    coeffs = exact_kernel(box_mat)
     timings["kernel_s"] += perf_counter() - start
     timings["kernel_calls"] += 1
+    timings["kernel_screens"] += len(indices) >= len(mat.exponents)
     if not coeffs:
         return coeffs
     terms = {e: c for e, c in zip(mat.exponents, coeffs) if c != 0}
@@ -538,44 +556,65 @@ def _adaptive_cover(mat, sc, gb, timings):
     """Bisection covering of the points of the matrix mat; returns
     (certificates, max_depth).
 
-    A box's split (the longest axis of its bounding box, the lowest such
-    axis on ties, at the midpoint) is fixed before its kernel call, which
-    reads the low child's rows first.  When the screen finds mu independent
-    rows among them, the low child has full rank too, and it is split
-    without a kernel call of its own."""
+    A box's split is the longest axis of its bounding box (the lowest such
+    axis on ties), at the midpoint.  Every box is a slice of one list of
+    point indices, and its split partitions that slice in place, stably,
+    low child first.  Before a box with at least mu points is screened, its
+    left chain (the box, its low child, that child's low child and so on,
+    down to a box with fewer than mu points) is partitioned, so each chain
+    box is a prefix of the box's rows.  When the screen finds that rows
+    0..c-1 have full rank (FullRank(c)), every chain box of at least c
+    points holds them and is split without a kernel call of its own.  Each
+    split is computed once: a chain's splits travel down it with its low
+    children.  The tree, its depth-first order (low child first) and each
+    certificate's points and box do not depend on the row order."""
     n = gb.num_vars
-    points = mat.points
-    columns = tuple(zip(*points))  # the points' coordinates, per axis
+    mu = len(mat.exponents)
+    columns = tuple(zip(*mat.points))  # the points' coordinates, per axis
+    order = list(range(len(mat.points)))
+
+    def bounding_box(start, end):
+        get = _getter(order[start:end])
+        coords = [get(col) for col in columns]
+        return coords, [(min(xs), max(xs)) for xs in coords]
+
+    def partition_chain(start, end):
+        """The splits (bbox, mid) of the chain boxes [start, end) with at
+        least mu points, top down, each partitioned in place."""
+        chain = []
+        while end - start >= mu:
+            coords, bbox = bounding_box(start, end)
+            extents = [hi - lo for lo, hi in bbox]
+            axis = max(range(n), key=lambda a: (extents[a], -a))
+            lo, hi = bbox[axis]
+            pairs = list(zip(order[start:end], coords[axis]))
+            low = [i for i, x in pairs if 2 * x <= lo + hi]
+            order[start:end] = low + [i for i, x in pairs if 2 * x > lo + hi]
+            chain.append((bbox, start + len(low)))
+            end = start + len(low)
+        return iter(chain)
+
     certs = []
     max_depth = 0
-    stack = [(tuple(range(len(points))), 0, False)]
+    # (start, end, depth, end of a full-rank prefix or inf, chain splits)
+    stack = [(0, len(order), 0, math.inf, None)]
     while stack:
-        idxs, depth, full_rank = stack.pop()
+        start, end, depth, rank_end, chain = stack.pop()
         max_depth = max(max_depth, depth)
-        get = _getter(idxs)
-        coords = [get(col) for col in columns]
-        # shrink to the integer bounding box of the contained points
-        bbox = [(min(xs), max(xs)) for xs in coords]
-        extents = [hi - lo for lo, hi in bbox]
-        axis = max(range(n), key=lambda a: (extents[a], -a))
-        lo, hi = bbox[axis]
-        low = tuple(i for i, x in zip(idxs, coords[axis]) if 2 * x <= lo + hi)
-        high = tuple(i for i, x in zip(idxs, coords[axis]) if 2 * x > lo + hi)
-        cert = None
-        if not full_rank:
-            cert = auxiliary_for_box(
-                mat, low + high, sc, gb, bbox, timings, len(low)
-            )
+        if chain is None:
+            chain = partition_chain(start, end)
+        split = next(chain, None)  # None for a box with fewer than mu points
+        if end < rank_end:
+            bbox = split[0] if split else bounding_box(start, end)[1]
+            cert = auxiliary_for_box(mat, order[start:end], sc, gb, bbox, timings)
             if cert:
                 certs.append(cert)
                 continue
-        if len(idxs) == 1:
-            raise DegenerateIdealError(
-                "full-rank matrix on a single point: no staircase-supported "
-                "polynomial can vanish there (zero-dimensional obstruction)"
-            )
-        stack.append((high, depth + 1, False))
-        stack.append((low, depth + 1, cert is False))
+            rank_end = start + cert.rows
+        # only a box of at least mu points has full rank, so split is set
+        mid = split[1]
+        stack.append((mid, end, depth + 1, math.inf, None))
+        stack.append((start, mid, depth + 1, rank_end, chain))
     return certs, max_depth
 
 
@@ -594,7 +633,7 @@ def _theoretical_cover(mat, sc, gb, box, sigma, mu, m, norm_bound, timings):
         idxs = tuple(groups[key])
         desc = tuple((Fraction(k, q) - 1, Fraction(k + 1, q) - 1) for k in key)
         cert = auxiliary_for_box(mat, idxs, sc, gb, desc, timings)
-        if cert is None:
+        if not cert:
             raise InputError(
                 f"norm bound {norm_bound} is too small: occupied rho-cube "
                 f"{key} has a full-rank matrix (rho={rho})"
@@ -753,6 +792,7 @@ def cover_and_construct(
         "matrix_s": 0.0,
         "kernel_s": 0.0,
         "kernel_calls": 0,
+        "kernel_screens": 0,
     }
 
     certs = []

@@ -7,8 +7,10 @@ dual-route check keeps one side independent.
 import heapq
 import itertools
 import re
+from collections import namedtuple
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
+from types import SimpleNamespace
 
 from detmethod import (
     Ideal,
@@ -57,7 +59,7 @@ def rational_kernel(mat):
     """Kernel basis by Gauss-Jordan over Fractions on the q x mu rows (one
     equation per point): one vector per free column of the reduced form,
     scaled to coprime integers with positive leading entry.  exact_kernel
-    returns the first of them, or None if there is none."""
+    returns the first of them, or a falsy FullRank if there is none."""
     mu = len(mat.exponents)
     reduced, pivots = _rational_rref(mat.rows)
     basis = []
@@ -140,6 +142,78 @@ def entrywise_matrix_rows(points, exponents):
         powers = [[x**k for k in range(top + 1)] for x in p]
         rows.append(tuple(prod(map(list.__getitem__, powers, e)) for e in exponents))
     return tuple(rows)
+
+
+class BisectionBox(namedtuple("BisectionBox", "indices bbox depth children")):
+    """One box of a plain bisection: its point indices in ascending order,
+    their integer bounding box, its depth, and its (low, high) child boxes,
+    () for a leaf."""
+
+    __slots__ = ()
+
+
+def bisection_split(points, indices):
+    """One split of a plain bisection: the integer bounding box of the
+    points at the indices, and the indices, in their order, whose
+    coordinate x on the longest axis of that box (the lowest such axis on
+    ties) lies at most, and above, the midpoint: 2x <= lo + hi goes low."""
+    coords = list(zip(*(points[i] for i in indices)))
+    bbox = tuple((min(xs), max(xs)) for xs in coords)
+    axis = max(range(len(bbox)), key=lambda a: (bbox[a][1] - bbox[a][0], -a))
+    lo, hi = bbox[axis]
+    low = tuple(i for i in indices if 2 * points[i][axis] <= lo + hi)
+    high = tuple(i for i in indices if 2 * points[i][axis] > lo + hi)
+    return bbox, low, high
+
+
+def bisection_tree(points, is_leaf, indices=None, depth=0):
+    """Plain bisection of the points, with no screen and no flags: a box is
+    a leaf when is_leaf(indices) holds, and is otherwise split by
+    bisection_split."""
+    if indices is None:
+        indices = tuple(range(len(points)))
+    bbox, low, high = bisection_split(points, indices)
+    if is_leaf(indices):
+        return BisectionBox(indices, bbox, depth, ())
+    children = tuple(
+        bisection_tree(points, is_leaf, half, depth + 1) for half in (low, high)
+    )
+    return BisectionBox(indices, bbox, depth, children)
+
+
+def bisection_boxes(tree):
+    """Every box of a bisection tree, depth first, low child first."""
+    yield tree
+    for child in tree.children:
+        yield from bisection_boxes(child)
+
+
+def rational_bisection_cover(mat):
+    """The adaptive cover decided by rational rank alone: the bisection tree
+    of mat's points whose leaves are the boxes with rank below mu, and the
+    leaves' certificates in depth-first order, each (terms, indices, bbox)
+    with terms the monomial-to-coefficient map of rational_kernel's first
+    vector.  A box whose first mu rows have rank mu has rank mu, which
+    spares most full-rank boxes the rank of all their rows."""
+    mu = len(mat.exponents)
+
+    def is_leaf(indices):
+        rows = [mat.rows[i] for i in indices]
+        return len(rows) < mu or (
+            rational_rank(rows[:mu]) < mu and rational_rank(rows) < mu
+        )
+
+    tree = bisection_tree(mat.points, is_leaf)
+    certs = []
+    for box in bisection_boxes(tree):
+        if not box.children:
+            sub = SimpleNamespace(
+                exponents=mat.exponents, rows=[mat.rows[i] for i in box.indices]
+            )
+            vec = rational_kernel(sub)[0]
+            terms = {e: c for e, c in zip(mat.exponents, vec) if c}
+            certs.append((terms, box.indices, box.bbox))
+    return tree, certs
 
 
 def list_screen(residues, mu, p):

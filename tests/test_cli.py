@@ -263,12 +263,13 @@ def test_construct_timings_flag(capsys, tmp_path):
         report = json.loads(out_file.read_text())
         timings = report["timings"]
         keys = {"points_s", "points_fibres", "points_found", "matrix_s",
-                "kernel_s", "kernel_calls"}
+                "kernel_s", "kernel_calls", "kernel_screens"}
         assert set(timings) == keys
         for key in keys:
             assert timings[key] >= 0
         assert timings["points_found"] == report["point_count"]
         assert timings["kernel_calls"] >= report["certificate_count"] > 0
+        assert timings["kernel_calls"] >= timings["kernel_screens"]
         assert timings["points_fibres"] == fibres()
 
 

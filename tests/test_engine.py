@@ -14,6 +14,7 @@ from detmethod import (
     AuxiliaryCertificate,
     D,
     DegenerateIdealError,
+    FullRank,
     HeightBox,
     InputError,
     Ordering,
@@ -41,6 +42,7 @@ from detmethod.cli import build_parser, load_ideal
 
 from conftest import DATA, make_ideal
 from oracles import (
+    bisection_split,
     entrywise_matrix_rows,
     exact_determinant,
     forward_kernel_vector,
@@ -110,7 +112,7 @@ def test_matrix_rank_vs_oracle():
             if p not in pts:
                 pts.append(p)
         mat = build_matrix(pts, sc)
-        vec = exact_kernel(mat)
+        vec = _kernel(mat)
         if rational_rank(mat.rows) == len(mat.exponents):
             assert vec is None
             continue
@@ -126,7 +128,7 @@ def test_matrix_rank_vs_oracle():
 def test_kernel_empty_for_full_rank():
     gb, sc = _conic_setup(1)  # staircase {x0, x1, x2}, mu = 3
     mat = build_matrix([(1, 0, 0), (0, 1, 0), (0, 0, 1)], sc)
-    assert exact_kernel(mat) is None
+    assert exact_kernel(mat) == FullRank(3)
 
 
 def test_kernel_repeated_point():
@@ -210,7 +212,7 @@ def test_kernel_matches_rational_oracle():
     for _ in range(400):
         rows = _random_rows(rng)
         mat = _matrix(rows)
-        vec = exact_kernel(mat)
+        vec = _kernel(mat)
         assert vec == _first_oracle_vector(mat)
         seen.add((len(rows) < len(rows[0]), vec is None))
     # fewer and at least mu rows, with and without a kernel vector
@@ -229,7 +231,7 @@ def test_kernel_matches_rational_oracle_on_conic_points():
             if math.gcd(a, b) == 1:
                 pts.add((a * a, a * b, b * b))
         mat = build_matrix(sorted(pts), sc)
-        assert exact_kernel(mat) == _first_oracle_vector(mat)
+        assert _kernel(mat) == _first_oracle_vector(mat)
 
 
 @pytest.mark.parametrize(
@@ -251,7 +253,7 @@ def test_kernel_falls_back_when_prime_divides_a_minor(monkeypatch, rows, kernel)
     eliminated = _spy(monkeypatch, "_first_kernel_vector", lambda rows, mu: len(rows))
     mat = _matrix(rows)
     assert rational_kernel(mat) == kernel
-    assert exact_kernel(mat) == (kernel or [None])[0]
+    assert exact_kernel(mat) == (kernel[0] if kernel else FullRank(len(rows)))
     assert eliminated == [1, len(rows)]
 
 
@@ -278,60 +280,92 @@ def test_build_matrix_once_per_cover(monkeypatch, strategy):
 
 def _kernel_calls(monkeypatch):
     """Replace engine.exact_kernel by a wrapper that records each call's
-    (mat, low, result)."""
+    (mat, result)."""
     calls = []
     original = engine.exact_kernel
 
-    def spy(mat, low=0):
-        result = original(mat, low)
-        calls.append((mat, low, result))
+    def spy(mat):
+        result = original(mat)
+        calls.append((mat, result))
         return result
 
     monkeypatch.setattr(engine, "exact_kernel", spy)
     return calls
 
 
+def _split_without_a_screen(calls):
+    """The boxes the cover split on an enclosing box's screen alone, each
+    as (points, rows): for each call answered FullRank(c), the boxes of the
+    called box's left chain (its low child, that child's low child and so
+    on) with at least c points.  Each chain box, down to one with fewer
+    than mu points, must be a prefix of the called box's rows."""
+    skipped = []
+    for mat, result in calls:
+        if result:
+            continue
+        box = tuple(range(len(mat.points)))
+        while len(box) >= len(mat.exponents):
+            _, box, _ = bisection_split(mat.points, box)
+            assert box == tuple(range(len(box)))
+            if len(box) >= result.rows:
+                skipped.append((mat.points[: len(box)], mat.rows[: len(box)]))
+    return skipped
+
+
 def test_screen_skips_boxes_with_fewer_than_mu_points(monkeypatch):
     """One screen per kernel call with at least mu rows, none below mu; and
-    a low child that its parent's screen found full rank gets no kernel
-    call, so the bisection tree's 2 * certificates - 1 boxes are the kernel
-    calls plus those children."""
+    a chain box that an enclosing box's screen found full rank gets no
+    kernel call, so the bisection tree's 2 * certificates - 1 boxes are the
+    kernel calls plus those boxes."""
     calls = _kernel_calls(monkeypatch)
     screened = _spy(monkeypatch, "_independent_mod_p", lambda res, mu: len(res))
     report = affine_pipeline(make_ideal(["x1 - x0^2"], 2), 100, delta=2)
     mu = report.mu
-    sizes = [len(mat.points) for mat, _, _ in calls]
+    sizes = [len(mat.points) for mat, _ in calls]
     assert min(sizes) < mu <= max(sizes)
     assert screened == [q for q in sizes if q >= mu]
-    skipped = [set(mat.points[:low]) for mat, low, found in calls if found is False]
+    assert report.timings["kernel_screens"] == len(screened)
+    skipped = {frozenset(points) for points, _ in _split_without_a_screen(calls)}
     assert skipped
-    assert not any(set(mat.points) in skipped for mat, _, _ in calls)
+    assert not any(frozenset(mat.points) in skipped for mat, _ in calls)
     assert len(calls) + len(skipped) == 2 * len(report.certificates) - 1
 
 
 @pytest.mark.parametrize("b, delta", [(1000, 2), (10**4, 4), (10**4, 10)])
 def test_boxes_split_without_a_screen_have_full_rank(monkeypatch, b, delta):
-    """A low child that the cover splits on its parent's screen alone has
-    rank mu over the rationals."""
+    """A chain box that the cover splits on an enclosing box's screen alone
+    has rank mu over the rationals."""
     calls = _kernel_calls(monkeypatch)
     report = affine_pipeline(make_ideal(["x1 - x0^2"], 2), b, delta=delta)
-    skipped = [mat.rows[:low] for mat, low, found in calls if found is False]
+    skipped = _split_without_a_screen(calls)
     assert skipped
-    assert all(rational_rank(rows) == report.mu for rows in skipped)
-    # the other calls still answer as exact_kernel(mat) alone does
-    for mat, low, found in calls:
-        assert found is False or found == _first_oracle_vector(mat)
+    assert all(rational_rank(rows) == report.mu for _, rows in skipped)
+    # the other calls still answer as the oracle does
+    for mat, found in calls:
+        assert (found or None) == _first_oracle_vector(mat)
 
 
 def test_kernel_reports_a_full_rank_low_prefix():
+    """At full rank the answer is falsy and names the shortest prefix of
+    the rows that the screen finds to have rank mu."""
     rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
-    mat = _matrix(rows)
-    assert exact_kernel(mat, 3) is False
-    assert exact_kernel(mat, 2) is None
-    assert exact_kernel(mat) is None
-    # with a kernel vector, low changes nothing
+    assert exact_kernel(_matrix(rows)) == FullRank(3)
+    assert not FullRank(3)
+    assert exact_kernel(_matrix(rows[::-1])) == FullRank(3)
+    assert exact_kernel(_matrix([(1, 0, 0), (2, 0, 0)] + rows[1:])) == FullRank(4)
+    # with a kernel vector, the answer is the vector
     dependent = _matrix([(1, 1, 0), (2, 2, 0), (0, 0, 1)])
-    assert exact_kernel(dependent, 3) == exact_kernel(dependent) == (1, -1, 0)
+    assert exact_kernel(dependent) == (1, -1, 0)
+
+
+def _kernel(mat):
+    """exact_kernel's vector, or None at full rank, where its FullRank(c)
+    must name a first c rows with rank mu over the rationals."""
+    result = exact_kernel(mat)
+    if result:
+        return result
+    assert rational_rank(mat.rows[: result.rows]) == len(mat.exponents)
+    return None
 
 
 def _conic_matrix_at_delta_12(points):
@@ -348,7 +382,7 @@ def test_kernel_matches_oracle_on_parabola_points_at_delta_12(q):
     mat = _conic_matrix_at_delta_12([(1, x, x * x) for x in xs])
     assert len(mat.exponents) == 25
     assert max(max(map(abs, row)) for row in mat.rows) > 10**100
-    vec = exact_kernel(mat)
+    vec = _kernel(mat)
     assert vec == _first_oracle_vector(mat)
     assert (vec is None) == (q >= 25)
     assert engine._first_kernel_vector(mat.rows, 25) == vec
@@ -366,7 +400,7 @@ def test_kernel_matches_oracle_on_conic_points_at_delta_12(q):
     mat = _conic_matrix_at_delta_12(sorted(pts))
     assert max(max(map(abs, row)) for row in mat.rows) > 10**100
     vec = _first_oracle_vector(mat)
-    assert exact_kernel(mat) == vec
+    assert _kernel(mat) == vec
     assert engine._first_kernel_vector(mat.rows, 25) == vec
 
 
@@ -393,7 +427,7 @@ def test_elimination_matches_oracle_on_awkward_rows(rows):
     mat = _matrix(rows)
     expected = _first_oracle_vector(mat)
     assert engine._first_kernel_vector(mat.rows, len(rows[0])) == expected
-    assert exact_kernel(mat) == expected
+    assert _kernel(mat) == expected
 
 
 # -- the elimination from the ordering-smallest column ------------------------
@@ -601,7 +635,7 @@ def test_kernel_falls_back_after_failed_early_checks(monkeypatch):
     rows = [(1, 0, 0), (0, 1, P), (0, 1, 0)] + [(3, 0, 0)] * engine.KERNEL_STOP_RUN
     mat = _matrix(rows)
     assert rational_kernel(mat) == []
-    assert exact_kernel(mat) is None
+    assert exact_kernel(mat) == FullRank(len(rows))
     assert eliminated == [2, len(rows)]
 
 
@@ -623,14 +657,14 @@ def test_kernel_matches_rational_oracle_on_tall_rows():
             for _ in range(rng.randint(mu, 4 * mu + 20))
         ]
         mat = _matrix(rows)
-        assert exact_kernel(mat) == _first_oracle_vector(mat)
+        assert _kernel(mat) == _first_oracle_vector(mat)
 
 
 # -- auxiliary polynomials ---------------------------------------------------
 
 
 def _kernel_timings():
-    return {"kernel_s": 0.0, "kernel_calls": 0}
+    return {"kernel_s": 0.0, "kernel_calls": 0, "kernel_screens": 0}
 
 
 def test_auxiliary_small_point_set_always_certifies():
@@ -639,13 +673,13 @@ def test_auxiliary_small_point_set_always_certifies():
     mat, timings = build_matrix(pts, sc), _kernel_timings()
     cert = auxiliary_for_box(mat, range(4), sc, gb, [(0, 9)] * 3, timings)
     assert cert is not None
-    assert timings["kernel_calls"] == 1
+    assert (timings["kernel_calls"], timings["kernel_screens"]) == (1, 0)
     assert verify_certificate(cert, pts, gb) == []
     for p in pts:
         assert cert.poly.evaluate(p) == 0
 
 
-def test_auxiliary_full_rank_returns_none():
+def test_auxiliary_full_rank_returns_full_rank():
     gb, sc = _conic_setup()
     # five points in general position on the conic: Vandermonde-type full rank
     ts = [Fraction(t) for t in (-2, -1, 0, 1, 2)]
@@ -653,7 +687,9 @@ def test_auxiliary_full_rank_returns_none():
     pts = [tuple(int(v) for v in p) for p in pts]
     mat = build_matrix(pts, sc)
     box = [(-2, 4)] * 3
-    assert auxiliary_for_box(mat, range(5), sc, gb, box, _kernel_timings()) is None
+    timings = _kernel_timings()
+    assert auxiliary_for_box(mat, range(5), sc, gb, box, timings) == FullRank(5)
+    assert (timings["kernel_calls"], timings["kernel_screens"]) == (1, 1)
 
 
 def test_verify_accepts_constructor_output():
