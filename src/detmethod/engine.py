@@ -81,8 +81,8 @@ DELTA_MAX_DEFAULT = 12
 PROBE_DEGREE_DEFAULT = 24
 # the degree s at which affine_pipeline checks the ordering inequality
 ORDERING_BOUND_S = 10
-# the prime of exact_kernel's rank screen (a Mersenne prime, 2^61 - 1)
-KERNEL_PRIME = 2**61 - 1
+# exact_kernel's screen prime, the largest below 2^30: one CPython int digit
+KERNEL_PRIME = 2**30 - 35
 # dependent rows in a row after which the rank screen offers its chosen rows
 KERNEL_STOP_RUN = 8
 
@@ -90,10 +90,10 @@ KERNEL_STOP_RUN = 8
 # -- matrices and kernels --------------------------------------------------
 
 
-class MonomialMatrix(namedtuple("MonomialMatrix", "exponents points rows residues")):
+class MonomialMatrix(namedtuple("MonomialMatrix", "exponents points rows")):
     """The staircase monomials at the points, in exact ints: one row per
     point, that point's equation, with rows[j][i] = points[j] ** exponents[i].
-    residues[j] is rows[j] modulo KERNEL_PRIME, for exact_kernel's screen."""
+    Rows stay unreduced; exact_kernel's screen reduces the rows it reads."""
 
     __slots__ = ()
 
@@ -104,7 +104,6 @@ class MonomialMatrix(namedtuple("MonomialMatrix", "exponents points rows residue
             exponents=self.exponents,
             points=get(self.points),
             rows=get(self.rows),
-            residues=get(self.residues),
         )
 
 
@@ -120,8 +119,7 @@ def _getter(indices):
 
 def build_matrix(points, sc):
     """The monomial matrix at the points.  A cover builds it once and hands
-    each box its restrict(), so each power and residue is computed once per
-    cover.
+    each box its restrict(), so each power is computed once per cover.
 
     A row is built column by column: for each coordinate x_i that some
     exponent uses, the powers 1, x_i, ..., x_i^top are one running product,
@@ -156,7 +154,6 @@ def build_matrix(points, sc):
         exponents=exponents,
         points=tuple(points),
         rows=tuple(rows),
-        residues=tuple(tuple(x % KERNEL_PRIME for x in row) for row in rows),
     )
 
 
@@ -189,7 +186,7 @@ def exact_kernel(mat):
     from the ordering-smallest column of the block it needs down to column
     0; by that uniqueness the column order cannot change the vector.  A
     larger box first runs a rank screen over its rows in order
-    (_independent_mod_p): mu rows independent modulo KERNEL_PRIME have a
+    (_independent_mod_p): mu rows independent modulo any prime P have a
     mu x mu minor nonzero mod P, hence nonzero, so there is no kernel.  If
     the mu-th of them is row c, the result is FullRank(c + 1): rows 0..c
     alone have full rank, which lets the adaptive cover split every box
@@ -208,12 +205,13 @@ def exact_kernel(mat):
     independent, the vector on 0..f is unique up to scale.  If no offer
     passes, P was a bad prime for this matrix and the elimination runs
     again on all rows; at full rank the result is then FullRank(len(rows)).
+    So P = KERNEL_PRIME changes the time, never the result.
     """
     mu = len(mat.exponents)
     rows = mat.rows
     if len(rows) < mu:
         return _first_kernel_vector(rows, mu)
-    for chosen in _independent_mod_p(mat.residues, mu):
+    for chosen in _independent_mod_p(rows, mu):
         if len(chosen) == mu:
             return FullRank(chosen[-1] + 1)
         vec = _first_kernel_vector([rows[j] for j in chosen], mu)
@@ -222,8 +220,8 @@ def exact_kernel(mat):
     return _first_kernel_vector(rows, mu) or FullRank(len(rows))
 
 
-def _independent_mod_p(residues, mu):
-    """The rank screen: yields the list of indices of the residue rows that
+def _independent_mod_p(rows, mu):
+    """The rank screen: yields the list of indices of the integer rows that
     stay independent modulo KERNEL_PRIME when added one at a time to an
     echelon form, each time exact_kernel should try them.  That is once
     KERNEL_STOP_RUN rows in a row have been dependent (the rank then has
@@ -231,15 +229,16 @@ def _independent_mod_p(residues, mu):
     and at the end: after the last row, or at mu independent rows, unless
     that rank was already offered.
 
-    Each row is one int with mu slots of W bits, column k in bits
-    k*W..(k+1)*W-1.  Reducing by an echelon row with pivot c and normalised
-    entries t (1 at c, 0 before it) is one multiply-add v += f * neg, where
-    f is slot c mod P and neg packs P - t from slot c on: it adds f*(P - t)
-    <= (P-1)*P to each slot, and slot c becomes a multiple of P.  A slot
-    starts below P and takes at most mu - 1 steps, so it never exceeds
-    M = (mu-1)*(P-1)*P + P - 1; W is the bit length of M, so no slot
-    carries into the next.  Slots are unpacked and reduced mod P once per
-    row, to find its pivot and, for a new echelon row, to normalise it."""
+    Each row it reads is reduced mod P entry by entry, then packed as one
+    int with mu slots of W bits, column k in bits k*W..(k+1)*W-1.  Reducing
+    by an echelon row with pivot c and normalised entries t (1 at c, 0
+    before it) is one multiply-add v += f * neg, where f is slot c mod P and
+    neg packs P - t from slot c on: it adds f*(P - t) <= (P-1)*P to each
+    slot, and slot c becomes a multiple of P.  A slot starts below P and
+    takes at most mu - 1 steps, so it never exceeds M = (mu-1)*(P-1)*P +
+    P - 1; W is the bit length of M, so no slot carries into the next.
+    Slots are unpacked and reduced mod P once per row, to find its pivot
+    and, for a new echelon row, to normalise it."""
     p = KERNEL_PRIME
     width = ((mu - 1) * (p - 1) * p + p - 1).bit_length()
     mask = (1 << width) - 1
@@ -247,8 +246,8 @@ def _independent_mod_p(residues, mu):
     echelon = []  # (shift of the pivot slot, packed P - the normalised row)
     chosen = []
     run = 0  # rows dependent since the rank last grew
-    for j, row in enumerate(residues):
-        v = sum(map(lshift, row, shifts))
+    for j, row in enumerate(rows):
+        v = sum(map(lshift, [x % p for x in row], shifts))
         for shift, neg in echelon:
             f = (v >> shift & mask) % p
             if f:

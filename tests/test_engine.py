@@ -73,18 +73,18 @@ def test_build_matrix_entries():
     assert col[(0, 0, 2)] == (1, 1)  # x2^2
 
 
-def test_build_matrix_residues_and_restrict():
+def test_build_matrix_fields_and_restrict():
+    """A matrix holds its exact rows only, entries above KERNEL_PRIME
+    included; the screen reduces the rows it reads."""
+    assert engine.MonomialMatrix._fields == ("exponents", "points", "rows")
     ideal = make_ideal(["x0*x2 - x1^2"], 3)
     sc = staircase(groebner(ideal, GRLEX), 10)
     pts = [(1, 10**4, 10**8), (10**8, 10**4, 1), (1, 1, 1)]
     mat = build_matrix(pts, sc)
-    for row, res in zip(mat.rows, mat.residues):
-        assert res == tuple(x % engine.KERNEL_PRIME for x in row)
     assert max(map(max, mat.rows)) > engine.KERNEL_PRIME
     sub = mat.restrict((2, 0))
     assert sub.points == (pts[2], pts[0])
     assert sub.rows == (mat.rows[2], mat.rows[0])
-    assert sub.residues == (mat.residues[2], mat.residues[0])
     assert sub.exponents == mat.exponents
 
 
@@ -166,7 +166,6 @@ def _matrix(rows):
         exponents=tuple(range(len(rows[0]))),
         points=tuple(range(len(rows))),
         rows=rows,
-        residues=tuple(tuple(x % engine.KERNEL_PRIME for x in r) for r in rows),
     )
 
 
@@ -260,10 +259,28 @@ def test_kernel_falls_back_when_prime_divides_a_minor(monkeypatch, rows, kernel)
 def test_kernel_skips_the_screen_below_mu_rows(monkeypatch):
     # the rows of the fallback case above, with mu = 3 > 2 rows
     eliminated = _spy(monkeypatch, "_first_kernel_vector", lambda rows, mu: len(rows))
-    screened = _spy(monkeypatch, "_independent_mod_p", lambda res, mu: len(res))
+    screened = _spy(monkeypatch, "_independent_mod_p", lambda rows, mu: len(rows))
     mat = _matrix([(1, engine.KERNEL_PRIME, 0), (1, 2 * engine.KERNEL_PRIME, 0)])
     assert exact_kernel(mat) == (0, 0, 1) == _first_oracle_vector(mat)
     assert (eliminated, screened) == ([2], [])
+
+
+@pytest.mark.parametrize("ks", [(1, 2, 3, 4, 5), (1, 2, 3, 4, 1, 2)])
+def test_kernel_falls_back_at_conic_points_on_multiples_of_the_prime(
+    monkeypatch, ks
+):
+    """Conic points (1, kP, k^2 P^2) are all (1, 0, 0) mod P, so the screen
+    finds rank 1 where the rational rank is 5 (distinct points) or 4 (two
+    repeats); the vector of its one offer fails the exact check, and the
+    elimination of all rows gives the rational oracle's answer."""
+    eliminated = _spy(monkeypatch, "_first_kernel_vector", lambda rows, mu: len(rows))
+    p = engine.KERNEL_PRIME
+    gb, sc = _conic_setup()  # mu = 5
+    mat = build_matrix([(1, k * p, (k * p) ** 2) for k in ks], sc)
+    vec = exact_kernel(mat)
+    assert vec == (_first_oracle_vector(mat) or FullRank(len(ks)))
+    assert bool(vec) == (len(set(ks)) < 5)
+    assert eliminated == [1, len(ks)]
 
 
 @pytest.mark.parametrize("strategy", ["adaptive", "theoretical"])
@@ -318,7 +335,7 @@ def test_screen_skips_boxes_with_fewer_than_mu_points(monkeypatch):
     kernel call, so the bisection tree's 2 * certificates - 1 boxes are the
     kernel calls plus those boxes."""
     calls = _kernel_calls(monkeypatch)
-    screened = _spy(monkeypatch, "_independent_mod_p", lambda res, mu: len(res))
+    screened = _spy(monkeypatch, "_independent_mod_p", lambda rows, mu: len(rows))
     report = affine_pipeline(make_ideal(["x1 - x0^2"], 2), 100, delta=2)
     mu = report.mu
     sizes = [len(mat.points) for mat, _ in calls]
@@ -518,16 +535,16 @@ def test_elimination_divides_combined_rows_by_their_content():
 P = engine.KERNEL_PRIME
 
 
-def _offers(residues, mu):
+def _offers(rows, mu):
     """Each list of chosen rows the screen offers, as a tuple."""
-    return [tuple(chosen) for chosen in engine._independent_mod_p(residues, mu)]
+    return [tuple(chosen) for chosen in engine._independent_mod_p(rows, mu)]
 
 
-def _check_offers(residues, mu):
+def _check_offers(rows, mu):
     """The screen's last offer is the list screen's choice, and each earlier
     offer is a shorter prefix of the next: every rank is offered once."""
-    offers = _offers(residues, mu)
-    assert offers and offers[-1] == tuple(list_screen(residues, mu, P))
+    offers = _offers(rows, mu)
+    assert offers and offers[-1] == tuple(list_screen(rows, mu, P))
     for shorter, longer in zip(offers, offers[1:]):
         assert len(shorter) < len(longer) and longer[: len(shorter)] == shorter
     return offers
@@ -554,6 +571,36 @@ def residue_rows(draw):
 def test_packed_screen_matches_list_screen(case):
     mu, rows = case
     _check_offers(rows, mu)
+
+
+@st.composite
+def raw_rows(draw):
+    """The rows of residue_rows with each entry shifted by k*P, k up to
+    2^40 either way, and negated at random: integer rows as a matrix holds
+    them, with residues drawn as residue_rows draws them."""
+    mu, rows = draw(residue_rows())
+    shift = st.sampled_from([0, 1, -1]) | st.integers(-(2**40), 2**40)
+    sign = st.sampled_from([1, -1])
+    return mu, [
+        tuple(draw(sign) * (x + draw(shift) * P) for x in row) for row in rows
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(raw_rows())
+def test_screen_reduces_the_rows_it_reads(case):
+    """The screen takes unreduced rows: its offers on them are its offers
+    on the rows reduced mod P, the last one the list screen's choice."""
+    mu, rows = case
+    reduced = [tuple(x % P for x in row) for row in rows]
+    offers = _offers(rows, mu)
+    assert offers == _offers(reduced, mu)
+    assert offers[-1] == tuple(list_screen(reduced, mu, P))
+
+
+def test_kernel_prime_is_one_digit_prime():
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(P) and P < 2**30
 
 
 def test_packed_screen_holds_the_largest_slot_growth():
@@ -603,9 +650,6 @@ def test_build_matrix_matches_entrywise_formula(data):
     )
     mat = build_matrix(points, SimpleNamespace(exponents=exponents))
     assert mat.rows == entrywise_matrix_rows(points, exponents)
-    assert mat.residues == tuple(
-        tuple(x % P for x in row) for row in mat.rows
-    )
 
 
 # -- tall kernels: the early stop ----------------------------------------------

@@ -21,14 +21,14 @@ def _rows_screened(monkeypatch):
     reads = []
     screen = engine._independent_mod_p
 
-    def counted(residues):
-        for row in residues:
+    def counted(rows):
+        for row in rows:
             reads[-1] += 1
             yield row
 
-    def spy(residues, mu):
+    def spy(rows, mu):
         reads.append(0)
-        return screen(counted(residues), mu)
+        return screen(counted(rows), mu)
 
     monkeypatch.setattr(engine, "_independent_mod_p", spy)
     return reads
