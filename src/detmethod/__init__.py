@@ -36,7 +36,6 @@ from .errors import (
 from .ideals import (
     GroebnerBasis,
     Ideal,
-    Staircase,
     a_estimates,
     affine_ordering_bound,
     all_sigmas,

@@ -35,6 +35,7 @@ from .engine import (
     choose_delta,
     coverage_failure,
     cover_and_construct,
+    report_rational,
     run_basis,
     run_points,
     run_summary,
@@ -290,9 +291,14 @@ def _report_params(data, num_vars):
         raise InputError(f"malformed report: unknown mode {mode!r}")
     try:
         ordering = Ordering(_field(params, "ordering", str))
-        heights = [Fraction(str(h)) for h in _field(params, "heights", list)]
+        written = _field(params, "heights", list)
+        heights = [Fraction(str(h)) for h in written]
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed report: {exc}") from exc
+    if json.dumps(written) != json.dumps(list(map(report_rational, heights))):
+        raise InputError(
+            "malformed report: heights must be ints or 'p/q' in lowest terms"
+        )
     if len(heights) != num_vars + (mode == "affine"):
         raise InputError(f"malformed report: {len(heights)} heights in {mode} mode")
     if mode == "affine" and heights != [1] + [heights[1]] * num_vars:
@@ -369,7 +375,8 @@ def verify_report_dict(data, ideal, budget=DEFAULT_BUDGET, path=None):
     for key, value in derived.items():
         have = stored.get(key)
         if key.endswith("points"):  # as lists: JSON text of S(X,B) costs more
-            if have != value:
+            # and, as true == 1 and -10.0 == -10, each coordinate an int
+            if have != value or not all(type(x) is int for p in have for x in p):
                 failures.append(f"{key}: not the {len(value)} points of S(X,B)")
         elif repr(have) != repr(value):  # so that true is not 1, nor 1.0 or "1"
             # as JSON text too, where a dict's key order does not count

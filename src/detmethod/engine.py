@@ -2,7 +2,8 @@
 kernels, box covering, and certified auxiliary polynomials.
 
 Each cover builds one monomial matrix, one row per enumerated point, and a
-box's matrix is its restriction to the box's points.  A box is certified by
+box's matrix is its restriction to the box's points; a cover reads mu,
+delta and n off the matrix's columns.  A box is certified by
 one kernel vector, the first-free-column vector that exact_kernel returns in
 exact integers, or subdivided if its matrix has full rank.  That vector is
 the kernel vector with the smallest last column, unique up to scale (two
@@ -117,7 +118,7 @@ def _getter(indices):
     return itemgetter(*indices)
 
 
-def build_matrix(points, sc):
+def build_matrix(points, exponents):
     """The monomial matrix at the points.  A cover builds it once and hands
     each box its restrict(), so each power is computed once per cover.
 
@@ -128,7 +129,7 @@ def build_matrix(points, sc):
     skipped, as are the unused ones; a row with no column left is all ones."""
     if not points:
         raise InputError("need at least one point")
-    exponents = tuple(sc.exponents)
+    exponents = tuple(exponents)
     n = len(exponents[0]) if exponents else None
     # per used coordinate: (index, its exponent column, its top exponent)
     columns = [
@@ -381,14 +382,14 @@ class AuxiliaryCertificate(SimpleNamespace):
                          points_covered=points_covered, box=box)
 
 
-def auxiliary_for_box(mat, indices, sc, gb, box_desc, timings):
+def auxiliary_for_box(mat, indices, box_desc, timings):
     """Certificate for the points mat.points[i], i in indices, of one sub-box,
     or exact_kernel's falsy FullRank if their monomial matrix has full rank
     mu (triggering subdivision in adaptive mode; its rows count the indices).
-    mat is the cover's matrix; the certificate lists the indices in
-    ascending order, and the kernel stage is added to `timings` (kernel_s,
-    kernel_calls, and kernel_screens for a call with at least mu rows, the
-    ones that run the rank screen)."""
+    mat is the cover's matrix, whose columns give the certificate's degree
+    delta and variables; the certificate lists the indices in ascending
+    order, and the kernel stage is added to `timings` (kernel_s, kernel_calls,
+    and kernel_screens for a call with at least mu rows, the screened ones)."""
     box_mat = mat.restrict(indices)
     start = perf_counter()
     coeffs = exact_kernel(box_mat)
@@ -399,8 +400,8 @@ def auxiliary_for_box(mat, indices, sc, gb, box_desc, timings):
         return coeffs
     terms = {e: c for e, c in zip(mat.exponents, coeffs) if c != 0}
     return AuxiliaryCertificate(
-        poly=Polynomial(terms, gb.num_vars),
-        support_delta=sc.delta,
+        poly=Polynomial(terms, len(mat.exponents[0])),
+        support_delta=sum(mat.exponents[0]),
         points_covered=tuple(sorted(indices)),
         box=tuple(box_desc),
     )
@@ -492,6 +493,12 @@ def _norm_bound(norm_bound):
 # -- pipeline --------------------------------------------------------------
 
 
+def report_rational(x):
+    """An int unchanged, a Fraction as its int or "p/q", as reports write it."""
+    p, q = x.numerator, x.denominator
+    return p if q == 1 else f"{p}/{q}"
+
+
 class PipelineReport(SimpleNamespace):
     """A run's result, built once by cover_and_construct, the one body of
     both modes, with every field given by keyword and none changed after:
@@ -504,16 +511,12 @@ class PipelineReport(SimpleNamespace):
     build: matrix_s; kernel: kernel_s, kernel_calls)."""
 
     def to_dict(self, include_timings=False):
-        def frac(x):  # an int unchanged, a Fraction as its int or "p/q"
-            p, q = x.numerator, x.denominator
-            return p if q == 1 else f"{p}/{q}"
-
         certs = []
         for c in self.certificates:
             entry = {
                 "poly": format_polynomial(c.poly, self.ordering),
                 "points": [self.points[i] for i in c.points_covered],
-                "box": [[frac(lo), frac(hi)] for lo, hi in c.box],
+                "box": [[report_rational(lo), report_rational(hi)] for lo, hi in c.box],
             }
             if self.mode == "affine":
                 entry["affine_poly"] = format_dehomogenized(c.poly, self.ordering)
@@ -521,7 +524,7 @@ class PipelineReport(SimpleNamespace):
         out = {
             "params": {
                 "mode": self.mode,
-                "heights": [frac(b) for b in self.heights],
+                "heights": [report_rational(b) for b in self.heights],
                 "delta": self.delta,
                 "epsilon": self.epsilon,
                 "ordering": self.ordering.value,
@@ -530,7 +533,7 @@ class PipelineReport(SimpleNamespace):
             },
             **self.summary,
             "certificates": certs,
-            "rho": None if self.rho is None else frac(self.rho),
+            "rho": None if self.rho is None else report_rational(self.rho),
             "cube_count": self.cube_count,
             "max_depth": self.max_depth,
         }
@@ -538,9 +541,9 @@ class PipelineReport(SimpleNamespace):
             ob = self.ordering_bound
             out["ordering_bound"] = {
                 "s": ob.s,
-                "lhs": frac(ob.lhs),
-                "intermediate_bound": frac(ob.intermediate_bound),
-                "limit": frac(ob.limit),
+                "lhs": report_rational(ob.lhs),
+                "intermediate_bound": report_rational(ob.intermediate_bound),
+                "limit": report_rational(ob.limit),
                 "dimension": ob.dimension,
                 "holds": ob.holds,
             }
@@ -551,7 +554,7 @@ class PipelineReport(SimpleNamespace):
         return out
 
 
-def _adaptive_cover(mat, sc, gb, timings):
+def _adaptive_cover(mat, timings):
     """Bisection covering of the points of the matrix mat; returns
     (certificates, max_depth).
 
@@ -567,7 +570,6 @@ def _adaptive_cover(mat, sc, gb, timings):
     split is computed once: a chain's splits travel down it with its low
     children.  The tree, its depth-first order (low child first) and each
     certificate's points and box do not depend on the row order."""
-    n = gb.num_vars
     mu = len(mat.exponents)
     columns = tuple(zip(*mat.points))  # the points' coordinates, per axis
     order = list(range(len(mat.points)))
@@ -584,7 +586,7 @@ def _adaptive_cover(mat, sc, gb, timings):
         while end - start >= mu:
             coords, bbox = bounding_box(start, end)
             extents = [hi - lo for lo, hi in bbox]
-            axis = max(range(n), key=lambda a: (extents[a], -a))
+            axis = max(range(len(columns)), key=lambda a: (extents[a], -a))
             lo, hi = bbox[axis]
             pairs = list(zip(order[start:end], coords[axis]))
             low = [i for i, x in pairs if 2 * x <= lo + hi]
@@ -605,7 +607,7 @@ def _adaptive_cover(mat, sc, gb, timings):
         split = next(chain, None)  # None for a box with fewer than mu points
         if end < rank_end:
             bbox = split[0] if split else bounding_box(start, end)[1]
-            cert = auxiliary_for_box(mat, order[start:end], sc, gb, bbox, timings)
+            cert = auxiliary_for_box(mat, order[start:end], bbox, timings)
             if cert:
                 certs.append(cert)
                 continue
@@ -617,8 +619,8 @@ def _adaptive_cover(mat, sc, gb, timings):
     return certs, max_depth
 
 
-def _theoretical_cover(mat, sc, gb, box, sigma, mu, m, norm_bound, timings):
-    rho, cube_count = theoretical_rho(box, sigma, mu, m, norm_bound)
+def _theoretical_cover(mat, box, sigma, m, norm_bound, timings):
+    rho, cube_count = theoretical_rho(box, sigma, len(mat.exponents), m, norm_bound)
     q = rho.denominator
     groups = {}
     for i, p in enumerate(mat.points):
@@ -631,7 +633,7 @@ def _theoretical_cover(mat, sc, gb, box, sigma, mu, m, norm_bound, timings):
     for key in sorted(groups):
         idxs = tuple(groups[key])
         desc = tuple((Fraction(k, q) - 1, Fraction(k + 1, q) - 1) for k in key)
-        cert = auxiliary_for_box(mat, idxs, sc, gb, desc, timings)
+        cert = auxiliary_for_box(mat, idxs, desc, timings)
         if not cert:
             raise InputError(
                 f"norm bound {norm_bound} is too small: occupied rho-cube "
@@ -777,16 +779,16 @@ def cover_and_construct(
     if delta is None:
         delta, delta_report = choose_delta(gb, epsilon)
     m, _, mu, _, _, sigma, _ = run_series(gb, delta)
-    sc = staircase(gb, delta)
+    exponents = staircase(gb, delta)
     if strategy == "theoretical" and m > 1:
         raise InputError("the theoretical strategy covers curves only (m = 1)")
 
     mode = "projective" if affine_ideal is None else "affine"
-    point_set = run_points(affine_ideal or gb.ideal, mode, box, budget)
-    points = point_set.points
+    start = perf_counter()
+    points, fibres = run_points(affine_ideal or gb.ideal, mode, box, budget)
     timings = {
-        "points_s": point_set.seconds,
-        "points_fibres": point_set.fibres,
+        "points_s": perf_counter() - start,
+        "points_fibres": fibres,
         "points_found": len(points),
         "matrix_s": 0.0,
         "kernel_s": 0.0,
@@ -808,13 +810,13 @@ def cover_and_construct(
                 "nontrivial vanishing polynomial"
             )
         start = perf_counter()
-        mat = build_matrix(points, sc)
+        mat = build_matrix(points, exponents)
         timings["matrix_s"] = perf_counter() - start
         if strategy == "adaptive":
-            certs, max_depth = _adaptive_cover(mat, sc, gb, timings)
+            certs, max_depth = _adaptive_cover(mat, timings)
         else:
             certs, rho, cube_count = _theoretical_cover(
-                mat, sc, gb, box, sigma, mu, m, norm_bound, timings
+                mat, box, sigma, m, norm_bound, timings
             )
 
     # constructor output is never trusted: re-verify before it leaves
@@ -884,12 +886,12 @@ def run_basis(ideal, mode, ordering):
 
 
 def run_points(ideal, mode, box, budget):
-    """S(X, box) for a run in `mode`, with the enumeration's fibres and time;
-    in affine mode box is (1, B, ..., B), and each x of X(Z,B) lifts to (1, x)."""
+    """S(X, box) for a run in `mode`, with the enumeration's fibres; in
+    affine mode box is (1, B, ..., B), and each x of X(Z,B) lifts to (1, x)."""
     if mode == "projective":
         return enumerate_projective(ideal, box, budget=budget)
     affine = enumerate_affine(ideal, box.bounds[1], budget=budget)
-    return affine._replace(points=tuple((1,) + x for x in affine.points), box=box)
+    return affine._replace(points=tuple((1,) + x for x in affine.points))
 
 
 def affine_pipeline(

@@ -97,15 +97,6 @@ class GroebnerBasis:
         return DimensionDegree(power - 1, sum(k))
 
 
-class Staircase(namedtuple("Staircase", "delta exponents")):
-    """M(delta): the degree-delta monomials outside LT(I), sorted descending
-    by the ordering.  Built by staircase() for the monomial matrix only: HF
-    and sigma_i come from the Hilbert series, and certificate verification
-    tests LT(I) membership by divisibility."""
-
-    __slots__ = ()
-
-
 def _sort_key(ordering):
     return lambda g: (ordering.key(g.leading_monomial(ordering)), sorted(g.terms))
 
@@ -274,8 +265,10 @@ def monomials_of_degree(total, nvars):
 
 def staircase(gb, delta):
     """M(delta): the degree-delta monomials that no leading monomial divides,
-    i.e. those outside LT(I) (Cox-Little-O'Shea, IVA ch. 2 sec. 5), sorted
-    descending by the ordering."""
+    i.e. those outside LT(I) (Cox-Little-O'Shea, IVA ch. 2 sec. 5), as a
+    tuple of exponent tuples sorted descending by the ordering.  Listed for
+    the monomial matrix only: HF and sigma_i come from the Hilbert series,
+    and certificate verification tests LT(I) membership by divisibility."""
     if delta < 0:
         raise InputError("degree must be nonnegative")
     lms = gb.leading_monomials
@@ -285,7 +278,7 @@ def staircase(gb, delta):
         if not any(divides(lm, e) for lm in lms)
     ]
     exps.sort(key=gb.ordering.key, reverse=True)
-    return Staircase(delta, tuple(exps))
+    return tuple(exps)
 
 
 def hilbert_function(gb, s):

@@ -45,10 +45,10 @@ the route takes the one whose coordinates visited before x_i span the
 fewest values.  (The saddle x2 - x0*x1 keeps the order x0, x1, x2: visited
 first, x2 would lose its exact split of one root.)
 
-A PointSet carries its fibres (visits to a coordinate with an exact split in
-the visiting order, each (x_i, x_j) pair the route sets counting as one
-visit to x_j) and the seconds its enumeration took; class_index names the
-class S_i of the box that a point lies in.
+A PointSet carries its points and fibres (visits to a coordinate with an
+exact split in the visiting order, each (x_i, x_j) pair the route sets
+counting as one visit to x_j); class_index names the class S_i of a box,
+given by its weights, that a point lies in.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from math import floor, gcd, inf, isqrt, lcm, prod
-from time import perf_counter
 
 from .errors import BudgetExceededError, InputError
 
@@ -92,9 +91,9 @@ class HeightBox(namedtuple("HeightBox", "bounds")):
         return tuple(b.denominator * whole // b.numerator for b in self.bounds)
 
 
-class PointSet(namedtuple("PointSet", "points box fibres seconds", defaults=(0, 0.0))):
+class PointSet(namedtuple("PointSet", "points fibres", defaults=(0,))):
     """The points (integer tuples, sorted lexicographically) in the box, with
-    the fibres (see the module docstring) and seconds of their enumeration."""
+    the fibres of their enumeration (see the module docstring)."""
 
     __slots__ = ()
 
@@ -107,24 +106,20 @@ def require_homogeneous(ideal):
 
 def enumerate_affine(ideal, b, budget=DEFAULT_BUDGET):
     """All integer points of the variety with |x_i| <= b, sorted."""
-    start = perf_counter()
     b = Fraction(b)
     if b <= 0:
         raise InputError("height bound must be positive")
     n = ideal.num_vars
-    pts, fibres = _solve(ideal, [int(floor(b))] * n, budget, projective=False)
-    return PointSet(pts, HeightBox.uniform(b, n), fibres, perf_counter() - start)
+    return PointSet(*_solve(ideal, [int(floor(b))] * n, budget, projective=False))
 
 
 def enumerate_projective(ideal, box, budget=DEFAULT_BUDGET):
     """Primitive, sign-normalized integer representatives of rational points
     on the projective variety within the box."""
-    start = perf_counter()
     require_homogeneous(ideal)
     if len(box.bounds) != ideal.num_vars:
         raise InputError("box dimension must match the ambient variable count")
-    pts, fibres = _solve(ideal, box.ranges(), budget, projective=True)
-    return PointSet(pts, box, fibres, perf_counter() - start)
+    return PointSet(*_solve(ideal, box.ranges(), budget, projective=True))
 
 
 # -- the fibre-wise solver ---------------------------------------------------
@@ -471,10 +466,9 @@ def _search(a, b, x, key, find):
     return a + find(range(a, b), x, key=key)
 
 
-def class_index(point, box):
+def class_index(point, weights):
     """Smallest i attaining max_j |x_j|/B_j, compared exactly as the
-    integers |x_j|*w_j, (w_j) = box.weights(); `box` is a HeightBox, or its
-    weights, read once for the points of a tally."""
-    weights = box.weights() if isinstance(box, HeightBox) else box
+    integers |x_j|*w_j, (w_j) = box.weights(), read once for the points of
+    a tally."""
     scaled = [abs(x) * w for x, w in zip(point, weights)]
     return scaled.index(max(scaled))

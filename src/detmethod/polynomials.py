@@ -2,8 +2,7 @@
 
 Exponent vectors are plain tuples of nonnegative ints; coefficients are
 ``fractions.Fraction``.  Everything is exact: no floats enter this module.
-All values are treated as immutable after construction and may be shared
-freely across workers.
+All values are treated as immutable after construction.
 """
 
 from __future__ import annotations

@@ -660,6 +660,19 @@ EXACT_EDITS = {
         lambda d: d["affine_points"].reverse(),
         ["FAIL: affine_points: not the 21 points of S(X,B)"],
     ),
+    # equal as numbers, not as JSON: true == 1 and -10.0 == -10
+    "points-bool": (
+        lambda d: d["points"][0].__setitem__(0, True),
+        ["FAIL: points: not the 21 points of S(X,B)"],
+    ),
+    "points-float": (
+        lambda d: d["points"][0].__setitem__(1, -10.0),
+        ["FAIL: points: not the 21 points of S(X,B)"],
+    ),
+    "affine_points-float": (
+        lambda d: d["affine_points"][0].__setitem__(0, -10.0),
+        ["FAIL: affine_points: not the 21 points of S(X,B)"],
+    ),
     "class_counts": (
         lambda d: d.update(class_counts=[0, 20, 1]),
         ["FAIL: class_counts: [0, 20, 1], not [21, 0, 0]"],
@@ -1272,6 +1285,10 @@ def test_empty_projective_variety_is_vacuous_and_verifies(capsys, tmp_path):
     assert code == 2 and "dimension < 1" in err
 
 
+def _with_heights(heights):
+    return lambda d: {**d, "params": {**d["params"], "heights": heights}}
+
+
 MALFORMED_REPORTS = {
     "no-params": lambda d: {k: v for k, v in d.items() if k != "params"},
     "string-delta": lambda d: {**d, "params": {**d["params"], "delta": "2"}},
@@ -1294,6 +1311,13 @@ MALFORMED_REPORTS = {
             {**c, "points": [[1, 0.5, 2]]} for c in d["certificates"]
         ],
     },
+    # heights of the report's values, written otherwise than construct
+    # writes them: an int, or "p/q" in lowest terms with q > 1
+    "float-height": _with_heights([1, 100.0, 100.0]),
+    "string-height": _with_heights([1, "100", "100"]),
+    "whole-fraction-height": _with_heights([1, "100/1", "100/1"]),
+    "unreduced-height": _with_heights([1, "200/2", "200/2"]),
+    "bool-height": _with_heights([True, 100, 100]),
 }
 
 
@@ -1305,7 +1329,7 @@ def test_verify_malformed_report_is_input_error(capsys, parabola_report, case):
         capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
     )
     assert code == 2
-    assert "error" in err
+    assert err.startswith("error: malformed report: ")
     assert "Traceback" not in err
 
 

@@ -97,11 +97,9 @@ def test_cover_matches_the_rational_bisection_on_random_boxes(case):
     """The cover's certificates and depth on arbitrary points, on or off
     the saddle, under the staircase of its basis."""
     points, delta = case
-    sc = engine.staircase(SADDLE_GB, delta)
+    exponents = engine.staircase(SADDLE_GB, delta)
     timings = {"kernel_s": 0.0, "kernel_calls": 0, "kernel_screens": 0}
-    certs, depth = engine._adaptive_cover(
-        build_matrix(points, sc), sc, SADDLE_GB, timings
-    )
+    certs, depth = engine._adaptive_cover(build_matrix(points, exponents), timings)
     tree, expected = _oracle(points, SADDLE_GB, delta)
     assert _certificates(certs) == expected
     assert depth == max(box.depth for box in bisection_boxes(tree))

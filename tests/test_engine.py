@@ -3,7 +3,6 @@
 import math
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -648,7 +647,7 @@ def test_build_matrix_matches_entrywise_formula(data):
     points = data.draw(
         st.lists(st.tuples(*[coordinates] * n), min_size=1, max_size=6)
     )
-    mat = build_matrix(points, SimpleNamespace(exponents=exponents))
+    mat = build_matrix(points, exponents)
     assert mat.rows == entrywise_matrix_rows(points, exponents)
 
 
@@ -715,12 +714,25 @@ def test_auxiliary_small_point_set_always_certifies():
     gb, sc = _conic_setup()  # mu = 5
     pts = [(1, 1, 1), (4, 2, 1), (9, 3, 1), (4, -2, 1)]  # q = 4 <= mu - 1
     mat, timings = build_matrix(pts, sc), _kernel_timings()
-    cert = auxiliary_for_box(mat, range(4), sc, gb, [(0, 9)] * 3, timings)
+    cert = auxiliary_for_box(mat, range(4), [(0, 9)] * 3, timings)
     assert cert is not None
     assert (timings["kernel_calls"], timings["kernel_screens"]) == (1, 0)
     assert verify_certificate(cert, pts, gb) == []
     for p in pts:
         assert cert.poly.evaluate(p) == 0
+
+
+def test_auxiliary_reads_delta_and_variables_off_the_matrix():
+    """A certificate's support degree and variable count are those of the
+    matrix's columns: no staircase record or basis is passed."""
+    gb, exponents = _conic_setup(3)
+    pts = [(1, 1, 1), (4, 2, 1), (9, 3, 1)]
+    cert = auxiliary_for_box(
+        build_matrix(pts, exponents), range(3), [(1, 9)] * 3, _kernel_timings()
+    )
+    assert cert.support_delta == 3
+    assert cert.poly.num_vars == 3
+    assert verify_certificate(cert, pts, gb) == []
 
 
 def test_auxiliary_full_rank_returns_full_rank():
@@ -732,7 +744,7 @@ def test_auxiliary_full_rank_returns_full_rank():
     mat = build_matrix(pts, sc)
     box = [(-2, 4)] * 3
     timings = _kernel_timings()
-    assert auxiliary_for_box(mat, range(5), sc, gb, box, timings) == FullRank(5)
+    assert auxiliary_for_box(mat, range(5), box, timings) == FullRank(5)
     assert (timings["kernel_calls"], timings["kernel_screens"]) == (1, 1)
 
 
@@ -740,7 +752,7 @@ def test_verify_accepts_constructor_output():
     gb, sc = _conic_setup()
     pts = [(1, 1, 1), (4, 2, 1)]
     cert = auxiliary_for_box(
-        build_matrix(pts, sc), (0, 1), sc, gb, [(1, 4)] * 3, _kernel_timings()
+        build_matrix(pts, sc), (0, 1), [(1, 4)] * 3, _kernel_timings()
     )
     assert verify_certificate(cert, pts, gb) == []
 
@@ -749,7 +761,7 @@ def test_verify_rejects_perturbed_coefficient():
     gb, sc = _conic_setup()
     pts = [(1, 1, 1), (4, 2, 1)]
     cert = auxiliary_for_box(
-        build_matrix(pts, sc), (0, 1), sc, gb, [(1, 4)] * 3, _kernel_timings()
+        build_matrix(pts, sc), (0, 1), [(1, 4)] * 3, _kernel_timings()
     )
     e0 = sorted(cert.poly.support())[0]
     bad = Polynomial(
@@ -768,7 +780,7 @@ def test_verify_rejects_support_in_lt():
     gb, sc = _conic_setup()
     pts = [(1, 1, 1), (4, 2, 1)]
     cert = auxiliary_for_box(
-        build_matrix(pts, sc), (0, 1), sc, gb, [(1, 4)] * 3, _kernel_timings()
+        build_matrix(pts, sc), (0, 1), [(1, 4)] * 3, _kernel_timings()
     )
     # move mass onto x1^2, the excluded leading monomial
     bad = cert.poly + Polynomial({(0, 2, 0): Fraction(1)}, 3)
@@ -1265,10 +1277,10 @@ def test_class_counts_tally_the_points(mode, texts, num_vars, heights, counts):
         report = cover_and_construct(groebner(ideal, GRLEX), HeightBox(heights), 2)
     data = report.to_dict()
     assert sum(data["class_counts"]) == data["point_count"] > 0
-    box = HeightBox(report.heights)
-    tally = [0] * len(box.bounds)
+    weights = HeightBox(report.heights).weights()
+    tally = [0] * len(weights)
     for p in report.points:
-        tally[class_index(p, box)] += 1
+        tally[class_index(p, weights)] += 1
     assert data["class_counts"] == tally
     if mode == "affine":
         assert tally == [data["point_count"]] + [0] * num_vars

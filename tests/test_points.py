@@ -690,28 +690,28 @@ def test_twisted_cubic_points(twisted_cubic):
 
 
 def test_class_index_max_coordinate():
-    box = HeightBox((4, 4, 4))
-    assert class_index((4, 2, 1), box) == 0
-    assert class_index((1, 2, 4), box) == 2
+    weights = HeightBox((4, 4, 4)).weights()
+    assert class_index((4, 2, 1), weights) == 0
+    assert class_index((1, 2, 4), weights) == 2
 
 
 def test_class_index_tie_breaks_low():
-    box = HeightBox((4, 4, 4))
-    assert class_index((3, 3, 1), box) == 0
-    assert class_index((0, 2, 2), box) == 1
+    weights = HeightBox((4, 4, 4)).weights()
+    assert class_index((3, 3, 1), weights) == 0
+    assert class_index((0, 2, 2), weights) == 1
 
 
 def test_class_index_scaled():
-    box = HeightBox((10, 1, 10))
-    assert class_index((5, 1, 2), box) == 1  # 1/1 beats 5/10
-    # fractional heights, against the Fraction rule, with the box or its
-    # weights: 1/B_j = w_j/105 for the lcm 105 of the numerators 7, 3, 5
+    weights = HeightBox((10, 1, 10)).weights()
+    assert class_index((5, 1, 2), weights) == 1  # 1/1 beats 5/10
+    # fractional heights, against the Fraction rule, with the box's weights:
+    # 1/B_j = w_j/105 for the lcm 105 of the numerators 7, 3, 5
     box = HeightBox((Fraction(7, 4), 3, Fraction(5, 3)))
     assert box.weights() == (60, 35, 63)
     for point in product(range(-4, 5), repeat=3):
         ratios = [abs(x) / b for x, b in zip(point, box.bounds)]
         first = ratios.index(max(ratios))
-        assert class_index(point, box) == class_index(point, box.weights()) == first
+        assert class_index(point, box.weights()) == first
 
 
 # -- the records ------------------------------------------------------------
@@ -730,16 +730,19 @@ def test_height_box_keeps_fractions():
     assert HeightBox.uniform(3, 2) == HeightBox((Fraction(3), Fraction(3)))
 
 
+def test_point_set_holds_only_points_and_fibres():
+    """An enumeration returns its points and fibres; the engine times it
+    and the caller keeps the box."""
+    assert PointSet._fields == ("points", "fibres")
+
+
 def test_frozen_records_refuse_assignment():
     parabola = CORPUS["parabola"]
     gb = groebner(parabola, Ordering.GRLEX_LEFT)
-    sc = staircase(gb, 2)
-    box = HeightBox((4, 4))
     records = [
-        (box, "bounds"),
-        (PointSet(((0, 0),), box), "fibres"),
-        (sc, "exponents"),
-        (build_matrix([(1, 1)], sc), "rows"),
+        (HeightBox((4, 4)), "bounds"),
+        (PointSet(((0, 0),)), "fibres"),
+        (build_matrix([(1, 1)], staircase(gb, 2)), "rows"),
         (gb.dimension_degree, "degree"),
         (affine_ordering_bound(parabola, 2), "holds"),
         (choose_nu(3, 1), "nu"),
