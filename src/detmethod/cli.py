@@ -18,6 +18,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain, repeat, starmap
 from json.encoder import encode_basestring_ascii
 
 from .bounds import (
@@ -139,50 +140,91 @@ def _json(data):
     """The JSON output contract: sorted keys, indent 2, ASCII escapes, no NaN
     or Infinity, byte for byte json.dumps(data, sort_keys=True, indent=2,
     allow_nan=False).  With indent set, json.dumps skips CPython's C encoder;
-    this writer keeps its string escapes and renders each list of plain ints,
-    or of strings, in one join."""
+    this writer keeps its string escapes, renders each list of plain ints,
+    or of strings, in one join, and each list of equal-length rows of plain
+    ints (points, boxes) by one format template."""
     return _emit(data, "\n")
 
 
 def _emit(value, newline):
     """The JSON text of value; newline is a line break and the indent of the
-    line that value starts on."""
-    if type(value) is int:  # a plain int, not a bool
-        return int.__repr__(value)
+    line that value starts on.  The writer is picked by type(value); a
+    subclass of a JSON type goes through isinstance tests."""
+    return _WRITERS.get(type(value), _emit_subclass)(value, newline)
+
+
+def _emit_list(value, newline):
+    if not value:
+        return "[]"
+    inner = newline + "  "
+    kinds = set(map(type, value))
+    if kinds == {int}:  # plain ints: no bool among them
+        items = map(int.__repr__, value)
+    elif kinds == {str}:
+        items = map(encode_basestring_ascii, value)
+    elif kinds <= _ROWS and (rows := _int_rows(value, inner)):
+        items = rows
+    else:
+        items = map(_emit, value, repeat(inner))
+    return f"[{inner}{(',' + inner).join(items)}{newline}]"
+
+
+def _int_rows(rows, newline):
+    """The JSON texts of rows, lists or tuples that all hold the same number
+    k >= 1 of plain ints, from one template of k fields; None for any other
+    rows."""
+    (k, *others) = set(map(len, rows))
+    if others or not k or set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    inner = newline + "  "
+    template = f"[{inner}{{}}{f',{inner}{{}}' * (k - 1)}{newline}]"
+    return starmap(template.format, rows)
+
+
+def _emit_dict(value, newline):
+    if not value:
+        return "{}"
+    inner = newline + "  "
+    items = [
+        f"{encode_basestring_ascii(key)}: {_emit(x, inner)}"
+        for key, x in sorted(value.items())
+    ]
+    return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+
+
+def _emit_float(value, newline):
+    if not math.isfinite(value):
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {value!r}"
+        )
+    return float.__repr__(value)
+
+
+def _emit_subclass(value, newline):
     if isinstance(value, (list, tuple)):
-        inner = newline + "  "
-        kinds = set(map(type, value))
-        if kinds == {int}:  # plain ints: no bool among them
-            items = map(int.__repr__, value)
-        elif kinds == {str}:
-            items = map(encode_basestring_ascii, value)
-        else:
-            items = [_emit(x, inner) for x in value]
-        return f"[{inner}{(',' + inner).join(items)}{newline}]" if value else "[]"
+        return _emit_list(value, newline)
     if isinstance(value, dict):
-        inner = newline + "  "
-        items = [
-            f"{encode_basestring_ascii(key)}: {_emit(x, inner)}"
-            for key, x in sorted(value.items())
-        ]
-        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if value else "{}"
+        return _emit_dict(value, newline)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(
-                f"Out of range float values are not JSON compliant: {value!r}"
-            )
-        return float.__repr__(value)
+        return _emit_float(value, newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_ROWS = {list, tuple}
+_WRITERS = {
+    int: lambda value, newline: int.__repr__(value),
+    str: lambda value, newline: encode_basestring_ascii(value),
+    list: _emit_list,
+    tuple: _emit_list,
+    dict: _emit_dict,
+    float: _emit_float,
+    bool: lambda value, newline: "true" if value else "false",
+    type(None): lambda value, newline: "null",
+}
 
 
 def report_json(report, include_timings=False):

@@ -46,7 +46,7 @@ import contextlib
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import itemgetter, lshift, mul
 from time import perf_counter
 from types import SimpleNamespace
@@ -122,40 +122,42 @@ def build_matrix(points, exponents):
     """The monomial matrix at the points.  A cover builds it once and hands
     each box its restrict(), so each power is computed once per cover.
 
-    A row is built column by column: for each coordinate x_i that some
-    exponent uses, the powers 1, x_i, ..., x_i^top are one running product,
-    and the row is the elementwise product of the columns x_i^(e_i) read off
-    them.  A coordinate equal to 1 contributes a column of ones and is
-    skipped, as are the unused ones; a row with no column left is all ones."""
+    The matrix is built column by column, over all points at once: for each
+    coordinate x_i that some exponent uses, its power columns x_i^2, ...,
+    x_i^top are each the elementwise product of the one before and x_i's
+    column, and the column of x^e is the elementwise product of the power
+    columns x_i^(e_i).  A coordinate that is 1 at every point is skipped, as
+    are the unused ones; a column with no factor left is all ones.  The rows
+    are the columns transposed."""
     if not points:
         raise InputError("need at least one point")
     exponents = tuple(exponents)
-    n = len(exponents[0]) if exponents else None
-    # per used coordinate: (index, its exponent column, its top exponent)
-    columns = [
-        (i, col, max(col))
-        for i, col in enumerate(zip(*exponents))
-        if any(col)
-    ]
-    ones = (1,) * len(exponents)
-    rows = []
-    for p in points:
-        if n is not None and len(p) != n:
-            raise InputError("point dimension does not match the staircase")
-        row = None
-        for i, col, top in columns:
-            x = p[i]
-            if x == 1:
-                continue
-            powers = list(accumulate(repeat(x, top), mul, initial=1))
-            entries = map(powers.__getitem__, col)
-            row = list(entries) if row is None else list(map(mul, row, entries))
-        rows.append(ones if row is None else tuple(row))
-    return MonomialMatrix(
-        exponents=exponents,
-        points=tuple(points),
-        rows=tuple(rows),
-    )
+    points = tuple(points)
+    if not exponents:  # mu = 0: one empty row per point
+        return MonomialMatrix(exponents, points, ((),) * len(points))
+    try:  # the coordinate columns, which strict zip checks are all as long
+        coordinates = tuple(zip(*points, strict=True))
+    except ValueError:
+        coordinates = ()
+    if len(coordinates) != len(exponents[0]):
+        raise InputError("point dimension does not match the staircase")
+    # powers[i][k] is the column x_i^k, for the coordinates not all 1
+    powers = {}
+    for i, (x, col) in enumerate(zip(coordinates, zip(*exponents))):
+        top = max(col)
+        if top and x.count(1) != len(x):
+            powers[i] = xs = [None, x]
+            for _ in range(1, top):
+                xs.append(tuple(map(mul, xs[-1], x)))
+    ones = (1,) * len(points)
+    columns = []
+    for e in exponents:
+        factors = [powers[i][k] for i, k in enumerate(e) if k and i in powers]
+        column = factors[0] if factors else ones
+        for factor in factors[1:]:
+            column = map(mul, column, factor)
+        columns.append(column)
+    return MonomialMatrix(exponents, points, tuple(zip(*columns)))
 
 
 class FullRank(namedtuple("FullRank", "rows")):
@@ -419,12 +421,13 @@ def verify_certificate(cert, points, gb):
     support inside M(delta) already keeps a nonzero polynomial out of the
     ideal.  A support monomial of degree delta lies in M(delta) exactly when
     no leading monomial divides it, so M(delta) itself is never listed.  The
-    checks stay in integers where the data are: Polynomial.evaluate clears
-    the certificate's denominators on its first call and sums the kept
-    integer terms at each covered integer point.  normal_form returns the
-    certificate itself, after one divisibility test per term and leading
-    monomial, exactly when its support lies outside LT(I); only a support
-    that meets LT(I) runs the division, and a test per monomial to name it."""
+    checks stay in integers where the data are: Polynomial.vanishes_at
+    clears the certificate's denominators on its first call and tests the
+    sum of the kept integer terms at each covered integer point, with no
+    Fraction built.  normal_form returns the certificate itself, after one
+    divisibility test per term and leading monomial, exactly when its
+    support lies outside LT(I); only a support that meets LT(I) runs the
+    division, and a test per monomial to name it."""
     poly = cert.poly
     if poly.is_zero():
         return ["zero polynomial"]
@@ -443,7 +446,7 @@ def verify_certificate(cert, points, gb):
             failures.append(f"support monomial {e} lies in LT(I)")
             break
     for idx in cert.points_covered:
-        if poly.evaluate(points[idx]) != 0:
+        if not poly.vanishes_at(points[idx]):
             failures.append(f"does not vanish at {points[idx]}")
     if remainder.is_zero():
         failures.append("lies in the ideal")
@@ -512,14 +515,17 @@ class PipelineReport(SimpleNamespace):
 
     def to_dict(self, include_timings=False):
         certs = []
+        monomials = {}  # this report's monomial texts, for format_polynomial
         for c in self.certificates:
             entry = {
-                "poly": format_polynomial(c.poly, self.ordering),
+                "poly": format_polynomial(c.poly, self.ordering, monomials),
                 "points": [self.points[i] for i in c.points_covered],
                 "box": [[report_rational(lo), report_rational(hi)] for lo, hi in c.box],
             }
             if self.mode == "affine":
-                entry["affine_poly"] = format_dehomogenized(c.poly, self.ordering)
+                entry["affine_poly"] = format_dehomogenized(
+                    c.poly, self.ordering, monomials
+                )
             certs.append(entry)
         out = {
             "params": {

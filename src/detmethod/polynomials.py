@@ -183,6 +183,16 @@ class Polynomial:
         coordinates go through the same lines, as int and Fraction
         arithmetic promote by themselves.  Keeping the integer terms is
         sound because a Polynomial is never changed after construction."""
+        den, total = self._cleared_value(point)
+        return Fraction(total) if den == 1 else Fraction(total, den)
+
+    def vanishes_at(self, point):
+        """evaluate(point) == 0, read off the same sum of cleared terms with
+        no Fraction built: the sum is D times the value."""
+        return self._cleared_value(point)[1] == 0
+
+    def _cleared_value(self, point):
+        """(D, D * the value at point), from the cleared terms."""
         if len(point) != self.num_vars:
             raise InputError(
                 f"point has {len(point)} coordinates, expected {self.num_vars}"
@@ -200,7 +210,7 @@ class Polynomial:
             for i, k in powers:
                 v *= point[i] if k == 1 else point[i] ** k
             total += v
-        return Fraction(total) if den == 1 else Fraction(total, den)
+        return den, total
 
     def partial_derivative(self, alpha):
         """Iterated formal derivative d^alpha; may return zero."""
@@ -440,13 +450,14 @@ def _parse_atom(tokens, i, num_vars):
     raise _SyntaxAt(i, f"unexpected token {tok!r}")
 
 
-def format_polynomial(poly, ordering=Ordering.GRLEX_LEFT):
+def format_polynomial(poly, ordering=Ordering.GRLEX_LEFT, monomials=None):
     """Render with terms in descending order under `ordering`; round-trip
-    stable through parse_polynomial."""
-    return _format_terms(poly.terms, ordering)
+    stable through parse_polynomial.  monomials is _format_terms' table; a
+    caller that writes many polynomials under one ordering shares one."""
+    return _format_terms(poly.terms, ordering, {} if monomials is None else monomials)
 
 
-def format_dehomogenized(form, ordering=Ordering.GRLEX_LEFT):
+def format_dehomogenized(form, ordering=Ordering.GRLEX_LEFT, monomials=None):
     """format_polynomial of form(1, x1, ..., xn), with x1..xn renamed
     x0..x{n-1}, for a form (a homogeneous polynomial) in x0..xn.  Its terms
     have one degree, so no two share the exponents of x1..xn, and dropping
@@ -454,24 +465,30 @@ def format_dehomogenized(form, ordering=Ordering.GRLEX_LEFT):
     terms = {e[1:]: c for e, c in form.terms.items()}
     if len(terms) != len(form.terms):
         raise ValueError("format_dehomogenized needs a form")
-    return _format_terms(terms, ordering)
+    return _format_terms(terms, ordering, {} if monomials is None else monomials)
 
 
-def _format_terms(terms, ordering):
+def _format_terms(terms, ordering, monomials):
     """The text of a term dict (exponent -> nonzero Fraction or int), each
-    coefficient written from its numerator and denominator."""
+    coefficient written from its numerator and denominator.  monomials maps
+    an exponent to its sort key under `ordering` and its factor text, such
+    as "x0*x2^3" ("" for the constant); it is filled as the terms need it."""
     if not terms:
         return "0"
-    parts = []
-    for e in sorted(terms, key=ordering.key, reverse=True):
-        c = terms[e]
+    for e in terms:
+        if e not in monomials:
+            factors = [f"x{j}" if k == 1 else f"x{j}^{k}" for j, k in enumerate(e) if k]
+            monomials[e] = ordering.key(e), "*".join(factors)
+    parts = []  # sorted by key alone: no two exponents share one
+    for (_, x), c in sorted(zip(map(monomials.__getitem__, terms), terms.values()),
+                            reverse=True):
         num, den = c.numerator, c.denominator
-        factors = [f"x{j}" if k == 1 else f"x{j}^{k}" for j, k in enumerate(e) if k]
         if den != 1:
-            factors.insert(0, f"{abs(num)}/{den}")
-        elif not factors or num not in (1, -1):
-            factors.insert(0, str(abs(num)))
-        sign = "-" if num < 0 else "+"
-        parts.append(f"{sign} {'*'.join(factors)}")
+            x = f"{abs(num)}/{den}*{x}" if x else f"{abs(num)}/{den}"
+        elif not x:
+            x = str(abs(num))
+        elif num != 1 and num != -1:
+            x = f"{abs(num)}*{x}"
+        parts.append(f"- {x}" if num < 0 else f"+ {x}")
     text = " ".join(parts)
     return text[2:] if text[0] == "+" else "-" + text[2:]

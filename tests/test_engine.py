@@ -91,6 +91,9 @@ def test_build_matrix_dimension_mismatch():
     gb, sc = _conic_setup()
     with pytest.raises(InputError):
         build_matrix([(1, 2)], sc)
+    for points in ([(1, 2, 3), (1, 2)], [(1, 2), (1, 2, 3)], [(1, 2, 3), (1, 2, 3, 4)]):
+        with pytest.raises(InputError, match="dimension"):
+            build_matrix(points, sc)
 
 
 def _annihilates(vec, mat):
@@ -631,24 +634,47 @@ coordinates = (
 )
 
 
+def _coordinate_columns(size):
+    """One coordinate's values at `size` points: 1 or 0 at every point (a
+    column the column build skips, or one of zeros), one value repeated, or
+    values drawn one by one."""
+    return st.one_of(
+        st.sampled_from([1, 0]).map(lambda x: (x,) * size),
+        coordinates.map(lambda x: (x,) * size),
+        st.lists(coordinates, min_size=size, max_size=size).map(tuple),
+    )
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_build_matrix_matches_entrywise_formula(data):
-    n = data.draw(st.integers(2, 5))
+    """n = 1 to 5, delta = 0 to 4, 1 to 60 points, each coordinate drawn
+    by _coordinate_columns, and any set of exponents, the empty one (mu = 0)
+    too."""
+    n = data.draw(st.integers(1, 5))
     ordering = data.draw(st.sampled_from(list(Ordering)))
-    delta = data.draw(st.integers(1, 4))
+    delta = data.draw(st.integers(0, 4))
     exponents = data.draw(
         st.lists(
             st.sampled_from(list(monomials_of_degree(delta, n))),
-            min_size=1, max_size=12, unique=True,
+            max_size=12, unique=True,
         )
     )
     exponents.sort(key=ordering.key, reverse=True)
-    points = data.draw(
-        st.lists(st.tuples(*[coordinates] * n), min_size=1, max_size=6)
-    )
+    size = data.draw(st.integers(1, 60))
+    columns = [data.draw(_coordinate_columns(size)) for _ in range(n)]
+    points = list(zip(*columns))
     mat = build_matrix(points, exponents)
     assert mat.rows == entrywise_matrix_rows(points, exponents)
+    assert mat.points == tuple(points)
+    assert mat.exponents == tuple(exponents)
+    assert all(type(x) is int for row in mat.rows for x in row)
+
+
+def test_build_matrix_without_exponents():
+    """mu = 0: one empty row per point, and no dimension to check."""
+    mat = build_matrix([(1, 2), (3, 4, 5)], ())
+    assert mat == ((), ((1, 2), (3, 4, 5)), ((), ()))
 
 
 # -- tall kernels: the early stop ----------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from detmethod import (
+    InputError,
     Ordering,
     ParseError,
     Polynomial,
@@ -172,6 +173,20 @@ def test_evaluate_matches_fraction_sum(f, g, points):
             value = h.evaluate(p)
             assert type(value) is Fraction
             assert value == fraction_evaluate(h, p)
+
+
+@given(f=rational_polys, points=st.lists(points3, min_size=1, max_size=4))
+def test_vanishes_at_is_evaluate_at_zero(f, points):
+    """vanishes_at reads evaluate's cleared sum: f - f(p) vanishes at p, and
+    f - f(p) + c for c != 0 does not."""
+    for p in points:
+        value = fraction_evaluate(f, p)
+        assert f.vanishes_at(p) == (value == 0)
+        shifted = f - value
+        assert shifted.vanishes_at(p)
+        assert not (shifted + Fraction(1, 7)).vanishes_at(p)
+    with pytest.raises(InputError, match="expected 3"):
+        f.vanishes_at((0, 0))
 
 
 # -- the parser against the token-object parser it replaced ----------------

@@ -184,8 +184,56 @@ def test_emitter_matches_json_dumps(value):
     assert cli._json(value) == dumps(value)
 
 
+plain_ints = st.integers() | st.integers(-(2**200), 2**200) | st.just(2**200)
+
+
+@st.composite
+def row_lists(draw):
+    """A list or tuple of rows of k plain ints, the case the emitter writes
+    by one template (k = 0 gives [[]] and the like, which it does not), and
+    then, each at random: a bool in place of one cell, one row of another
+    length, each row a list or a tuple at random, and rows as the cells of
+    rows."""
+    k = draw(st.integers(0, 4))
+    rows = draw(st.lists(st.lists(plain_ints, min_size=k, max_size=k), min_size=1,
+                         max_size=8))
+    if k and draw(st.booleans()):
+        draw(st.sampled_from(rows))[draw(st.integers(0, k - 1))] = draw(st.booleans())
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))),
+                    draw(st.lists(plain_ints, max_size=6).filter(lambda r: len(r) != k)))
+    if draw(st.booleans()):
+        rows = [tuple(r) if draw(st.booleans()) else r for r in rows]
+    if draw(st.booleans()):
+        rows = [[r, r] for r in rows]
+    return tuple(rows) if draw(st.booleans()) else rows
+
+
+@given(row_lists())
+def test_row_lists_match_json_dumps(rows):
+    for value in (rows, {"points": rows}, [rows, rows]):
+        assert cli._json(value) == dumps(value)
+
+
+def test_int_rows_take_only_rows_of_plain_ints_of_one_length():
+    """The template writes rows of plain ints of one length k >= 1, each row
+    as _emit would; [[]], a bool, ragged rows and nested rows it refuses, and
+    they fall back to one _emit per row."""
+    for rows in ([[1, 2], (3, 4)], [[2**200], [-1]]):
+        expected = [cli._emit(row, "\n  ") for row in rows]
+        assert list(cli._int_rows(rows, "\n  ")) == expected
+    for rows in ([[]], [[1, True]], [[1, 2], [3]], [[[1]], [[2]]]):
+        assert cli._int_rows(rows, "\n  ") is None
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("wrap", [lambda x: x, lambda x: [1, [x]], lambda x: {"a": x}])
+@pytest.mark.parametrize("wrap", [
+    lambda x: x,
+    lambda x: [1, [x]],
+    lambda x: {"a": x},
+    lambda x: [[1, 2], [x, 3]],  # a float in rows of numbers
+    lambda x: [(1, 2), (3, x)],
+])
 def test_emitter_refuses_non_finite_floats(bad, wrap):
     with pytest.raises(ValueError):
         dumps(wrap(bad))
