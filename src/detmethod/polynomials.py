@@ -454,7 +454,7 @@ def format_polynomial(poly, ordering=Ordering.GRLEX_LEFT, monomials=None):
     """Render with terms in descending order under `ordering`; round-trip
     stable through parse_polynomial.  monomials is _format_terms' table; a
     caller that writes many polynomials under one ordering shares one."""
-    return _format_terms(poly.terms, ordering, {} if monomials is None else monomials)
+    return _format_terms(poly.terms, ordering, monomials)
 
 
 def format_dehomogenized(form, ordering=Ordering.GRLEX_LEFT, monomials=None):
@@ -465,16 +465,19 @@ def format_dehomogenized(form, ordering=Ordering.GRLEX_LEFT, monomials=None):
     terms = {e[1:]: c for e, c in form.terms.items()}
     if len(terms) != len(form.terms):
         raise ValueError("format_dehomogenized needs a form")
-    return _format_terms(terms, ordering, {} if monomials is None else monomials)
+    return _format_terms(terms, ordering, monomials)
 
 
 def _format_terms(terms, ordering, monomials):
     """The text of a term dict (exponent -> nonzero Fraction or int), each
     coefficient written from its numerator and denominator.  monomials maps
     an exponent to its sort key under `ordering` and its factor text, such
-    as "x0*x2^3" ("" for the constant); it is filled as the terms need it."""
+    as "x0*x2^3" ("" for the constant); it is filled as the terms need it,
+    and None stands for a new table."""
     if not terms:
         return "0"
+    if monomials is None:
+        monomials = {}
     for e in terms:
         if e not in monomials:
             factors = [f"x{j}" if k == 1 else f"x{j}^{k}" for j, k in enumerate(e) if k]

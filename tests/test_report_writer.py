@@ -66,6 +66,19 @@ def test_dropping_x0_is_the_substitution(ordering, f):
     assert format_dehomogenized(f, ordering) == expected
 
 
+@pytest.mark.parametrize("ordering", ORDERINGS)
+@given(fs=st.lists(forms(), max_size=6))
+def test_a_shared_monomial_table_changes_no_text(ordering, fs):
+    """to_dict writes a report's certificates through one table of monomial
+    texts, the dehomogenized ones too; each text is the one written alone."""
+    monomials = {}
+    for f in fs:
+        assert format_polynomial(f, ordering, monomials) == format_polynomial(f, ordering)
+        assert format_dehomogenized(f, ordering, monomials) == (
+            format_dehomogenized(f, ordering)
+        )
+
+
 def test_format_examples():
     f = parse_polynomial("-x0^2 + 3/4*x0*x1 - 5*x1^2 + 1/2*x2^2", 3)
     assert format_polynomial(f, Ordering.GRLEX_LEFT) == (
