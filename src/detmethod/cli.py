@@ -139,18 +139,38 @@ def _parse_heights(args, num_vars):
 def _json(data):
     """The JSON output contract: sorted keys, indent 2, ASCII escapes, no NaN
     or Infinity, byte for byte json.dumps(data, sort_keys=True, indent=2,
-    allow_nan=False).  With indent set, json.dumps skips CPython's C encoder;
-    this writer keeps its string escapes, renders each list of plain ints,
-    or of strings, in one join, and each list of equal-length rows of plain
-    ints (points, boxes) by one format template."""
+    allow_nan=False) for data built of values of the exact JSON types only.
+    With indent set, json.dumps skips CPython's C encoder; this writer keeps
+    its string escapes, renders each list of plain ints, or of strings, in
+    one join, and each list of equal-length rows of plain ints (points,
+    boxes) by one format template."""
     return _emit(data, "\n")
 
 
 def _emit(value, newline):
     """The JSON text of value; newline is a line break and the indent of the
-    line that value starts on.  The writer is picked by type(value); a
-    subclass of a JSON type goes through isinstance tests."""
-    return _WRITERS.get(type(value), _emit_subclass)(value, newline)
+    line that value starts on.  The text is picked by type(value) alone: any
+    other type, a subclass of a JSON type too, is refused."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is list or kind is tuple:
+        return _emit_list(value, newline)
+    if kind is dict:
+        return _emit_dict(value, newline)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(
+                f"Out of range float values are not JSON compliant: {value!r}"
+            )
+        return float.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit_list(value, newline):
@@ -162,7 +182,7 @@ def _emit_list(value, newline):
         items = map(int.__repr__, value)
     elif kinds == {str}:
         items = map(encode_basestring_ascii, value)
-    elif kinds <= _ROWS and (rows := _int_rows(value, inner)):
+    elif kinds <= {list, tuple} and (rows := _int_rows(value, inner)):
         items = rows
     else:
         items = map(_emit, value, repeat(inner))
@@ -190,41 +210,6 @@ def _emit_dict(value, newline):
         for key, x in sorted(value.items())
     ]
     return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
-
-
-def _emit_float(value, newline):
-    if not math.isfinite(value):
-        raise ValueError(
-            f"Out of range float values are not JSON compliant: {value!r}"
-        )
-    return float.__repr__(value)
-
-
-def _emit_subclass(value, newline):
-    if isinstance(value, (list, tuple)):
-        return _emit_list(value, newline)
-    if isinstance(value, dict):
-        return _emit_dict(value, newline)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _emit_float(value, newline)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-_ROWS = {list, tuple}
-_WRITERS = {
-    int: lambda value, newline: int.__repr__(value),
-    str: lambda value, newline: encode_basestring_ascii(value),
-    list: _emit_list,
-    tuple: _emit_list,
-    dict: _emit_dict,
-    float: _emit_float,
-    bool: lambda value, newline: "true" if value else "false",
-    type(None): lambda value, newline: "null",
-}
 
 
 def report_json(report, include_timings=False):

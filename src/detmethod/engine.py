@@ -415,7 +415,9 @@ def verify_certificate(cert, points, gb):
     has integer coefficients and support inside M(delta), vanishes exactly at
     each covered point points[i], and has a nonzero normal form, i.e. lies
     outside the ideal.  Returns the list of failure messages, empty on a
-    pass; a zero polynomial fails alone.
+    pass.  A zero polynomial fails alone, and so does one of degree above
+    delta, refused before the division and evaluations whose cost grows
+    with its degree.
 
     Every check runs on every certificate, the normal form too, though a
     support inside M(delta) already keeps a nonzero polynomial out of the
@@ -431,16 +433,16 @@ def verify_certificate(cert, points, gb):
     poly = cert.poly
     if poly.is_zero():
         return ["zero polynomial"]
+    delta = cert.support_delta
+    if poly.degree() > delta:
+        return [_degree_failure(max(poly.support(), key=sum), delta)]
     failures = []
     if not poly.integer_coefficients():
         failures.append("non-integer coefficients")
     remainder = normal_form(poly, gb)
-    delta = cert.support_delta
     for e in poly.support():
         if sum(e) != delta:
-            failures.append(
-                f"support monomial {e} has degree {sum(e)}, not delta = {delta}"
-            )
+            failures.append(_degree_failure(e, delta))
             break
         if remainder is not poly and any(divides(lm, e) for lm in gb.leading_monomials):
             failures.append(f"support monomial {e} lies in LT(I)")
@@ -451,6 +453,10 @@ def verify_certificate(cert, points, gb):
     if remainder.is_zero():
         failures.append("lies in the ideal")
     return failures
+
+
+def _degree_failure(e, delta):
+    return f"support monomial {e} has degree {sum(e)}, not delta = {delta}"
 
 
 def coverage_failure(certificates, point_count):
@@ -544,14 +550,9 @@ class PipelineReport(SimpleNamespace):
             "max_depth": self.max_depth,
         }
         if self.ordering_bound is not None:
-            ob = self.ordering_bound
             out["ordering_bound"] = {
-                "s": ob.s,
-                "lhs": report_rational(ob.lhs),
-                "intermediate_bound": report_rational(ob.intermediate_bound),
-                "limit": report_rational(ob.limit),
-                "dimension": ob.dimension,
-                "holds": ob.holds,
+                key: report_rational(x) if isinstance(x, Fraction) else x
+                for key, x in self.ordering_bound._asdict().items()
             }
         if self.delta_report is not None:
             out["delta_report"] = self.delta_report

@@ -170,12 +170,6 @@ def groebner(ideal, ordering):
     basis = sorted(
         (g.monic(ordering) for g in ideal.generators), key=_sort_key(ordering)
     )
-    # drop duplicate generators
-    seen = []
-    for g in basis:
-        if g not in seen:
-            seen.append(g)
-    basis = seen
     lms = [g.leading_monomial(ordering) for g in basis]
     n = ideal.num_vars
 

@@ -527,6 +527,29 @@ def test_verify_names_the_failed_support_check(
     assert out.splitlines()[0] == f"FAIL: certificate 0: {message}"
 
 
+@pytest.mark.parametrize(
+    "poly, monomial",
+    [("x1^1000000", "(0, 1000000, 0) has degree 1000000"),
+     ("1/2*x1^3 + 1", "(0, 3, 0) has degree 3")],
+)
+def test_verify_refuses_a_certificate_above_delta_alone(
+    capsys, parabola_report, poly, monomial
+):
+    """A support monomial above delta fails its certificate with that one
+    line, before the division and the evaluations, whose cost grows with
+    the degree; no other failure of that certificate is listed."""
+    data = json.loads(parabola_report.read_text())
+    data["certificates"][0]["poly"] = poly
+    parabola_report.write_text(json.dumps(data))
+    code, out, _ = run(
+        capsys, "verify", "--report", str(parabola_report), "--ideal", PARABOLA
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        f"FAIL: certificate 0: support monomial {monomial}, not delta = 2"
+    ]
+
+
 def test_verify_with_a_wrong_delta_walks_no_staircase_up_to_it(
     capsys, parabola_report, monkeypatch
 ):

@@ -21,6 +21,7 @@ from detmethod import (
     groebner,
     hilbert_function,
     monomials_of_degree,
+    parse_polynomial,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -89,3 +90,18 @@ def test_matches_sympy_groebner(ideal):
         ours = [g.terms for g in groebner(ideal, ordering).basis]
         expected = _sympy_basis(ideal, ordering)
         assert sorted(ours, key=sorted) == sorted(expected, key=sorted)
+
+
+def test_repeated_generators_give_the_basis_of_one_copy():
+    """Interreduction keeps one of several equal leading monomials, and the
+    reduced basis is unique, so repeating a generator, or adding a multiple
+    of it, changes no basis."""
+    one = Ideal([parse_polynomial("x1 - x0^2", N)], N)
+    gens = [parse_polynomial(t, N) for t in ("x1 - x0^2", "x1 - x0^2", "2*x1 - 2*x0^2")]
+    repeated = Ideal(gens, N)
+    for ordering in Ordering:
+        ours = [g.terms for g in groebner(repeated, ordering).basis]
+        assert ours == [g.terms for g in groebner(one, ordering).basis]
+        assert sorted(ours, key=sorted) == sorted(
+            _sympy_basis(repeated, ordering), key=sorted
+        )

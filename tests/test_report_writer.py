@@ -6,7 +6,9 @@ Fraction-based rendering and the substitution x0 = 1 (tests/oracles.py), the
 emitter against json.dumps(..., sort_keys=True, indent=2, allow_nan=False).
 """
 
+import collections
 import contextlib
+import enum
 import io
 import json
 import math
@@ -263,6 +265,44 @@ def test_emitter_refuses_a_non_str_key():
         cli._json({"a": [{None: 0}]})
 
 
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+_Pair = collections.namedtuple("_Pair", "a b")
+
+
 def test_emitter_refuses_other_types():
+    """A value's text is picked by its exact type: a subclass of a JSON type
+    is refused too, however json.dumps would write it."""
     with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
         cli._json([Fraction(1, 2)])
+    subclasses = [
+        _Str("a"), _Int(1), _Float(0.5), _List([1]), _Dict(a=1),
+        _Colour.RED, _Pair(1, 2),
+    ]
+    for value in subclasses:
+        name = type(value).__name__
+        for wrap in (value, [value], {"a": value}, [[1, 2], value]):
+            with pytest.raises(TypeError, match=f"{name} is not JSON serializable"):
+                cli._json(wrap)
