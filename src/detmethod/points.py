@@ -17,6 +17,19 @@ first nonzero coordinate is positive, so x_j >= 0 where x_0..x_{j-1} are
 all fixed and zero; the primitive, sign-normalized check is made at the
 leaf, in the coordinates' own order.
 
+Level sets.  A split keeps the integers x in x_j's domain with low <= p(x)
+<= high, p restricted to the fibre.  A p of two terms, c0 + ck*x^k (a linear
+p, and every fibre of the last coordinate of x0^k + x1^k - x2^k - x3^k), is
+solved in closed form.  With ck > 0 (else every sign flips), the condition
+is A <= x^k <= B for A = ceil((low - c0)/ck) and B = floor((high - c0)/ck),
+by integer floor division, as x^k is an integer.  For odd k, x -> x^k is
+strictly increasing, so x runs from the ceiling of A's real k-th root to
+the floor of B's; for even k, x^k = |x|^k, no x has x^k <= B < 0, and |x|
+runs from the ceiling of max(A, 0)^(1/k) to the floor of B^(1/k).  The
+roots are exact integer roots (bounds.iroot), so the set is exact.  Any
+other p is cut where its derivatives change sign into pieces on which it is
+monotone, each searched by bisection with exact evaluation.
+
 The budget bounds the scan the solver plans for the order x_0, x_1, ... and
 is checked before the first fibre: the product over the coordinates of
 2*L_j + 1, the values with |x_j| <= L_j, or of d where that is smaller and
@@ -61,6 +74,7 @@ from functools import partial
 from itertools import chain
 from math import floor, gcd, inf, isqrt, lcm, prod
 
+from .bounds import iroot
 from .errors import BudgetExceededError, InputError
 
 DEFAULT_BUDGET = 10**9
@@ -132,12 +146,13 @@ def _solve(ideal, limits, budget, projective):
     module docstring) exceeds the budget."""
     n = ideal.num_vars
     generators = _integer_generators(ideal.generators)
-    if any(not any(any(e) for e, _ in terms) for terms in generators):
+    if any(not any(powers for _, _, powers in terms) for terms in generators):
         return (), 0  # a nonzero constant: the variety is empty
-    steps, required = _plan(generators, range(n), limits)
+    required = _planned(generators, range(n), limits)
     if required > budget:
         raise BudgetExceededError(required, budget)
-    steps, at, route = _route(generators, limits, required) or (steps, n, None)
+    order, at, route = _route(generators, limits, required) or (range(n), n, None)
+    steps = _plan(generators, order, limits)
 
     point = [0] * n
     found = []
@@ -176,55 +191,76 @@ def _solve(ideal, limits, budget, projective):
 
 
 def _integer_generators(generators):
-    """Each generator as (exponent, int) terms, its denominators cleared."""
-    out = []
-    for g in generators:
-        scale = lcm(*(c.denominator for c in g.terms.values()))
-        out.append([(e, int(c * scale)) for e, c in g.terms.items()])
-    return out
+    """Each generator as its terms (exponent, int, the (i, e_i) with e_i >
+    0), its denominators cleared: Polynomial.cleared_terms, which the leaf
+    re-check's evaluate reads too."""
+    return [[(e, c, powers) for e, (powers, c) in zip(g.terms, g.cleared_terms()[1])]
+            for g in generators]
+
+
+def _last_positions(generators, rank):
+    """Each generator's last position in the visiting order, rank[j] being
+    the position of x_j."""
+    return [max([rank[i] for _, _, powers in terms for i, _ in powers])
+            for terms in generators]
+
+
+def _planned(generators, order, limits):
+    """The planned scan for visiting the coordinates in `order`: the product
+    over the positions t of 2*L_j + 1, x_j the coordinate visited at t, or
+    of d where that is smaller and a generator whose last position is t has
+    degree d in x_j and every one of its terms of degree d is c*x_j^d: its
+    exact split is then nonzero of degree d on every fibre."""
+    rank = {j: t for t, j in enumerate(order)}
+    sizes = [2 * limits[j] + 1 for j in order]
+    for terms, t in zip(generators, _last_positions(generators, rank)):
+        j = order[t]
+        # the top degree d in x_j, and the most coordinates a term of it has
+        d, width = max([(e[j], len(powers)) for e, _, powers in terms])
+        if width == 1:
+            sizes[t] = min(sizes[t], d)
+    return prod(sizes)
 
 
 def _plan(generators, order, limits):
-    """(steps, the planned scan) for visiting the coordinates in `order`.  A
-    step is (j, whether x_j has an exact split, the splits that narrow x_j,
-    whether every x_i with i < j is fixed before x_j); the exact splits of
-    x_j if it has any, else all of its splits."""
+    """The steps for visiting the coordinates in `order`.  A step is (j,
+    whether x_j has an exact split, the splits that narrow x_j, whether every
+    x_i with i < j is fixed before x_j); the exact splits of x_j if it has
+    any, else all of its splits."""
     rank = {j: t for t, j in enumerate(order)}
-    last = [max(rank[j] for e, _ in terms for j, a in enumerate(e) if a)
-            for terms in generators]  # each generator's last position
-    steps, required = [], 1
+    last = _last_positions(generators, rank)
+    steps = []
     for t, j in enumerate(order):
         solved = t in last
-        before, after = order[:t], order[t + 1:]
         splits = [s for terms, k in zip(generators, last) if (k == t or not solved)
-                  and (s := _split(terms, j, before, after, limits))]
-        # x_j takes at most d values on a fibre if it has an exact split of
-        # degree d whose terms of degree d are all c*x_j^d
-        roots = [d for d, terms in splits if solved and not any(
-            k == d and earlier for k, _, earlier, _, _ in terms)]
-        required *= min([2 * limits[j] + 1, *roots])
-        steps.append((j, solved, splits, all(rank[i] < t for i in range(j))))
-    return steps, required
+                  and (s := _split(terms, j, t, rank, limits))]
+        steps.append((j, solved, splits, all([rank[i] < t for i in range(j)])))
+    return steps
 
 
-def _split(terms, j, before, after, limits):
-    """(degree of p, terms): the generator as p + r for narrowing x_j, or
-    None; p its terms in x_j, none in a coordinate of `after` (those visited
-    after x_j).  A term c*x^e is (e_j, c, the (i, e_i) of i in `before` with
-    e_i > 0, lo, hi), with [lo, hi] the range of its monomial in the
-    coordinates of `after` over the box."""
-    out = []
-    for e, c in terms:
+def _split(terms, j, t, rank, limits):
+    """(degree of p, terms): the generator as p + r for narrowing x_j, the
+    coordinate visited at position t, or None; p its terms in x_j, none in a
+    coordinate visited after x_j.  A term c*x^e is (e_j, c, the (i, e_i) of
+    the x_i visited before x_j with e_i > 0, lo, hi), with [lo, hi] the
+    range of its monomial in the coordinates visited after x_j over the
+    box."""
+    out, degree = [], 0
+    for e, c, powers in terms:
+        k = e[j]
         lo = hi = 1
-        for k in after:
-            if e[k]:
-                if e[j]:
+        earlier = ()
+        for i, a in powers:
+            if rank[i] < t:
+                earlier += ((i, a),)
+            elif rank[i] > t:  # x_i^a over [0, L_i^a], or [-L_i^a, L_i^a] for odd a
+                if k:
                     return None
-                a, b = _power(-limits[k], limits[k], e[k])
-                ends = (lo * a, lo * b, hi * a, hi * b)
-                lo, hi = min(ends), max(ends)
-        out.append((e[j], c, tuple((i, e[i]) for i in before if e[i]), lo, hi))
-    degree = max(term[0] for term in out)
+                hi *= limits[i] ** a
+                lo = -hi if a % 2 or lo < 0 else 0
+        out.append((k, c, earlier, lo, hi))
+        if k > degree:
+            degree = k
     return (degree, out) if degree else None
 
 
@@ -236,7 +272,7 @@ SIEVE_LIMIT = 1 << 20
 
 
 def _route(generators, limits, required):
-    """(steps, position of x_i, route) of the divisor route (see the module
+    """(order, position of x_i, route) of the divisor route (see the module
     docstring), or None where no generator c*x_i*x_j + c2*x^a, with i < j and
     x^a free of x_i and x_j, has an order whose planned scan is at most
     `required` and heights within SIEVE_LIMIT.  Of those that do, it takes
@@ -246,12 +282,12 @@ def _route(generators, limits, required):
     n = len(limits)
     candidates = []
     for terms in generators:
-        for (e, c), (f, c2) in (terms, terms[::-1]) if len(terms) == 2 else ():
-            pair = [k for k in range(n) if e[k]]
-            if sum(e) != 2 or len(pair) != 2 or any(f[k] for k in pair):
+        for (e, c, powers), (f, c2, monomial) in (
+                (terms, terms[::-1]) if len(terms) == 2 else ()):
+            if len(powers) != 2 or sum(e) != 2 or any(f[k] for k, _ in powers):
                 continue
-            monomial = [(k, a) for k, a in enumerate(f) if a]
-            top = max((k for k, _ in monomial), default=-1)
+            pair = [k for k, _ in powers]
+            top = monomial[-1][0] if monomial else -1
             outer = [k for k in range(n) if k <= top and k not in pair]
             order = outer + pair + [k for k in range(n) if k > top and k not in pair]
             size = prod(2 * limits[k] + 1 for k in outer)
@@ -262,12 +298,11 @@ def _route(generators, limits, required):
         sieve = max(limits[k] for k in (i, *(k for k, _ in monomial)))
         if sieve > SIEVE_LIMIT:
             continue
-        steps, planned = _plan(generators, order, limits)
-        if planned <= required:
+        if _planned(generators, order, limits) <= required:
             spf = _smallest_prime_factors(sieve)
             primes = [p for p in range(2, min(limits[i], abs(c2)) + 1)
                       if not spf[p] and not c2 % p]
-            return steps, at, (c, c2, monomial, primes, spf, limits[i], limits[j])
+            return order, at, (c, c2, monomial, primes, spf, limits[i], limits[j])
     return None
 
 
@@ -322,13 +357,6 @@ def _divisor_pairs(route, point, domain):
     return pairs, []
 
 
-def _power(low, high, k):
-    """The exact range of x^k over the integers x in [low, high]."""
-    if k % 2 == 0 and low < 0 < high:
-        return 0, max(low**k, high**k)
-    return min(low**k, high**k), max(low**k, high**k)
-
-
 def _narrow(split, point, domain):
     """The values of x_j in `domain` where p = -r has a solution on the
     fibre point[:j]; one pass restricts p to the fibre and encloses r in
@@ -374,13 +402,8 @@ def _where_between(coeffs, intervals, low, high):
     inclusive (lo, hi) pairs) on which low <= p(x) <= high, for p an integer
     polynomial of positive degree given as its coefficients of 1, x, x^2, ...
     with a nonzero leading one."""
-    if len(coeffs) == 2:  # c0 + c1*x: x runs from ceil((low - c0) / c1) to
-        c0, c1 = coeffs  # floor((high - c0) / c1), for c1 > 0
-        if c1 < 0:
-            c0, c1, low, high = -c0, -c1, -high, -low
-        first, last = -((c0 - low) // c1), (high - c0) // c1
-        pieces = ((max(lo, first), min(hi, last)) for lo, hi in intervals)
-        return [(a, b) for a, b in pieces if a <= b]
+    if not any(coeffs[1:-1]):
+        return _two_term(coeffs[0], coeffs[-1], len(coeffs) - 1, intervals, low, high)
     p, below = [], 0  # p in the (c, g) form of _evaluate
     for e, c in enumerate(coeffs):
         if c:
@@ -394,6 +417,33 @@ def _where_between(coeffs, intervals, low, high):
             if first <= last:
                 out.append((first, last))
     return out
+
+
+def _two_term(c0, ck, k, intervals, low, high):
+    """_where_between for p = c0 + ck*x^k, in closed form (see the module
+    docstring): x^k in [A, B], x between integer k-th roots of A and B, on
+    both sides of 0 for even k, each piece clipped to each interval."""
+    if ck < 0:
+        c0, ck, low, high = -c0, -ck, -high, -low
+    first, top = -((c0 - low) // ck), (high - c0) // ck  # A and B
+    if k % 2:
+        pieces = [(-_floor_root(-first, k), _floor_root(top, k))]
+    elif top < 0:
+        return []
+    else:
+        bottom, top = -_floor_root(-max(first, 0), k), _floor_root(top, k)
+        pieces = [(-top, top)] if bottom == 0 else [(-top, -bottom), (bottom, top)]
+    return [(a, b) for lo, hi in intervals for first, last in pieces
+            if (a := max(lo, first)) <= (b := min(hi, last))]
+
+
+def _floor_root(n, k):
+    """floor(r) for the int n, r = n^(1/k) where n >= 0 and r = -((-n)^(1/k))
+    (the real root for odd k) where n < 0, through bounds.iroot: floor(-s) =
+    -ceil(s), and ceil(m^(1/k)) = iroot(m - 1) + 1 for m >= 1."""
+    if k == 1:
+        return n
+    return iroot(n, k) if n >= 0 else -iroot(-n - 1, k) - 1
 
 
 def _monotone_pieces(p, lo, hi):

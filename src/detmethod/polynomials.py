@@ -191,12 +191,10 @@ class Polynomial:
         no Fraction built: the sum is D times the value."""
         return self._cleared_value(point)[1] == 0
 
-    def _cleared_value(self, point):
-        """(D, D * the value at point), from the cleared terms."""
-        if len(point) != self.num_vars:
-            raise InputError(
-                f"point has {len(point)} coordinates, expected {self.num_vars}"
-            )
+    def cleared_terms(self):
+        """(D, terms): the common denominator D of the coefficients and, for
+        each term c*x^e in the order of `terms`, ((i, e_i) for e_i > 0, c*D),
+        built on the first call and kept in the _cleared slot."""
         if self._cleared is None:
             den = lcm(*(c.denominator for c in self.terms.values()))
             self._cleared = den, tuple(
@@ -204,7 +202,15 @@ class Polynomial:
                  c.numerator * (den // c.denominator))
                 for e, c in self.terms.items()
             )
-        den, terms = self._cleared
+        return self._cleared
+
+    def _cleared_value(self, point):
+        """(D, D * the value at point), from the cleared terms."""
+        if len(point) != self.num_vars:
+            raise InputError(
+                f"point has {len(point)} coordinates, expected {self.num_vars}"
+            )
+        den, terms = self.cleared_terms()
         total = 0
         for powers, v in terms:
             for i, k in powers:

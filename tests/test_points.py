@@ -543,8 +543,8 @@ def bands(draw, coeffs, intervals):
     return v - draw(st.integers(0, 10)), v + draw(st.integers(0, 10))
 
 
-def _check_where_between(data, coeffs, intervals):
-    low, high = data.draw(bands(coeffs, intervals))
+def _check_where_between(data, coeffs, intervals, band=None):
+    low, high = data.draw(bands(coeffs, intervals) if band is None else band)
     brute = [x for a, b in intervals for x in range(a, b + 1)
              if low <= _value(coeffs, x) <= high]
     out = _where_between(coeffs, intervals, low, high)
@@ -590,6 +590,47 @@ def test_where_between_matches_brute_force(data, lead, roots, quadratics):
 )
 def test_where_between_of_arbitrary_polynomials(data, coeffs, start):
     _check_where_between(data, coeffs, data.draw(disjoint_intervals(start)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(1, 7),
+    c0=st.one_of(st.just(0), st.integers(-300, 300)),
+    ck=st.integers(-5, 5).filter(bool),
+    start=st.integers(-30, 10),
+)
+def test_where_between_of_two_terms(data, k, c0, ck, start):
+    """c0 + ck*x^k, solved by integer k-th roots, over one to three pieces:
+    bands reaching from a value of p, wide bands that straddle 0 or hold no
+    value of p, and bands below or above all of p's values for even k."""
+    coeffs = [c0] + [0] * (k - 1) + [ck]
+    intervals = data.draw(disjoint_intervals(start))
+    wide = st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=2).map(sorted)
+    beyond = st.integers(1, 50).map(
+        lambda d: (c0 - d - 50, c0 - d) if ck > 0 else (c0 + d, c0 + d + 50)
+    )
+    band = st.one_of(bands(coeffs, intervals), wide, beyond)
+    _check_where_between(data, coeffs, intervals, band)
+
+
+def test_where_between_of_two_terms_beyond_sys_maxsize():
+    # x^3 between -10^40 and 10^40 over +-2^101: |x| <= r, r^3 <= 10^40 < (r + 1)^3
+    (first, last), = _where_between([0, 0, 0, 1], [(-(2**101), 2**101)], -(10**40), 10**40)
+    assert first == -last and last**3 <= 10**40 < (last + 1) ** 3
+    # 7 - 3*x^4 between -(10^60) and 0: 7/3 <= x^4 <= (10^60 + 7)/3, two pieces
+    (a, b), (c, d) = _where_between([7, 0, 0, 0, -3], [(-(2**101), 2**101)], -(10**60), 0)
+    assert (a, b, c) == (-d, -2, 2) and 3 * d**4 <= 10**60 + 7 < 3 * (d + 1) ** 4
+
+
+def test_where_between_of_three_terms_beyond_sys_maxsize():
+    """A range longer than sys.maxsize on the bisection path: (x - r)(x - s)
+    with r != -s has three terms, so _search halves the range first."""
+    r, s = 2**100 - 3, -(2**99) + 5
+    coeffs = _times([-r, 1], [-s, 1])
+    assert all(coeffs)
+    assert _where_between(coeffs, [(-(2**101), 2**101)], 0, 0) == [(s, s), (r, r)]
+    assert _where_between(coeffs, [(-(2**101), 2**101)], -1, -1) == []
 
 
 @given(
@@ -669,6 +710,34 @@ def test_projective_requires_homogeneous(parabola):
 def test_projective_budget_refusal(conic):
     with pytest.raises(BudgetExceededError):
         enumerate_projective(conic, HeightBox.uniform(500, 3), budget=10**4)
+
+
+def test_fermat_cubic_surface_points():
+    """x0^3 + x1^3 = x2^3 + x3^3: every fibre of x3 is c0 - x3^3, solved by
+    integer cube roots; the counts at B = 20 are pinned."""
+    fermat = SURFACES["fermat_cubic"]
+    box = HeightBox.uniform(6, 4)
+    assert list(enumerate_projective(fermat, box).points) == naive_projective_points(
+        fermat, box
+    )
+    ps = enumerate_projective(fermat, HeightBox.uniform(20, 4))
+    assert (len(ps.points), ps.fibres) == (1677, 29225)
+
+
+def test_each_enumeration_plans_its_steps_once(circle, conic):
+    # the budget guard and the divisor route read planned scans alone; the
+    # steps are built once, for the order the solver visits
+    real, orders = points._plan, []
+
+    def spy(generators, order, limits):
+        orders.append(list(order))
+        return real(generators, order, limits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_plan", spy)
+        enumerate_affine(circle, 10)
+        enumerate_projective(conic, HeightBox.uniform(10, 3))
+    assert orders == [[0, 1], [1, 0, 2]]
 
 
 def test_twisted_cubic_points(twisted_cubic):
